@@ -109,6 +109,60 @@ void BM_ColumnStats(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnStats);
 
+// Column statistics at the environment's default stats_row_cap: a 4,096-row
+// stride sample of cyber4, the selection size every observation encode and
+// reward histogram works on.
+std::vector<int32_t> StatsSample(const Table& t) {
+  constexpr int kRows = 4096;
+  std::vector<int32_t> rows;
+  rows.reserve(kRows);
+  const double stride = static_cast<double>(t.num_rows()) / kRows;
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back(static_cast<int32_t>(i * stride));
+  }
+  return rows;
+}
+
+void RunColumnStats4K(benchmark::State& state, const char* column) {
+  const Table& t = *BigDataset().table;
+  const auto rows = StatsSample(t);
+  const Column& col = *t.column(t.FindColumn(column));
+  for (auto _ : state) {
+    auto stats = ComputeColumnStats(col, rows);
+    benchmark::DoNotOptimize(stats.entropy);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+}
+
+void BM_ColumnStats4K_KeyInt(benchmark::State& state) {
+  RunColumnStats4K(state, "packet_id");
+}
+BENCHMARK(BM_ColumnStats4K_KeyInt);
+
+void BM_ColumnStats4K_Float(benchmark::State& state) {
+  RunColumnStats4K(state, "timestamp");
+}
+BENCHMARK(BM_ColumnStats4K_Float);
+
+void BM_ColumnStats4K_Dictionary(benchmark::State& state) {
+  RunColumnStats4K(state, "source_ip");
+}
+BENCHMARK(BM_ColumnStats4K_Dictionary);
+
+void BM_ValueHistogram4K(benchmark::State& state) {
+  const Table& t = *BigDataset().table;
+  const auto rows = StatsSample(t);
+  const Column& col = *t.column(t.FindColumn("destination_port"));
+  for (auto _ : state) {
+    auto hist = ValueHistogram(col, rows);
+    benchmark::DoNotOptimize(hist.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_ValueHistogram4K);
+
 void BM_TokenFrequencies(benchmark::State& state) {
   const Table& t = *BigDataset().table;
   auto rows = AllRows(t).value();

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 build + test cycle, then the same
+# Full verification sweep: the tier-1 build + test cycle and the
+# product-path benchmark's smoke test, then the same
 # suite again under AddressSanitizer (ATENA_SANITIZE=address) and
 # UndefinedBehaviorSanitizer (ATENA_SANITIZE=undefined), and finally the
 # concurrency-sensitive test binaries under ThreadSanitizer
@@ -20,6 +21,10 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
   --timeout "$test_timeout"
 
+echo "== perfbench smoke: every workload at tiny sizes, traced and not =="
+# Builds the benchmark into <repo>/.bench_build on first use.
+(cd "$repo" && python3 perfbench/smoke_test.py)
+
 echo "== asan: configure + build + ctest (ATENA_SANITIZE=address) =="
 cmake -B "$repo/build-asan" -S "$repo" -DATENA_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs"
@@ -39,7 +44,7 @@ cmake -B "$repo/build-tsan" -S "$repo" -DATENA_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
   --target thread_pool_test parallel_trainer_test display_cache_test \
            checkpoint_test guardrails_test serve_test serve_faults_test \
-           serve_journal_test index_test dataframe_test
+           serve_journal_test index_test dataframe_test stats_test
 # Only the binaries that actually spin up threads (the pool itself, the
 # parallel trainer's stepping path, the shared display cache, the
 # thread-crossing checkpoint resume, the guardrail fault-injection
@@ -47,11 +52,13 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # runtime's parallel environment stepping plus its fault-injection
 # matrix — quarantine/deadline/shed/reload under worker threads — the
 # display-vector index exercised through the multi-threaded serve path
-# and the shared notebook store, and the parallel group-by kernels) —
+# and the shared notebook store, the parallel group-by kernels, and the
+# column-statistics pass's thread-local scratch plus the cache's shared
+# Stats section under concurrent stepping) —
 # TSan's ~10x slowdown makes a full suite sweep disproportionate.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
     --timeout "$test_timeout" \
-    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test'
+    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test|stats_test'
 
 echo "== all checks passed =="

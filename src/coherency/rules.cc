@@ -202,11 +202,10 @@ std::vector<LabelingFunctionPtr> GeneralCoherencyRules(TablePtr table) {
         // An equality drill-down is justified by a token that stands out.
         // When the column was near-uniform over many values in the display
         // the filter came from, the chosen token is arbitrary.
-        const auto& previous = ctx.env->previous_display();
-        const Column& col =
-            *ctx.env->table().column(ctx.op->filter.column);
-        ColumnStats stats =
-            ComputeColumnStats(col, ctx.env->CappedRows(previous));
+        const auto selection =
+            ctx.env->SelectionStats(ctx.env->previous_display());
+        const ColumnStats& stats =
+            (*selection)[static_cast<size_t>(ctx.op->filter.column)];
         if (stats.distinct > 20 && stats.normalized_entropy > 0.95) {
           return LfVote::kIncoherent;
         }

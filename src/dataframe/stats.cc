@@ -4,66 +4,308 @@
 #include <bit>
 #include <cmath>
 
+#include "common/hashing.h"
+#include "common/logging.h"
 #include "common/math_utils.h"
 #include "dataframe/ops.h"
 
 namespace atena {
 
+namespace {
+
+// Dictionary columns with at most this many entries count through
+// direct-addressed per-code slots; larger dictionaries and numeric columns
+// go through the open-addressed table.
+constexpr size_t kMaxDirectCodes = size_t{1} << 16;
+// Scratch grown past this many elements by one large pass (a full-table
+// pass over a scaled table) is released when that pass ends, so a worker
+// thread never pins more than ~1.5 MB of counting scratch.
+constexpr size_t kMaxRetainedSlots = size_t{1} << 15;
+constexpr size_t kMinTableSlots = 16;
+
+/// Open-addressed table slot. A slot is occupied in the current pass iff
+/// its stamp equals the scratch epoch, so starting a pass never clears
+/// the table.
+struct Slot {
+  int64_t key = 0;
+  uint32_t stamp = 0;
+  uint32_t index = 0;  // position of `key` in CountScratch::keys
+};
+
+/// Per-thread counting scratch, reused across passes.
+struct CountScratch {
+  // Result of the current pass.
+  std::vector<int64_t> keys;    // distinct keys, first-occurrence order
+  std::vector<int64_t> counts;  // counts[i] = occurrences of keys[i]
+  int64_t nulls = 0;
+  // Direct-addressed counts per dictionary code; all zero between passes.
+  std::vector<int64_t> code_counts;
+  std::vector<Slot> slots;
+  uint32_t epoch = 0;
+  bool busy = false;
+};
+
+CountScratch& ThreadScratch() {
+  thread_local CountScratch scratch;
+  return scratch;
+}
+
+template <typename T>
+void ReleaseIfOversized(std::vector<T>* v) {
+  if (v->capacity() > kMaxRetainedSlots) std::vector<T>().swap(*v);
+}
+
+/// One counting pass over a selection: every distinct non-null cell key
+/// (Column::CellKey) in first-occurrence order, its exact count, and the
+/// number of null cells. No per-row allocation; the result lives in the
+/// calling thread's scratch until the pass object is destroyed, so at
+/// most one pass per thread may be alive at a time.
+class CountingPass {
+ public:
+  CountingPass(const Column& column, const std::vector<int32_t>& rows)
+      : s_(ThreadScratch()) {
+    ATENA_CHECK(!s_.busy) << "nested column counting pass";
+    s_.busy = true;
+    s_.keys.clear();
+    s_.counts.clear();
+    const uint8_t* valid = column.validity_data();
+    switch (column.type()) {
+      case DataType::kString: {
+        const int32_t* codes = column.code_data();
+        if (static_cast<size_t>(column.dictionary_size()) <=
+            kMaxDirectCodes) {
+          CountCodes(codes, valid, rows,
+                     static_cast<size_t>(column.dictionary_size()));
+        } else {
+          CountHashed(rows, valid, [codes](int32_t r) {
+            return static_cast<int64_t>(codes[r]);
+          });
+        }
+        break;
+      }
+      case DataType::kInt64: {
+        const int64_t* ints = column.int_data();
+        CountHashed(rows, valid, [ints](int32_t r) { return ints[r]; });
+        break;
+      }
+      case DataType::kFloat64: {
+        const double* doubles = column.double_data();
+        CountHashed(rows, valid, [doubles](int32_t r) {
+          return static_cast<int64_t>(std::bit_cast<uint64_t>(doubles[r]));
+        });
+        break;
+      }
+    }
+  }
+
+  ~CountingPass() {
+    ReleaseIfOversized(&s_.keys);
+    ReleaseIfOversized(&s_.counts);
+    ReleaseIfOversized(&s_.slots);
+    s_.busy = false;
+  }
+
+  CountingPass(const CountingPass&) = delete;
+  CountingPass& operator=(const CountingPass&) = delete;
+
+  const std::vector<int64_t>& keys() const { return s_.keys; }
+  const std::vector<int64_t>& counts() const { return s_.counts; }
+  int64_t nulls() const { return s_.nulls; }
+
+ private:
+  void CountCodes(const int32_t* codes, const uint8_t* valid,
+                  const std::vector<int32_t>& rows, size_t dictionary_size) {
+    if (s_.code_counts.size() < dictionary_size) {
+      s_.code_counts.resize(dictionary_size, 0);
+    }
+    int64_t* code_counts = s_.code_counts.data();
+    std::vector<int64_t>& keys = s_.keys;
+    int64_t nulls = 0;
+    for (int32_t r : rows) {
+      if (!valid[r]) {
+        ++nulls;
+        continue;
+      }
+      const int32_t code = codes[r];
+      if (code_counts[code]++ == 0) keys.push_back(code);
+    }
+    s_.nulls = nulls;
+    s_.counts.resize(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      s_.counts[i] = code_counts[keys[i]];
+      code_counts[keys[i]] = 0;
+    }
+  }
+
+  template <typename KeyOf>
+  void CountHashed(const std::vector<int32_t>& rows, const uint8_t* valid,
+                   KeyOf key_of) {
+    // Load factor stays <= 1/2: the table starts at twice the row count
+    // (bounded) and doubles whenever the distinct keys reach half of it.
+    size_t capacity = std::bit_ceil(std::max(
+        kMinTableSlots, 2 * std::min(rows.size(), kMaxRetainedSlots / 2)));
+    size_t mask = ResetTable(capacity);
+    Slot* slots = s_.slots.data();
+    uint32_t epoch = s_.epoch;
+    std::vector<int64_t>& keys = s_.keys;
+    std::vector<int64_t>& counts = s_.counts;
+    int64_t nulls = 0;
+    for (int32_t r : rows) {
+      if (!valid[r]) {
+        ++nulls;
+        continue;
+      }
+      const int64_t key = key_of(r);
+      size_t pos = Mix64(static_cast<uint64_t>(key)) & mask;
+      while (true) {
+        Slot& slot = slots[pos];
+        if (slot.stamp != epoch) {
+          slot = Slot{key, epoch, static_cast<uint32_t>(keys.size())};
+          keys.push_back(key);
+          counts.push_back(1);
+          if (2 * keys.size() > capacity) {
+            capacity *= 2;
+            mask = ResetTable(capacity);
+            slots = s_.slots.data();
+            epoch = s_.epoch;
+            for (size_t i = 0; i < keys.size(); ++i) {
+              size_t at = Mix64(static_cast<uint64_t>(keys[i])) & mask;
+              while (slots[at].stamp == epoch) at = (at + 1) & mask;
+              slots[at] = Slot{keys[i], epoch, static_cast<uint32_t>(i)};
+            }
+          }
+          break;
+        }
+        if (slot.key == key) {
+          ++counts[slot.index];
+          break;
+        }
+        pos = (pos + 1) & mask;
+      }
+    }
+    s_.nulls = nulls;
+  }
+
+  /// Makes the first `capacity` slots empty (by starting a new epoch) and
+  /// returns the probe mask.
+  size_t ResetTable(size_t capacity) {
+    if (s_.slots.size() < capacity) s_.slots.resize(capacity);
+    if (++s_.epoch == 0) {
+      for (Slot& slot : s_.slots) slot.stamp = 0;
+      s_.epoch = 1;
+    }
+    return capacity - 1;
+  }
+
+  CountScratch& s_;
+};
+
+/// The histogram map the per-row `hist[key] += 1.0` loop builds. That loop
+/// restructures the map only when it inserts a new key, and it inserts the
+/// distinct keys in first-occurrence order — so inserting just those keys,
+/// in that order (no reserve), yields the same buckets and the same
+/// iteration order.
+std::unordered_map<int64_t, double> HistogramOf(const CountingPass& pass) {
+  std::unordered_map<int64_t, double> hist;
+  const std::vector<int64_t>& keys = pass.keys();
+  const std::vector<int64_t>& counts = pass.counts();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    hist.emplace(keys[i], static_cast<double>(counts[i]));
+  }
+  return hist;
+}
+
+/// Entropy() of `distinct` copies of `count`, without materializing them.
+/// Every term of both of Entropy's sums is the same value, so the sums do
+/// not depend on order. Its total is a sum of integers below 2^53, which
+/// is exact, so the product below has the same bits; the entropy sum is
+/// performed term by term exactly as Entropy performs it.
+double EqualCountsEntropy(size_t distinct, double count) {
+  const double total = static_cast<double>(distinct) * count;
+  const double p = count / total;
+  const double log_p = std::log(p);
+  double h = 0.0;
+  for (size_t i = 0; i < distinct; ++i) h -= p * log_p;
+  return h;
+}
+
+/// The Value a cell key stands for (the inverse of Column::CellKey on
+/// non-null cells).
+Value KeyValue(const Column& column, int64_t key) {
+  switch (column.type()) {
+    case DataType::kInt64:
+      return Value(key);
+    case DataType::kFloat64:
+      return Value(std::bit_cast<double>(static_cast<uint64_t>(key)));
+    case DataType::kString:
+      return Value(column.DictionaryEntry(static_cast<int32_t>(key)));
+  }
+  return Value::Null();
+}
+
+}  // namespace
+
 ColumnStats ComputeColumnStats(const Column& column,
                                const std::vector<int32_t>& rows) {
+  CountingPass pass(column, rows);
+  const std::vector<int64_t>& counts = pass.counts();
   ColumnStats stats;
   stats.count = static_cast<int64_t>(rows.size());
-  auto hist = ValueHistogram(column, rows);
-  for (int32_t r : rows) {
-    if (column.IsNull(r)) ++stats.nulls;
+  stats.nulls = pass.nulls();
+  stats.distinct = static_cast<int64_t>(counts.size());
+  if (counts.empty()) return stats;
+  if (std::all_of(counts.begin(), counts.end(),
+                  [&](int64_t c) { return c == counts.front(); })) {
+    // Key-like columns land here: no map, one log.
+    stats.entropy = EqualCountsEntropy(
+        counts.size(), static_cast<double>(counts.front()));
+  } else {
+    // Entropy's sum is order-sensitive: take the counts in the order the
+    // per-row histogram map iterates them.
+    std::vector<double> ordered;
+    ordered.reserve(counts.size());
+    for (const auto& entry : HistogramOf(pass)) {
+      ordered.push_back(entry.second);
+    }
+    stats.entropy = Entropy(ordered);
   }
-  stats.distinct = static_cast<int64_t>(hist.size());
-  std::vector<double> counts;
-  counts.reserve(hist.size());
-  for (const auto& [k, v] : hist) {
-    (void)k;
-    counts.push_back(v);
+  // NormalizedEntropy() of the same counts, without recomputing Entropy:
+  // every count is positive, so the support is the distinct count.
+  stats.normalized_entropy =
+      stats.distinct <= 1
+          ? 0.0
+          : stats.entropy / std::log(static_cast<double>(stats.distinct));
+  return stats;
+}
+
+std::vector<ColumnStats> ComputeSelectionStats(
+    const Table& table, const std::vector<int32_t>& rows) {
+  std::vector<ColumnStats> stats;
+  stats.reserve(static_cast<size_t>(table.num_columns()));
+  for (int c = 0; c < table.num_columns(); ++c) {
+    stats.push_back(ComputeColumnStats(*table.column(c), rows));
   }
-  stats.entropy = Entropy(counts);
-  stats.normalized_entropy = NormalizedEntropy(counts);
   return stats;
 }
 
 std::unordered_map<int64_t, double> ValueHistogram(
     const Column& column, const std::vector<int32_t>& rows) {
-  std::unordered_map<int64_t, double> hist;
-  for (int32_t r : rows) {
-    if (column.IsNull(r)) continue;
-    hist[column.CellKey(r)] += 1.0;
-  }
-  return hist;
-}
-
-std::unordered_map<int64_t, double> DoubleHistogram(
-    const std::vector<double>& values) {
-  std::unordered_map<int64_t, double> hist;
-  for (double v : values) {
-    if (std::isnan(v)) continue;
-    hist[static_cast<int64_t>(std::bit_cast<uint64_t>(v))] += 1.0;
-  }
-  return hist;
+  CountingPass pass(column, rows);
+  return HistogramOf(pass);
 }
 
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
                                         const std::vector<int32_t>& rows) {
-  // Count by cell key, then box one representative Value per key.
-  std::unordered_map<int64_t, TokenFreq> by_key;
-  for (int32_t r : rows) {
-    if (column.IsNull(r)) continue;
-    auto [it, inserted] = by_key.try_emplace(column.CellKey(r));
-    if (inserted) it->second.token = column.GetValue(r);
-    ++it->second.count;
-  }
+  CountingPass pass(column, rows);
+  // std::sort is not stable and tokens can tie (equal counts, values
+  // equal under ValueLess such as 0.0 and -0.0), so the pre-sort order is
+  // part of the result: the per-row map's iteration order.
+  const auto hist = HistogramOf(pass);
   std::vector<TokenFreq> out;
-  out.reserve(by_key.size());
-  for (auto& [k, tf] : by_key) {
-    (void)k;
-    out.push_back(std::move(tf));
+  out.reserve(hist.size());
+  for (const auto& [key, count] : hist) {
+    out.push_back(
+        TokenFreq{KeyValue(column, key), static_cast<int64_t>(count)});
   }
   std::sort(out.begin(), out.end(), [](const TokenFreq& a, const TokenFreq& b) {
     if (a.count != b.count) return a.count > b.count;

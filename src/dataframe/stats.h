@@ -21,19 +21,25 @@ struct ColumnStats {
   int64_t count = 0;               // selection size
 };
 
+// All functions below share one counting pass over the selection
+// (stats.cc): distinct non-null cell keys in first-occurrence order with
+// exact counts. Results are bit-identical to histogramming with one
+// std::unordered_map operator[] per row — the map iteration order, and so
+// every entropy/KL sum and TokenFrequencies' tie order, is the same
+// (DESIGN.md §6, "Stats").
+
 /// Computes ColumnStats of `column` restricted to `rows`.
 ColumnStats ComputeColumnStats(const Column& column,
                                const std::vector<int32_t>& rows);
+
+/// ColumnStats of every column of `table` over `rows`, in column order.
+std::vector<ColumnStats> ComputeSelectionStats(
+    const Table& table, const std::vector<int32_t>& rows);
 
 /// Value histogram over a row selection, keyed by Column::CellKey (nulls are
 /// excluded). Feeds the KL-divergence interestingness reward.
 std::unordered_map<int64_t, double> ValueHistogram(
     const Column& column, const std::vector<int32_t>& rows);
-
-/// Histogram over an arbitrary list of doubles, keyed by bit pattern;
-/// used for KL over aggregated display columns.
-std::unordered_map<int64_t, double> DoubleHistogram(
-    const std::vector<double>& values);
 
 /// One token of a column and its frequency in the selection.
 struct TokenFreq {

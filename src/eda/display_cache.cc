@@ -10,13 +10,14 @@ namespace atena {
 
 namespace {
 
-// Section salts keep the four typed key spaces disjoint even when they are
+// Section salts keep the six typed key spaces disjoint even when they are
 // derived from the same operation-path signature.
 constexpr uint64_t kRowsSalt = 0xA1C4E953F0B6D711ULL;
 constexpr uint64_t kGroupSalt = 0xB7E151628AED2A6BULL;
 constexpr uint64_t kTokenSalt = 0x93C467E37DB0C7A4ULL;
 constexpr uint64_t kCappedSalt = 0xD1310BA698DFB5ACULL;
 constexpr uint64_t kVectorSalt = 0xF61E2562C040B340ULL;
+constexpr uint64_t kStatsSalt = 0x8E79DCB0603A180EULL;
 
 uint64_t HashValue(const Value& value) {
   if (value.is_null()) return Mix64(0x9D2C5680ULL);
@@ -56,6 +57,10 @@ size_t TokensBytes(const std::vector<TokenFreq>& tokens) {
     if (t.token.is_string()) bytes += t.token.as_string().size();
   }
   return bytes;
+}
+
+size_t StatsBytes(const std::vector<ColumnStats>& stats) {
+  return kEntryOverhead + stats.capacity() * sizeof(ColumnStats);
 }
 
 size_t VectorBytes(const std::vector<double>& vec) {
@@ -154,6 +159,17 @@ void DisplayCache::PutTokens(
   Put(key, std::move(tokens), bytes);
 }
 
+std::shared_ptr<const std::vector<ColumnStats>> DisplayCache::GetStats(
+    uint64_t key) {
+  return std::static_pointer_cast<const std::vector<ColumnStats>>(Get(key));
+}
+
+void DisplayCache::PutStats(
+    uint64_t key, std::shared_ptr<const std::vector<ColumnStats>> stats) {
+  const size_t bytes = StatsBytes(*stats);
+  Put(key, std::move(stats), bytes);
+}
+
 std::shared_ptr<const std::vector<double>> DisplayCache::GetVector(
     uint64_t key) {
   return std::static_pointer_cast<const std::vector<double>>(Get(key));
@@ -241,6 +257,11 @@ uint64_t TokenKey(uint64_t rows_signature, int column, int row_cap) {
 
 uint64_t CappedRowsKey(uint64_t rows_signature, int row_cap) {
   uint64_t key = HashCombine(kCappedSalt, rows_signature);
+  return HashCombine(key, static_cast<uint64_t>(row_cap));
+}
+
+uint64_t StatsKey(uint64_t rows_signature, int row_cap) {
+  uint64_t key = HashCombine(kStatsSalt, rows_signature);
   return HashCombine(key, static_cast<uint64_t>(row_cap));
 }
 

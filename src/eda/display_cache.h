@@ -48,9 +48,10 @@ struct DisplayCacheSnapshot {
 /// environment memoizes the expensive products of a step keyed by a
 /// canonical 64-bit signature of the operation path (see the Signature
 /// functions below): filter row sets, grouped results, per-column token
-/// frequencies, capped row samples and encoded display vectors. One
-/// instance is shared by all actors of ParallelPpoTrainer; each key shard
-/// has its own mutex, so concurrent actors contend only within a shard.
+/// frequencies, capped row samples, per-selection column statistics and
+/// encoded display vectors. One instance is shared by all actors of
+/// ParallelPpoTrainer; each key shard has its own mutex, so concurrent
+/// actors contend only within a shard.
 ///
 /// Every cached value is an immutable shared_ptr produced by the exact
 /// deterministic kernel the cache fronts, so a hit is bit-identical to a
@@ -86,6 +87,10 @@ class DisplayCache {
   std::shared_ptr<const std::vector<TokenFreq>> GetTokens(uint64_t key);
   void PutTokens(uint64_t key,
                  std::shared_ptr<const std::vector<TokenFreq>> tokens);
+
+  std::shared_ptr<const std::vector<ColumnStats>> GetStats(uint64_t key);
+  void PutStats(uint64_t key,
+                std::shared_ptr<const std::vector<ColumnStats>> stats);
 
   std::shared_ptr<const std::vector<double>> GetVector(uint64_t key);
   void PutVector(uint64_t key, std::shared_ptr<const std::vector<double>> vec);
@@ -160,6 +165,11 @@ uint64_t TokenKey(uint64_t rows_signature, int column, int row_cap);
 
 /// Key of the stride-sampled capped selection itself (Rows section).
 uint64_t CappedRowsKey(uint64_t rows_signature, int row_cap);
+
+/// Key of the ColumnStats of every column over the capped selection
+/// (Stats section). Grouping does not change a display's rows, so a
+/// grouped display shares its parent's entry.
+uint64_t StatsKey(uint64_t rows_signature, int row_cap);
 
 /// Key of the encoded observation vector of `display` (Vector section).
 uint64_t DisplayVectorKey(const Display& display, int row_cap);

@@ -443,15 +443,26 @@ std::shared_ptr<const GroupedResult> EdaEnvironment::CachedGroupAggregate(
   return result;
 }
 
+std::shared_ptr<const std::vector<ColumnStats>> EdaEnvironment::SelectionStats(
+    const Display& display) const {
+  const uint64_t key = StatsKey(display.rows_signature, config_.stats_row_cap);
+  if (cache_) {
+    if (auto hit = cache_->GetStats(key)) return hit;
+  }
+  auto stats = std::make_shared<const std::vector<ColumnStats>>(
+      ComputeSelectionStats(table(), CappedRows(display)));
+  if (cache_) cache_->PutStats(key, stats);
+  return stats;
+}
+
 std::vector<double> EdaEnvironment::EncodeDisplayCached(
     const Display& display) {
   const uint64_t key = DisplayVectorKey(display, config_.stats_row_cap);
   if (cache_) {
     if (auto hit = cache_->GetVector(key)) return *hit;
   }
-  Display capped = display;
-  capped.rows = CappedRows(display);
-  std::vector<double> vec = encoder_.EncodeDisplay(capped);
+  std::vector<double> vec =
+      encoder_.EncodeDisplay(display, *SelectionStats(display));
   if (cache_) {
     cache_->PutVector(key, std::make_shared<const std::vector<double>>(vec));
   }

@@ -204,6 +204,14 @@ class EdaEnvironment {
   /// stride-sampled once and memoized under the display's row signature.
   RowSet CappedRows(const Display& display) const;
 
+  /// ColumnStats of every column over CappedRows(display), in column
+  /// order — the per-attribute observation features (paper §4.1).
+  /// Memoized per (row signature, stats_row_cap), so the encoder, the
+  /// coherency rules, grouped displays (which keep their parent's rows)
+  /// and BACK revisits share one computation per selection.
+  std::shared_ptr<const std::vector<ColumnStats>> SelectionStats(
+      const Display& display) const;
+
   /// The display-execution cache; null when disabled by config. All actors
   /// of a ParallelPpoTrainer share one instance.
   const std::shared_ptr<DisplayCache>& display_cache() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/math_utils.h"
-#include "dataframe/stats.h"
 
 namespace atena {
 
@@ -13,19 +12,19 @@ ObservationEncoder::ObservationEncoder(TablePtr table, int history)
       display_dim_(4 * table_->num_columns() + 3) {}
 
 std::vector<double> ObservationEncoder::EncodeDisplay(
-    const Display& display) const {
+    const Display& display, const std::vector<ColumnStats>& stats) const {
   std::vector<double> out;
   out.reserve(static_cast<size_t>(display_dim_));
   const double table_rows = static_cast<double>(table_->num_rows());
-  const double selection = static_cast<double>(display.rows.size());
 
   for (int c = 0; c < table_->num_columns(); ++c) {
-    ColumnStats stats = ComputeColumnStats(*table_->column(c), display.rows);
-    out.push_back(stats.normalized_entropy);
-    out.push_back(Log1pNormalize(static_cast<double>(stats.distinct),
+    const ColumnStats& column = stats[static_cast<size_t>(c)];
+    const double selection = static_cast<double>(column.count);
+    out.push_back(column.normalized_entropy);
+    out.push_back(Log1pNormalize(static_cast<double>(column.distinct),
                                  table_rows));
     out.push_back(selection > 0
-                      ? static_cast<double>(stats.nulls) / selection
+                      ? static_cast<double>(column.nulls) / selection
                       : 0.0);
     bool involved = std::find(display.group_columns.begin(),
                               display.group_columns.end(),

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "dataframe/stats.h"
 #include "dataframe/table.h"
 #include "eda/display.h"
 
@@ -28,7 +29,11 @@ class ObservationEncoder {
   int history() const { return history_; }
 
   /// Encodes a single display d_t into its compact structural summary d̂_t.
-  std::vector<double> EncodeDisplay(const Display& display) const;
+  /// `stats` holds the ColumnStats of every table column over the rows the
+  /// features describe (EdaEnvironment::SelectionStats: the display's
+  /// capped selection); the grouping features come from `display`.
+  std::vector<double> EncodeDisplay(
+      const Display& display, const std::vector<ColumnStats>& stats) const;
 
   /// Builds the agent observation from the chronological display-vector
   /// history (last element = current display). Missing history slots are

@@ -107,6 +107,7 @@ SessionManager::SessionManager(std::shared_ptr<const PolicySnapshot> snapshot,
   if (options_.cache_capacity > 0) {
     cache_ = std::make_shared<DisplayCache>(DisplayCache::Options{
         .capacity = options_.cache_capacity,
+        .max_bytes = snapshot_->options().env.display_cache_max_bytes,
         .shards = options_.cache_shards});
   }
   const int threads =

@@ -131,6 +131,7 @@ struct ServeOptions {
   /// tick — the baseline bench_serve measures the speedup against.
   bool batched_acting = true;
   /// The display cache shared by all sessions (capacity 0 disables it).
+  /// Its byte budget is the snapshot's env.display_cache_max_bytes.
   size_t cache_capacity = size_t{1} << 16;
   int cache_shards = 8;
   /// Builds the per-session reward signal. Each session needs its own

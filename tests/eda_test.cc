@@ -117,7 +117,8 @@ TEST(ObservationTest, ZeroPaddedHistory) {
   ObservationEncoder encoder(d.table, 3);
   Display root;
   root.rows = AllRows(*d.table).value();
-  auto vec = encoder.EncodeDisplay(root);
+  auto vec =
+      encoder.EncodeDisplay(root, ComputeSelectionStats(*d.table, root.rows));
   auto obs = encoder.EncodeObservation({vec});
   ASSERT_EQ(static_cast<int>(obs.size()), encoder.observation_dim());
   // Slot 0 = current display; slots 1 and 2 all-zero.
@@ -138,8 +139,10 @@ TEST(ObservationTest, MostRecentDisplayFirst) {
   half.rows = std::vector<int32_t>(root.rows.begin(),
                                    root.rows.begin() +
                                        root.rows.size() / 2);
-  auto v_root = encoder.EncodeDisplay(root);
-  auto v_half = encoder.EncodeDisplay(half);
+  auto v_root =
+      encoder.EncodeDisplay(root, ComputeSelectionStats(*d.table, root.rows));
+  auto v_half =
+      encoder.EncodeDisplay(half, ComputeSelectionStats(*d.table, half.rows));
   auto obs = encoder.EncodeObservation({v_root, v_half});
   for (size_t i = 0; i < v_half.size(); ++i) {
     EXPECT_DOUBLE_EQ(obs[i], v_half[i]);

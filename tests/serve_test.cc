@@ -255,6 +255,45 @@ TEST(ServeDeterminismTest, RecycledEnvironmentsServeIdenticalTraces) {
                     *snapshot->dataset().table, "recycled env");
 }
 
+// The shared cache takes its byte budget from the snapshot's
+// env.display_cache_max_bytes. A tiny budget must keep resident bytes near
+// it by evicting, and must change no trace: evicted entries recompute
+// bit-identically.
+TEST(ServeDeterminismTest, CacheByteBudgetBoundsResidencyNotTraces) {
+  constexpr size_t kTinyBudget = size_t{16} << 10;
+  auto serve = [&](size_t max_bytes) {
+    SnapshotOptions options = SmallOptions();
+    options.env.display_cache_max_bytes = max_bytes;
+    auto snapshot = std::make_shared<PolicySnapshot>(
+        MakeDataset("cyber2").value(), options);
+    ServeOptions serve_options;
+    serve_options.cache_shards = 1;  // one shard: the budget is exact
+    SessionManager manager(snapshot, serve_options);
+    for (const auto& config : MixedConfigs(8)) MustAdmit(manager, config);
+    manager.Drain();
+    return std::make_pair(BySeed(manager.TakeCompleted()),
+                          manager.display_cache()->stats());
+  };
+  const auto [unbounded, unbounded_stats] = serve(0);
+  const auto [tiny, tiny_stats] = serve(kTinyBudget);
+
+  EXPECT_EQ(unbounded_stats.evictions, 0u);
+  EXPECT_GT(unbounded_stats.resident_bytes, 4 * kTinyBudget);
+  EXPECT_GT(tiny_stats.evictions, 0u);
+  // The cache may exceed its budget only by keeping one oversized entry.
+  EXPECT_TRUE(tiny_stats.resident_bytes <= kTinyBudget ||
+              tiny_stats.entries == 1)
+      << tiny_stats.resident_bytes << " bytes in " << tiny_stats.entries
+      << " entries";
+
+  auto dataset = MakeDataset("cyber2").value();
+  ASSERT_EQ(tiny.size(), unbounded.size());
+  for (const auto& [seed, trace] : unbounded) {
+    ExpectTracesEqual(tiny.at(seed), trace, *dataset.table,
+                      "budget seed " + std::to_string(seed));
+  }
+}
+
 // The graceful-drain path of the serving binary: every admitted session
 // runs to completion and emits exactly one kCompleted outcome.
 TEST(ServeLifecycleTest, DrainEmitsAllOutcomes) {

@@ -1,0 +1,413 @@
+// The column-statistics engine against its oracle. ValueHistogram,
+// ComputeColumnStats and TokenFrequencies run one flat counting pass and
+// rebuild only the distinct keys into a map; the oracle below is the
+// per-row std::unordered_map loop they replaced. Every result must match
+// it bit for bit, including the map's iteration order, which feeds
+// order-sensitive floating-point sums and std::sort's tie handling.
+// Further down: the per-selection stats memo (EdaEnvironment::
+// SelectionStats) against direct computation, cache on and off, and under
+// concurrent stepping on a shared cache.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <ostream>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "common/math_utils.h"
+#include "common/random.h"
+#include "data/registry.h"
+#include "dataframe/ops.h"
+#include "dataframe/stats.h"
+#include "eda/environment.h"
+
+namespace atena {
+namespace {
+
+// ------------------------------------------------------------ the oracle
+
+std::unordered_map<int64_t, double> OracleHistogram(
+    const Column& column, const std::vector<int32_t>& rows) {
+  std::unordered_map<int64_t, double> hist;
+  for (int32_t r : rows) {
+    if (column.IsNull(r)) continue;
+    hist[column.CellKey(r)] += 1.0;
+  }
+  return hist;
+}
+
+ColumnStats OracleColumnStats(const Column& column,
+                              const std::vector<int32_t>& rows) {
+  ColumnStats stats;
+  stats.count = static_cast<int64_t>(rows.size());
+  auto hist = OracleHistogram(column, rows);
+  for (int32_t r : rows) {
+    if (column.IsNull(r)) ++stats.nulls;
+  }
+  stats.distinct = static_cast<int64_t>(hist.size());
+  std::vector<double> counts;
+  for (const auto& [k, v] : hist) {
+    (void)k;
+    counts.push_back(v);
+  }
+  stats.entropy = Entropy(counts);
+  stats.normalized_entropy = NormalizedEntropy(counts);
+  return stats;
+}
+
+std::vector<TokenFreq> OracleTokenFrequencies(
+    const Column& column, const std::vector<int32_t>& rows) {
+  std::unordered_map<int64_t, TokenFreq> by_key;
+  for (int32_t r : rows) {
+    if (column.IsNull(r)) continue;
+    auto [it, inserted] = by_key.try_emplace(column.CellKey(r));
+    if (inserted) it->second.token = column.GetValue(r);
+    ++it->second.count;
+  }
+  std::vector<TokenFreq> out;
+  for (auto& [k, tf] : by_key) {
+    (void)k;
+    out.push_back(std::move(tf));
+  }
+  std::sort(out.begin(), out.end(), [](const TokenFreq& a, const TokenFreq& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return ValueLess(a.token, b.token);
+  });
+  return out;
+}
+
+// ------------------------------------------------------------- checks
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectSameHistogram(const std::unordered_map<int64_t, double>& got,
+                         const std::unordered_map<int64_t, double>& want,
+                         const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  ASSERT_EQ(got.bucket_count(), want.bucket_count()) << context;
+  auto g = got.begin();
+  size_t i = 0;
+  for (auto w = want.begin(); w != want.end(); ++w, ++g, ++i) {
+    ASSERT_EQ(g->first, w->first) << context << " element " << i;
+    ASSERT_EQ(Bits(g->second), Bits(w->second)) << context << " element "
+                                                << i;
+  }
+}
+
+void ExpectSameStats(const ColumnStats& got, const ColumnStats& want,
+                     const std::string& context) {
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(ColumnStats)), 0)
+      << context << ": entropy " << got.entropy << " vs " << want.entropy
+      << ", normalized " << got.normalized_entropy << " vs "
+      << want.normalized_entropy << ", distinct " << got.distinct << " vs "
+      << want.distinct << ", nulls " << got.nulls << " vs " << want.nulls;
+}
+
+/// Value equality with doubles compared by bit pattern (NaN tokens are
+/// legitimate and must round-trip exactly).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    return Bits(a.as_double()) == Bits(b.as_double());
+  }
+  return a == b;
+}
+
+void ExpectSameTokens(const std::vector<TokenFreq>& got,
+                      const std::vector<TokenFreq>& want,
+                      const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].count, want[i].count) << context << " token " << i;
+    EXPECT_TRUE(SameValue(got[i].token, want[i].token))
+        << context << " token " << i << ": " << got[i].token.ToString()
+        << " vs " << want[i].token.ToString();
+  }
+}
+
+void ExpectMatchesOracle(const Column& column,
+                         const std::vector<int32_t>& rows,
+                         const std::string& context) {
+  ExpectSameHistogram(ValueHistogram(column, rows),
+                      OracleHistogram(column, rows), context);
+  ExpectSameStats(ComputeColumnStats(column, rows),
+                  OracleColumnStats(column, rows), context);
+  ExpectSameTokens(TokenFrequencies(column, rows),
+                   OracleTokenFrequencies(column, rows), context);
+}
+
+// ----------------------------------------------------- random columns
+
+/// A column of `length` cells drawn from `cardinality` distinct values
+/// (nulls with probability `null_rate`). Float columns mix in ±0.0 and
+/// ±inf, and two NaN payloads when the cardinality is small: NaN is
+/// unordered under ValueLess, so TokenFrequencies' std::sort only stays
+/// well-defined with it in the insertion-sort regime (at most 16 tokens).
+/// String columns are dictionary-encoded.
+ColumnPtr RandomColumn(DataType type, int length, int cardinality,
+                       double null_rate, Rng* rng) {
+  static const double kSpecial[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  const uint64_t specials = cardinality <= 8 ? 6 : 4;
+  ColumnBuilder builder("c", type);
+  for (int i = 0; i < length; ++i) {
+    if (rng->NextBool(null_rate)) {
+      builder.AppendNull();
+      continue;
+    }
+    const int64_t v =
+        static_cast<int64_t>(rng->NextBounded(static_cast<uint64_t>(
+            std::max(1, cardinality))));
+    switch (type) {
+      case DataType::kInt64:
+        EXPECT_TRUE(builder.AppendInt(v * 7919 - 50000).ok());
+        break;
+      case DataType::kFloat64: {
+        const double d = rng->NextBool(0.1)
+                             ? kSpecial[rng->NextBounded(specials)]
+                             : static_cast<double>(v) * 0.25 - 3.0;
+        EXPECT_TRUE(builder.AppendDouble(d).ok());
+        break;
+      }
+      case DataType::kString:
+        EXPECT_TRUE(builder.AppendString("tok" + std::to_string(v)).ok());
+        break;
+    }
+  }
+  return builder.Finish();
+}
+
+/// Selections over [0, length): empty, one row, all rows, and random
+/// unsorted multisets (row ids duplicated).
+std::vector<std::vector<int32_t>> Selections(int length, Rng* rng) {
+  std::vector<std::vector<int32_t>> out;
+  out.push_back({});
+  if (length == 0) return out;
+  out.push_back({static_cast<int32_t>(rng->NextBounded(
+      static_cast<uint64_t>(length)))});
+  std::vector<int32_t> all(static_cast<size_t>(length));
+  for (int i = 0; i < length; ++i) all[static_cast<size_t>(i)] = i;
+  out.push_back(all);
+  for (int k = 0; k < 2; ++k) {
+    std::vector<int32_t> rows;
+    const int n = 1 + static_cast<int>(rng->NextBounded(
+                          static_cast<uint64_t>(2 * length)));
+    for (int i = 0; i < n; ++i) {
+      rows.push_back(static_cast<int32_t>(
+          rng->NextBounded(static_cast<uint64_t>(length))));
+    }
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+struct OracleCase {
+  DataType type;
+  int length;
+  int cardinality;
+  double null_rate;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << DataTypeName(c.type) << " length " << c.length << " cardinality "
+      << c.cardinality << " nulls " << c.null_rate;
+}
+
+class StatsOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(StatsOracleTest, MatchesPerRowMapLoop) {
+  const OracleCase& c = GetParam();
+  Rng rng(1000 + static_cast<uint64_t>(c.length) * 31 +
+          static_cast<uint64_t>(c.cardinality));
+  for (int trial = 0; trial < 4; ++trial) {
+    ColumnPtr column =
+        RandomColumn(c.type, c.length, c.cardinality, c.null_rate, &rng);
+    const auto selections = Selections(c.length, &rng);
+    for (size_t s = 0; s < selections.size(); ++s) {
+      ExpectMatchesOracle(*column, selections[s],
+                          std::string(DataTypeName(c.type)) + " trial " +
+                              std::to_string(trial) + " selection " +
+                              std::to_string(s));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomColumns, StatsOracleTest,
+    ::testing::Values(
+        // all-equal, few-distinct, many-distinct and all-distinct
+        // (cardinality far above length) columns of every type.
+        OracleCase{DataType::kInt64, 0, 1, 0.0},
+        OracleCase{DataType::kInt64, 1, 1, 0.0},
+        OracleCase{DataType::kInt64, 300, 1, 0.0},
+        OracleCase{DataType::kInt64, 300, 7, 0.2},
+        OracleCase{DataType::kInt64, 2000, 400, 0.05},
+        OracleCase{DataType::kInt64, 2000, 1 << 30, 0.0},
+        OracleCase{DataType::kFloat64, 1, 3, 0.0},
+        OracleCase{DataType::kFloat64, 300, 1, 0.5},
+        OracleCase{DataType::kFloat64, 300, 8, 0.1},
+        OracleCase{DataType::kFloat64, 2000, 4, 0.02},
+        OracleCase{DataType::kFloat64, 2000, 300, 0.05},
+        OracleCase{DataType::kFloat64, 2000, 1 << 30, 0.0},
+        OracleCase{DataType::kString, 1, 1, 0.0},
+        OracleCase{DataType::kString, 300, 1, 0.3},
+        OracleCase{DataType::kString, 300, 12, 0.1},
+        OracleCase{DataType::kString, 2000, 500, 0.05},
+        OracleCase{DataType::kString, 2000, 1 << 30, 0.0},
+        // all nulls
+        OracleCase{DataType::kInt64, 100, 5, 1.0},
+        OracleCase{DataType::kString, 100, 5, 1.0}));
+
+// Distinct keys beyond the retained scratch size force the open-addressed
+// table to regrow mid-pass; dictionaries beyond the direct-address limit
+// take the hashed path.
+TEST(StatsOracleLargeTest, RegrowthAndLargeDictionaries) {
+  Rng rng(77);
+  for (DataType type :
+       {DataType::kInt64, DataType::kFloat64, DataType::kString}) {
+    ColumnPtr column = RandomColumn(type, 80000, 1 << 30, 0.01, &rng);
+    std::vector<int32_t> all(80000);
+    for (int32_t i = 0; i < 80000; ++i) all[static_cast<size_t>(i)] = i;
+    ExpectMatchesOracle(*column, all,
+                        std::string("large ") + DataTypeName(type));
+    // A small pass after the large one reuses the released scratch.
+    std::vector<int32_t> few = {5, 3, 5, 79999, 0};
+    ExpectMatchesOracle(*column, few,
+                        std::string("after large ") + DataTypeName(type));
+  }
+}
+
+// Every thread counts with its own scratch: concurrent passes over shared
+// columns must each match the oracle.
+TEST(StatsOracleLargeTest, ConcurrentPassesMatchOracle) {
+  Rng rng(5);
+  std::vector<ColumnPtr> columns = {
+      RandomColumn(DataType::kInt64, 3000, 50, 0.1, &rng),
+      RandomColumn(DataType::kFloat64, 3000, 1 << 30, 0.1, &rng),
+      RandomColumn(DataType::kString, 3000, 40, 0.1, &rng)};
+  const auto selections = Selections(3000, &rng);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t c = 0; c < columns.size(); ++c) {
+          const auto& rows = selections[(c + static_cast<size_t>(t)) %
+                                        selections.size()];
+          ExpectMatchesOracle(*columns[c], rows,
+                              "thread " + std::to_string(t));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+// ------------------------------------------------ the per-selection memo
+
+EnvConfig MemoConfig(bool cache) {
+  EnvConfig config;
+  config.episode_length = 10;
+  config.stats_row_cap = 512;  // capping is part of what is memoized
+  config.display_cache_enabled = cache;
+  return config;
+}
+
+/// Runs a fixed random-action script; returns every display vector.
+std::vector<std::vector<double>> RunScript(EdaEnvironment* env,
+                                           uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> vectors;
+  for (int episode = 0; episode < 3; ++episode) {
+    env->Reset();
+    while (!env->done()) {
+      env->Step(SampleRandomAction(env->action_space(), &rng));
+    }
+    vectors.insert(vectors.end(), env->display_vectors().begin(),
+                   env->display_vectors().end());
+  }
+  return vectors;
+}
+
+TEST(SelectionStatsTest, EncoderVectorsMatchWithCacheOnAndOff) {
+  for (const std::string id : {"cyber1", "flights2"}) {
+    Dataset dataset = MakeDataset(id).value();
+    EdaEnvironment cached(dataset, MemoConfig(true));
+    EdaEnvironment uncached(dataset, MemoConfig(false));
+    ASSERT_NE(cached.display_cache(), nullptr);
+    ASSERT_EQ(uncached.display_cache(), nullptr);
+    EXPECT_EQ(RunScript(&cached, 31), RunScript(&uncached, 31)) << id;
+
+    // The memo holds exactly the stats of the capped selection.
+    for (const Display& display : cached.display_history()) {
+      const auto memo = cached.SelectionStats(display);
+      const auto direct = ComputeSelectionStats(
+          *dataset.table, cached.CapRows(display.rows));
+      ASSERT_EQ(memo->size(), direct.size());
+      for (size_t c = 0; c < direct.size(); ++c) {
+        ExpectSameStats((*memo)[c], direct[c],
+                        id + " column " + std::to_string(c));
+      }
+    }
+  }
+}
+
+// A GROUP keeps its parent's rows, so its display's stats are one memo
+// hit: the step misses only on the grouped result and the display vector.
+TEST(SelectionStatsTest, GroupOverCachedSelectionAddsNoStatsMiss) {
+  Dataset dataset = MakeDataset("cyber1").value();
+  EdaEnvironment env(dataset, MemoConfig(true));
+  const int column = dataset.table->FindColumn("protocol");
+  ASSERT_GE(column, 0);
+  const uint64_t stats_key = StatsKey(env.current_display().rows_signature,
+                                      env.config().stats_row_cap);
+  ASSERT_NE(env.display_cache()->GetStats(stats_key), nullptr);
+
+  const DisplayCacheStats before = env.display_cache()->stats();
+  const StepOutcome outcome =
+      env.StepOperation(EdaOperation::Group(column, AggFunc::kCount, -1));
+  ASSERT_TRUE(outcome.valid);
+  const DisplayCacheStats after = env.display_cache()->stats();
+  EXPECT_EQ(after.misses - before.misses, 2u);  // grouped result + vector
+  EXPECT_EQ(after.hits - before.hits, 1u);      // the selection's stats
+}
+
+// Serving workers step environments that share one cache: concurrent
+// SelectionStats fills and hits must leave every trace unchanged.
+TEST(SelectionStatsTest, SharedCacheUnderConcurrentStepping) {
+  Dataset dataset = MakeDataset("cyber2").value();
+  std::vector<std::vector<std::vector<double>>> serial;
+  for (int t = 0; t < 4; ++t) {
+    EdaEnvironment env(dataset, MemoConfig(false));
+    serial.push_back(RunScript(&env, 100 + static_cast<uint64_t>(t % 2)));
+  }
+  auto shared = std::make_shared<DisplayCache>(
+      DisplayCache::Options{.capacity = 4096, .shards = 4});
+  std::vector<std::vector<std::vector<double>>> parallel(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      EdaEnvironment env(dataset, MemoConfig(true));
+      env.SetDisplayCache(shared);
+      parallel[static_cast<size_t>(t)] =
+          RunScript(&env, 100 + static_cast<uint64_t>(t % 2));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(parallel[static_cast<size_t>(t)],
+              serial[static_cast<size_t>(t)])
+        << "thread " << t;
+  }
+}
+
+}  // namespace
+}  // namespace atena
