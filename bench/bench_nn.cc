@@ -100,7 +100,7 @@ BENCHMARK(BM_AdamStep);
 // ----------------------------------------------------- acting throughput
 // Multi-actor lockstep acting: one Act call per actor (the historical
 // trainer loop) vs a single ActBatch forward for all actors. The batched
-// variant must be >= 2x the per-sample one at 4+ actors.
+// variant must stay ahead of the per-sample one at 4+ actors.
 
 void BM_TwofoldActPerSample(benchmark::State& state) {
   auto dataset = MakeDataset("cyber2").value();

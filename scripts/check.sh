@@ -15,8 +15,10 @@ repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 test_timeout=600  # seconds per test binary
 
-echo "== tier-1: configure + build + ctest =="
-cmake -B "$repo/build" -S "$repo"
+echo "== tier-1: configure + build + ctest (warnings are errors) =="
+# The tier-1 build is warning-free under -Wall -Wextra; -Werror keeps it so.
+# The sanitizer builds below keep the default flags.
+cmake -B "$repo/build" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
   --timeout "$test_timeout"

@@ -257,7 +257,8 @@ void FlatPolicy::BackwardBatch(const std::vector<SampleGrad>& grads) {
   }
   Matrix grad_h = policy_head_->Backward(dlogits, &ws_);
   AxpyInPlace(&grad_h, value_head_->Backward(dvalues, &ws_), 1.0);
-  trunk_->Backward(grad_h, &ws_);
+  // Nothing uses the observation's gradient; BackwardParameters skips it.
+  trunk_->BackwardParameters(grad_h, &ws_);
 }
 
 std::vector<Parameter*> FlatPolicy::Parameters() { return store_.All(); }

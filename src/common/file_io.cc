@@ -5,6 +5,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -183,6 +184,17 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   ::close(fd);
   *out = std::move(buffer);
   return Status::OK();
+}
+
+Status TrimTornFinalLine(const std::string& path, int64_t* complete_lines) {
+  std::string raw;
+  ATENA_RETURN_IF_ERROR(ReadFileToString(path, &raw));
+  const size_t last_newline = raw.find_last_of('\n');
+  const size_t complete =
+      last_newline == std::string::npos ? 0 : last_newline + 1;
+  *complete_lines = std::count(raw.begin(), raw.begin() + complete, '\n');
+  if (complete == raw.size()) return Status::OK();
+  return AtomicWriteFile(path, std::string_view(raw).substr(0, complete));
 }
 
 DurableAppender::~DurableAppender() { Close(); }

@@ -35,6 +35,14 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents);
 /// carry strerror(errno) detail; `*out` is only modified on success.
 Status ReadFileToString(const std::string& path, std::string* out);
 
+/// Reopens an append-only line log (the JSONL health logs). A crash during
+/// AppendDurableFile can leave a torn final line; this atomically rewrites
+/// `path` without the bytes after its last '\n', so readers see only
+/// complete lines and the next append starts on a line boundary.
+/// `*complete_lines` is set to the number of complete lines whenever the
+/// file could be read, even if the rewrite then fails.
+Status TrimTornFinalLine(const std::string& path, int64_t* complete_lines);
+
 /// Durably appends `data` to `path` (creating it when absent): open with
 /// O_APPEND, write the whole buffer, fsync. When the call creates the file
 /// its directory entry is fsynced too. This is the log-structured sibling

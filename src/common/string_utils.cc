@@ -95,6 +95,14 @@ bool ParseDouble(std::string_view text, double* out) {
   return true;
 }
 
+std::string JsonNumber(double value) {
+  if (std::isnan(value)) return "\"nan\"";
+  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
 std::string FormatDouble(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

@@ -59,15 +59,23 @@ TwofoldPolicy::TwofoldPolicy(int observation_dim, const ActionSpace& space,
   value_head_ = std::make_unique<Dense>(prev, 1, &store_, "value_head", &rng);
 }
 
-std::vector<int> TwofoldPolicy::OpSegments(int op) {
+std::span<const int> TwofoldPolicy::OpSegments(int op) {
+  static constexpr int kFilterSegments[] = {1, 2, 3};  // attr, op, term-bin
+  static constexpr int kGroupSegments[] = {4, 5, 6};   // g_attr, agg, agg_attr
   switch (op) {
-    case 0:  // FILTER(attr, op, term-bin)
-      return {1, 2, 3};
-    case 1:  // GROUP(g_attr, agg_func, agg_attr)
-      return {4, 5, 6};
+    case 0:  // FILTER
+      return kFilterSegments;
+    case 1:  // GROUP
+      return kGroupSegments;
     default:  // BACK()
       return {};
   }
+}
+
+double TwofoldPolicy::ParamEntropy(const double* entropies, int op) {
+  double sum = 0.0;
+  for (int s : OpSegments(op)) sum += entropies[s];
+  return sum;
 }
 
 int TwofoldPolicy::ChosenIndex(const EnvAction& action, int segment) {
@@ -90,57 +98,45 @@ int TwofoldPolicy::ChosenIndex(const EnvAction& action, int segment) {
   return 0;
 }
 
-TwofoldPolicy::SegmentProbs TwofoldPolicy::ComputeProbs(
-    const double* logits) const {
-  SegmentProbs out;
-  out.probs.assign(logits, logits + total_nodes_);
-  for (size_t s = 0; s < segment_sizes_.size(); ++s) {
+void TwofoldPolicy::ComputeHead(const double* logits, HeadRow head) const {
+  for (int s = 0; s < kNumSegments; ++s) {
     const int begin = segment_offsets_[s];
     const int end = begin + segment_sizes_[s];
-    double max_logit = out.probs[begin];
+    double max_logit = logits[begin];
     for (int j = begin; j < end; ++j) {
-      max_logit = std::max(max_logit, out.probs[j]);
+      max_logit = std::max(max_logit, logits[j]);
     }
     double total = 0.0;
     for (int j = begin; j < end; ++j) {
-      out.probs[j] = std::exp(out.probs[j] - max_logit);
-      total += out.probs[j];
+      head.probs[j] = std::exp(logits[j] - max_logit);
+      total += head.probs[j];
     }
-    for (int j = begin; j < end; ++j) out.probs[j] /= total;
+    double h = 0.0;
+    for (int j = begin; j < end; ++j) {
+      const double p = head.probs[j] / total;
+      head.probs[j] = p;
+      head.logs[j] = SafeLog(p);
+      if (p > 0.0) h -= p * head.logs[j];
+    }
+    head.entropies[s] = h;
   }
-  return out;
 }
 
-double TwofoldPolicy::SegmentEntropy(const SegmentProbs& probs,
-                                     int segment) const {
-  const int begin = segment_offsets_[segment];
-  const int end = begin + segment_sizes_[segment];
-  double h = 0.0;
-  for (int j = begin; j < end; ++j) {
-    const double p = probs.probs[j];
-    if (p > 0.0) h -= p * SafeLog(p);
-  }
-  return h;
-}
-
-double TwofoldPolicy::JointEntropy(const SegmentProbs& probs) const {
-  double h = SegmentEntropy(probs, 0);
+double TwofoldPolicy::JointEntropy(const HeadRow& head) const {
+  double h = head.entropies[0];
   for (int op = 0; op < segment_sizes_[0]; ++op) {
-    const double p_op = probs.probs[segment_offsets_[0] + op];
-    double params = 0.0;
-    for (int s : OpSegments(op)) params += SegmentEntropy(probs, s);
-    h += p_op * params;
+    const double p_op = head.probs[segment_offsets_[0] + op];
+    h += p_op * ParamEntropy(head.entropies, op);
   }
   return h;
 }
 
-double TwofoldPolicy::ActionLogProb(const SegmentProbs& probs,
+double TwofoldPolicy::ActionLogProb(const HeadRow& head,
                                     const EnvAction& action) const {
   const int op = static_cast<int>(action.type);
-  double logp = SafeLog(probs.probs[segment_offsets_[0] + op]);
+  double logp = head.logs[segment_offsets_[0] + op];
   for (int s : OpSegments(op)) {
-    const int k = ChosenIndex(action, s);
-    logp += SafeLog(probs.probs[segment_offsets_[s] + k]);
+    logp += head.logs[segment_offsets_[s] + ChosenIndex(action, s)];
   }
   return logp;
 }
@@ -157,11 +153,14 @@ TwofoldPolicy::GraphOutputs TwofoldPolicy::ForwardGraph(
 
 PolicyStep TwofoldPolicy::StepFromRow(const double* logits, double value,
                                       Rng* rng) const {
-  SegmentProbs probs = ComputeProbs(logits);
+  std::vector<double> buffer(2 * static_cast<size_t>(total_nodes_));
+  double entropies[kNumSegments];
+  const HeadRow head{buffer.data(), buffer.data() + total_nodes_, entropies};
+  ComputeHead(logits, head);
 
   EnvAction action;
   auto pick = [&](int segment) {
-    const double* p = probs.probs.data() + segment_offsets_[segment];
+    const double* p = head.probs + segment_offsets_[segment];
     const int n = segment_sizes_[segment];
     return rng == nullptr ? ArgmaxProbs(p, n) : SampleFromProbs(p, n, rng);
   };
@@ -199,18 +198,17 @@ PolicyStep TwofoldPolicy::StepFromRow(const double* logits, double value,
   PolicyStep step;
   step.action.structured = action;
   step.action.is_concrete = false;
-  step.log_prob = ActionLogProb(probs, action);
-  step.entropy = JointEntropy(probs);
+  step.log_prob = ActionLogProb(head, action);
+  step.entropy = JointEntropy(head);
   step.value = value;
   return step;
 }
 
 PolicyStep TwofoldPolicy::ServeStepFromRow(const double* logits, double value,
                                            Rng* rng) const {
-  // Unused segments stay 0 — ActionLogProb only reads the chosen ones.
-  SegmentProbs probs;
-  probs.probs.assign(static_cast<size_t>(total_nodes_), 0.0);
-  // Bit-identical to the matching slice of ComputeProbs: same max shift,
+  // Only the op segment and the chosen op's segments are filled and read.
+  std::vector<double> probs(static_cast<size_t>(total_nodes_));
+  // Bit-identical to the matching slice of ComputeHead: same max shift,
   // same exp/accumulate/divide order.
   auto softmax_segment = [&](int segment) {
     const int begin = segment_offsets_[segment];
@@ -221,24 +219,28 @@ PolicyStep TwofoldPolicy::ServeStepFromRow(const double* logits, double value,
     }
     double total = 0.0;
     for (int j = begin; j < end; ++j) {
-      probs.probs[j] = std::exp(logits[j] - max_logit);
-      total += probs.probs[j];
+      probs[j] = std::exp(logits[j] - max_logit);
+      total += probs[j];
     }
-    for (int j = begin; j < end; ++j) probs.probs[j] /= total;
+    for (int j = begin; j < end; ++j) probs[j] /= total;
   };
   auto pick = [&](int segment) {
-    const double* p = probs.probs.data() + segment_offsets_[segment];
+    const double* p = probs.data() + segment_offsets_[segment];
     const int n = segment_sizes_[segment];
     return rng == nullptr ? ArgmaxProbs(p, n) : SampleFromProbs(p, n, rng);
   };
 
+  // The log-probability sums the chosen entries' logs in ActionLogProb's
+  // order: the op first, then its parameter segments.
   EnvAction action;
   softmax_segment(0);
   const int op = pick(0);
   action.type = static_cast<OpType>(op);
+  double log_prob = SafeLog(probs[segment_offsets_[0] + op]);
   for (int s : OpSegments(op)) {
     softmax_segment(s);
     const int k = pick(s);
+    log_prob += SafeLog(probs[segment_offsets_[s] + k]);
     switch (s) {
       case 1:
         action.filter_column = k;
@@ -266,7 +268,7 @@ PolicyStep TwofoldPolicy::ServeStepFromRow(const double* logits, double value,
   PolicyStep step;
   step.action.structured = action;
   step.action.is_concrete = false;
-  step.log_prob = ActionLogProb(probs, action);
+  step.log_prob = log_prob;
   step.entropy = 0.0;
   step.value = value;
   return step;
@@ -330,8 +332,9 @@ BatchEvaluation TwofoldPolicy::ForwardBatch(
   const Matrix& logits = *out.logits;
   const Matrix& values = *out.values;
 
-  batch_probs_.clear();
-  batch_probs_.reserve(static_cast<size_t>(batch));
+  batch_probs_.Resize(batch, total_nodes_);
+  batch_logs_.Resize(batch, total_nodes_);
+  batch_entropies_.Resize(batch, kNumSegments);
   batch_actions_.clear();
   batch_actions_.reserve(static_cast<size_t>(batch));
   batch_size_ = batch;
@@ -341,12 +344,13 @@ BatchEvaluation TwofoldPolicy::ForwardBatch(
   eval.entropies.resize(static_cast<size_t>(batch));
   eval.values.resize(static_cast<size_t>(batch));
   for (int b = 0; b < batch; ++b) {
-    SegmentProbs probs = ComputeProbs(logits.RowPtr(b));
+    const HeadRow head{batch_probs_.RowPtr(b), batch_logs_.RowPtr(b),
+                       batch_entropies_.RowPtr(b)};
+    ComputeHead(logits.RowPtr(b), head);
     const EnvAction& action = actions[static_cast<size_t>(b)].structured;
-    eval.log_probs[static_cast<size_t>(b)] = ActionLogProb(probs, action);
-    eval.entropies[static_cast<size_t>(b)] = JointEntropy(probs);
+    eval.log_probs[static_cast<size_t>(b)] = ActionLogProb(head, action);
+    eval.entropies[static_cast<size_t>(b)] = JointEntropy(head);
     eval.values[static_cast<size_t>(b)] = values(b, 0);
-    batch_probs_.push_back(std::move(probs));
     batch_actions_.push_back(action);
   }
   return eval;
@@ -356,15 +360,18 @@ void TwofoldPolicy::BackwardBatch(const std::vector<SampleGrad>& grads) {
   ATENA_CHECK(static_cast<int>(grads.size()) == batch_size_)
       << "BackwardBatch called with mismatched batch";
 
-  Matrix dlogits(batch_size_, total_nodes_);
-  Matrix dvalues(batch_size_, 1);
+  dlogits_.Resize(batch_size_, total_nodes_);
+  dlogits_.Fill(0.0);
+  dvalues_.Resize(batch_size_, 1);
 
   for (int b = 0; b < batch_size_; ++b) {
     const SampleGrad& g = grads[static_cast<size_t>(b)];
-    const SegmentProbs& probs = batch_probs_[static_cast<size_t>(b)];
+    const double* probs = batch_probs_.RowPtr(b);
+    const double* logs = batch_logs_.RowPtr(b);
+    const double* entropies = batch_entropies_.RowPtr(b);
     const EnvAction& action = batch_actions_[static_cast<size_t>(b)];
-    double* drow = dlogits.RowPtr(b);
-    dvalues(b, 0) = g.d_value;
+    double* drow = dlogits_.RowPtr(b);
+    dvalues_(b, 0) = g.d_value;
 
     const int op = static_cast<int>(action.type);
     const int op_offset = segment_offsets_[0];
@@ -373,58 +380,54 @@ void TwofoldPolicy::BackwardBatch(const std::vector<SampleGrad>& grads) {
     // chosen op's parameter segments.
     for (int j = 0; j < segment_sizes_[0]; ++j) {
       const double indicator = (j == op) ? 1.0 : 0.0;
-      drow[op_offset + j] +=
-          g.d_log_prob * (indicator - probs.probs[op_offset + j]);
+      drow[op_offset + j] += g.d_log_prob * (indicator - probs[op_offset + j]);
     }
     for (int s : OpSegments(op)) {
       const int offset = segment_offsets_[s];
       const int chosen = ChosenIndex(action, s);
       for (int j = 0; j < segment_sizes_[s]; ++j) {
         const double indicator = (j == chosen) ? 1.0 : 0.0;
-        drow[offset + j] +=
-            g.d_log_prob * (indicator - probs.probs[offset + j]);
+        drow[offset + j] += g.d_log_prob * (indicator - probs[offset + j]);
       }
     }
 
     // --- entropy gradient of the exact joint entropy.
     if (g.d_entropy != 0.0) {
-      const double h_op = SegmentEntropy(probs, 0);
-      std::vector<double> param_entropy(
-          static_cast<size_t>(segment_sizes_[0]), 0.0);
+      const double h_op = entropies[0];
       double mean_param_entropy = 0.0;
       for (int o = 0; o < segment_sizes_[0]; ++o) {
-        double s_o = 0.0;
-        for (int s : OpSegments(o)) s_o += SegmentEntropy(probs, s);
-        param_entropy[static_cast<size_t>(o)] = s_o;
-        mean_param_entropy += probs.probs[op_offset + o] * s_o;
+        mean_param_entropy +=
+            probs[op_offset + o] * ParamEntropy(entropies, o);
       }
       // Op segment: dH/dz_j = −p_j(log p_j + H_op) + p_j(S_j − Σ_o p_o S_o).
       for (int j = 0; j < segment_sizes_[0]; ++j) {
-        const double p = probs.probs[op_offset + j];
-        const double d = -p * (SafeLog(p) + h_op) +
-                         p * (param_entropy[static_cast<size_t>(j)] -
-                              mean_param_entropy);
+        const double p = probs[op_offset + j];
+        const double d =
+            -p * (logs[op_offset + j] + h_op) +
+            p * (ParamEntropy(entropies, j) - mean_param_entropy);
         drow[op_offset + j] += g.d_entropy * d;
       }
       // Parameter segments: dH/dz = p(o) · (−p_j(log p_j + H_segment)).
       for (int o = 0; o < segment_sizes_[0]; ++o) {
-        const double p_op = probs.probs[op_offset + o];
+        const double p_op = probs[op_offset + o];
         for (int s : OpSegments(o)) {
           const int offset = segment_offsets_[s];
-          const double h_s = SegmentEntropy(probs, s);
+          const double h_s = entropies[s];
           for (int j = 0; j < segment_sizes_[s]; ++j) {
-            const double p = probs.probs[offset + j];
+            const double p = probs[offset + j];
             drow[offset + j] +=
-                g.d_entropy * p_op * (-p * (SafeLog(p) + h_s));
+                g.d_entropy * p_op * (-p * (logs[offset + j] + h_s));
           }
         }
       }
     }
   }
 
-  Matrix grad_h = policy_head_->Backward(dlogits, &ws_);
-  AxpyInPlace(&grad_h, value_head_->Backward(dvalues, &ws_), 1.0);
-  trunk_->Backward(grad_h, &ws_);
+  // The trunk's first layer sees the observation, whose gradient nothing
+  // uses: BackwardParameters skips it.
+  grad_h_ = policy_head_->Backward(dlogits_, &ws_);
+  AxpyInPlace(&grad_h_, value_head_->Backward(dvalues_, &ws_), 1.0);
+  trunk_->BackwardParameters(grad_h_, &ws_);
 }
 
 std::vector<Parameter*> TwofoldPolicy::Parameters() { return store_.All(); }

@@ -2,6 +2,7 @@
 #define ATENA_CORE_TWOFOLD_POLICY_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rl/policy.h"
@@ -72,22 +73,28 @@ class TwofoldPolicy final : public Policy {
   /// Segment layout: 0 = op type; 1..3 = filter params; 4..6 = group params.
   static constexpr int kNumSegments = 7;
 
-  struct SegmentProbs {
-    // Softmax probabilities laid out like the logits row (total_nodes_).
-    std::vector<double> probs;
+  /// Views of one row's head statistics: softmax probabilities and their
+  /// SafeLog values (both laid out like the logits row, total_nodes_ wide)
+  /// and the kNumSegments segment entropies. ComputeHead fills them once
+  /// per row; ActionLogProb, JointEntropy and BackwardBatch only read them.
+  struct HeadRow {
+    double* probs;
+    double* logs;
+    double* entropies;
   };
 
-  /// Computes per-segment softmax probabilities of one logits row.
-  SegmentProbs ComputeProbs(const double* logits) const;
-  /// Entropy of segment `s` under `probs`.
-  double SegmentEntropy(const SegmentProbs& probs, int segment) const;
+  /// Per-segment softmax of one logits row, the SafeLog of every
+  /// probability and every segment's entropy.
+  void ComputeHead(const double* logits, HeadRow head) const;
   /// Joint entropy (see class comment).
-  double JointEntropy(const SegmentProbs& probs) const;
+  double JointEntropy(const HeadRow& head) const;
   /// Joint log-probability of a structured action.
-  double ActionLogProb(const SegmentProbs& probs,
-                       const EnvAction& action) const;
+  double ActionLogProb(const HeadRow& head, const EnvAction& action) const;
   /// Parameter-segment indices of operation-type `op` (empty for BACK).
-  static std::vector<int> OpSegments(int op);
+  static std::span<const int> OpSegments(int op);
+  /// Σ of the entropies of `op`'s parameter segments, summed from +0.0 in
+  /// OpSegments order.
+  static double ParamEntropy(const double* entropies, int op);
   /// The chosen value index inside segment `segment` for `action`.
   static int ChosenIndex(const EnvAction& action, int segment);
 
@@ -126,10 +133,17 @@ class TwofoldPolicy final : public Policy {
   Workspace ws_;
   int64_t forward_passes_ = 0;
 
-  // Caches from the last ForwardBatch for BackwardBatch.
-  std::vector<SegmentProbs> batch_probs_;
+  // Caches from the last ForwardBatch for BackwardBatch: one row of head
+  // statistics per sample (see HeadRow).
+  Matrix batch_probs_;
+  Matrix batch_logs_;
+  Matrix batch_entropies_;
   std::vector<EnvAction> batch_actions_;
   int batch_size_ = 0;
+  // BackwardBatch buffers, reused across minibatches.
+  Matrix dlogits_;
+  Matrix dvalues_;
+  Matrix grad_h_;
 };
 
 }  // namespace atena

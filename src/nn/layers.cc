@@ -49,17 +49,28 @@ void Dense::PrepareForServing() {
   serving_frozen_ = true;
 }
 
-Matrix Dense::Backward(const Matrix& grad_output, Workspace* ws) const {
+void Dense::BackwardParameters(const Matrix& grad_output,
+                               Workspace* ws) const {
   Workspace::Slot& slot = ws->For(this);
   ATENA_CHECK(!serving_frozen_)
       << "Dense::Backward through a layer frozen by PrepareForServing — "
          "training would desync the cached transposed weights";
   ATENA_CHECK(slot.input != nullptr)
       << "Dense::Backward without a matching Forward in this workspace";
-  // dL/dW = grad_outᵀ · input ; dL/db = column sums ; dL/din = grad_out · W.
-  AxpyInPlace(&weight_->grad, MatMulTransposeA(grad_output, *slot.input), 1.0);
-  AxpyInPlace(&bias_->grad, ColumnSums(grad_output), 1.0);
-  return MatMul(grad_output, weight_->value);
+  // dL/dW = grad_outᵀ · input ; dL/db = column sums. Each is formed in full
+  // in scratch and then added, so Parameter::grad sees one add per element.
+  MatMulTransposeAInto(grad_output, *slot.input, &slot.param_grad);
+  AxpyInPlace(&weight_->grad, slot.param_grad, 1.0);
+  ColumnSumsInto(grad_output, &slot.param_grad);
+  AxpyInPlace(&bias_->grad, slot.param_grad, 1.0);
+}
+
+const Matrix& Dense::Backward(const Matrix& grad_output, Workspace* ws) const {
+  BackwardParameters(grad_output, ws);
+  // dL/din = grad_out · W.
+  Workspace::Slot& slot = ws->For(this);
+  MatMulInto(grad_output, weight_->value, &slot.input_grad);
+  return slot.input_grad;
 }
 
 const Matrix& Relu::Forward(const Matrix& input, Workspace* ws) const {
@@ -72,15 +83,16 @@ const Matrix& Relu::Forward(const Matrix& input, Workspace* ws) const {
   return slot.output;
 }
 
-Matrix Relu::Backward(const Matrix& grad_output, Workspace* ws) const {
+const Matrix& Relu::Backward(const Matrix& grad_output, Workspace* ws) const {
   Workspace::Slot& slot = ws->For(this);
   ATENA_CHECK(slot.input != nullptr)
       << "Relu::Backward without a matching Forward in this workspace";
-  Matrix grad = grad_output;
-  for (size_t i = 0; i < grad.size(); ++i) {
-    if (slot.input->data()[i] <= 0.0) grad.data()[i] = 0.0;
-  }
-  return grad;
+  slot.input_grad.Resize(grad_output.rows(), grad_output.cols());
+  const auto& in = slot.input->data();
+  const auto& g = grad_output.data();
+  auto& grad = slot.input_grad.data();
+  for (size_t i = 0; i < grad.size(); ++i) grad[i] = in[i] <= 0.0 ? 0.0 : g[i];
+  return slot.input_grad;
 }
 
 const Matrix& TanhLayer::Forward(const Matrix& input, Workspace* ws) const {
@@ -92,14 +104,16 @@ const Matrix& TanhLayer::Forward(const Matrix& input, Workspace* ws) const {
   return slot.output;
 }
 
-Matrix TanhLayer::Backward(const Matrix& grad_output, Workspace* ws) const {
-  const Workspace::Slot& slot = ws->For(this);
-  Matrix grad = grad_output;
+const Matrix& TanhLayer::Backward(const Matrix& grad_output,
+                                  Workspace* ws) const {
+  Workspace::Slot& slot = ws->For(this);
+  slot.input_grad = grad_output;
+  auto& grad = slot.input_grad.data();
   for (size_t i = 0; i < grad.size(); ++i) {
     const double y = slot.output.data()[i];
-    grad.data()[i] *= (1.0 - y * y);
+    grad[i] *= (1.0 - y * y);
   }
-  return grad;
+  return slot.input_grad;
 }
 
 const Matrix& Sequential::Forward(const Matrix& input, Workspace* ws) const {
@@ -108,12 +122,23 @@ const Matrix& Sequential::Forward(const Matrix& input, Workspace* ws) const {
   return *x;
 }
 
-Matrix Sequential::Backward(const Matrix& grad_output, Workspace* ws) const {
-  Matrix g = grad_output;
+const Matrix& Sequential::Backward(const Matrix& grad_output,
+                                   Workspace* ws) const {
+  const Matrix* g = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g, ws);
+    g = &(*it)->Backward(*g, ws);
   }
-  return g;
+  return *g;
+}
+
+void Sequential::BackwardParameters(const Matrix& grad_output,
+                                    Workspace* ws) const {
+  if (layers_.empty()) return;
+  const Matrix* g = &grad_output;
+  for (size_t i = layers_.size() - 1; i > 0; --i) {
+    g = &layers_[i]->Backward(*g, ws);
+  }
+  layers_.front()->BackwardParameters(*g, ws);
 }
 
 void Sequential::PrepareForServing() {

@@ -25,7 +25,7 @@ class Layer;
 /// each uses its own Workspace. Backward accumulates into the shared
 /// parameter gradients and must be externally serialized. Reusing one
 /// workspace across sequential passes recycles its buffers, so steady-state
-/// acting performs no allocation.
+/// forward and backward passes perform no allocation.
 class Workspace {
  public:
   /// Activation state one layer keeps in this workspace.
@@ -38,6 +38,12 @@ class Workspace {
     /// Matrices returned by Forward alias this storage — treat them as
     /// read-only and consume them before the next pass overwrites them.
     Matrix output;
+    /// The gradient w.r.t. the layer input; what Backward returns, with the
+    /// same aliasing rules as `output`.
+    Matrix input_grad;
+    /// Backward scratch for a layer's parameter-gradient products, which
+    /// are formed in full before being added to Parameter::grad.
+    Matrix param_grad;
   };
 
   /// The slot of `layer`, created on first use. References stay stable.
@@ -64,8 +70,20 @@ class Layer {
 
   /// grad_output: (batch × out_features). Consumes the activations recorded
   /// in `ws` by the matching Forward, accumulates parameter gradients, and
-  /// returns the gradient w.r.t. the layer input.
-  virtual Matrix Backward(const Matrix& grad_output, Workspace* ws) const = 0;
+  /// returns the gradient w.r.t. the layer input. The result is stored in
+  /// `ws` and stays valid until this layer's next Backward through the same
+  /// workspace.
+  virtual const Matrix& Backward(const Matrix& grad_output,
+                                 Workspace* ws) const = 0;
+
+  /// Backward for a caller that discards the input gradient (the first
+  /// layer of a network, whose input is the observation): accumulates
+  /// exactly the parameter gradients Backward would, and skips computing
+  /// the gradient w.r.t. the input where the layer can.
+  virtual void BackwardParameters(const Matrix& grad_output,
+                                  Workspace* ws) const {
+    Backward(grad_output, ws);
+  }
 
   /// Learnable parameters (may be empty).
   virtual std::vector<Parameter*> Parameters() const { return {}; }
@@ -88,7 +106,11 @@ class Dense final : public Layer {
         const std::string& name, Rng* rng);
 
   const Matrix& Forward(const Matrix& input, Workspace* ws) const override;
-  Matrix Backward(const Matrix& grad_output, Workspace* ws) const override;
+  const Matrix& Backward(const Matrix& grad_output,
+                         Workspace* ws) const override;
+  /// Skips grad_output · W, the input gradient.
+  void BackwardParameters(const Matrix& grad_output,
+                          Workspace* ws) const override;
   std::vector<Parameter*> Parameters() const override {
     return {weight_, bias_};
   }
@@ -112,14 +134,16 @@ class Dense final : public Layer {
 class Relu final : public Layer {
  public:
   const Matrix& Forward(const Matrix& input, Workspace* ws) const override;
-  Matrix Backward(const Matrix& grad_output, Workspace* ws) const override;
+  const Matrix& Backward(const Matrix& grad_output,
+                         Workspace* ws) const override;
 };
 
 /// Hyperbolic tangent.
 class TanhLayer final : public Layer {
  public:
   const Matrix& Forward(const Matrix& input, Workspace* ws) const override;
-  Matrix Backward(const Matrix& grad_output, Workspace* ws) const override;
+  const Matrix& Backward(const Matrix& grad_output,
+                         Workspace* ws) const override;
 };
 
 /// A plain sequential network.
@@ -130,7 +154,12 @@ class Sequential final : public Layer {
   void Add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
 
   const Matrix& Forward(const Matrix& input, Workspace* ws) const override;
-  Matrix Backward(const Matrix& grad_output, Workspace* ws) const override;
+  const Matrix& Backward(const Matrix& grad_output,
+                         Workspace* ws) const override;
+  /// Backward through every layer, ending in the first layer's
+  /// BackwardParameters.
+  void BackwardParameters(const Matrix& grad_output,
+                          Workspace* ws) const override;
   std::vector<Parameter*> Parameters() const override;
   void PrepareForServing() override;
 

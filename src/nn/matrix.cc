@@ -1,5 +1,9 @@
 #include "nn/matrix.h"
 
+#include <immintrin.h>
+
+#include <atomic>
+
 #include "common/logging.h"
 
 namespace atena {
@@ -24,12 +28,14 @@ std::string Matrix::ShapeString() const {
   return "(" + std::to_string(rows_) + "x" + std::to_string(cols_) + ")";
 }
 
-// The multi-row kernels below process four rows of `a` per traversal of
-// `b`. Each output element still accumulates its products in plain k-order,
-// so results are bit-identical to the one-row-at-a-time path — but the four
-// independent accumulator chains hide FP-add latency (without -ffast-math
-// the compiler may not reassociate a single dot product), which is where
-// the batched forward pass gets its throughput edge over per-sample calls.
+// The multi-row kernels below process four rows of the left factor per
+// traversal of the right one. Each output element still accumulates its
+// products in plain k-order starting from +0.0, so results are
+// bit-identical to the one-row-at-a-time path — but the independent
+// accumulator chains hide FP-add latency (without -ffast-math the compiler
+// may not reassociate a single dot product), which is where the batched
+// passes get their throughput edge over per-sample calls. DESIGN.md §7
+// gives the full bit-identity argument, including the zero skips.
 
 namespace {
 // Two-lane double vector; aligned(8) so loads/stores from arbitrary row
@@ -43,12 +49,12 @@ inline v2df LoadV2(const double* p) {
 }
 inline void StoreV2(double* p, v2df v) { *reinterpret_cast<v2df*>(p) = v; }
 
-// Four-lane variant for the AVX2 kernel below. Still no FMA: the target
+// Four-lane variant for the AVX2 kernels below. Still no FMA: the target
 // attribute enables only avx2, so `s += w * b` lowers to vmulpd+vaddpd,
 // whose lanes are the same IEEE mul-then-add as the SSE2 and scalar
 // paths. Every output element is one lane accumulating in serial k-order,
-// so all three kernels produce bit-identical results — which CPU runs the
-// math can never change a trace, a checkpoint, or a training curve.
+// so all kernels produce bit-identical results — which CPU runs the math
+// can never change a trace, a checkpoint, or a training curve.
 typedef double v4df __attribute__((vector_size(32), aligned(8)));
 
 __attribute__((target("avx2"))) inline v4df LoadV4(const double* p) {
@@ -58,20 +64,28 @@ __attribute__((target("avx2"))) inline void StoreV4(double* p, v4df v) {
   *reinterpret_cast<v4df*>(p) = v;
 }
 
+bool CpuHasAvx2() {
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has;
+}
+
+std::atomic<bool> force_portable{false};
+
 // 4x8 register tile (8 ymm accumulators live across the whole k-loop):
-// one traversal of b feeds four rows of output, which is where the
-// batched forward pass earns its per-row advantage over single-row calls
-// — a lone row has no tile to amortize the b traffic across.
+// one traversal of b feeds four rows of output. Row r of the left factor
+// is read as a_r[k * k_step], so the same tile computes a·b (k_step 1)
+// and aᵀ·b (k_step = a.cols(), the rows of `a` visited in order).
 __attribute__((target("avx2"))) void MatMul4RowsAvx2(
     const double* a0, const double* a1, const double* a2, const double* a3,
-    const Matrix& b, int k_len, double* o0, double* o1, double* o2,
-    double* o3, int* j_done) {
+    int k_step, const Matrix& b, int k_len, double* o0, double* o1,
+    double* o2, double* o3, int* j_done) {
   const int cols = b.cols();
   int j = 0;
   for (; j + 8 <= cols; j += 8) {
     v4df s0l{}, s0h{}, s1l{}, s1h{}, s2l{}, s2h{}, s3l{}, s3h{};
     for (int k = 0; k < k_len; ++k) {
-      const double v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
+      const size_t at = static_cast<size_t>(k) * k_step;
+      const double v0 = a0[at], v1 = a1[at], v2 = a2[at], v3 = a3[at];
       if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
       const double* brow = b.RowPtr(k) + j;
       const v4df bl = LoadV4(brow), bh = LoadV4(brow + 4);
@@ -98,25 +112,21 @@ __attribute__((target("avx2"))) void MatMul4RowsAvx2(
   *j_done = j;
 }
 
-bool HasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-}
-}  // namespace
-
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  ATENA_CHECK(a.cols() == b.rows())
-      << "MatMul shape mismatch " << a.ShapeString() << " * "
-      << b.ShapeString();
-  out->Resize(a.rows(), b.cols());
+// out (rows × b.cols()) = A · b, where A(i, k) = a[i * row_step +
+// k * k_step]. MatMulInto and MatMulTransposeAInto are this one kernel
+// with different strides.
+void StridedMatMulInto(const double* a, int rows, int k_len, int row_step,
+                       int k_step, const Matrix& b, Matrix* out) {
+  out->Resize(rows, b.cols());
   out->Fill(0.0);
   const int cols = b.cols();
+  const bool avx2 = UseAvx2Kernels();
   int i = 0;
-  for (; i + 4 <= a.rows(); i += 4) {
-    const double* a0 = a.RowPtr(i);
-    const double* a1 = a.RowPtr(i + 1);
-    const double* a2 = a.RowPtr(i + 2);
-    const double* a3 = a.RowPtr(i + 3);
+  for (; i + 4 <= rows; i += 4) {
+    const double* a0 = a + static_cast<size_t>(i) * row_step;
+    const double* a1 = a0 + row_step;
+    const double* a2 = a1 + row_step;
+    const double* a3 = a2 + row_step;
     double* o0 = out->RowPtr(i);
     double* o1 = out->RowPtr(i + 1);
     double* o2 = out->RowPtr(i + 2);
@@ -127,16 +137,17 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
     // On AVX2 hardware a 4x8 tile handles the bulk of the columns first
     // (runtime-dispatched, bit-identical lanes — see MatMul4RowsAvx2).
     int j = 0;
-    if (HasAvx2()) {
-      MatMul4RowsAvx2(a0, a1, a2, a3, b, a.cols(), o0, o1, o2, o3, &j);
+    if (avx2) {
+      MatMul4RowsAvx2(a0, a1, a2, a3, k_step, b, k_len, o0, o1, o2, o3, &j);
     }
     for (; j + 4 <= cols; j += 4) {
       v2df s0l{0.0, 0.0}, s0h{0.0, 0.0};
       v2df s1l{0.0, 0.0}, s1h{0.0, 0.0};
       v2df s2l{0.0, 0.0}, s2h{0.0, 0.0};
       v2df s3l{0.0, 0.0}, s3h{0.0, 0.0};
-      for (int k = 0; k < a.cols(); ++k) {
-        const double v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
+      for (int k = 0; k < k_len; ++k) {
+        const size_t at = static_cast<size_t>(k) * k_step;
+        const double v0 = a0[at], v1 = a1[at], v2 = a2[at], v3 = a3[at];
         // Skipping all-zero columns (common with ReLU-masked gradients)
         // only ever skips exact ±0 contributions, results are unchanged.
         if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
@@ -163,8 +174,9 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
     }
     for (; j < cols; ++j) {
       double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (int k = 0; k < a.cols(); ++k) {
-        const double v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
+      for (int k = 0; k < k_len; ++k) {
+        const size_t at = static_cast<size_t>(k) * k_step;
+        const double v0 = a0[at], v1 = a1[at], v2 = a2[at], v3 = a3[at];
         if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
         const double bv = b.RowPtr(k)[j];
         s0 += v0 * bv;
@@ -178,11 +190,11 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
       o3[j] = s3;
     }
   }
-  for (; i < a.rows(); ++i) {
-    const double* arow = a.RowPtr(i);
+  for (; i < rows; ++i) {
+    const double* arow = a + static_cast<size_t>(i) * row_step;
     double* orow = out->RowPtr(i);
-    for (int k = 0; k < a.cols(); ++k) {
-      const double av = arow[k];
+    for (int k = 0; k < k_len; ++k) {
+      const double av = arow[static_cast<size_t>(k) * k_step];
       if (av == 0.0) continue;
       const double* brow = b.RowPtr(k);
       for (int j = 0; j < cols; ++j) {
@@ -192,9 +204,97 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
+// x·Wᵀ register tile: R rows of `a` (R <= 4) against four rows j..j+3 of
+// `b`, one ymm accumulator per row whose lanes are the four outputs
+// (i, j..j+3). Each 4x4 block of b (four b rows × k..k+3) is transposed
+// in registers into four k-columns, so no call builds a Wᵀ copy; every
+// lane then adds a[k]·b_j[k] in ascending k, exactly the scalar dot
+// product's sequence. Returns the first column it did not handle.
+template <int R>
+__attribute__((target("avx2"))) int MatMulTransposeBRowsAvx2(
+    const double* const* a, const Matrix& b, int k_len,
+    double* const* out) {
+  const int n = b.rows();
+  int j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double* b0 = b.RowPtr(j);
+    const double* b1 = b.RowPtr(j + 1);
+    const double* b2 = b.RowPtr(j + 2);
+    const double* b3 = b.RowPtr(j + 3);
+    __m256d s[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) s[r] = _mm256_setzero_pd();
+    int k = 0;
+    for (; k + 4 <= k_len; k += 4) {
+      const __m256d r0 = _mm256_loadu_pd(b0 + k);
+      const __m256d r1 = _mm256_loadu_pd(b1 + k);
+      const __m256d r2 = _mm256_loadu_pd(b2 + k);
+      const __m256d r3 = _mm256_loadu_pd(b3 + k);
+      const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);  // k, k+2 of b0,b1
+      const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);  // k+1, k+3
+      const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+      const __m256d c[4] = {_mm256_permute2f128_pd(lo01, lo23, 0x20),
+                            _mm256_permute2f128_pd(hi01, hi23, 0x20),
+                            _mm256_permute2f128_pd(lo01, lo23, 0x31),
+                            _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+#pragma GCC unroll 4
+      for (int kk = 0; kk < 4; ++kk) {
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+          s[r] = _mm256_add_pd(
+              s[r], _mm256_mul_pd(_mm256_broadcast_sd(a[r] + k + kk), c[kk]));
+        }
+      }
+    }
+    for (; k < k_len; ++k) {
+      const __m256d c = _mm256_set_pd(b3[k], b2[k], b1[k], b0[k]);
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        s[r] = _mm256_add_pd(s[r],
+                             _mm256_mul_pd(_mm256_broadcast_sd(a[r] + k), c));
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) _mm256_storeu_pd(out[r] + j, s[r]);
+  }
+  return j;
+}
+}  // namespace
+
+bool UseAvx2Kernels() {
+  return CpuHasAvx2() && !force_portable.load(std::memory_order_relaxed);
+}
+
+void ForcePortableKernelsForTesting(bool force) {
+  force_portable.store(force, std::memory_order_relaxed);
+}
+
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  ATENA_CHECK(a.cols() == b.rows())
+      << "MatMul shape mismatch " << a.ShapeString() << " * "
+      << b.ShapeString();
+  StridedMatMulInto(a.data().data(), a.rows(), a.cols(), a.cols(), 1, b, out);
+}
+
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   Matrix out;
   MatMulInto(a, b, &out);
+  return out;
+}
+
+void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  ATENA_CHECK(a.rows() == b.rows())
+      << "MatMulTransposeA shape mismatch " << a.ShapeString() << "^T * "
+      << b.ShapeString();
+  // Output row i is column i of `a`; the k-loop walks the rows of `a` and
+  // `b` (the batch) in ascending order, the lanes run along b's columns.
+  StridedMatMulInto(a.data().data(), a.cols(), a.rows(), 1, a.cols(), b, out);
+}
+
+Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  MatMulTransposeAInto(a, b, &out);
   return out;
 }
 
@@ -204,36 +304,35 @@ void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out) {
       << b.ShapeString() << "^T";
   out->Resize(a.rows(), b.rows());
   const int k_len = a.cols();
+  const bool avx2 = UseAvx2Kernels();
   int i = 0;
   for (; i + 4 <= a.rows(); i += 4) {
-    const double* a0 = a.RowPtr(i);
-    const double* a1 = a.RowPtr(i + 1);
-    const double* a2 = a.RowPtr(i + 2);
-    const double* a3 = a.RowPtr(i + 3);
-    double* o0 = out->RowPtr(i);
-    double* o1 = out->RowPtr(i + 1);
-    double* o2 = out->RowPtr(i + 2);
-    double* o3 = out->RowPtr(i + 3);
-    for (int j = 0; j < b.rows(); ++j) {
+    const double* const arows[4] = {a.RowPtr(i), a.RowPtr(i + 1),
+                                    a.RowPtr(i + 2), a.RowPtr(i + 3)};
+    double* const orows[4] = {out->RowPtr(i), out->RowPtr(i + 1),
+                              out->RowPtr(i + 2), out->RowPtr(i + 3)};
+    int j = avx2 ? MatMulTransposeBRowsAvx2<4>(arows, b, k_len, orows) : 0;
+    for (; j < b.rows(); ++j) {
       const double* brow = b.RowPtr(j);
       double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
       for (int k = 0; k < k_len; ++k) {
         const double bv = brow[k];
-        acc0 += a0[k] * bv;
-        acc1 += a1[k] * bv;
-        acc2 += a2[k] * bv;
-        acc3 += a3[k] * bv;
+        acc0 += arows[0][k] * bv;
+        acc1 += arows[1][k] * bv;
+        acc2 += arows[2][k] * bv;
+        acc3 += arows[3][k] * bv;
       }
-      o0[j] = acc0;
-      o1[j] = acc1;
-      o2[j] = acc2;
-      o3[j] = acc3;
+      orows[0][j] = acc0;
+      orows[1][j] = acc1;
+      orows[2][j] = acc2;
+      orows[3][j] = acc3;
     }
   }
   for (; i < a.rows(); ++i) {
     const double* arow = a.RowPtr(i);
     double* orow = out->RowPtr(i);
-    for (int j = 0; j < b.rows(); ++j) {
+    int j = avx2 ? MatMulTransposeBRowsAvx2<1>(&arow, b, k_len, &orow) : 0;
+    for (; j < b.rows(); ++j) {
       const double* brow = b.RowPtr(j);
       double acc = 0.0;
       for (int k = 0; k < k_len; ++k) acc += arow[k] * brow[k];
@@ -258,26 +357,6 @@ Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
-  ATENA_CHECK(a.rows() == b.rows())
-      << "MatMulTransposeA shape mismatch " << a.ShapeString() << "^T * "
-      << b.ShapeString();
-  Matrix out(a.cols(), b.cols());
-  for (int r = 0; r < a.rows(); ++r) {
-    const double* arow = a.RowPtr(r);
-    const double* brow = b.RowPtr(r);
-    for (int i = 0; i < a.cols(); ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* orow = out.RowPtr(i);
-      for (int j = 0; j < b.cols(); ++j) {
-        orow[j] += av * brow[j];
-      }
-    }
-  }
-  return out;
-}
-
 void AddRowVectorInPlace(Matrix* m, const Matrix& bias) {
   ATENA_CHECK(bias.rows() == 1 && bias.cols() == m->cols())
       << "bias shape " << bias.ShapeString() << " vs " << m->ShapeString();
@@ -289,13 +368,19 @@ void AddRowVectorInPlace(Matrix* m, const Matrix& bias) {
 }
 
 Matrix ColumnSums(const Matrix& m) {
-  Matrix out(1, m.cols());
-  double* acc = out.RowPtr(0);
+  Matrix out;
+  ColumnSumsInto(m, &out);
+  return out;
+}
+
+void ColumnSumsInto(const Matrix& m, Matrix* out) {
+  out->Resize(1, m.cols());
+  out->Fill(0.0);
+  double* acc = out->RowPtr(0);
   for (int i = 0; i < m.rows(); ++i) {
     const double* row = m.RowPtr(i);
     for (int j = 0; j < m.cols(); ++j) acc[j] += row[j];
   }
-  return out;
 }
 
 void AxpyInPlace(Matrix* a, const Matrix& b, double scale) {

@@ -61,9 +61,20 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 
 /// Destination-passing variants: resize `out` and write the product into
 /// it, reusing its buffer. Results are bit-identical to the value-returning
-/// forms (each output element accumulates in the same order).
+/// forms, and for finite inputs to a plain triple loop that sums each
+/// output element from +0.0 in ascending inner-index order (DESIGN.md §7).
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out);
+void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out);
+
+/// True when the nn kernels (the matrix products above and Adam::Step) take
+/// their AVX2 paths: the CPU supports AVX2 and no test has forced the
+/// portable fallback. Both paths produce identical bits.
+bool UseAvx2Kernels();
+/// Test-only: with `force` true, the nn kernels run their portable
+/// fallback loops even on an AVX2 host, so tests can check both paths.
+/// Not meant to be flipped while kernels run on other threads.
+void ForcePortableKernelsForTesting(bool force);
 
 /// out = mᵀ, resizing `out` to (cols × rows) and reusing its buffer.
 void TransposeInto(const Matrix& m, Matrix* out);
@@ -72,6 +83,8 @@ void TransposeInto(const Matrix& m, Matrix* out);
 void AddRowVectorInPlace(Matrix* m, const Matrix& bias);
 /// Column sums of `m` as a (1×c) matrix.
 Matrix ColumnSums(const Matrix& m);
+/// ColumnSums into `out`, reusing its buffer.
+void ColumnSumsInto(const Matrix& m, Matrix* out);
 /// Element-wise a += scale * b.
 void AxpyInPlace(Matrix* a, const Matrix& b, double scale);
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/file_io.h"
 #include "common/logging.h"
+#include "common/string_utils.h"
 
 namespace atena {
 namespace {
@@ -28,16 +28,6 @@ void PushWindow(std::vector<double>* window, double value, int capacity) {
   if (static_cast<int>(window->size()) > capacity) {
     window->erase(window->begin());
   }
-}
-
-/// JSON-safe number: finite doubles round-trip via %.17g, non-finite ones
-/// (which JSON cannot represent) become the strings "nan"/"inf"/"-inf".
-std::string JsonNumber(double value) {
-  if (std::isnan(value)) return "\"nan\"";
-  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 }  // namespace
@@ -159,16 +149,20 @@ void TrainingGuard::RestoreCheckpointState(const GuardCheckpointState& state,
   grad_norms_.clear();
   rewards_.clear();
   reward_strikes_ = 0;
-  log_.clear();
+  log_open_ = false;
   if (state_.events_logged > 0 && !options_.health_log_path.empty() &&
       FileExists(options_.health_log_path)) {
-    Status read = ReadFileToString(options_.health_log_path, &log_);
-    if (!read.ok()) {
+    // Continue the interrupted run's log, minus any torn final line a
+    // crash mid-append left behind. A log that cannot be read is replaced
+    // by the next event; one that was read but not trimmed is kept.
+    int64_t lines = -1;
+    Status reopened = TrimTornFinalLine(options_.health_log_path, &lines);
+    if (!reopened.ok()) {
       ATENA_LOG(kWarning) << "training guard: could not reload health log "
                           << options_.health_log_path << ": "
-                          << read.ToString();
-      log_.clear();
+                          << reopened.ToString();
     }
+    log_open_ = lines >= 0;
   }
 }
 
@@ -213,9 +207,10 @@ void TrainingGuard::AppendEvent(GuardTrigger trigger, int update_index,
   line += ",\"lr_scale\":";
   line += JsonNumber(state_.lr_scale);
   line += "}\n";
-  log_ += line;
   if (options_.health_log_path.empty()) return;
-  Status write = AtomicWriteFile(options_.health_log_path, log_);
+  Status write = log_open_ ? AppendDurableFile(options_.health_log_path, line)
+                           : AtomicWriteFile(options_.health_log_path, line);
+  log_open_ = log_open_ || write.ok();
   if (!write.ok()) {
     // Health logging must never take training down with it.
     ATENA_LOG(kWarning) << "training guard: health log write failed: "

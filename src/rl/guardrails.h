@@ -174,16 +174,19 @@ class TrainingGuard {
 
   /// Restores state captured by checkpoint_state(). `resumed_update` is
   /// the checkpoint's update index, used as the last-good boundary when
-  /// the persisted state predates any guard event. Reloads the existing
-  /// health log (if any) so post-resume events append rather than clobber.
+  /// the persisted state predates any guard event. Reopens the existing
+  /// health log (if any, trimming a torn final line) so post-resume events
+  /// append rather than clobber.
   void RestoreCheckpointState(const GuardCheckpointState& state,
                               int resumed_update);
 
   GuardrailSummary summary() const;
 
  private:
-  /// Appends one JSONL record to the in-memory log and flushes the whole
-  /// log atomically to health_log_path (when configured).
+  /// Writes one JSONL record to health_log_path (when configured). The
+  /// first event of a fresh run replaces any older file there; every later
+  /// event, and every event of a run resumed over its existing log, is one
+  /// durable append (AppendDurableFile), so N events cost O(N) bytes.
   void AppendEvent(GuardTrigger trigger, int update_index,
                    const UpdateStats& stats, double mean_episode_reward,
                    const char* action);
@@ -197,8 +200,9 @@ class TrainingGuard {
   std::vector<double> rewards_;
   int reward_strikes_ = 0;
 
-  /// Full health-log contents (JSONL); rewritten atomically per event.
-  std::string log_;
+  /// True once the health log at health_log_path belongs to this run:
+  /// its first event was written, or a resume reopened the existing log.
+  bool log_open_ = false;
 };
 
 }  // namespace atena

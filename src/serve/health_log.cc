@@ -1,6 +1,5 @@
 #include "serve/health_log.h"
 
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -13,27 +12,10 @@ ServingHealthLog::ServingHealthLog(std::string path)
     : path_(std::move(path)) {
   if (path_.empty() || !FileExists(path_)) return;
   // Reopening an existing log: continue event numbering after its last
-  // complete line. A crash mid-append can leave a torn final line (the
-  // durable-append contract); trim it so readers only ever see complete
-  // lines, and so the next append starts at a line boundary.
-  std::string raw;
-  Status read = ReadFileToString(path_, &raw);
-  if (!read.ok()) {
-    ATENA_LOG(kWarning) << "serving health log reload failed: " << read;
-    return;
-  }
-  const size_t last_newline = raw.find_last_of('\n');
-  const std::string complete =
-      last_newline == std::string::npos ? "" : raw.substr(0, last_newline + 1);
-  for (char c : complete) {
-    if (c == '\n') ++events_;
-  }
-  if (complete.size() != raw.size()) {
-    Status trimmed = AtomicWriteFile(path_, complete);
-    if (!trimmed.ok()) {
-      ATENA_LOG(kWarning) << "serving health log torn-line trim failed: "
-                          << trimmed;
-    }
+  // complete line, trimming a torn final line from a crash mid-append.
+  Status reopened = TrimTornFinalLine(path_, &events_);
+  if (!reopened.ok()) {
+    ATENA_LOG(kWarning) << "serving health log reload failed: " << reopened;
   }
 }
 
@@ -82,14 +64,6 @@ std::string JsonString(const std::string& value) {
   }
   out += '"';
   return out;
-}
-
-std::string JsonNumber(double value) {
-  if (std::isnan(value)) return "\"nan\"";
-  if (std::isinf(value)) return value > 0 ? "\"inf\"" : "\"-inf\"";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 }  // namespace atena

@@ -45,15 +45,9 @@ class ServingHealthLog {
 };
 
 /// `"..."` with backslash, quote and control characters escaped — safe to
-/// splice a Status message or file path into a JSON object body.
+/// splice a Status message or file path into a JSON object body. Numbers
+/// go through JsonNumber (common/string_utils.h).
 std::string JsonString(const std::string& value);
-
-/// JSON-safe number (the training health log's convention, rl/guardrails):
-/// finite doubles round-trip via %.17g; non-finite ones — which JSON
-/// cannot represent — become the quoted strings "nan"/"inf"/"-inf", so a
-/// degraded-step ratio over zero steps can be logged without producing an
-/// unparseable line.
-std::string JsonNumber(double value);
 
 }  // namespace atena
 

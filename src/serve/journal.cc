@@ -5,9 +5,11 @@
 #include <cstring>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "common/file_io.h"
+#include "common/logging.h"
 
 namespace atena {
 
@@ -105,28 +107,6 @@ void EncodeRng(std::string& out, const RngState& rng) {
   Num(out, rng.has_spare_gaussian ? 1 : 0);
   Sp(out);
   F64(out, rng.spare_gaussian);
-}
-
-// Tick entries carry the delta form when possible ("d <draws> <spare>"),
-// the full state ("F <state>") otherwise — the dominant byte saving of
-// the tick record.
-void EncodeJournalRng(std::string& out, const JournalRng& rng) {
-  if (rng.full) {
-    out += "F ";
-    EncodeRng(out, rng.state);
-    return;
-  }
-  out += "d ";
-  Num(out, rng.draws);
-  Sp(out);
-  if (rng.has_spare) {
-    out += "1 ";
-    F64(out, rng.spare);
-  } else {
-    // A cleared/absent spare keeps its pre-step bytes; the value is
-    // omitted (MaterializeJournalRng carries it from `current`).
-    out += '0';
-  }
 }
 
 void EncodeValue(std::string& out, const Value& value) {
@@ -243,10 +223,15 @@ std::string TickPayloadHeader(bool overloaded, size_t count) {
 }
 
 // Raw char* variants of the encoders above, for the per-entry stack
-// buffer below (same bytes, no per-token std::string::append).
+// buffer below (same bytes, no per-token std::string::append). The buffer
+// is sized for the widest entry, so to_chars never runs out of room; the
+// check keeps a failed conversion from leaving `p` at the buffer's end
+// for the next `*p++`.
 template <typename T>
 char* PutNum(char* p, char* end, T value) {
-  return std::to_chars(p, end, value).ptr;
+  const std::to_chars_result result = std::to_chars(p, end, value);
+  ATENA_CHECK(result.ec == std::errc()) << "journal entry buffer too small";
+  return result.ptr;
 }
 
 char* PutF64(char* p, double value) {
@@ -259,6 +244,9 @@ char* PutF64(char* p, double value) {
   return p + 16;
 }
 
+// Tick entries carry the delta form when possible ("d <draws> <spare>"),
+// the full state ("F <state>") otherwise — the dominant byte saving of
+// the tick record.
 char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
   if (rng.full) {
     *p++ = 'F';
@@ -280,12 +268,14 @@ char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
     *p++ = ' ';
     return PutF64(p, rng.spare);
   }
+  // A cleared/absent spare keeps its pre-step bytes; the value is omitted
+  // (MaterializeJournalRng carries it from `current`).
   *p++ = '0';
   return p;
 }
 
-// Everything up to the operation is fixed-bounded (≲300 bytes even with
-// two full-state fallbacks), so it encodes into one stack buffer and
+// Everything up to the operation is fixed-bounded (at most 297 bytes even
+// with two full-state fallbacks), so it encodes into one stack buffer and
 // lands in the payload as a single append; the operation tail can carry
 // an arbitrary dataset string, so it keeps the growing-string encoders.
 void EncodeTickEntryStep(std::string& out, uint64_t id, int end,

@@ -10,6 +10,7 @@
 #include "common/clock.h"
 #include "common/file_io.h"
 #include "common/logging.h"
+#include "common/string_utils.h"
 #include "rl/policy.h"
 
 namespace atena {

@@ -1,24 +1,36 @@
 // Cross-commit behaviour fixtures. Every other bit-identity test compares
 // two code paths inside one build, so a change that moves both sides the
 // same way passes unnoticed. These digests were recorded once and checked
-// in: a fixed random-action script runs with the full compound reward on
-// every experimental dataset plus one scaled table, and a CRC32 over its
-// encoded display vectors and step rewards must match the recorded value.
-// A mismatch means observations or rewards changed; if that was intended,
-// the failure message prints the new digest to record here.
+// in:
+//  - a fixed random-action script runs with the full compound reward on
+//    every experimental dataset plus one scaled table, and a CRC32 over its
+//    encoded display vectors and step rewards must match;
+//  - short PPO training runs (RunAtena with 1 and 4 actors, the 4-actor run
+//    at 1 and 4 stepping threads, and one FlatPolicy run) digest their
+//    learning curve, best-episode operations and every final parameter
+//    value, which pins the network kernels, the optimizer and the trainer.
+// A mismatch means behaviour changed; if that was intended, the failure
+// message prints the new digest to record here.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "baselines/flat_policy.h"
 #include "common/file_io.h"
 #include "common/random.h"
+#include "core/atena.h"
 #include "data/registry.h"
 #include "eda/environment.h"
 #include "reward/compound.h"
+#include "rl/checkpoint.h"
+#include "rl/trainer.h"
 
 namespace atena {
 namespace {
@@ -58,6 +70,12 @@ uint32_t PodCrc(uint32_t crc, const T& value) {
                             sizeof(value)));
 }
 
+std::string DigestString(uint32_t digest) {
+  char text[16];
+  std::snprintf(text, sizeof(text), "0x%08Xu", digest);
+  return text;
+}
+
 /// Runs the fixed script on (id, scale) and digests what it observed.
 uint32_t ScriptDigest(const std::string& id, int scale) {
   Dataset dataset = MakeDataset(id, scale).value();
@@ -87,10 +105,9 @@ class GoldenDigestTest : public ::testing::TestWithParam<GoldenFixture> {};
 TEST_P(GoldenDigestTest, RandomScriptMatchesRecordedDigest) {
   const GoldenFixture& fixture = GetParam();
   const uint32_t digest = ScriptDigest(fixture.dataset, fixture.scale);
-  char actual[16];
-  std::snprintf(actual, sizeof(actual), "0x%08Xu", digest);
   EXPECT_EQ(digest, fixture.digest)
-      << fixture.dataset << " x" << fixture.scale << ": digest " << actual
+      << fixture.dataset << " x" << fixture.scale << ": digest "
+      << DigestString(digest)
       << " (recorded with GCC " << kRecordedCompiler << ", this build "
       << __VERSION__ << ")";
 }
@@ -101,6 +118,125 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.dataset) + "_x" +
              std::to_string(info.param.scale);
     });
+
+// ------------------------------------------------------------- training
+
+// Thread count never changes training output, so both 4-actor fixtures
+// share one digest.
+constexpr uint32_t kFourActorDigest = 0x3A746D5Bu;
+
+struct TrainingFixture {
+  const char* name;
+  int num_actors;
+  int num_threads;
+  uint32_t digest;
+};
+
+constexpr TrainingFixture kTrainingFixtures[] = {
+    {"OneActor", 1, 1, 0x102FB490u},
+    {"FourActorsOneThread", 4, 1, kFourActorDigest},
+    {"FourActorsFourThreads", 4, 4, kFourActorDigest},
+};
+
+void PrintTo(const TrainingFixture& fixture, std::ostream* os) {
+  *os << fixture.name;
+}
+
+constexpr int kTrainingSteps = 1536;
+constexpr int kFinalEvalEpisodes = 4;
+
+/// Digest of what a training run produced: the learning curve, the best
+/// episode's operations (as the notebook describes them) and every final
+/// parameter value.
+uint32_t TrainingDigest(const TrainingResult& training, const Table& table,
+                        const std::vector<Parameter*>& params) {
+  uint32_t crc = 0;
+  for (const CurvePoint& point : training.curve) {
+    crc = PodCrc(crc, point.step);
+    crc = PodCrc(crc, point.mean_episode_reward);
+  }
+  for (const EdaOperation& op : training.best_episode_ops) {
+    crc = Crc32Extend(crc, op.Describe(table));
+  }
+  for (const Parameter* p : params) {
+    for (double v : p->value.data()) crc = PodCrc(crc, v);
+  }
+  return crc;
+}
+
+/// RunAtena on cyber1 at a small budget. The trainer checkpoints after its
+/// last update, and the checkpoint's parameters are the final weights.
+uint32_t AtenaTrainingDigest(const TrainingFixture& fixture) {
+  const Dataset dataset = MakeDataset("cyber1").value();
+  AtenaOptions options;
+  options.num_actors = fixture.num_actors;
+  options.trainer.num_threads = fixture.num_threads;
+  options.trainer.total_steps = kTrainingSteps;
+  options.trainer.final_eval_episodes = kFinalEvalEpisodes;
+  const std::string checkpoint = ::testing::TempDir() + "/golden_" +
+                                 fixture.name + "_" +
+                                 std::to_string(getpid()) + ".ckpt";
+  const int per_update = options.trainer.rollout_length / fixture.num_actors *
+                         fixture.num_actors;
+  options.trainer.checkpoint_path = checkpoint;
+  options.trainer.checkpoint_every_updates =
+      (kTrainingSteps + per_update - 1) / per_update;
+  auto result = RunAtena(dataset, options);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return 0;
+
+  EdaEnvironment env(dataset, options.env);
+  TwofoldPolicy policy(env.observation_dim(), env.action_space(),
+                       options.policy);
+  const Status loaded = LoadPolicyParameters(checkpoint, policy.Parameters());
+  std::remove(checkpoint.c_str());
+  std::remove((checkpoint + ".prev").c_str());
+  EXPECT_TRUE(loaded.ok()) << loaded;
+  return TrainingDigest(result.value().training, *dataset.table,
+                        policy.Parameters());
+}
+
+class GoldenTrainingTest : public ::testing::TestWithParam<TrainingFixture> {};
+
+TEST_P(GoldenTrainingTest, RunAtenaMatchesRecordedDigest) {
+  const TrainingFixture& fixture = GetParam();
+  const uint32_t digest = AtenaTrainingDigest(fixture);
+  EXPECT_EQ(digest, fixture.digest)
+      << fixture.name << ": digest " << DigestString(digest)
+      << " (recorded with GCC " << kRecordedCompiler << ", this build "
+      << __VERSION__ << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RunAtena, GoldenTrainingTest, ::testing::ValuesIn(kTrainingFixtures),
+    [](const ::testing::TestParamInfo<TrainingFixture>& info) {
+      return std::string(info.param.name);
+    });
+
+// The flat-softmax baseline has its own head backward; one short PPO run
+// pins it.
+constexpr uint32_t kFlatPolicyDigest = 0x811BC526u;
+
+TEST(GoldenFlatPolicyTest, PpoMatchesRecordedDigest) {
+  const Dataset dataset = MakeDataset("cyber1").value();
+  EnvConfig config;
+  EdaEnvironment env(dataset, config);
+  auto reward = MakeStandardReward(&env).value();
+  env.SetRewardSignal(reward.get());
+  FlatPolicy::Options flat_options;
+  flat_options.term_mode = FlatPolicy::TermMode::kFrequencyBins;
+  FlatPolicy policy(env, flat_options);
+  TrainerOptions options;
+  options.total_steps = kTrainingSteps / 2;
+  options.final_eval_episodes = kFinalEvalEpisodes;
+  PpoTrainer trainer(&env, &policy, options);
+  const TrainingResult training = trainer.Train();
+  const uint32_t digest =
+      TrainingDigest(training, *dataset.table, policy.Parameters());
+  EXPECT_EQ(digest, kFlatPolicyDigest)
+      << "FlatPolicy: digest " << DigestString(digest) << " (recorded with GCC "
+      << kRecordedCompiler << ", this build " << __VERSION__ << ")";
+}
 
 }  // namespace
 }  // namespace atena

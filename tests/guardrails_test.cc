@@ -216,6 +216,39 @@ TEST(TrainingGuardTest, HealthLogIsJsonlWithQuotedNonFinite) {
   EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1);
 }
 
+TEST(TrainingGuardTest, HealthLogStartsFreshOrContinuesAfterTornLine) {
+  const std::string log_path = TempPath("guard_unit_resume_health.jsonl");
+  RemoveIfExists(log_path);
+  GuardrailOptions options = SmallWindows();
+  options.health_log_path = log_path;
+  UpdateStats bad = CleanStats();
+  bad.policy_loss = kNan;
+
+  // A fresh run replaces whatever log an earlier run left at the path.
+  ASSERT_TRUE(AtomicWriteFile(log_path, "{\"stale\":1}\n").ok());
+  TrainingGuard fresh(options);
+  ASSERT_TRUE(fresh.OnAnomaly(GuardTrigger::kNonFiniteLoss, 2, bad, 1.0).ok());
+  ASSERT_TRUE(fresh.OnAnomaly(GuardTrigger::kNonFiniteLoss, 3, bad, 1.0).ok());
+  const std::string two_events = ReadWholeFile(log_path);
+  EXPECT_EQ(two_events.find("stale"), std::string::npos) << two_events;
+  EXPECT_EQ(std::count(two_events.begin(), two_events.end(), '\n'), 2);
+
+  // A resumed run drops the torn final line a crash mid-append left and
+  // appends after the last complete one.
+  ASSERT_TRUE(
+      AtomicWriteFile(log_path, two_events + "{\"event\":3,\"upd").ok());
+  TrainingGuard resumed(options);
+  resumed.RestoreCheckpointState(fresh.checkpoint_state(), 4);
+  ASSERT_TRUE(
+      resumed.OnAnomaly(GuardTrigger::kNonFiniteLoss, 5, bad, 1.0).ok());
+  const std::string log = ReadWholeFile(log_path);
+  ASSERT_EQ(log.substr(0, two_events.size()), two_events) << log;
+  const std::string appended = log.substr(two_events.size());
+  EXPECT_EQ(appended.rfind("{\"event\":3,\"update\":5,", 0), 0u) << log;
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 3);
+  RemoveIfExists(log_path);
+}
+
 TEST(GuardCheckpointTest, GuardStateRoundTripsThroughPayload) {
   auto dataset = MakeDataset("cyber2");
   ASSERT_TRUE(dataset.ok());

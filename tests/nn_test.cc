@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/matrix.h"
@@ -145,6 +148,260 @@ TEST(MatrixTest, SoftmaxRangeNormalizes) {
   EXPECT_GT(m(0, 2), m(0, 1));
   EXPECT_DOUBLE_EQ(m(0, 3), 100.0);
 }
+
+// ------------------------------------------------------- kernel oracles
+//
+// Every matrix-product kernel must equal, bit for bit, a plain triple loop
+// that sums each output element from +0.0 in ascending inner-index order,
+// on the AVX2 path and on the portable fallback alike. The oracles live
+// only here.
+
+Matrix OracleMatMul(const Matrix& a, const Matrix& b) {  // a·b
+  Matrix out(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.cols(); ++k) acc += a(i, k) * b(k, j);
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+Matrix OracleMatMulTransposeB(const Matrix& a, const Matrix& b) {  // a·bᵀ
+  Matrix out(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.cols(); ++k) acc += a(i, k) * b(j, k);
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+Matrix OracleMatMulTransposeA(const Matrix& a, const Matrix& b) {  // aᵀ·b
+  Matrix out(a.cols(), b.cols());
+  for (int i = 0; i < a.cols(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.rows(); ++k) acc += a(k, i) * b(k, j);
+      out(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+::testing::AssertionResult SameBits(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.ShapeString() << " vs " << want.ShapeString();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got.data()[i], &want.data()[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure() << "element " << i << ": "
+                                           << got.data()[i] << " vs "
+                                           << want.data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Gaussian entries with exact zeros and −0.0 mixed in, then one whole
+/// zero row and one whole zero column when the matrix has more than one —
+/// the patterns ReLU masks leave in activations and their gradients.
+Matrix TestFactor(int rows, int cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (double& x : m.data()) {
+    const double u = rng->NextDouble();
+    x = u < 0.2 ? 0.0 : (u < 0.3 ? -0.0 : rng->NextGaussian());
+  }
+  if (rows > 1) {
+    const int r = static_cast<int>(rng->NextDouble() * rows);
+    for (int c = 0; c < cols; ++c) m(r, c) = 0.0;
+  }
+  if (cols > 1) {
+    const int c = static_cast<int>(rng->NextDouble() * cols);
+    for (int r = 0; r < rows; ++r) m(r, c) = -0.0;
+  }
+  return m;
+}
+
+/// Runs every product kernel on one (rows, cols, inner) shape and compares
+/// each against its oracle.
+void ExpectKernelsMatchOracles(int rows, int cols, int inner, Rng* rng) {
+  const std::string shape = std::to_string(rows) + "x" + std::to_string(cols) +
+                            " inner " + std::to_string(inner);
+  Matrix dirty(3, 5, 7.0);  // destinations are fully overwritten
+  {
+    const Matrix a = TestFactor(rows, inner, rng);
+    const Matrix b = TestFactor(inner, cols, rng);
+    const Matrix want = OracleMatMul(a, b);
+    Matrix out = dirty;
+    MatMulInto(a, b, &out);
+    EXPECT_TRUE(SameBits(out, want)) << "MatMulInto " << shape;
+    EXPECT_TRUE(SameBits(MatMul(a, b), want)) << "MatMul " << shape;
+  }
+  {
+    const Matrix a = TestFactor(rows, inner, rng);
+    const Matrix b = TestFactor(cols, inner, rng);
+    const Matrix want = OracleMatMulTransposeB(a, b);
+    Matrix out = dirty;
+    MatMulTransposeBInto(a, b, &out);
+    EXPECT_TRUE(SameBits(out, want)) << "MatMulTransposeBInto " << shape;
+    EXPECT_TRUE(SameBits(MatMulTransposeB(a, b), want))
+        << "MatMulTransposeB " << shape;
+  }
+  {
+    const Matrix a = TestFactor(inner, rows, rng);
+    const Matrix b = TestFactor(inner, cols, rng);
+    const Matrix want = OracleMatMulTransposeA(a, b);
+    Matrix out = dirty;
+    MatMulTransposeAInto(a, b, &out);
+    EXPECT_TRUE(SameBits(out, want)) << "MatMulTransposeAInto " << shape;
+    EXPECT_TRUE(SameBits(MatMulTransposeA(a, b), want))
+        << "MatMulTransposeA " << shape;
+  }
+}
+
+/// Parameter: true forces the portable fallback; false runs the AVX2 path
+/// (skipped on a CPU without AVX2, where both would be the fallback).
+class KernelPathTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (!GetParam() && !UseAvx2Kernels()) GTEST_SKIP() << "no AVX2";
+    ForcePortableKernelsForTesting(GetParam());
+  }
+  void TearDown() override { ForcePortableKernelsForTesting(false); }
+};
+
+TEST_P(KernelPathTest, ProductsMatchOracleAtEveryTileRemainder) {
+  Rng rng(41);
+  for (int rows = 1; rows <= 9; ++rows) {
+    for (int cols = 1; cols <= 17; ++cols) {
+      for (int inner = 1; inner <= 13; ++inner) {
+        ExpectKernelsMatchOracles(rows, cols, inner, &rng);
+      }
+    }
+  }
+}
+
+TEST_P(KernelPathTest, ProductsMatchOracleAtPolicyShapes) {
+  // The twofold policy on cyber1: a 64-row minibatch through the
+  // 105 -> 64 -> 64 trunk into a 49-wide policy head and a 1-wide value
+  // head. (rows, cols, inner) triples cover every forward, weight-gradient
+  // and input-gradient product of that network.
+  Rng rng(42);
+  const int shapes[][3] = {{64, 64, 105}, {64, 105, 64}, {64, 64, 64},
+                           {64, 49, 64},  {49, 64, 64},  {64, 1, 64},
+                           {1, 64, 64},   {4, 64, 105},  {1, 64, 105}};
+  for (const auto& shape : shapes) {
+    ExpectKernelsMatchOracles(shape[0], shape[1], shape[2], &rng);
+  }
+}
+
+TEST_P(KernelPathTest, AdamStepMatchesScalarLoop) {
+  // Lengths 1..7 and 13 leave every remainder of the 4-lane loop.
+  const int lengths[] = {1, 2, 3, 4, 5, 6, 7, 13};
+  ParameterStore store;
+  for (int n : lengths) store.Create("p" + std::to_string(n), 1, n);
+  const std::vector<Parameter*> params = store.All();
+  Rng rng(43);
+  for (Parameter* p : params) {
+    for (double& w : p->value.data()) w = rng.NextGaussian();
+  }
+  // The scalar oracle: Adam's per-element update, written out.
+  const double lr = 3e-3, b1 = 0.9, b2 = 0.999, eps = 1e-8;
+  std::vector<Matrix> want, m, v;
+  for (Parameter* p : params) {
+    want.push_back(p->value);
+    m.emplace_back(1, p->value.cols());
+    v.emplace_back(1, p->value.cols());
+  }
+  Adam::Options options;
+  options.learning_rate = lr;
+  Adam adam(options);
+  for (int step = 1; step <= 5; ++step) {
+    const double bias1 = 1.0 - std::pow(b1, static_cast<double>(step));
+    const double bias2 = 1.0 - std::pow(b2, static_cast<double>(step));
+    for (size_t k = 0; k < params.size(); ++k) {
+      for (size_t i = 0; i < params[k]->grad.size(); ++i) {
+        const double g = step == 3 && i == 0 ? 0.0 : rng.NextGaussian();
+        params[k]->grad.data()[i] = g;
+        double& mi = m[k].data()[i];
+        double& vi = v[k].data()[i];
+        mi = b1 * mi + (1.0 - b1) * g;
+        vi = b2 * vi + (1.0 - b2) * g * g;
+        const double mhat = mi / bias1;
+        const double vhat = vi / bias2;
+        want[k].data()[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+    }
+    adam.Step(params);
+    for (size_t k = 0; k < params.size(); ++k) {
+      EXPECT_TRUE(SameBits(params[k]->value, want[k]))
+          << params[k]->name << " step " << step;
+      EXPECT_TRUE(SameBits(adam.first_moments()[k], m[k]))
+          << params[k]->name << " step " << step;
+      EXPECT_TRUE(SameBits(adam.second_moments()[k], v[k]))
+          << params[k]->name << " step " << step;
+    }
+  }
+}
+
+/// The parameter gradients one forward and backward pass of `layer`
+/// accumulates, through Backward or through BackwardParameters.
+std::vector<Matrix> ParameterGradients(const Layer& layer,
+                                       ParameterStore* store,
+                                       const Matrix& input, const Matrix& grad,
+                                       bool skip_input_grad) {
+  Workspace ws;
+  ZeroGradients(store->All());
+  layer.Forward(input, &ws);
+  if (skip_input_grad) {
+    layer.BackwardParameters(grad, &ws);
+  } else {
+    layer.Backward(grad, &ws);
+  }
+  std::vector<Matrix> grads;
+  for (Parameter* p : store->All()) grads.push_back(p->grad);
+  return grads;
+}
+
+TEST_P(KernelPathTest, ParameterGradientsIgnoreSkippedInputGradient) {
+  // BackwardParameters accumulates exactly what Backward does, for a lone
+  // Dense layer and for a ReLU MLP whose first layer skips grad · W.
+  Rng rng(44);
+  const Matrix input = TestFactor(64, 105, &rng);
+  ParameterStore dense_store, mlp_store;
+  Dense dense(105, 64, &dense_store, "d", &rng);
+  auto mlp = MakeMlp(105, {64, 64}, 49, &mlp_store, "mlp", &rng);
+  const Matrix dense_grad = TestFactor(64, 64, &rng);
+  const Matrix mlp_grad = TestFactor(64, 49, &rng);
+
+  const struct {
+    const Layer* layer;
+    ParameterStore* store;
+    const Matrix* grad;
+  } cases[] = {{&dense, &dense_store, &dense_grad},
+               {mlp.get(), &mlp_store, &mlp_grad}};
+  for (const auto& c : cases) {
+    const auto full = ParameterGradients(*c.layer, c.store, input, *c.grad,
+                                         /*skip_input_grad=*/false);
+    const auto params_only = ParameterGradients(*c.layer, c.store, input,
+                                                *c.grad,
+                                                /*skip_input_grad=*/true);
+    for (size_t k = 0; k < full.size(); ++k) {
+      EXPECT_TRUE(SameBits(params_only[k], full[k]))
+          << c.store->All()[k]->name;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, KernelPathTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Portable" : "Avx2";
+                         });
 
 // ------------------------------------------------------------ workspace
 

@@ -88,7 +88,7 @@ class ScriptedPolicy final : public Policy {
  private:
   std::vector<EnvAction> script_;
   size_t index_ = 0;
-  Parameter dummy_{Matrix(1, 1), Matrix(1, 1)};
+  Parameter dummy_{Matrix(1, 1), Matrix(1, 1), {}};
 };
 
 TEST(TrainerBookkeepingTest, CountsEpisodesAndTracksBest) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/file_io.h"
+#include "common/string_utils.h"
 #include "data/registry.h"
 #include "index/notebook_store.h"
 #include "reward/compound.h"
