@@ -1,7 +1,8 @@
 // Micro-benchmarks of the dataframe substrate: filter, group-by/aggregate
 // and column-statistics kernels on the largest experimental dataset, plus
 // million-row scalar-vs-kernel pairs on a scaled variant (row count
-// overridable via ATENA_BENCH_ROWS). Results are written to
+// overridable via ATENA_BENCH_ROWS); the _Scalar rows time the reference
+// implementations in tests/support/reference_ops.h. Results are written to
 // BENCH_dataframe.json (see bench_json.h).
 #include <benchmark/benchmark.h>
 
@@ -9,11 +10,10 @@
 #include <cstdlib>
 
 #include "bench_json.h"
-#include "common/thread_pool.h"
 #include "data/registry.h"
-#include "dataframe/kernels.h"
 #include "dataframe/ops.h"
 #include "dataframe/stats.h"
+#include "support/reference_ops.h"
 
 namespace atena {
 namespace {
@@ -204,8 +204,8 @@ BENCHMARK(BM_GroupByThreeColumns);
 
 // ------------------------------------------- million-row scalar vs kernel
 //
-// Each pair runs the identical operation through the retained scalar
-// reference and the chunked selection-vector kernel on the scaled table;
+// Each pair runs the identical operation through the scalar reference and
+// the production kernel (FilterRows / GroupAggregate) on the scaled table;
 // items_per_second is the rows/sec figure the roadmap tracks, and kernel
 // variants report the zone-map skip rate.
 
@@ -216,7 +216,7 @@ void BM_Filter1M_NumericRange_Scalar(benchmark::State& state) {
   for (auto _ : state) {
     auto out = ScalarFilterRows(t, rows, col, CompareOp::kLe,
                                 Value(int64_t{1024}));
-    benchmark::DoNotOptimize(out.value().size());
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
@@ -229,8 +229,8 @@ void BM_Filter1M_NumericRange_Kernel(benchmark::State& state) {
   FilterKernelStats stats;
   for (auto _ : state) {
     stats = {};
-    auto out = FilterRowsKernel(t, rows, col, CompareOp::kLe,
-                                Value(int64_t{1024}), &stats);
+    auto out = FilterRows(t, rows, col, CompareOp::kLe, Value(int64_t{1024}),
+                          &stats);
     benchmark::DoNotOptimize(out.value().size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
@@ -245,7 +245,7 @@ void BM_Filter1M_StringEq_Scalar(benchmark::State& state) {
   for (auto _ : state) {
     auto out = ScalarFilterRows(t, rows, col, CompareOp::kEq,
                                 Value(std::string("SYN")));
-    benchmark::DoNotOptimize(out.value().size());
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
@@ -258,8 +258,8 @@ void BM_Filter1M_StringEq_Kernel(benchmark::State& state) {
   FilterKernelStats stats;
   for (auto _ : state) {
     stats = {};
-    auto out = FilterRowsKernel(t, rows, col, CompareOp::kEq,
-                                Value(std::string("SYN")), &stats);
+    auto out = FilterRows(t, rows, col, CompareOp::kEq,
+                          Value(std::string("SYN")), &stats);
     benchmark::DoNotOptimize(out.value().size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
@@ -274,7 +274,7 @@ void BM_Filter1M_Contains_Scalar(benchmark::State& state) {
   for (auto _ : state) {
     auto out = ScalarFilterRows(t, rows, col, CompareOp::kContains,
                                 Value(std::string("ACK")));
-    benchmark::DoNotOptimize(out.value().size());
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
@@ -287,8 +287,8 @@ void BM_Filter1M_Contains_Kernel(benchmark::State& state) {
   FilterKernelStats stats;
   for (auto _ : state) {
     stats = {};
-    auto out = FilterRowsKernel(t, rows, col, CompareOp::kContains,
-                                Value(std::string("ACK")), &stats);
+    auto out = FilterRows(t, rows, col, CompareOp::kContains,
+                          Value(std::string("ACK")), &stats);
     benchmark::DoNotOptimize(out.value().size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
@@ -303,7 +303,7 @@ void BM_GroupBy1M_Count_Scalar(benchmark::State& state) {
   spec.group_columns = {t.FindColumn("source_ip")};
   for (auto _ : state) {
     auto out = ScalarGroupAggregate(t, rows, spec);
-    benchmark::DoNotOptimize(out.value().groups.size());
+    benchmark::DoNotOptimize(out.groups.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
@@ -315,26 +315,12 @@ void BM_GroupBy1M_Count_Kernel(benchmark::State& state) {
   GroupSpec spec;
   spec.group_columns = {t.FindColumn("source_ip")};
   for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, nullptr);
+    auto out = GroupAggregate(t, rows, spec);
     benchmark::DoNotOptimize(out.value().groups.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_GroupBy1M_Count_Kernel);
-
-void BM_GroupBy1M_Count_Parallel(benchmark::State& state) {
-  const Table& t = *MillionRowDataset().table;
-  auto rows = AllRows(t).value();
-  ThreadPool pool(ThreadPool::DefaultThreads(4));
-  GroupSpec spec;
-  spec.group_columns = {t.FindColumn("source_ip")};
-  for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, &pool);
-    benchmark::DoNotOptimize(out.value().groups.size());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupBy1M_Count_Parallel);
 
 void BM_GroupBy1M_Avg_Scalar(benchmark::State& state) {
   const Table& t = *MillionRowDataset().table;
@@ -345,7 +331,7 @@ void BM_GroupBy1M_Avg_Scalar(benchmark::State& state) {
   spec.agg_column = t.FindColumn("length");
   for (auto _ : state) {
     auto out = ScalarGroupAggregate(t, rows, spec);
-    benchmark::DoNotOptimize(out.value().groups.size());
+    benchmark::DoNotOptimize(out.groups.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
@@ -359,28 +345,12 @@ void BM_GroupBy1M_Avg_Kernel(benchmark::State& state) {
   spec.agg = AggFunc::kAvg;
   spec.agg_column = t.FindColumn("length");
   for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, nullptr);
+    auto out = GroupAggregate(t, rows, spec);
     benchmark::DoNotOptimize(out.value().groups.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_GroupBy1M_Avg_Kernel);
-
-void BM_GroupBy1M_Avg_Parallel(benchmark::State& state) {
-  const Table& t = *MillionRowDataset().table;
-  auto rows = AllRows(t).value();
-  ThreadPool pool(ThreadPool::DefaultThreads(4));
-  GroupSpec spec;
-  spec.group_columns = {t.FindColumn("source_ip")};
-  spec.agg = AggFunc::kAvg;
-  spec.agg_column = t.FindColumn("length");
-  for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, &pool);
-    benchmark::DoNotOptimize(out.value().groups.size());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupBy1M_Avg_Parallel);
 
 }  // namespace
 }  // namespace atena

@@ -54,9 +54,10 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # runtime's parallel environment stepping plus its fault-injection
 # matrix — quarantine/deadline/shed/reload under worker threads — the
 # display-vector index exercised through the multi-threaded serve path
-# and the shared notebook store, the parallel group-by kernels, and the
-# column-statistics pass's thread-local scratch plus the cache's shared
-# Stats section under concurrent stepping) —
+# and the shared notebook store, concurrent FilterRows/GroupAggregate
+# calls on one shared table, and the column-statistics pass's
+# thread-local scratch plus the cache's shared Stats section under
+# concurrent stepping) —
 # TSan's ~10x slowdown makes a full suite sweep disproportionate.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \

@@ -7,9 +7,10 @@
 namespace atena {
 
 namespace {
-// Reserved CellKey for null cells; chosen so it cannot collide with a
-// dictionary code, an int64 payload collision is theoretically possible but
-// harmless (grouping nulls with one specific huge value).
+// CellKey for null cells. It cannot collide with a dictionary code, but it
+// is also the key of int64 INT64_MIN+1 and of the double with bits
+// 0x8000000000000001 (-denorm_min); callers that key on it keep nulls apart
+// with IsNull (GroupAggregate folds a null mask into its group key).
 constexpr int64_t kNullCellKey = std::numeric_limits<int64_t>::min() + 1;
 }  // namespace
 

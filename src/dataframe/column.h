@@ -55,8 +55,8 @@ struct ColumnChunkStats {
 ///
 /// Columns are built once via ColumnBuilder and then shared (shared_ptr)
 /// between tables/views; they are never mutated after construction. Building
-/// also materializes per-chunk zone maps (see ColumnChunkStats), which the
-/// selection-vector kernels in dataframe/kernels.h use for chunk skipping.
+/// also materializes per-chunk zone maps (see ColumnChunkStats), which
+/// FilterRows (dataframe/ops.h) uses for chunk skipping.
 class Column {
  public:
   DataType type() const { return type_; }
@@ -91,7 +91,10 @@ class Column {
 
   /// A canonical 64-bit key for grouping/histogramming a cell: dictionary
   /// code for strings, raw bits for doubles, the value for ints; nulls map
-  /// to a reserved sentinel. Two cells have equal keys iff they are equal.
+  /// to a sentinel. Two non-null cells have equal keys iff they are equal.
+  /// The sentinel is also the key of one non-null value (int64
+  /// INT64_MIN+1, or the double with bits 0x8000000000000001), so a caller
+  /// that must keep nulls apart tests IsNull beside the key.
   int64_t CellKey(int64_t row) const;
 
   /// Looks up the dictionary code of `token`; returns -1 when absent.

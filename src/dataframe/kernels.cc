@@ -1,4 +1,6 @@
-#include "dataframe/kernels.h"
+// FilterRows and GroupAggregate (declared in dataframe/ops.h): the chunked
+// selection-vector filter and the serial group-by kernels.
+#include "dataframe/ops.h"
 
 #include <algorithm>
 #include <cmath>
@@ -11,7 +13,6 @@
 
 #include "common/hashing.h"
 #include "common/string_utils.h"
-#include "common/thread_pool.h"
 
 namespace atena {
 
@@ -32,8 +33,7 @@ bool IsStringOp(CompareOp op) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared filter validation. Both the kernel and the scalar reference resolve
-// a call through PlanFilter so their error statuses can never drift apart.
+// Filter.
 // ---------------------------------------------------------------------------
 
 struct FilterPlan {
@@ -109,45 +109,6 @@ Result<FilterPlan> PlanFilter(const Table& table, int column, CompareOp op,
   plan.mode = FilterPlan::Mode::kNumeric;
   return plan;
 }
-
-// ---------------------------------------------------------------------------
-// Scalar reference path (the pre-kernel implementation, retained verbatim).
-// ---------------------------------------------------------------------------
-
-/// Scans `rows` keeping the non-null rows that satisfy `pred`. The
-/// predicate is a template parameter so each operator gets its own tight
-/// loop (no per-row switch). The output is reserved from a selectivity
-/// estimate over a small stride sample, so typical filters do zero or one
-/// reallocation instead of log2(n).
-template <typename Pred>
-std::vector<int32_t> ScanRows(const Column& col,
-                              const std::vector<int32_t>& rows, Pred pred) {
-  std::vector<int32_t> out;
-  const size_t n = rows.size();
-  constexpr size_t kSample = 128;
-  if (n <= 4 * kSample) {
-    out.reserve(n);
-  } else {
-    const size_t stride = n / kSample;
-    size_t matched = 0;
-    for (size_t i = 0; i < kSample; ++i) {
-      const int32_t r = rows[i * stride];
-      if (!col.IsNull(r) && pred(r)) ++matched;
-    }
-    // +1 smoothing and a 1/4 head-room margin; a bad estimate only costs a
-    // realloc, never correctness.
-    const size_t estimate = (n * (matched + 1)) / (kSample + 1);
-    out.reserve(std::min(n, estimate + estimate / 4 + 16));
-  }
-  for (const int32_t r : rows) {
-    if (!col.IsNull(r) && pred(r)) out.push_back(r);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Chunked kernel path.
-// ---------------------------------------------------------------------------
 
 enum class ChunkDecision { kSkip, kScan, kAllMatch };
 
@@ -607,84 +568,11 @@ std::vector<int32_t> DispatchNumeric(const Column& col, const T* data,
 
 }  // namespace
 
-Result<std::vector<int32_t>> ScalarFilterRows(const Table& table,
-                                              const std::vector<int32_t>& rows,
-                                              int column, CompareOp op,
-                                              const Value& term) {
-  ATENA_ASSIGN_OR_RETURN(const FilterPlan plan,
-                         PlanFilter(table, column, op, term));
-  const Column& col = *table.column(column);
-  switch (plan.mode) {
-    case FilterPlan::Mode::kNumeric: {
-      const double threshold = plan.threshold;
-      switch (plan.op) {
-        case CompareOp::kGt:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return col.AsDoubleOrNan(r) > threshold;
-          });
-        case CompareOp::kGe:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return col.AsDoubleOrNan(r) >= threshold;
-          });
-        case CompareOp::kLt:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return col.AsDoubleOrNan(r) < threshold;
-          });
-        case CompareOp::kLe:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return col.AsDoubleOrNan(r) <= threshold;
-          });
-        case CompareOp::kEq:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return col.AsDoubleOrNan(r) == threshold;
-          });
-        default:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return col.AsDoubleOrNan(r) != threshold;
-          });
-      }
-    }
-    case FilterPlan::Mode::kSubstring: {
-      const std::string& needle = *plan.needle;
-      switch (plan.op) {
-        case CompareOp::kContains:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return Contains(col.GetString(r), needle);
-          });
-        case CompareOp::kStartsWith:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return StartsWith(col.GetString(r), needle);
-          });
-        default:
-          return ScanRows(col, rows, [&](int32_t r) {
-            return EndsWith(col.GetString(r), needle);
-          });
-      }
-    }
-    case FilterPlan::Mode::kStringCode: {
-      // Token filters compare dictionary codes: one lookup, integer scans.
-      const int32_t code = plan.code;
-      if (plan.op == CompareOp::kEq) {
-        if (code < 0) return std::vector<int32_t>{};  // absent matches none
-        return ScanRows(col, rows,
-                        [&](int32_t r) { return col.GetCode(r) == code; });
-      }
-      if (code < 0) {
-        // Absent term: every non-null row differs from it.
-        return ScanRows(col, rows, [](int32_t) { return true; });
-      }
-      return ScanRows(col, rows,
-                      [&](int32_t r) { return col.GetCode(r) != code; });
-    }
-  }
-  return Status::Internal("ScalarFilterRows: unreachable");
-}
-
-Result<std::vector<int32_t>> FilterRowsKernel(const Table& table,
-                                              const std::vector<int32_t>& rows,
-                                              int column, CompareOp op,
-                                              const Value& term,
-                                              FilterKernelStats* stats) {
+Result<std::vector<int32_t>> FilterRows(const Table& table,
+                                        const std::vector<int32_t>& rows,
+                                        int column, CompareOp op,
+                                        const Value& term,
+                                        FilterKernelStats* stats) {
   ATENA_ASSIGN_OR_RETURN(const FilterPlan plan,
                          PlanFilter(table, column, op, term));
   const Column& col = *table.column(column);
@@ -756,7 +644,7 @@ Result<std::vector<int32_t>> FilterRowsKernel(const Table& table,
                          stats);
     }
   }
-  return Status::Internal("FilterRowsKernel: unreachable");
+  return Status::Internal("FilterRows: unreachable");
 }
 
 // ---------------------------------------------------------------------------
@@ -804,140 +692,13 @@ void FillGroupHeader(const Table& table, const GroupSpec& spec,
   }
 }
 
-/// Aggregates one group's member rows (already in selection order). This is
-/// the scalar reference's per-group loop verbatim; both paths share it so
-/// accumulation order — and therefore every SUM/AVG bit — is identical.
-void AggregateGroup(const Column& agg_col, AggFunc agg, Group* g) {
-  if (agg == AggFunc::kCount) {
-    g->aggregate = static_cast<double>(g->rows.size());
-    g->agg_valid = true;
-    return;
-  }
-  double acc = 0.0;
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-  int64_t n = 0;
-  for (int32_t r : g->rows) {
-    if (agg_col.IsNull(r)) continue;
-    double v = agg_col.AsDoubleOrNan(r);
-    acc += v;
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-    ++n;
-  }
-  g->agg_valid = (n > 0);
-  if (!g->agg_valid) return;
-  switch (agg) {
-    case AggFunc::kSum:
-      g->aggregate = acc;
-      break;
-    case AggFunc::kMin:
-      g->aggregate = mn;
-      break;
-    case AggFunc::kMax:
-      g->aggregate = mx;
-      break;
-    case AggFunc::kAvg:
-      g->aggregate = acc / static_cast<double>(n);
-      break;
-    case AggFunc::kCount:
-      break;
-  }
-}
-
-/// Kernel-side aggregation of one group. Performs exactly the operations
-/// AggregateGroup performs on the accumulators the requested aggregate
-/// reads — same member order, same adds on the same single accumulator,
-/// same std::min/std::max expressions — so every result bit matches the
-/// scalar reference. It only hoists the per-row type dispatch and validity
-/// test out of the loop (raw array + validity-byte accesses instead of
-/// IsNull/AsDoubleOrNan calls) and skips the accumulators the aggregate
-/// never reads, neither of which touches the float sequence that is kept.
-void AggregateGroupKernel(const Column& agg_col, AggFunc agg, Group* g) {
-  if (agg == AggFunc::kCount) {
-    g->aggregate = static_cast<double>(g->rows.size());
-    g->agg_valid = true;
-    return;
-  }
-  const uint8_t* valid = agg_col.validity_data();
-  const bool is_int = agg_col.type() == DataType::kInt64;
-  const int64_t* ints = agg_col.int_data();
-  const double* dbls = agg_col.double_data();
-  int64_t n = 0;
-  double out = 0.0;
-  switch (agg) {
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      double acc = 0.0;
-      if (is_int) {
-        for (int32_t r : g->rows) {
-          if (!valid[r]) continue;
-          acc += static_cast<double>(ints[r]);
-          ++n;
-        }
-      } else {
-        for (int32_t r : g->rows) {
-          if (!valid[r]) continue;
-          acc += dbls[r];
-          ++n;
-        }
-      }
-      if (n > 0) {
-        out = agg == AggFunc::kSum ? acc : acc / static_cast<double>(n);
-      }
-      break;
-    }
-    case AggFunc::kMin: {
-      double mn = std::numeric_limits<double>::infinity();
-      if (is_int) {
-        for (int32_t r : g->rows) {
-          if (!valid[r]) continue;
-          mn = std::min(mn, static_cast<double>(ints[r]));
-          ++n;
-        }
-      } else {
-        for (int32_t r : g->rows) {
-          if (!valid[r]) continue;
-          mn = std::min(mn, dbls[r]);
-          ++n;
-        }
-      }
-      out = mn;
-      break;
-    }
-    case AggFunc::kMax: {
-      double mx = -std::numeric_limits<double>::infinity();
-      if (is_int) {
-        for (int32_t r : g->rows) {
-          if (!valid[r]) continue;
-          mx = std::max(mx, static_cast<double>(ints[r]));
-          ++n;
-        }
-      } else {
-        for (int32_t r : g->rows) {
-          if (!valid[r]) continue;
-          mx = std::max(mx, dbls[r]);
-          ++n;
-        }
-      }
-      out = mx;
-      break;
-    }
-    case AggFunc::kCount:
-      break;
-  }
-  g->agg_valid = (n > 0);
-  if (g->agg_valid) g->aggregate = out;
-}
-
-/// Serial fused member-fill + aggregation over the whole selection in row
-/// order. Visiting the selection front to back appends each group's
-/// members in discovery order (exactly what the scalar reference's
-/// per-group push_backs produce) and feeds every group accumulator the
-/// same floating-point sequence as the per-group loops (AggregateGroup /
-/// AggregateGroupKernel) — while the agg column is read in one sequential
-/// sweep instead of one sparse gather pass per group, and the selection's
-/// id array is read once instead of twice. Serial only: merging per-thread
+/// Fused member-fill + aggregation over the whole selection in row order.
+/// Visiting the selection front to back appends each group's members in
+/// discovery order and feeds every group accumulator its members' values in
+/// that same order — the floating-point sequence of the scalar reference's
+/// per-group loop — while the agg column is read in one sequential sweep
+/// instead of one sparse gather pass per group, and the selection's id array
+/// is read once instead of twice. Serial by design: merging per-thread
 /// partial sums would reassociate the adds and change SUM/AVG bits.
 ///
 /// `row_ids` holds dense slots (resolved through `id_to_gid`) or final
@@ -1053,8 +814,8 @@ void SortGroupsByKey(std::vector<Group>* groups) {
 /// count (indexed by group id), so the member vectors can be sized without
 /// another counting pass.
 bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
-                          const std::vector<int32_t>& rows, ThreadPool* pool,
-                          bool identity_sel, std::vector<uint16_t>* row_ids,
+                          const std::vector<int32_t>& rows, bool identity_sel,
+                          std::vector<uint16_t>* row_ids,
                           std::vector<Group>* groups,
                           std::vector<int32_t>* group_counts,
                           std::vector<int32_t>* slot_to_gid) {
@@ -1091,56 +852,40 @@ bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
   }
   row_ids->resize(n);  // sized here, past every cheap early-out above
 
-  // Pass 1: slot per selected row. Writes are disjoint per index, so fixed
-  // 64Ki-row partitions can run on the pool.
-  auto fill = [&](int64_t lo, int64_t hi) {
-    uint16_t* gid = row_ids->data();
-    if (col.type() == DataType::kString) {
-      const int32_t* codes = col.code_data();
-      if (identity_sel) {
-        for (int64_t i = lo; i < hi; ++i) {
-          gid[i] = valid[i] ? static_cast<uint16_t>(codes[i] + 1) : 0;
-        }
-      } else {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int32_t r = sel[i];
-          gid[i] = valid[r] ? static_cast<uint16_t>(codes[r] + 1) : 0;
-        }
+  // Pass 1: slot per selected row.
+  uint16_t* slot = row_ids->data();
+  if (col.type() == DataType::kString) {
+    const int32_t* codes = col.code_data();
+    if (identity_sel) {
+      for (size_t i = 0; i < n; ++i) {
+        slot[i] = valid[i] ? static_cast<uint16_t>(codes[i] + 1) : 0;
       }
     } else {
-      const int64_t* ints = col.int_data();
-      if (identity_sel) {
-        for (int64_t i = lo; i < hi; ++i) {
-          gid[i] = valid[i] ? static_cast<uint16_t>(ints[i] - base + 1) : 0;
-        }
-      } else {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int32_t r = sel[i];
-          gid[i] = valid[r] ? static_cast<uint16_t>(ints[r] - base + 1) : 0;
-        }
+      for (size_t i = 0; i < n; ++i) {
+        const int32_t r = sel[i];
+        slot[i] = valid[r] ? static_cast<uint16_t>(codes[r] + 1) : 0;
       }
     }
-  };
-  constexpr int64_t kPartitionRows = int64_t{1} << 16;
-  const int64_t num_parts =
-      n == 0 ? 0
-             : (static_cast<int64_t>(n) + kPartitionRows - 1) / kPartitionRows;
-  if (pool != nullptr && num_parts > 1) {
-    pool->ParallelFor(static_cast<int>(num_parts), [&](int p) {
-      const int64_t lo = static_cast<int64_t>(p) * kPartitionRows;
-      fill(lo, std::min<int64_t>(static_cast<int64_t>(n),
-                                 lo + kPartitionRows));
-    });
   } else {
-    fill(0, static_cast<int64_t>(n));
+    const int64_t* ints = col.int_data();
+    if (identity_sel) {
+      for (size_t i = 0; i < n; ++i) {
+        slot[i] = valid[i] ? static_cast<uint16_t>(ints[i] - base + 1) : 0;
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const int32_t r = sel[i];
+        slot[i] = valid[r] ? static_cast<uint16_t>(ints[r] - base + 1) : 0;
+      }
+    }
   }
 
-  // Pass 2 (serial): compact occupied slots into group indices, in slot
-  // order, and emit the group keys. Rows keep their slot ids; the caller
-  // resolves them through slot_to_gid instead of paying a remap pass.
+  // Pass 2: compact occupied slots into group indices, in slot order, and
+  // emit the group keys. Rows keep their slot ids; the caller resolves them
+  // through slot_to_gid instead of paying a remap pass.
   std::vector<int32_t> slot_count(static_cast<size_t>(slots), 0);
   for (size_t i = 0; i < n; ++i) {
-    ++slot_count[static_cast<size_t>((*row_ids)[i])];
+    ++slot_count[static_cast<size_t>(slot[i])];
   }
   slot_to_gid->assign(static_cast<size_t>(slots), -1);
   for (int64_t s = 0; s < slots; ++s) {
@@ -1161,253 +906,36 @@ bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
   return true;
 }
 
-/// One partition's open-addressing table: composite-key hash → local group
-/// id, with exact keys stored flat for collision resolution (the same
-/// scheme as the scalar reference).
-struct LocalGroupTable {
-  std::vector<int32_t> slot_group;
-  std::vector<uint64_t> slot_hash;
-  std::vector<uint64_t> group_hash;   // per local group
-  std::vector<int64_t> key_storage;   // k cell keys per local group, flat
-  std::vector<int32_t> first_row;     // row id of the group's first member
-  std::vector<int32_t> group_count;   // member rows per local group
-  size_t capacity = 0;
-};
-
-/// Multi-column (or non-dense) path: fixed-size partitions of the selection
-/// build local tables (parallel when a pool is given), then a serial merge
-/// in partition order assigns global group ids. Visiting partitions 0..P-1
-/// and, inside each, local groups in local-discovery order enumerates keys
-/// exactly in global row-encounter order — a key's global first occurrence
-/// lies in the earliest partition containing it, and local discovery order
-/// within that partition is encounter order — so the pre-sort group order
-/// (and with it every tie-breaking detail of the final sort) matches the
-/// scalar reference at any thread count.
+/// Hash path for every key the dense path does not take: one
+/// open-addressing table on a combined 64-bit key hash, filled in selection
+/// order, so group ids come out in row-encounter order — the scalar
+/// reference's discovery order, which fixes every tie-break of the final
+/// sort. Each group's exact key is stored flat and compared on every hash
+/// hit, so hash collisions chain instead of merging groups. The exact key
+/// is the k cell keys followed by ⌈k/64⌉ null-mask words (bit j%64 of word
+/// j/64 set when key column j is null): CellKey's null sentinel equals one
+/// non-null value's key, and the mask is what keeps the two apart.
 void HashAssignGroups(const Table& table, const GroupSpec& spec,
-                      const std::vector<int32_t>& rows, ThreadPool* pool,
+                      const std::vector<int32_t>& rows,
                       std::vector<int32_t>* row_gid,
                       std::vector<Group>* groups,
                       std::vector<int32_t>* group_counts) {
   const size_t n = rows.size();
   const size_t k = spec.group_columns.size();
-  const int32_t* sel = rows.data();
-  row_gid->resize(n);
-
+  const size_t words = k + (k + 63) / 64;
   std::vector<const Column*> key_cols(k);
-  for (size_t i = 0; i < k; ++i) {
-    key_cols[i] = table.column(spec.group_columns[i]).get();
-  }
-
-  constexpr int64_t kPartitionRows = int64_t{1} << 16;
-  const int64_t num_parts =
-      n == 0 ? 0
-             : (static_cast<int64_t>(n) + kPartitionRows - 1) / kPartitionRows;
-  std::vector<LocalGroupTable> locals(static_cast<size_t>(num_parts));
-
-  auto build_partition = [&](int p) {
-    LocalGroupTable& local = locals[static_cast<size_t>(p)];
-    const int64_t lo = static_cast<int64_t>(p) * kPartitionRows;
-    const int64_t hi =
-        std::min<int64_t>(static_cast<int64_t>(n), lo + kPartitionRows);
-    local.capacity = 64;
-    local.slot_group.assign(local.capacity, -1);
-    local.slot_hash.assign(local.capacity, 0);
-    size_t mask = local.capacity - 1;
-
-    auto grow = [&local, &mask]() {
-      local.capacity *= 2;
-      mask = local.capacity - 1;
-      local.slot_group.assign(local.capacity, -1);
-      local.slot_hash.assign(local.capacity, 0);
-      for (size_t g = 0; g < local.group_hash.size(); ++g) {
-        size_t pos = static_cast<size_t>(local.group_hash[g]) & mask;
-        while (local.slot_group[pos] >= 0) pos = (pos + 1) & mask;
-        local.slot_group[pos] = static_cast<int32_t>(g);
-        local.slot_hash[pos] = local.group_hash[g];
-      }
-    };
-
-    int64_t row_key_buf[4];
-    std::vector<int64_t> row_key_vec;
-    int64_t* row_key = row_key_buf;
-    if (k > 4) {
-      row_key_vec.resize(k);
-      row_key = row_key_vec.data();
-    }
-
-    for (int64_t i = lo; i < hi; ++i) {
-      const int32_t r = sel[i];
-      uint64_t hash;
-      if (k == 1) {
-        row_key[0] = key_cols[0]->CellKey(r);
-        hash = Mix64(static_cast<uint64_t>(row_key[0]));
-      } else {
-        hash = 0x9E3779B97F4A7C15ULL;
-        for (size_t j = 0; j < k; ++j) {
-          row_key[j] = key_cols[j]->CellKey(r);
-          hash = HashCombine(hash, static_cast<uint64_t>(row_key[j]));
-        }
-      }
-
-      size_t pos = static_cast<size_t>(hash) & mask;
-      int32_t group = -1;
-      while (local.slot_group[pos] >= 0) {
-        if (local.slot_hash[pos] == hash) {
-          const int64_t* stored =
-              local.key_storage.data() +
-              static_cast<size_t>(local.slot_group[pos]) * k;
-          bool equal = true;
-          for (size_t j = 0; j < k; ++j) {
-            if (stored[j] != row_key[j]) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            group = local.slot_group[pos];
-            break;
-          }
-        }
-        pos = (pos + 1) & mask;
-      }
-      if (group < 0) {
-        group = static_cast<int32_t>(local.group_hash.size());
-        local.slot_group[pos] = group;
-        local.slot_hash[pos] = hash;
-        local.group_hash.push_back(hash);
-        local.key_storage.insert(local.key_storage.end(), row_key,
-                                 row_key + k);
-        local.first_row.push_back(r);
-        local.group_count.push_back(0);
-        if (local.group_hash.size() * 4 > local.capacity * 3) grow();
-      }
-      ++local.group_count[static_cast<size_t>(group)];
-      (*row_gid)[static_cast<size_t>(i)] = group;
-    }
-  };
-
-  if (pool != nullptr && num_parts > 1) {
-    pool->ParallelFor(static_cast<int>(num_parts), build_partition);
-  } else {
-    for (int64_t p = 0; p < num_parts; ++p) {
-      build_partition(static_cast<int>(p));
-    }
-  }
-
-  // Serial merge in fixed partition order (see the function comment for why
-  // this reproduces row-encounter discovery order).
-  size_t total_local = 0;
-  for (const LocalGroupTable& local : locals) {
-    total_local += local.group_hash.size();
-  }
-  size_t capacity = 64;
-  while (capacity * 3 < total_local * 4 + 4) capacity *= 2;
-  std::vector<int32_t> slot_group(capacity, -1);
-  std::vector<uint64_t> slot_hash(capacity);
-  std::vector<int64_t> key_storage;
-  key_storage.reserve(total_local * k);
-  const size_t mask = capacity - 1;
-
-  std::vector<std::vector<int32_t>> local_to_global(
-      static_cast<size_t>(num_parts));
-  for (int64_t p = 0; p < num_parts; ++p) {
-    LocalGroupTable& local = locals[static_cast<size_t>(p)];
-    const size_t local_groups = local.group_hash.size();
-    local_to_global[static_cast<size_t>(p)].resize(local_groups);
-    for (size_t lg = 0; lg < local_groups; ++lg) {
-      const uint64_t hash = local.group_hash[lg];
-      const int64_t* keys = local.key_storage.data() + lg * k;
-      size_t pos = static_cast<size_t>(hash) & mask;
-      int32_t group = -1;
-      while (slot_group[pos] >= 0) {
-        if (slot_hash[pos] == hash) {
-          const int64_t* stored =
-              key_storage.data() + static_cast<size_t>(slot_group[pos]) * k;
-          bool equal = true;
-          for (size_t j = 0; j < k; ++j) {
-            if (stored[j] != keys[j]) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            group = slot_group[pos];
-            break;
-          }
-        }
-        pos = (pos + 1) & mask;
-      }
-      if (group < 0) {
-        group = static_cast<int32_t>(groups->size());
-        slot_group[pos] = group;
-        slot_hash[pos] = hash;
-        key_storage.insert(key_storage.end(), keys, keys + k);
-        Group g;
-        g.keys.reserve(k);
-        for (int c : spec.group_columns) {
-          g.keys.push_back(table.column(c)->GetValue(local.first_row[lg]));
-        }
-        groups->push_back(std::move(g));
-        group_counts->push_back(0);
-      }
-      (*group_counts)[static_cast<size_t>(group)] += local.group_count[lg];
-      local_to_global[static_cast<size_t>(p)][lg] = group;
-    }
-  }
-
-  // Remap local ids to global ids, slice by slice.
-  auto remap = [&](int p) {
-    const std::vector<int32_t>& l2g = local_to_global[static_cast<size_t>(p)];
-    const int64_t lo = static_cast<int64_t>(p) * kPartitionRows;
-    const int64_t hi =
-        std::min<int64_t>(static_cast<int64_t>(n), lo + kPartitionRows);
-    for (int64_t i = lo; i < hi; ++i) {
-      int32_t& gid = (*row_gid)[static_cast<size_t>(i)];
-      gid = l2g[static_cast<size_t>(gid)];
-    }
-  };
-  if (pool != nullptr && num_parts > 1) {
-    pool->ParallelFor(static_cast<int>(num_parts), remap);
-  } else {
-    for (int64_t p = 0; p < num_parts; ++p) remap(static_cast<int>(p));
-  }
-}
-
-}  // namespace
-
-Result<GroupedResult> ScalarGroupAggregate(const Table& table,
-                                           const std::vector<int32_t>& rows,
-                                           const GroupSpec& spec) {
-  ATENA_RETURN_IF_ERROR(ValidateGroupSpec(table, spec));
-  GroupedResult result;
-  FillGroupHeader(table, spec, &result);
-
-  // Row→group assignment via an open-addressing hash table on a combined
-  // 64-bit key hash. Slots store the owning group index; exact composite
-  // keys live contiguously in `key_storage` (k int64s per group) and are
-  // compared on every probe hit, so hash collisions across distinct keys
-  // chain to new slots instead of merging groups. Group discovery order is
-  // row-encounter order, and the deterministic final ordering comes from
-  // the sort below.
-  const size_t k = spec.group_columns.size();
-  const Column* key_cols_buf[4];
-  std::vector<const Column*> key_cols_vec;
-  const Column** key_cols = key_cols_buf;
-  if (k > 4) {
-    key_cols_vec.resize(k);
-    key_cols = key_cols_vec.data();
-  }
-  for (size_t i = 0; i < k; ++i) {
-    key_cols[i] = table.column(spec.group_columns[i]).get();
+  std::vector<const uint8_t*> key_valid(k);
+  for (size_t j = 0; j < k; ++j) {
+    key_cols[j] = table.column(spec.group_columns[j]).get();
+    key_valid[j] = key_cols[j]->validity_data();
   }
 
   size_t capacity = 64;
-  std::vector<int32_t> slot_group(capacity, -1);
-  std::vector<uint64_t> slot_hash(capacity);
-  std::vector<uint64_t> group_hash;   // per group, for cheap rehashing
-  std::vector<int64_t> key_storage;   // k cell keys per group, flat
   size_t mask = capacity - 1;
-
+  std::vector<int32_t> slot_group(capacity, -1);
+  std::vector<uint64_t> slot_hash(capacity, 0);
+  std::vector<uint64_t> group_hash;  // per group, for cheap rehashing
+  std::vector<int64_t> key_storage;  // `words` exact-key words per group
   auto grow = [&]() {
     capacity *= 2;
     mask = capacity - 1;
@@ -1421,81 +949,65 @@ Result<GroupedResult> ScalarGroupAggregate(const Table& table,
     }
   };
 
-  int64_t row_key_buf[4];
-  std::vector<int64_t> row_key_vec;
-  int64_t* row_key = row_key_buf;
-  if (k > 4) {
-    row_key_vec.resize(k);
-    row_key = row_key_vec.data();
-  }
-
-  for (int32_t r : rows) {
+  std::vector<int64_t> row_key(words);
+  row_gid->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t r = rows[i];
     uint64_t hash;
     if (k == 1) {
       row_key[0] = key_cols[0]->CellKey(r);
+      row_key[1] = key_valid[0][r] == 0;
       hash = Mix64(static_cast<uint64_t>(row_key[0]));
     } else {
       hash = 0x9E3779B97F4A7C15ULL;
-      for (size_t i = 0; i < k; ++i) {
-        row_key[i] = key_cols[i]->CellKey(r);
-        hash = HashCombine(hash, static_cast<uint64_t>(row_key[i]));
+      uint64_t nulls = 0;
+      for (size_t j = 0; j < k; ++j) {
+        row_key[j] = key_cols[j]->CellKey(r);
+        hash = HashCombine(hash, static_cast<uint64_t>(row_key[j]));
+        nulls |= uint64_t{key_valid[j][r] == 0} << (j % 64);
+        if (j % 64 == 63 || j + 1 == k) {
+          row_key[k + j / 64] = static_cast<int64_t>(nulls);
+          nulls = 0;
+        }
       }
     }
 
     size_t pos = static_cast<size_t>(hash) & mask;
     int32_t group = -1;
     while (slot_group[pos] >= 0) {
-      if (slot_hash[pos] == hash) {
-        const int64_t* stored =
-            key_storage.data() + static_cast<size_t>(slot_group[pos]) * k;
-        bool equal = true;
-        for (size_t i = 0; i < k; ++i) {
-          if (stored[i] != row_key[i]) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) {
-          group = slot_group[pos];
-          break;
-        }
+      if (slot_hash[pos] == hash &&
+          std::equal(row_key.begin(), row_key.end(),
+                     key_storage.begin() +
+                         static_cast<std::ptrdiff_t>(
+                             static_cast<size_t>(slot_group[pos]) * words))) {
+        group = slot_group[pos];
+        break;
       }
       pos = (pos + 1) & mask;
     }
     if (group < 0) {
-      group = static_cast<int32_t>(result.groups.size());
+      group = static_cast<int32_t>(group_hash.size());
       slot_group[pos] = group;
       slot_hash[pos] = hash;
       group_hash.push_back(hash);
-      key_storage.insert(key_storage.end(), row_key, row_key + k);
+      key_storage.insert(key_storage.end(), row_key.begin(), row_key.end());
       Group g;
       g.keys.reserve(k);
-      for (int c : spec.group_columns) {
-        g.keys.push_back(table.column(c)->GetValue(r));
-      }
-      result.groups.push_back(std::move(g));
-      if (result.groups.size() * 4 > capacity * 3) grow();
+      for (const Column* col : key_cols) g.keys.push_back(col->GetValue(r));
+      groups->push_back(std::move(g));
+      group_counts->push_back(0);
+      if (group_hash.size() * 4 > capacity * 3) grow();
     }
-    result.groups[static_cast<size_t>(group)].rows.push_back(r);
+    ++(*group_counts)[static_cast<size_t>(group)];
+    (*row_gid)[i] = group;
   }
-
-  const Column* agg_col = spec.agg == AggFunc::kCount
-                              ? nullptr
-                              : table.column(spec.agg_column).get();
-  for (Group& g : result.groups) {
-    AggregateGroup(agg_col == nullptr ? *table.column(spec.group_columns[0])
-                                      : *agg_col,
-                   spec.agg, &g);
-  }
-
-  SortGroupsByKey(&result.groups);
-  return result;
 }
 
-Result<GroupedResult> GroupAggregateKernel(const Table& table,
-                                           const std::vector<int32_t>& rows,
-                                           const GroupSpec& spec,
-                                           ThreadPool* pool) {
+}  // namespace
+
+Result<GroupedResult> GroupAggregate(const Table& table,
+                                     const std::vector<int32_t>& rows,
+                                     const GroupSpec& spec) {
   ATENA_RETURN_IF_ERROR(ValidateGroupSpec(table, spec));
   GroupedResult result;
   FillGroupHeader(table, spec, &result);
@@ -1527,17 +1039,14 @@ Result<GroupedResult> GroupAggregateKernel(const Table& table,
     }
   }
 
-  std::vector<int32_t> counts;      // member rows per group id
-  std::vector<int32_t> slot_to_gid; // dense path: slot → gid; empty for hash
-  bool assigned = false;
-  if (spec.group_columns.size() == 1) {
-    assigned = TryDenseSingleColumn(table, spec, rows, pool, identity,
-                                    &slot_ids, &result.groups, &counts,
-                                    &slot_to_gid);
-  }
-  if (!assigned) {
-    HashAssignGroups(table, spec, rows, pool, &row_gid, &result.groups,
-                     &counts);
+  std::vector<int32_t> counts;       // member rows per group id
+  std::vector<int32_t> slot_to_gid;  // dense path: slot → gid; empty for hash
+  const bool dense =
+      spec.group_columns.size() == 1 &&
+      TryDenseSingleColumn(table, spec, rows, identity, &slot_ids,
+                           &result.groups, &counts, &slot_to_gid);
+  if (!dense) {
+    HashAssignGroups(table, spec, rows, &row_gid, &result.groups, &counts);
   }
 
   // Member vectors are sized up front from the assigner's counts and
@@ -1546,39 +1055,30 @@ Result<GroupedResult> GroupAggregateKernel(const Table& table,
   // indexing the cursor table by slot is what lets the dense path skip a
   // whole slot→gid remap pass over the selection.
   const size_t num_groups = result.groups.size();
-  const size_t id_space =
-      slot_to_gid.empty() ? num_groups : slot_to_gid.size();
-  std::vector<int32_t*> cursors(id_space, nullptr);
+  std::vector<int32_t*> cursors(dense ? slot_to_gid.size() : num_groups,
+                                nullptr);
   for (size_t g = 0; g < num_groups; ++g) {
     result.groups[g].rows.resize(static_cast<size_t>(counts[g]));
   }
-  if (slot_to_gid.empty()) {
-    for (size_t g = 0; g < num_groups; ++g) {
-      cursors[g] = result.groups[g].rows.data();
-    }
-  } else {
+  if (dense) {
     for (size_t s = 0; s < slot_to_gid.size(); ++s) {
       if (slot_to_gid[s] >= 0) {
         cursors[s] =
             result.groups[static_cast<size_t>(slot_to_gid[s])].rows.data();
       }
     }
+  } else {
+    for (size_t g = 0; g < num_groups; ++g) {
+      cursors[g] = result.groups[g].rows.data();
+    }
   }
 
-  // Member-row fill (selection order — same member order as the scalar
-  // reference's discovery loop) and aggregation. COUNT(*) needs no second
-  // look at the data. The other aggregates have two bit-identical
-  // schedules: serial runs fuse the fill with one selection-order sweep of
-  // the agg column (FillAndAggregate — each group's accumulator still sees
-  // its members in exactly rows-vector order, but the column is read
-  // sequentially instead of one gather pass per group); pooled runs fill
-  // first and then parallelize over group blocks, since groups are
-  // independent and the per-group loop preserves the same accumulation
-  // order at any thread count.
-  const bool plain_fill =
-      spec.agg == AggFunc::kCount || (pool != nullptr && num_groups > 256);
-  if (plain_fill) {
-    auto fill_plain = [&](const auto* ids) {
+  // Member-row fill in selection order — the scalar reference's member
+  // order — and aggregation. COUNT(*) needs no look at the data; every other
+  // aggregate fuses the fill with one selection-order sweep of the agg
+  // column (FillAndAggregate).
+  if (spec.agg == AggFunc::kCount) {
+    auto fill = [&](const auto* ids) {
       if (identity) {
         for (size_t i = 0; i < n; ++i) {
           *cursors[static_cast<size_t>(ids[i])]++ = static_cast<int32_t>(i);
@@ -1589,34 +1089,21 @@ Result<GroupedResult> GroupAggregateKernel(const Table& table,
         }
       }
     };
-    if (slot_to_gid.empty()) {
-      fill_plain(row_gid.data());
+    if (dense) {
+      fill(slot_ids.data());
     } else {
-      fill_plain(slot_ids.data());
+      fill(row_gid.data());
     }
-  }
-  if (spec.agg == AggFunc::kCount) {
     for (Group& g : result.groups) {
       g.aggregate = static_cast<double>(g.rows.size());
       g.agg_valid = true;
     }
-  } else if (plain_fill) {
-    const Column& agg_ref = *table.column(spec.agg_column);
-    constexpr size_t kGroupBlock = 256;
-    const size_t num_blocks = (num_groups + kGroupBlock - 1) / kGroupBlock;
-    pool->ParallelFor(static_cast<int>(num_blocks), [&](int b) {
-      const size_t lo = static_cast<size_t>(b) * kGroupBlock;
-      const size_t hi = std::min(num_groups, lo + kGroupBlock);
-      for (size_t g = lo; g < hi; ++g) {
-        AggregateGroupKernel(agg_ref, spec.agg, &result.groups[g]);
-      }
-    });
-  } else if (slot_to_gid.empty()) {
-    FillAndAggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
-                     row_gid, cursors.data(), slot_to_gid, &result.groups);
-  } else {
+  } else if (dense) {
     FillAndAggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
                      slot_ids, cursors.data(), slot_to_gid, &result.groups);
+  } else {
+    FillAndAggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
+                     row_gid, cursors.data(), slot_to_gid, &result.groups);
   }
 
   SortGroupsByKey(&result.groups);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "dataframe/kernels.h"
-
 namespace atena {
 
 const char* CompareOpSymbol(CompareOp op) {
@@ -66,13 +64,6 @@ bool ValueLess(const Value& a, const Value& b) {
   return a.as_string() < b.as_string();
 }
 
-Result<std::vector<int32_t>> FilterRows(const Table& table,
-                                        const std::vector<int32_t>& rows,
-                                        int column, CompareOp op,
-                                        const Value& term) {
-  return FilterRowsKernel(table, rows, column, op, term);
-}
-
 std::vector<double> GroupedResult::GroupSizes() const {
   std::vector<double> sizes;
   sizes.reserve(groups.size());
@@ -102,12 +93,6 @@ Result<TablePtr> GroupedResult::ToTable(const Table& source) const {
   }
   columns.push_back(agg_builder.Finish());
   return Table::Make(source.name() + "/grouped", std::move(columns));
-}
-
-Result<GroupedResult> GroupAggregate(const Table& table,
-                                     const std::vector<int32_t>& rows,
-                                     const GroupSpec& spec, ThreadPool* pool) {
-  return GroupAggregateKernel(table, rows, spec, pool);
 }
 
 Status ValidateInt32RowRange(int64_t num_rows, const std::string& what) {

@@ -1,6 +1,7 @@
 #ifndef ATENA_DATAFRAME_OPS_H_
 #define ATENA_DATAFRAME_OPS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,8 +9,6 @@
 #include "dataframe/table.h"
 
 namespace atena {
-
-class ThreadPool;
 
 /// Comparison operators supported by FILTER (paper §4.1: "=, >, contains").
 enum class CompareOp {
@@ -38,6 +37,23 @@ constexpr int kNumAggFuncs = 5;
 /// null < numeric (by value) < string (lexicographic).
 bool ValueLess(const Value& a, const Value& b);
 
+/// Chunk-level accounting of one FilterRows call, for benchmarks and tests.
+/// A chunk is "skipped" when its zone map proves no selected row can match,
+/// and "all-match" when it proves every selected row matches (those rows
+/// are emitted without per-row tests). The remainder are "scanned".
+struct FilterKernelStats {
+  int64_t chunks_total = 0;
+  int64_t chunks_skipped = 0;
+  int64_t chunks_all_match = 0;
+  int64_t chunks_scanned = 0;
+
+  double skip_rate() const {
+    return chunks_total == 0 ? 0.0
+                             : static_cast<double>(chunks_skipped) /
+                                   static_cast<double>(chunks_total);
+  }
+};
+
 /// Selects the rows of `rows` whose `column` cell matches `op term`.
 ///
 /// Semantics follow Pandas-on-strings behaviour the paper relied on:
@@ -51,13 +67,19 @@ bool ValueLess(const Value& a, const Value& b);
 /// Returns OutOfRange when the table has more rows than an int32 row index
 /// can address.
 ///
-/// Runs on the chunked selection-vector kernel (dataframe/kernels.h):
-/// zone-map chunk skipping plus branch-light per-chunk scans, bit-identical
-/// to the retained ScalarFilterRows reference.
+/// Runs on the chunked selection-vector kernel (dataframe/kernels.cc): the
+/// column's zone maps (ColumnChunkStats) skip chunks that cannot match and
+/// bulk-emit chunks that provably match; the rest get a branch-light
+/// per-row scan. String kEq/kNeq compare int32 dictionary codes, and
+/// substring operators are evaluated once per dictionary entry. The output
+/// is bit-identical to the scalar reference the parity tests keep
+/// (tests/support/reference_ops.h). When `stats` is given it receives the
+/// call's chunk accounting.
 Result<std::vector<int32_t>> FilterRows(const Table& table,
                                         const std::vector<int32_t>& rows,
                                         int column, CompareOp op,
-                                        const Value& term);
+                                        const Value& term,
+                                        FilterKernelStats* stats = nullptr);
 
 /// A group-by request: one or more key columns plus a single aggregation.
 /// `agg_column` is ignored for kCount (which counts rows per group).
@@ -96,14 +118,18 @@ struct GroupedResult {
 /// Requirements: at least one group column; numeric agg column for
 /// SUM/MIN/MAX/AVG; all column indices valid.
 ///
-/// Runs on the partitioned group-by kernel (dataframe/kernels.h). When
-/// `pool` is given, partitions build their hash tables in parallel and are
-/// merged serially in fixed partition order — results are bit-identical at
-/// any thread count (and to pool == nullptr).
+/// Runs serially on the group-by kernel (dataframe/kernels.cc): direct
+/// addressing for a single dictionary or small-range int64 key column, one
+/// open-addressing hash table filled in selection order for every other
+/// key, then one selection-order sweep that fills member rows and
+/// aggregates. Groups are discovered in row-encounter order, members keep
+/// selection order, and each group accumulates in member order, so the
+/// result is bit-identical to the scalar reference
+/// (tests/support/reference_ops.h). A null key cell forms its own group,
+/// never merging with any value.
 Result<GroupedResult> GroupAggregate(const Table& table,
                                      const std::vector<int32_t>& rows,
-                                     const GroupSpec& spec,
-                                     ThreadPool* pool = nullptr);
+                                     const GroupSpec& spec);
 
 /// Validates that a table of `num_rows` rows is fully addressable by int32
 /// row ids; `what` prefixes the OutOfRange message. Lets callers (and the

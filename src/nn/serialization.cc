@@ -10,13 +10,12 @@ namespace atena {
 
 namespace {
 constexpr char kMagicPrefix[] = "ATENA-NN";
-constexpr char kVersionV1[] = "v1";
-constexpr char kVersionV2[] = "v2";
+constexpr char kVersion[] = "v2";
 }  // namespace
 
 std::string SerializeParameters(const std::vector<Parameter*>& params) {
   std::ostringstream out;
-  out << kMagicPrefix << " " << kVersionV2 << "\n" << params.size() << "\n";
+  out << kMagicPrefix << " " << kVersion << "\n" << params.size() << "\n";
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (const Parameter* p : params) {
     out << (p->name.empty() ? "_" : p->name) << " " << p->value.rows() << " "
@@ -40,12 +39,15 @@ Status ParseParametersInto(const std::vector<Parameter*>& params,
                            std::vector<Matrix>* staged) {
   std::string prefix, version;
   in >> prefix >> version;
-  if (!in || prefix != kMagicPrefix ||
-      (version != kVersionV1 && version != kVersionV2)) {
+  if (!in || prefix != kMagicPrefix) {
     return Status::InvalidArgument("'" + source +
                                    "' is not an ATENA-NN block");
   }
-  const bool named = version == kVersionV2;
+  if (version != kVersion) {
+    return Status::InvalidArgument(
+        "'" + source + "' is ATENA-NN version '" + version +
+        "', which is not supported; only " + kVersion + " can be read");
+  }
   size_t count = 0;
   in >> count;
   if (!in) return Status::InvalidArgument("'" + source + "' truncated");
@@ -60,15 +62,12 @@ Status ParseParametersInto(const std::vector<Parameter*>& params,
   out.reserve(count);
   for (size_t k = 0; k < count; ++k) {
     std::string name;
-    if (named) {
-      in >> name;
-      if (!in) return Status::InvalidArgument("'" + source + "' truncated");
-      if (name != "_" && !params[k]->name.empty() &&
-          name != params[k]->name) {
-        return Status::FailedPrecondition(
-            "parameter name mismatch at index " + std::to_string(k) +
-            ": file '" + name + "', network '" + params[k]->name + "'");
-      }
+    in >> name;
+    if (!in) return Status::InvalidArgument("'" + source + "' truncated");
+    if (name != "_" && !params[k]->name.empty() && name != params[k]->name) {
+      return Status::FailedPrecondition(
+          "parameter name mismatch at index " + std::to_string(k) +
+          ": file '" + name + "', network '" + params[k]->name + "'");
     }
     int rows = 0, cols = 0;
     in >> rows >> cols;

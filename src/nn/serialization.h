@@ -34,7 +34,7 @@ Status SaveParameters(const std::vector<Parameter*>& params,
 /// training checkpoint, rl/checkpoint.h) can embed a parameter block.
 std::string SerializeParameters(const std::vector<Parameter*>& params);
 
-/// Parses an ATENA-NN v1/v2 block from `in` (a file or a position inside a
+/// Parses an ATENA-NN v2 block from `in` (a file or a position inside a
 /// container), validating count, names and shapes against `params`, and
 /// stages the matrices into `*staged` in parameter order — the network
 /// itself is never touched, so a failed parse can never leave it
@@ -44,12 +44,12 @@ Status ParseParametersInto(const std::vector<Parameter*>& params,
                            std::istream& in, const std::string& source,
                            std::vector<Matrix>* staged);
 
-/// Loads a checkpoint saved by SaveParameters into `params`. Both the
-/// current "ATENA-NN v2" format and the legacy nameless "ATENA-NN v1"
-/// format (positional matrices only) are accepted. The count and every
-/// shape must match exactly, and v2 names must match the in-memory
-/// parameter names where both sides have one (mismatch =
-/// FailedPrecondition and the parameters are left unmodified).
+/// Loads a checkpoint saved by SaveParameters into `params`. Only the
+/// "ATENA-NN v2" format is read; any other version (such as the retired
+/// nameless v1) is InvalidArgument naming that version. The count and every
+/// shape must match exactly, and names must match the in-memory parameter
+/// names where both sides have one (mismatch = FailedPrecondition and the
+/// parameters are left unmodified).
 Status LoadParameters(const std::vector<Parameter*>& params,
                       const std::string& path);
 

@@ -138,7 +138,7 @@ bool OpExecutableOn(const Table& table, const EdaOperation& op);
 
 /// Loads ONLY the network weights from `path` into `params`, accepting
 /// either container this project writes:
-///  - a bare ATENA-NN v1/v2 parameter file (nn/serialization.h), or
+///  - a bare ATENA-NN v2 parameter file (nn/serialization.h), or
 ///  - a full ATENA-CKPT v1 training checkpoint, whose embedded parameter
 ///    block is used (with the same `.prev` fallback as
 ///    LoadTrainingCheckpoint when the primary is corrupt).

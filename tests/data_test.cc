@@ -4,11 +4,10 @@
 #include <map>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "data/registry.h"
-#include "dataframe/kernels.h"
 #include "dataframe/ops.h"
 #include "dataframe/stats.h"
+#include "support/reference_ops.h"
 
 namespace atena {
 namespace {
@@ -134,9 +133,9 @@ TEST(RegistryTest, MakeAllDatasetsReturnsEight) {
 //
 // The acceptance bar for the chunked kernels: on every experimental dataset
 // (and scaled variants) every display the environment can request —
-// filtered row sets and grouped results — is bit-identical between the
-// selection-vector kernel path and the retained scalar reference, at every
-// thread count the trainer uses.
+// filtered row sets and grouped results — is bit-identical between
+// FilterRows/GroupAggregate and the scalar reference
+// (tests/support/reference_ops.h).
 
 void ExpectGroupedBitIdenticalAb(const GroupedResult& a,
                                  const GroupedResult& b) {
@@ -161,9 +160,6 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
     ASSERT_TRUE(dataset.ok()) << dataset.status();
     const Table& t = *dataset.value().table;
     const std::vector<int32_t> all = AllRows(t).value();
-    ThreadPool pool2(2);
-    ThreadPool pool4(4);
-    const std::vector<ThreadPool*> pools = {nullptr, &pool2, &pool4};
 
     int first_numeric = -1;
     for (int c = 0; c < t.num_columns(); ++c) {
@@ -195,25 +191,20 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
         }
       }
       for (const auto& [op, term] : preds) {
-        auto scalar = ScalarFilterRows(t, all, c, op, term);
-        auto kernel = FilterRowsKernel(t, all, c, op, term);
-        ASSERT_TRUE(scalar.ok()) << scalar.status();
+        auto kernel = FilterRows(t, all, c, op, term);
         ASSERT_TRUE(kernel.ok()) << kernel.status();
-        EXPECT_EQ(kernel.value(), scalar.value())
+        EXPECT_EQ(kernel.value(), ScalarFilterRows(t, all, c, op, term))
             << GetParam() << " scale " << scale << " column "
             << t.column_name(c) << " op " << CompareOpSymbol(op);
       }
 
-      // COUNT(*) grouped by this column at every thread count.
+      // COUNT(*) grouped by this column.
       GroupSpec spec;
       spec.group_columns = {c};
-      auto scalar_g = ScalarGroupAggregate(t, all, spec);
-      ASSERT_TRUE(scalar_g.ok());
-      for (ThreadPool* pool : pools) {
-        auto kernel_g = GroupAggregateKernel(t, all, spec, pool);
-        ASSERT_TRUE(kernel_g.ok());
-        ExpectGroupedBitIdenticalAb(kernel_g.value(), scalar_g.value());
-      }
+      auto kernel_g = GroupAggregate(t, all, spec);
+      ASSERT_TRUE(kernel_g.ok());
+      ExpectGroupedBitIdenticalAb(kernel_g.value(),
+                                  ScalarGroupAggregate(t, all, spec));
     }
 
     // One AVG display over the first numeric column, grouped by the first
@@ -230,13 +221,10 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
       avg.group_columns = {first_string};
       avg.agg = AggFunc::kAvg;
       avg.agg_column = first_numeric;
-      auto scalar_g = ScalarGroupAggregate(t, all, avg);
-      ASSERT_TRUE(scalar_g.ok());
-      for (ThreadPool* pool : pools) {
-        auto kernel_g = GroupAggregateKernel(t, all, avg, pool);
-        ASSERT_TRUE(kernel_g.ok());
-        ExpectGroupedBitIdenticalAb(kernel_g.value(), scalar_g.value());
-      }
+      auto kernel_g = GroupAggregate(t, all, avg);
+      ASSERT_TRUE(kernel_g.ok());
+      ExpectGroupedBitIdenticalAb(kernel_g.value(),
+                                  ScalarGroupAggregate(t, all, avg));
     }
   }
 }

@@ -4,15 +4,16 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <thread>
+#include <utility>
 
 #include "common/file_io.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "dataframe/csv.h"
-#include "dataframe/kernels.h"
 #include "dataframe/ops.h"
 #include "dataframe/stats.h"
 #include "dataframe/table.h"
+#include "support/reference_ops.h"
 
 namespace atena {
 namespace {
@@ -474,6 +475,48 @@ TEST(GroupTest, GroupSizes) {
   EXPECT_DOUBLE_EQ(total, 5.0);
 }
 
+TEST(GroupTest, NullKeyNeverMergesWithAValue) {
+  // CellKey's null sentinel is also the key of int64 INT64_MIN+1 and of the
+  // double with bits 0x8000000000000001 (-denorm_min); both parse from CSV
+  // cells. Each row below is its own group, on either key column alone and
+  // on both together (where row 0 is (null, -denorm_min) and row 1 is
+  // (INT64_MIN+1, null)), and on a 65-column key whose only difference
+  // between rows 0 and 1 is the null in its last column. The hash path
+  // runs: the int range is too wide for direct addressing, and doubles
+  // never take it.
+  ColumnBuilder ints("i", DataType::kInt64);
+  ints.AppendNull();
+  ASSERT_TRUE(ints.AppendInt(std::numeric_limits<int64_t>::min() + 1).ok());
+  ASSERT_TRUE(ints.AppendInt(5).ok());
+  ColumnBuilder doubles("d", DataType::kFloat64);
+  ASSERT_TRUE(
+      doubles.AppendDouble(-std::numeric_limits<double>::denorm_min()).ok());
+  doubles.AppendNull();
+  ASSERT_TRUE(doubles.AppendDouble(1.0).ok());
+  ColumnBuilder constant("c", DataType::kInt64);
+  for (int r = 0; r < 3; ++r) ASSERT_TRUE(constant.AppendInt(7).ok());
+  std::vector<ColumnPtr> columns;
+  columns.push_back(ints.Finish());
+  columns.push_back(doubles.Finish());
+  columns.push_back(constant.Finish());
+  TablePtr t = Table::Make("null_keys", std::move(columns)).value();
+  const std::vector<int32_t> rows = AllRows(*t).value();
+
+  std::vector<int> wide(64, 2);
+  wide.push_back(0);
+  for (const std::vector<int>& keys :
+       {std::vector<int>{0}, std::vector<int>{1}, std::vector<int>{0, 1},
+        wide}) {
+    GroupSpec spec;
+    spec.group_columns = keys;
+    auto out = GroupAggregate(*t, rows, spec);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out.value().groups.size(), 3u) << keys.size() << " keys";
+    for (const Group& g : out.value().groups) EXPECT_EQ(g.rows.size(), 1u);
+    EXPECT_EQ(ScalarGroupAggregate(*t, rows, spec).groups.size(), 3u);
+  }
+}
+
 // ---------------------------------------------------------------- Stats
 
 TEST(StatsTest, ColumnStatsBasics) {
@@ -646,12 +689,12 @@ TEST(CsvTest, WriteFailurePreservesExistingFile) {
 
 // ------------------------------------------------------- Kernel parity
 //
-// The chunked selection-vector kernels (dataframe/kernels.h) must be
-// bit-identical to the retained scalar reference on any table, selection,
-// operator and thread count. These property tests throw randomized tables
-// at both paths: nulls, a fully-null chunk, NaNs, multi-chunk sizes with a
-// ragged tail, selections with whole-chunk gaps, and shuffled (unsorted)
-// selections that force the kernel off its sorted fast path.
+// FilterRows and GroupAggregate must be bit-identical to the scalar
+// reference (tests/support/reference_ops.h) on any table, selection and
+// operator. These property tests throw randomized tables at both: nulls, a
+// fully-null chunk, NaNs, multi-chunk sizes with a ragged tail, selections
+// with whole-chunk gaps, and shuffled (unsorted) selections that force the
+// filter kernel off its sorted fast path.
 
 TablePtr MakeRandomTable(uint64_t seed, int64_t rows) {
   Rng rng(seed);
@@ -751,11 +794,10 @@ TEST(KernelParityTest, FilterMatchesScalarOnRandomTables) {
 
     for (const auto& c : cases) {
       for (const auto& rows : selections) {
-        auto scalar = ScalarFilterRows(*t, rows, c.column, c.op, c.term);
-        auto kernel = FilterRowsKernel(*t, rows, c.column, c.op, c.term);
-        ASSERT_TRUE(scalar.ok());
+        auto kernel = FilterRows(*t, rows, c.column, c.op, c.term);
         ASSERT_TRUE(kernel.ok());
-        EXPECT_EQ(kernel.value(), scalar.value())
+        EXPECT_EQ(kernel.value(),
+                  ScalarFilterRows(*t, rows, c.column, c.op, c.term))
             << "column " << c.column << " op "
             << CompareOpSymbol(c.op) << " term " << c.term.ToString();
       }
@@ -763,29 +805,35 @@ TEST(KernelParityTest, FilterMatchesScalarOnRandomTables) {
   }
 }
 
-TEST(KernelParityTest, FilterErrorsMatchScalar) {
+TEST(KernelErrorTest, FilterRejectsEachBadInputWithItsCode) {
   TablePtr t = MakeCityTable();
   std::vector<int32_t> rows = AllRows(*t).value();
   struct Case {
     int column;
     CompareOp op;
     Value term;
+    StatusCode code;
   };
   // Every validation branch: bad column, null term, ordering over strings,
-  // substring over numerics, non-numeric term for ordering.
+  // substring over numerics, non-numeric term for ordering, and a
+  // mistyped equality term on either column type.
   const std::vector<Case> cases = {
-      {9, CompareOp::kEq, Value(int64_t{1})},
-      {0, CompareOp::kEq, Value::Null()},
-      {0, CompareOp::kGt, Value(std::string("x"))},
-      {1, CompareOp::kContains, Value(std::string("x"))},
-      {1, CompareOp::kGe, Value(std::string("x"))},
+      {9, CompareOp::kEq, Value(int64_t{1}), StatusCode::kOutOfRange},
+      {-1, CompareOp::kEq, Value(int64_t{1}), StatusCode::kOutOfRange},
+      {0, CompareOp::kEq, Value::Null(), StatusCode::kInvalidArgument},
+      {0, CompareOp::kGt, Value(std::string("x")), StatusCode::kTypeMismatch},
+      {1, CompareOp::kContains, Value(std::string("x")),
+       StatusCode::kTypeMismatch},
+      {1, CompareOp::kGe, Value(std::string("x")), StatusCode::kTypeMismatch},
+      {0, CompareOp::kEq, Value(int64_t{1}), StatusCode::kTypeMismatch},
+      {1, CompareOp::kEq, Value(std::string("x")), StatusCode::kTypeMismatch},
   };
   for (const auto& c : cases) {
-    auto scalar = ScalarFilterRows(*t, rows, c.column, c.op, c.term);
-    auto kernel = FilterRowsKernel(*t, rows, c.column, c.op, c.term);
-    ASSERT_FALSE(scalar.ok());
-    ASSERT_FALSE(kernel.ok());
-    EXPECT_EQ(kernel.status(), scalar.status());
+    auto result = FilterRows(*t, rows, c.column, c.op, c.term);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), c.code)
+        << "column " << c.column << " op " << CompareOpSymbol(c.op)
+        << ": " << result.status();
   }
 }
 
@@ -822,50 +870,62 @@ void ExpectGroupedBitIdentical(const GroupedResult& a,
   }
 }
 
-TEST(KernelParityTest, GroupAggregateMatchesScalarAtAnyThreadCount) {
+TEST(KernelParityTest, GroupAggregateMatchesScalar) {
+  struct Input {
+    TablePtr table;
+    std::vector<std::vector<int32_t>> selections;
+    std::vector<GroupSpec> specs;
+  };
+  std::vector<Input> inputs;
+
   constexpr int64_t kRows = 3 * kColumnChunkSize + 777;
-  TablePtr t = MakeRandomTable(11, kRows);
-  const auto selections = StressSelections(kRows, 11);
+  inputs.push_back({MakeRandomTable(11, kRows),
+                    StressSelections(kRows, 11),
+                    {{{2}, AggFunc::kCount, -1},    // strings, dense path
+                     {{0}, AggFunc::kAvg, 1},       // ints, dense path
+                     {{1}, AggFunc::kSum, 0},       // doubles, hash path
+                     {{2, 0}, AggFunc::kMin, 1},    // multi-key, hash path
+                     {{0, 2}, AggFunc::kMax, 0}}});
 
-  std::vector<GroupSpec> specs;
-  specs.push_back({{2}, AggFunc::kCount, -1});       // strings, dense path
-  specs.push_back({{0}, AggFunc::kAvg, 1});          // ints, dense path
-  specs.push_back({{1}, AggFunc::kSum, 0});          // doubles, hash path
-  specs.push_back({{2, 0}, AggFunc::kMin, 1});       // multi-key, hash path
-  specs.push_back({{0, 2}, AggFunc::kMax, 0});
+  // More than 2^16 rows and more than 2^16 distinct (double, string) keys:
+  // the hash table regrows many times mid-pass and ends past 65,536 groups.
+  constexpr int64_t kBigRows = 100'000;
+  inputs.push_back({MakeRandomTable(12, kBigRows),
+                    StressSelections(kBigRows, 12),
+                    {{{1, 2}, AggFunc::kAvg, 0}}});
 
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    for (const auto& spec : specs) {
-      for (const auto& rows : selections) {
-        auto scalar = ScalarGroupAggregate(*t, rows, spec);
-        ASSERT_TRUE(scalar.ok());
-        auto serial = GroupAggregateKernel(*t, rows, spec, nullptr);
-        ASSERT_TRUE(serial.ok());
-        ExpectGroupedBitIdentical(serial.value(), scalar.value());
-        auto parallel = GroupAggregateKernel(*t, rows, spec, &pool);
-        ASSERT_TRUE(parallel.ok());
-        ExpectGroupedBitIdentical(parallel.value(), scalar.value());
+  for (const Input& in : inputs) {
+    const Table& t = *in.table;
+    for (const auto& spec : in.specs) {
+      for (const auto& rows : in.selections) {
+        auto kernel = GroupAggregate(t, rows, spec);
+        ASSERT_TRUE(kernel.ok());
+        ExpectGroupedBitIdentical(kernel.value(),
+                                  ScalarGroupAggregate(t, rows, spec));
       }
     }
   }
+  const auto& big = inputs.back();
+  EXPECT_GT(GroupAggregate(*big.table, big.selections.front(), big.specs[0])
+                .value()
+                .groups.size(),
+            size_t{1} << 16);
 }
 
-TEST(KernelParityTest, GroupAggregateErrorsMatchScalar) {
+TEST(KernelErrorTest, GroupAggregateRejectsEachBadSpecWithItsCode) {
   TablePtr t = MakeCityTable();
   std::vector<int32_t> rows = AllRows(*t).value();
-  const std::vector<GroupSpec> cases = {
-      {{}, AggFunc::kCount, -1},       // no group columns
-      {{9}, AggFunc::kCount, -1},      // bad group column
-      {{0}, AggFunc::kSum, 9},         // bad agg column
-      {{0}, AggFunc::kAvg, 0},         // AVG over string column
+  const std::vector<std::pair<GroupSpec, StatusCode>> cases = {
+      {{{}, AggFunc::kCount, -1}, StatusCode::kInvalidArgument},  // no keys
+      {{{9}, AggFunc::kCount, -1}, StatusCode::kOutOfRange},  // group column
+      {{{0, -1}, AggFunc::kCount, -1}, StatusCode::kOutOfRange},
+      {{{0}, AggFunc::kSum, 9}, StatusCode::kOutOfRange},  // agg column
+      {{{0}, AggFunc::kAvg, 0}, StatusCode::kTypeMismatch},  // AVG of strings
   };
-  for (const auto& spec : cases) {
-    auto scalar = ScalarGroupAggregate(*t, rows, spec);
-    auto kernel = GroupAggregateKernel(*t, rows, spec, nullptr);
-    ASSERT_FALSE(scalar.ok());
-    ASSERT_FALSE(kernel.ok());
-    EXPECT_EQ(kernel.status(), scalar.status());
+  for (const auto& [spec, code] : cases) {
+    auto result = GroupAggregate(*t, rows, spec);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), code) << result.status();
   }
 }
 
@@ -884,7 +944,7 @@ TEST(FilterKernelStatsTest, ZoneMapSkipAndAllMatchCounters) {
 
   FilterKernelStats stats;
   auto result =
-      FilterRowsKernel(*t, rows, 0, CompareOp::kGt, Value(int64_t{6}), &stats);
+      FilterRows(*t, rows, 0, CompareOp::kGt, Value(int64_t{6}), &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().size(), static_cast<size_t>(kColumnChunkSize));
   EXPECT_EQ(result.value().front(), 2 * kColumnChunkSize);
@@ -898,7 +958,7 @@ TEST(FilterKernelStatsTest, ZoneMapSkipAndAllMatchCounters) {
   // (min == max == term), so nothing is ever scanned.
   FilterKernelStats eq;
   ASSERT_TRUE(
-      FilterRowsKernel(*t, rows, 0, CompareOp::kEq, Value(int64_t{5}), &eq)
+      FilterRows(*t, rows, 0, CompareOp::kEq, Value(int64_t{5}), &eq)
           .ok());
   EXPECT_EQ(eq.chunks_skipped, 2);
   EXPECT_EQ(eq.chunks_all_match, 1);
@@ -914,14 +974,59 @@ TEST(FilterKernelStatsTest, ZoneMapSkipAndAllMatchCounters) {
   TablePtr tm = Table::Make("mixed", std::move(mixed_columns)).value();
   std::vector<int32_t> mrows = AllRows(*tm).value();
   FilterKernelStats scanned;
-  auto odd = FilterRowsKernel(*tm, mrows, 0, CompareOp::kGt,
-                              Value(int64_t{6}), &scanned);
+  auto odd = FilterRows(*tm, mrows, 0, CompareOp::kGt, Value(int64_t{6}),
+                        &scanned);
   ASSERT_TRUE(odd.ok());
   EXPECT_EQ(odd.value().size(), static_cast<size_t>(kColumnChunkSize / 2));
   EXPECT_EQ(scanned.chunks_total, 1);
   EXPECT_EQ(scanned.chunks_skipped, 0);
   EXPECT_EQ(scanned.chunks_all_match, 0);
   EXPECT_EQ(scanned.chunks_scanned, 1);
+}
+
+TEST(KernelConcurrencyTest, SharedTableCallsFromManyThreadsMatchSerial) {
+  // Parallel environment stepping (training actors, served sessions) calls
+  // FilterRows and GroupAggregate on one shared table from several threads
+  // at once, so neither may keep scratch state beyond the call. Under
+  // ThreadSanitizer this is the dataframe engine's race check.
+  constexpr int64_t kRows = 3 * kColumnChunkSize + 777;
+  TablePtr t = MakeRandomTable(13, kRows);
+  const auto selections = StressSelections(kRows, 13);
+  const GroupSpec dense_spec{{2}, AggFunc::kAvg, 1};
+  const GroupSpec hash_spec{{1, 0}, AggFunc::kSum, 0};
+  struct Outputs {
+    std::vector<std::vector<int32_t>> filtered;
+    std::vector<GroupedResult> grouped;
+  };
+  auto compute = [&] {
+    Outputs out;
+    for (const auto& rows : selections) {
+      out.filtered.push_back(
+          FilterRows(*t, rows, 1, CompareOp::kGt, Value(0.5)).value());
+      out.filtered.push_back(FilterRows(*t, rows, 2, CompareOp::kContains,
+                                        Value(std::string("a")))
+                                 .value());
+      out.grouped.push_back(GroupAggregate(*t, rows, dense_spec).value());
+      out.grouped.push_back(GroupAggregate(*t, rows, hash_spec).value());
+    }
+    return out;
+  };
+  const Outputs serial = compute();
+  std::vector<Outputs> concurrent(4);
+  {
+    std::vector<std::thread> threads;
+    for (Outputs& out : concurrent) {
+      threads.emplace_back([&out, &compute] { out = compute(); });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (const Outputs& out : concurrent) {
+    EXPECT_EQ(out.filtered, serial.filtered);
+    ASSERT_EQ(out.grouped.size(), serial.grouped.size());
+    for (size_t i = 0; i < out.grouped.size(); ++i) {
+      ExpectGroupedBitIdentical(out.grouped[i], serial.grouped[i]);
+    }
+  }
 }
 
 // ------------------------------------------------------ AllRows boundary

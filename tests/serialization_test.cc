@@ -19,6 +19,16 @@ TEST(SerializationTest, RoundTripsExactly) {
   auto net = MakeMlp(7, {5}, 3, &store, "mlp", &rng);
   const std::string path = TempPath("roundtrip.nn");
   ASSERT_TRUE(SaveParameters(store, path).ok());
+  {
+    // The v2 header, then each parameter under its own name.
+    std::ifstream in(path);
+    std::string magic, count_line, first_name;
+    std::getline(in, magic);
+    std::getline(in, count_line);
+    in >> first_name;
+    EXPECT_EQ(magic, "ATENA-NN v2");
+    EXPECT_EQ(first_name, "mlp.0.weight");
+  }
 
   ParameterStore store2;
   Rng rng2(99);  // different init
@@ -60,11 +70,10 @@ TEST(SerializationTest, LoadedNetworkComputesIdenticalOutputs) {
   }
 }
 
-TEST(SerializationTest, LoadsLegacyV1FixtureWrittenByOldFormat) {
-  // A checkpoint in the historical positional (nameless) v1 format, written
-  // here byte-for-byte as the pre-refactor SaveParameters would have
-  // emitted it for a 2->2->1 MLP. The named parameter store must keep
-  // loading such files.
+TEST(SerializationTest, RejectsRetiredV1FormatNamingTheVersion) {
+  // A checkpoint in the retired positional (nameless) v1 format for a
+  // 2->2->1 MLP. It must be refused with a message naming the version, and
+  // the network must be left untouched.
   const std::string path = TempPath("legacy_v1.nn");
   std::ofstream(path) << "ATENA-NN v1\n"
                          "4\n"
@@ -81,31 +90,12 @@ TEST(SerializationTest, LoadsLegacyV1FixtureWrittenByOldFormat) {
   Rng rng(17);
   auto net = MakeMlp(2, {2}, 1, &store, "mlp", &rng);
   (void)net;
-  ASSERT_TRUE(LoadParameters(&store, path).ok());
-  auto all = store.All();
-  EXPECT_DOUBLE_EQ(all[0]->value(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(all[0]->value(0, 1), -0.25);
-  EXPECT_DOUBLE_EQ(all[0]->value(1, 0), 1.5);
-  EXPECT_DOUBLE_EQ(all[0]->value(1, 1), 2.0);
-  EXPECT_DOUBLE_EQ(all[1]->value(0, 0), 0.125);
-  EXPECT_DOUBLE_EQ(all[1]->value(0, 1), -1.0);
-  EXPECT_DOUBLE_EQ(all[2]->value(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(all[2]->value(0, 1), -0.75);
-  EXPECT_DOUBLE_EQ(all[3]->value(0, 0), 0.0625);
-
-  // And a v2 re-save of the same store round-trips with names.
-  const std::string v2_path = TempPath("legacy_resaved.nn");
-  ASSERT_TRUE(SaveParameters(store, v2_path).ok());
-  std::ifstream in(v2_path);
-  std::string magic, first_name;
-  std::getline(in, magic);
-  EXPECT_EQ(magic, "ATENA-NN v2");
-  std::string count_line;
-  std::getline(in, count_line);
-  in >> first_name;
-  EXPECT_EQ(first_name, "mlp.0.weight");
-  ASSERT_TRUE(LoadParameters(&store, v2_path).ok());
-  EXPECT_DOUBLE_EQ(store.All()[0]->value(0, 0), 0.5);
+  const std::vector<double> before = store.All()[0]->value.data();
+  Status status = LoadParameters(&store, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version 'v1'"), std::string::npos)
+      << status;
+  EXPECT_EQ(store.All()[0]->value.data(), before);
 }
 
 TEST(SerializationTest, NameMismatchIsRejected) {

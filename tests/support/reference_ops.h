@@ -1,0 +1,36 @@
+#ifndef ATENA_TESTS_SUPPORT_REFERENCE_OPS_H_
+#define ATENA_TESTS_SUPPORT_REFERENCE_OPS_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "dataframe/ops.h"
+#include "dataframe/table.h"
+
+namespace atena {
+
+// Scalar reference implementations of FilterRows and GroupAggregate: the
+// plain per-row loops the chunked kernels must match bit for bit. The parity
+// tests compare against them and bench_dataframe's _Scalar rows time them;
+// no library under src/ links them. They accept valid input only: an
+// argument FilterRows or GroupAggregate would reject with an error status is
+// a precondition violation here.
+
+/// FilterRows as a per-row scan of `rows`: null cells never match, numeric
+/// cells compare as doubles, string kEq/kNeq compare dictionary codes and
+/// the substring operators test each cell's string.
+std::vector<int32_t> ScalarFilterRows(const Table& table,
+                                      const std::vector<int32_t>& rows,
+                                      int column, CompareOp op,
+                                      const Value& term);
+
+/// GroupAggregate as a single-threaded hash group-by: groups are discovered
+/// in row-encounter order, members appended in selection order, each group
+/// aggregated over its members in that order, then sorted by key.
+GroupedResult ScalarGroupAggregate(const Table& table,
+                                   const std::vector<int32_t>& rows,
+                                   const GroupSpec& spec);
+
+}  // namespace atena
+
+#endif  // ATENA_TESTS_SUPPORT_REFERENCE_OPS_H_
