@@ -1,8 +1,9 @@
 // Micro-benchmarks of the dataframe substrate: filter, group-by/aggregate
-// and column-statistics kernels on the largest experimental dataset, plus
-// million-row scalar-vs-kernel pairs on a scaled variant (row count
-// overridable via ATENA_BENCH_ROWS); the _Scalar rows time the reference
-// implementations in tests/support/reference_ops.h. Results are written to
+// and column-statistics kernels on the largest experimental dataset and on
+// cyber1's all-distinct key columns, plus million-row scalar-vs-kernel
+// pairs on a scaled variant (row count overridable via ATENA_BENCH_ROWS);
+// the _Scalar rows time the reference implementations in
+// tests/support/reference_ops.h. Results are written to
 // BENCH_dataframe.json (see bench_json.h).
 #include <benchmark/benchmark.h>
 
@@ -201,6 +202,59 @@ void BM_GroupByThreeColumns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_GroupByThreeColumns);
+
+// ------------------------------------------------- cyber1 key columns
+//
+// The shapes the product pays for most, on cyber1 (the dataset the
+// end-to-end benchmark trains and serves on): COUNT by an all-distinct key
+// column — timestamp (a double: the hash path) and packet_id (a
+// small-range int: the dense path) — COUNT by a two-column key whose
+// second column is all-distinct, and the token list of the timestamp
+// column at the environment's 4,096-row stats cap.
+const Dataset& Cyber1() {
+  static const Dataset& dataset = *new Dataset(MakeDataset("cyber1").value());
+  return dataset;
+}
+
+void BM_GroupByKeyColumn(benchmark::State& state, const char* column) {
+  const Table& t = *Cyber1().table;
+  auto rows = AllRows(t).value();
+  GroupSpec spec;
+  spec.group_columns = {t.FindColumn(column)};
+  for (auto _ : state) {
+    auto out = GroupAggregate(t, rows, spec);
+    benchmark::DoNotOptimize(out.value().groups.size());
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+BENCHMARK_CAPTURE(BM_GroupByKeyColumn, timestamp, "timestamp");
+BENCHMARK_CAPTURE(BM_GroupByKeyColumn, packet_id, "packet_id");
+
+void BM_GroupByTwoColumnsKeyed(benchmark::State& state) {
+  const Table& t = *Cyber1().table;
+  auto rows = AllRows(t).value();
+  GroupSpec spec;
+  spec.group_columns = {t.FindColumn("protocol"), t.FindColumn("timestamp")};
+  for (auto _ : state) {
+    auto out = GroupAggregate(t, rows, spec);
+    benchmark::DoNotOptimize(out.value().groups.size());
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+BENCHMARK(BM_GroupByTwoColumnsKeyed);
+
+void BM_TokenFrequenciesKeyColumn(benchmark::State& state) {
+  const Table& t = *Cyber1().table;
+  const auto rows = StatsSample(t);
+  const Column& col = *t.column(t.FindColumn("timestamp"));
+  for (auto _ : state) {
+    auto tokens = TokenFrequencies(col, rows);
+    benchmark::DoNotOptimize(tokens.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_TokenFrequenciesKeyColumn);
 
 // ------------------------------------------- million-row scalar vs kernel
 //

@@ -2,7 +2,9 @@
 # Full verification sweep: the tier-1 build + test cycle and the
 # product-path benchmark's smoke test, then the same
 # suite again under AddressSanitizer (ATENA_SANITIZE=address) and
-# UndefinedBehaviorSanitizer (ATENA_SANITIZE=undefined), and finally the
+# UndefinedBehaviorSanitizer (ATENA_SANITIZE=undefined, built with
+# -D_GLIBCXX_ASSERTIONS, which also bounds-checks std::vector operator[]
+# and the other libstdc++ preconditions), and finally the
 # concurrency-sensitive test binaries under ThreadSanitizer
 # (ATENA_SANITIZE=thread) — all in separate build trees. Run from
 # anywhere; builds land in <repo>/build, <repo>/build-asan,
@@ -34,7 +36,8 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
   --timeout "$test_timeout"
 
 echo "== ubsan: configure + build + ctest (ATENA_SANITIZE=undefined) =="
-cmake -B "$repo/build-ubsan" -S "$repo" -DATENA_SANITIZE=undefined
+cmake -B "$repo/build-ubsan" -S "$repo" -DATENA_SANITIZE=undefined \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 cmake --build "$repo/build-ubsan" -j "$jobs"
 # halt_on_error turns any UB report into a test failure rather than a log line.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -1,8 +1,10 @@
 #include "dataframe/column.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 namespace atena {
 
@@ -51,6 +53,30 @@ int64_t Column::CellKey(int64_t row) const {
       return codes_[row];
   }
   return kNullCellKey;
+}
+
+Value Column::KeyValue(int64_t cell_key) const {
+  switch (type_) {
+    case DataType::kInt64:
+      return Value(cell_key);
+    case DataType::kFloat64:
+      return Value(std::bit_cast<double>(static_cast<uint64_t>(cell_key)));
+    case DataType::kString:
+      return Value(dictionary_[static_cast<size_t>(cell_key)]);
+  }
+  return Value::Null();
+}
+
+double Column::OrderKey(int64_t cell_key) const {
+  switch (type_) {
+    case DataType::kInt64:
+      return static_cast<double>(cell_key);
+    case DataType::kFloat64:
+      return std::bit_cast<double>(static_cast<uint64_t>(cell_key));
+    case DataType::kString:
+      return static_cast<double>(code_rank_[static_cast<size_t>(cell_key)]);
+  }
+  return 0.0;
 }
 
 int32_t Column::FindCode(std::string_view token) const {
@@ -139,6 +165,25 @@ ColumnPtr ColumnBuilder::Finish() {
   column_ = std::shared_ptr<Column>(new Column());
   column_->name_ = finished->name_;
   column_->type_ = finished->type_;
+
+  // Rank the dictionary once: group-by and token lists order string keys
+  // by rank instead of comparing strings.
+  if (finished->type_ == DataType::kString) {
+    const std::vector<std::string>& dictionary = finished->dictionary_;
+    std::vector<int32_t>& rank_code = finished->rank_code_;
+    rank_code.resize(dictionary.size());
+    std::iota(rank_code.begin(), rank_code.end(), 0);
+    std::sort(rank_code.begin(), rank_code.end(),
+              [&dictionary](int32_t a, int32_t b) {
+                return dictionary[static_cast<size_t>(a)] <
+                       dictionary[static_cast<size_t>(b)];
+              });
+    finished->code_rank_.resize(dictionary.size());
+    for (size_t rank = 0; rank < rank_code.size(); ++rank) {
+      finished->code_rank_[static_cast<size_t>(rank_code[rank])] =
+          static_cast<int32_t>(rank);
+    }
+  }
 
   // Materialize the per-chunk zone maps. One pass over the cells at build
   // time buys chunk skipping on every later filter over the column.

@@ -56,7 +56,9 @@ struct ColumnChunkStats {
 /// Columns are built once via ColumnBuilder and then shared (shared_ptr)
 /// between tables/views; they are never mutated after construction. Building
 /// also materializes per-chunk zone maps (see ColumnChunkStats), which
-/// FilterRows (dataframe/ops.h) uses for chunk skipping.
+/// FilterRows (dataframe/ops.h) uses for chunk skipping, and a string
+/// column's lexicographic dictionary order (OrderKey, CodeAtRank), which
+/// GroupAggregate and TokenFrequencies sort string keys by.
 class Column {
  public:
   DataType type() const { return type_; }
@@ -97,6 +99,24 @@ class Column {
   /// that must keep nulls apart tests IsNull beside the key.
   int64_t CellKey(int64_t row) const;
 
+  /// The value of the non-null cell whose CellKey is `cell_key` (the
+  /// inverse of CellKey on non-null cells).
+  Value KeyValue(int64_t cell_key) const;
+
+  /// The place of the non-null cell whose CellKey is `cell_key` in
+  /// ValueLess order (dataframe/ops.h), as a double: an int64 cast to
+  /// double exactly as Value::ToDouble casts it, a double as stored, or a
+  /// string's rank in the lexicographic (std::string operator<) order of
+  /// the dictionary. Two non-null cells of one column compare under
+  /// ValueLess exactly as their order keys compare under <, ties included:
+  /// +0.0 and -0.0, NaN against anything, and int64 values beyond ±2^53
+  /// that round to one double.
+  double OrderKey(int64_t cell_key) const;
+
+  /// The dictionary code at rank `rank` of the dictionary's lexicographic
+  /// order (ranks and codes are ordered once, when the column is built).
+  int32_t CodeAtRank(int32_t rank) const { return rank_code_[rank]; }
+
   /// Looks up the dictionary code of `token`; returns -1 when absent.
   int32_t FindCode(std::string_view token) const;
 
@@ -128,6 +148,8 @@ class Column {
   std::vector<int32_t> codes_;
   std::vector<std::string> dictionary_;
   std::unordered_map<std::string, int32_t> dictionary_index_;
+  std::vector<int32_t> code_rank_;  // code → lexicographic rank
+  std::vector<int32_t> rank_code_;  // lexicographic rank → code
   std::vector<uint8_t> validity_;
   std::vector<ColumnChunkStats> chunk_stats_;
   int64_t null_count_ = 0;

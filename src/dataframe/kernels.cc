@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <type_traits>
 
@@ -692,29 +693,25 @@ void FillGroupHeader(const Table& table, const GroupSpec& spec,
   }
 }
 
-/// Fused member-fill + aggregation over the whole selection in row order.
-/// Visiting the selection front to back appends each group's members in
-/// discovery order and feeds every group accumulator its members' values in
-/// that same order — the floating-point sequence of the scalar reference's
-/// per-group loop — while the agg column is read in one sequential sweep
-/// instead of one sparse gather pass per group, and the selection's id array
-/// is read once instead of twice. Serial by design: merging per-thread
-/// partial sums would reassociate the adds and change SUM/AVG bits.
-///
-/// `row_ids` holds dense slots (resolved through `id_to_gid`) or final
-/// group ids (`id_to_gid` empty); `cursors` is indexed by the same id
-/// space and already points into each group's sized rows vector.
+/// Aggregation over the whole selection in row order. Visiting the
+/// selection front to back feeds every group accumulator its members'
+/// values in selection order — the floating-point sequence of the scalar
+/// reference's per-group loop — while the agg column is read in one
+/// sequential sweep. Serial by design: merging per-thread partial sums
+/// would reassociate the adds and change SUM/AVG bits. `row_ids` holds one
+/// id per selected row (dense slot or hash group id); `id_to_group` maps
+/// ids to output groups, -1 for ids no row holds.
 template <typename IdT>
-void FillAndAggregate(const Column& agg_col, AggFunc agg,
-                      const std::vector<int32_t>& rows, bool identity,
-                      const std::vector<IdT>& row_ids, int32_t** cursors,
-                      const std::vector<int32_t>& id_to_gid,
-                      std::vector<Group>* groups) {
+void Aggregate(const Column& agg_col, AggFunc agg,
+               const std::vector<int32_t>& rows, bool identity,
+               const std::vector<IdT>& row_ids,
+               const std::vector<int32_t>& id_to_group,
+               std::vector<Group>* groups) {
   const size_t n = rows.size();
   const uint8_t* valid = agg_col.validity_data();
   const int32_t* sel = rows.data();
   const IdT* ids = row_ids.data();
-  const size_t id_space = id_to_gid.empty() ? groups->size() : id_to_gid.size();
+  const size_t id_space = id_to_group.size();
 
   std::vector<double> acc(
       id_space, agg == AggFunc::kMin
@@ -727,16 +724,11 @@ void FillAndAggregate(const Column& agg_col, AggFunc agg,
   auto for_each = [&](auto&& update) {
     if (identity) {
       for (size_t i = 0; i < n; ++i) {
-        const size_t id = static_cast<size_t>(ids[i]);
-        *cursors[id]++ = static_cast<int32_t>(i);
-        if (valid[i]) update(id, static_cast<int64_t>(i));
+        if (valid[i]) update(ids[i], static_cast<int64_t>(i));
       }
     } else {
       for (size_t i = 0; i < n; ++i) {
-        const int32_t r = sel[i];
-        const size_t id = static_cast<size_t>(ids[i]);
-        *cursors[id]++ = r;
-        if (valid[r]) update(id, static_cast<int64_t>(r));
+        if (valid[sel[i]]) update(ids[i], static_cast<int64_t>(sel[i]));
       }
     }
   };
@@ -772,8 +764,7 @@ void FillAndAggregate(const Column& agg_col, AggFunc agg,
   }
 
   for (size_t id = 0; id < id_space; ++id) {
-    const int32_t gid =
-        id_to_gid.empty() ? static_cast<int32_t>(id) : id_to_gid[id];
+    const int32_t gid = id_to_group[id];
     if (gid < 0) continue;
     Group& grp = (*groups)[static_cast<size_t>(gid)];
     grp.agg_valid = cnt[id] > 0;
@@ -784,51 +775,35 @@ void FillAndAggregate(const Column& agg_col, AggFunc agg,
   }
 }
 
-void SortGroupsByKey(std::vector<Group>* groups) {
-  std::sort(groups->begin(), groups->end(),
-            [](const Group& a, const Group& b) {
-              for (size_t i = 0; i < a.keys.size() && i < b.keys.size(); ++i) {
-                if (ValueLess(a.keys[i], b.keys[i])) return true;
-                if (ValueLess(b.keys[i], a.keys[i])) return false;
-              }
-              return false;
-            });
-}
-
 /// Dense single-column fast path: when the lone group column is a string
 /// (slots are dictionary codes) or an int64 with a small, exactly-
 /// representable global range (slots are offsets from the minimum), the
-/// row→group map is direct addressing — no hashing at all. Slot order
-/// differs from row-encounter order, but every pair of distinct keys on
-/// these paths is strictly ordered by ValueLess (distinct strings compare
-/// lexicographically; distinct in-range ints stay distinct as doubles), so
-/// the final sort-by-key fully determines the output and matches the scalar
-/// reference exactly. Doubles never take this path: -0.0/0.0 and NaN bit
-/// patterns form ValueLess ties where pre-sort (discovery) order matters.
-/// `identity_sel` marks a selection known to be 0..n-1, which lets pass 1
-/// drop the selection indirection and run as a pure SIMD-friendly sweep
-/// over the column arrays. On success `row_ids` holds each row's dense
-/// SLOT (not group id) — the caller resolves slots through `slot_to_gid`
-/// (-1 for unoccupied slots), which avoids a whole remap pass over the
-/// selection — and `group_counts` holds each emitted group's member-row
-/// count (indexed by group id), so the member vectors can be sized without
-/// another counting pass.
+/// row→group map is direct addressing — no hashing at all — and groups are
+/// emitted straight in key order, with no sort: the null slot first, then
+/// ascending int slots, or string codes in dictionary rank order. Distinct
+/// keys on these paths never tie under ValueLess, so that order is the
+/// unique sorted one. Doubles never take this path: -0.0/0.0 and NaN form
+/// ValueLess ties where discovery order matters. `identity_sel` marks a
+/// selection known to be 0..n-1, which lets pass 1 drop the selection
+/// indirection. On success `row_ids` holds each row's SLOT, resolved
+/// through `slot_to_group` (-1 for unoccupied slots) instead of a remap
+/// pass over the selection.
 bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
                           const std::vector<int32_t>& rows, bool identity_sel,
                           std::vector<uint16_t>* row_ids,
                           std::vector<Group>* groups,
-                          std::vector<int32_t>* group_counts,
-                          std::vector<int32_t>* slot_to_gid) {
+                          std::vector<int32_t>* slot_to_group) {
   constexpr int64_t kDenseSlotLimit = int64_t{1} << 16;
   constexpr int64_t kExactInt = int64_t{1} << 53;  // doubles stay exact here
   const Column& col = *table.column(spec.group_columns[0]);
+  const bool strings = col.type() == DataType::kString;
   const size_t n = rows.size();
   const int32_t* sel = rows.data();
   const uint8_t* valid = col.validity_data();
 
   int64_t slots = 0;   // slot 0 is reserved for null keys
   int64_t base = 0;    // int path: slot = value - base + 1
-  if (col.type() == DataType::kString) {
+  if (strings) {
     slots = static_cast<int64_t>(col.dictionary_size()) + 1;
     if (slots > kDenseSlotLimit) return false;
   } else if (col.type() == DataType::kInt64) {
@@ -854,7 +829,7 @@ bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
 
   // Pass 1: slot per selected row.
   uint16_t* slot = row_ids->data();
-  if (col.type() == DataType::kString) {
+  if (strings) {
     const int32_t* codes = col.code_data();
     if (identity_sel) {
       for (size_t i = 0; i < n; ++i) {
@@ -880,28 +855,30 @@ bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
     }
   }
 
-  // Pass 2: compact occupied slots into group indices, in slot order, and
-  // emit the group keys. Rows keep their slot ids; the caller resolves them
-  // through slot_to_gid instead of paying a remap pass.
+  // Pass 2: count rows per slot, then emit the occupied slots in key order.
   std::vector<int32_t> slot_count(static_cast<size_t>(slots), 0);
   for (size_t i = 0; i < n; ++i) {
     ++slot_count[static_cast<size_t>(slot[i])];
   }
-  slot_to_gid->assign(static_cast<size_t>(slots), -1);
-  for (int64_t s = 0; s < slots; ++s) {
-    if (slot_count[static_cast<size_t>(s)] == 0) continue;
-    (*slot_to_gid)[static_cast<size_t>(s)] =
+  slot_to_group->assign(static_cast<size_t>(slots), -1);
+  for (int64_t i = 0; i < slots; ++i) {
+    // The slot of the i-th smallest key.
+    const int64_t s = i == 0 || !strings
+                          ? i
+                          : col.CodeAtRank(static_cast<int32_t>(i - 1)) + 1;
+    const int32_t count = slot_count[static_cast<size_t>(s)];
+    if (count == 0) continue;
+    (*slot_to_group)[static_cast<size_t>(s)] =
         static_cast<int32_t>(groups->size());
-    Group g;
+    Group& g = groups->emplace_back();
+    g.size = count;
     if (s == 0) {
-      g.keys.push_back(Value::Null());
-    } else if (col.type() == DataType::kString) {
-      g.keys.push_back(Value(col.DictionaryEntry(static_cast<int32_t>(s - 1))));
+      g.keys.emplace_back();
+    } else if (strings) {
+      g.keys.emplace_back(col.DictionaryEntry(static_cast<int32_t>(s - 1)));
     } else {
-      g.keys.push_back(Value(base + s - 1));
+      g.keys.emplace_back(base + s - 1);
     }
-    groups->push_back(std::move(g));
-    group_counts->push_back(slot_count[static_cast<size_t>(s)]);
   }
   return true;
 }
@@ -909,33 +886,30 @@ bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
 /// Hash path for every key the dense path does not take: one
 /// open-addressing table on a combined 64-bit key hash, filled in selection
 /// order, so group ids come out in row-encounter order — the scalar
-/// reference's discovery order, which fixes every tie-break of the final
-/// sort. Each group's exact key is stored flat and compared on every hash
-/// hit, so hash collisions chain instead of merging groups. The exact key
-/// is the k cell keys followed by ⌈k/64⌉ null-mask words (bit j%64 of word
-/// j/64 set when key column j is null): CellKey's null sentinel equals one
-/// non-null value's key, and the mask is what keeps the two apart.
-void HashAssignGroups(const Table& table, const GroupSpec& spec,
+/// reference's discovery order, which fixes every tie-break of the sort in
+/// EmitHashGroups. Each group's exact key is stored flat in `keys` and
+/// compared on every hash hit, so hash collisions chain instead of merging
+/// groups. The exact key is the k cell keys followed by ⌈k/64⌉ null-mask
+/// words (bit j%64 of word j/64 set when key column j is null): CellKey's
+/// null sentinel equals one non-null value's key, and the mask is what
+/// keeps the two apart. `row_gid` receives each selected row's group id
+/// and `counts` each group's member count.
+void HashAssignGroups(const std::vector<const Column*>& key_cols,
                       const std::vector<int32_t>& rows,
                       std::vector<int32_t>* row_gid,
-                      std::vector<Group>* groups,
-                      std::vector<int32_t>* group_counts) {
+                      std::vector<int32_t>* counts,
+                      std::vector<int64_t>* keys) {
   const size_t n = rows.size();
-  const size_t k = spec.group_columns.size();
+  const size_t k = key_cols.size();
   const size_t words = k + (k + 63) / 64;
-  std::vector<const Column*> key_cols(k);
   std::vector<const uint8_t*> key_valid(k);
-  for (size_t j = 0; j < k; ++j) {
-    key_cols[j] = table.column(spec.group_columns[j]).get();
-    key_valid[j] = key_cols[j]->validity_data();
-  }
+  for (size_t j = 0; j < k; ++j) key_valid[j] = key_cols[j]->validity_data();
 
   size_t capacity = 64;
   size_t mask = capacity - 1;
   std::vector<int32_t> slot_group(capacity, -1);
   std::vector<uint64_t> slot_hash(capacity, 0);
   std::vector<uint64_t> group_hash;  // per group, for cheap rehashing
-  std::vector<int64_t> key_storage;  // `words` exact-key words per group
   auto grow = [&]() {
     capacity *= 2;
     mask = capacity - 1;
@@ -977,7 +951,7 @@ void HashAssignGroups(const Table& table, const GroupSpec& spec,
     while (slot_group[pos] >= 0) {
       if (slot_hash[pos] == hash &&
           std::equal(row_key.begin(), row_key.end(),
-                     key_storage.begin() +
+                     keys->begin() +
                          static_cast<std::ptrdiff_t>(
                              static_cast<size_t>(slot_group[pos]) * words))) {
         group = slot_group[pos];
@@ -990,16 +964,71 @@ void HashAssignGroups(const Table& table, const GroupSpec& spec,
       slot_group[pos] = group;
       slot_hash[pos] = hash;
       group_hash.push_back(hash);
-      key_storage.insert(key_storage.end(), row_key.begin(), row_key.end());
-      Group g;
-      g.keys.reserve(k);
-      for (const Column* col : key_cols) g.keys.push_back(col->GetValue(r));
-      groups->push_back(std::move(g));
-      group_counts->push_back(0);
+      keys->insert(keys->end(), row_key.begin(), row_key.end());
+      counts->push_back(0);
       if (group_hash.size() * 4 > capacity * 3) grow();
     }
-    ++(*group_counts)[static_cast<size_t>(group)];
+    ++(*counts)[static_cast<size_t>(group)];
     (*row_gid)[i] = group;
+  }
+}
+
+/// Emits the hash path's groups in key order. Each group's typed key is
+/// read off its exact key: per key column a null flag and the cell's
+/// Column::OrderKey. For every pair the comparator returns what ValueLess
+/// over the boxed keys, column by column, returns: nulls first and tied
+/// with each other, then `<` on the order keys. std::sort's moves depend
+/// only on its comparator's outcomes, so sorting the discovery order with
+/// it yields the permutation that sorting boxed keys with ValueLess does,
+/// ties included (±0.0, NaN, int64 values that round to one double).
+/// `id_to_group` receives each group id's output position.
+void EmitHashGroups(const std::vector<const Column*>& key_cols,
+                    const std::vector<int32_t>& counts,
+                    const std::vector<int64_t>& keys,
+                    std::vector<Group>* groups,
+                    std::vector<int32_t>* id_to_group) {
+  struct TypedKey {
+    double order = 0.0;
+    bool null = false;
+  };
+  const size_t num_groups = counts.size();
+  const size_t k = key_cols.size();
+  const size_t words = k + (k + 63) / 64;
+  std::vector<TypedKey> typed(num_groups * k);
+  for (size_t g = 0; g < num_groups; ++g) {
+    const int64_t* key = keys.data() + g * words;
+    for (size_t j = 0; j < k; ++j) {
+      TypedKey& t = typed[g * k + j];
+      t.null = (static_cast<uint64_t>(key[k + j / 64]) >> (j % 64)) & 1;
+      if (!t.null) t.order = key_cols[j]->OrderKey(key[j]);
+    }
+  }
+  std::vector<int32_t> order(num_groups);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    const TypedKey* x = &typed[static_cast<size_t>(a) * k];
+    const TypedKey* y = &typed[static_cast<size_t>(b) * k];
+    for (size_t j = 0; j < k; ++j) {
+      if (x[j].null != y[j].null) return x[j].null;
+      if (x[j].order < y[j].order) return true;
+      if (y[j].order < x[j].order) return false;
+    }
+    return false;
+  });
+
+  groups->resize(num_groups);
+  id_to_group->resize(num_groups);
+  for (size_t pos = 0; pos < num_groups; ++pos) {
+    const size_t id = static_cast<size_t>(order[pos]);
+    (*id_to_group)[id] = static_cast<int32_t>(pos);
+    Group& g = (*groups)[pos];
+    g.size = counts[id];
+    g.keys.reserve(k);
+    const int64_t* key = keys.data() + id * words;
+    for (size_t j = 0; j < k; ++j) {
+      g.keys.push_back(typed[id * k + j].null ? Value::Null()
+                                              : key_cols[j]->KeyValue(key[j]));
+    }
   }
 }
 
@@ -1016,13 +1045,13 @@ Result<GroupedResult> GroupAggregate(const Table& table,
   const int32_t* sel = rows.data();
   // Per-row ids live in one of two vectors, sized by whichever assigner
   // runs: the dense path's slot space is capped at 2^16, so its slot ids
-  // fit uint16_t — half the id traffic across the write, histogram and
-  // member-fill passes — while the hash path keeps int32 group ids.
+  // fit uint16_t — half the id traffic across the write, count and
+  // aggregation passes — while the hash path keeps int32 group ids.
   std::vector<uint16_t> slot_ids;
   std::vector<int32_t> row_gid;
 
   // An identity selection (the root display, and the benchmark regime)
-  // lets the dense assigner and the member fill drop the selection
+  // lets the dense assigner and the aggregation sweep drop the selection
   // indirection entirely. The check runs blockwise: branch-free inner
   // loops that vectorize, early exit between blocks.
   bool identity = static_cast<int64_t>(n) == table.num_rows();
@@ -1039,74 +1068,34 @@ Result<GroupedResult> GroupAggregate(const Table& table,
     }
   }
 
-  std::vector<int32_t> counts;       // member rows per group id
-  std::vector<int32_t> slot_to_gid;  // dense path: slot → gid; empty for hash
+  // Both assigners emit the groups in key order, with member counts, and
+  // map each per-row id (dense slot or hash group id) to its output group.
+  std::vector<int32_t> id_to_group;
   const bool dense =
       spec.group_columns.size() == 1 &&
       TryDenseSingleColumn(table, spec, rows, identity, &slot_ids,
-                           &result.groups, &counts, &slot_to_gid);
+                           &result.groups, &id_to_group);
   if (!dense) {
-    HashAssignGroups(table, spec, rows, &row_gid, &result.groups, &counts);
+    std::vector<const Column*> key_cols;
+    for (int c : spec.group_columns) key_cols.push_back(table.column(c).get());
+    std::vector<int32_t> counts;
+    std::vector<int64_t> keys;
+    HashAssignGroups(key_cols, rows, &row_gid, &counts, &keys);
+    EmitHashGroups(key_cols, counts, keys, &result.groups, &id_to_group);
   }
 
-  // Member vectors are sized up front from the assigner's counts and
-  // filled through raw per-id cursors instead of size-checked push_backs.
-  // Ids are group ids on the hash path and dense slots on the dense path —
-  // indexing the cursor table by slot is what lets the dense path skip a
-  // whole slot→gid remap pass over the selection.
-  const size_t num_groups = result.groups.size();
-  std::vector<int32_t*> cursors(dense ? slot_to_gid.size() : num_groups,
-                                nullptr);
-  for (size_t g = 0; g < num_groups; ++g) {
-    result.groups[g].rows.resize(static_cast<size_t>(counts[g]));
-  }
-  if (dense) {
-    for (size_t s = 0; s < slot_to_gid.size(); ++s) {
-      if (slot_to_gid[s] >= 0) {
-        cursors[s] =
-            result.groups[static_cast<size_t>(slot_to_gid[s])].rows.data();
-      }
-    }
-  } else {
-    for (size_t g = 0; g < num_groups; ++g) {
-      cursors[g] = result.groups[g].rows.data();
-    }
-  }
-
-  // Member-row fill in selection order — the scalar reference's member
-  // order — and aggregation. COUNT(*) needs no look at the data; every other
-  // aggregate fuses the fill with one selection-order sweep of the agg
-  // column (FillAndAggregate).
   if (spec.agg == AggFunc::kCount) {
-    auto fill = [&](const auto* ids) {
-      if (identity) {
-        for (size_t i = 0; i < n; ++i) {
-          *cursors[static_cast<size_t>(ids[i])]++ = static_cast<int32_t>(i);
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          *cursors[static_cast<size_t>(ids[i])]++ = sel[i];
-        }
-      }
-    };
-    if (dense) {
-      fill(slot_ids.data());
-    } else {
-      fill(row_gid.data());
-    }
     for (Group& g : result.groups) {
-      g.aggregate = static_cast<double>(g.rows.size());
+      g.aggregate = static_cast<double>(g.size);
       g.agg_valid = true;
     }
   } else if (dense) {
-    FillAndAggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
-                     slot_ids, cursors.data(), slot_to_gid, &result.groups);
+    Aggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
+              slot_ids, id_to_group, &result.groups);
   } else {
-    FillAndAggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
-                     row_gid, cursors.data(), slot_to_gid, &result.groups);
+    Aggregate(*table.column(spec.agg_column), spec.agg, rows, identity,
+              row_gid, id_to_group, &result.groups);
   }
-
-  SortGroupsByKey(&result.groups);
   return result;
 }
 

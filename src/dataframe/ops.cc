@@ -68,7 +68,7 @@ std::vector<double> GroupedResult::GroupSizes() const {
   std::vector<double> sizes;
   sizes.reserve(groups.size());
   for (const auto& g : groups) {
-    sizes.push_back(static_cast<double>(g.rows.size()));
+    sizes.push_back(static_cast<double>(g.size));
   }
   return sizes;
 }

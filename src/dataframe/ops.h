@@ -89,17 +89,21 @@ struct GroupSpec {
   int agg_column = -1;
 };
 
-/// One result group: its key values (one per group column), member row ids,
-/// and the aggregate (NaN-free; `agg_valid` is false when no non-null input
-/// reached the aggregator).
+/// One result group: its key values (one per group column), its member
+/// count, and the aggregate (`agg_valid` is false when no non-null input
+/// reached the aggregator). Groups keep no member row ids: every reader of
+/// a grouped display needs only how many rows each group holds.
 struct Group {
   std::vector<Value> keys;
-  std::vector<int32_t> rows;
+  int64_t size = 0;
   double aggregate = 0.0;
   bool agg_valid = false;
 };
 
-/// The grouped result display: groups sorted deterministically by key.
+/// The grouped result display: groups sorted by key under ValueLess,
+/// column by column. Groups whose keys tie (±0.0, NaN, int64 values beyond
+/// ±2^53) stay where std::sort leaves them when it starts from the order
+/// in which the groups were first encountered.
 struct GroupedResult {
   GroupSpec spec;
   std::vector<std::string> key_names;
@@ -119,12 +123,13 @@ struct GroupedResult {
 /// SUM/MIN/MAX/AVG; all column indices valid.
 ///
 /// Runs serially on the group-by kernel (dataframe/kernels.cc): direct
-/// addressing for a single dictionary or small-range int64 key column, one
-/// open-addressing hash table filled in selection order for every other
-/// key, then one selection-order sweep that fills member rows and
-/// aggregates. Groups are discovered in row-encounter order, members keep
-/// selection order, and each group accumulates in member order, so the
-/// result is bit-identical to the scalar reference
+/// addressing for a single dictionary or small-range int64 key column,
+/// which emits groups straight in key order, and one open-addressing hash
+/// table filled in selection order for every other key, whose groups are
+/// then sorted by typed keys that compare exactly as ValueLess does.
+/// SUM/MIN/MAX/AVG take one selection-order sweep over the aggregated
+/// column, so each group accumulates its members in selection order and
+/// the result is bit-identical to the scalar reference
 /// (tests/support/reference_ops.h). A null key cell forms its own group,
 /// never merging with any value.
 Result<GroupedResult> GroupAggregate(const Table& table,

@@ -7,7 +7,6 @@
 #include "common/hashing.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
-#include "dataframe/ops.h"
 
 namespace atena {
 
@@ -229,18 +228,31 @@ double EqualCountsEntropy(size_t distinct, double count) {
   return h;
 }
 
-/// The Value a cell key stands for (the inverse of Column::CellKey on
-/// non-null cells).
-Value KeyValue(const Column& column, int64_t key) {
+/// True when two of `keys` (distinct non-null cell keys of `column`) can
+/// tie under ValueLess: NaN ties with everything, +0.0 with -0.0, and two
+/// int64 values beyond ±2^53 can round to one double. Distinct strings
+/// never tie.
+bool KeysCanTie(const Column& column, const std::vector<int64_t>& keys) {
+  constexpr int64_t kExactInt = int64_t{1} << 53;
   switch (column.type()) {
     case DataType::kInt64:
-      return Value(key);
-    case DataType::kFloat64:
-      return Value(std::bit_cast<double>(static_cast<uint64_t>(key)));
+      return std::any_of(keys.begin(), keys.end(), [](int64_t key) {
+        return key > kExactInt || key < -kExactInt;
+      });
+    case DataType::kFloat64: {
+      bool positive_zero = false;
+      bool negative_zero = false;
+      for (int64_t key : keys) {
+        const double v = std::bit_cast<double>(static_cast<uint64_t>(key));
+        if (std::isnan(v)) return true;
+        if (v == 0.0) (std::signbit(v) ? negative_zero : positive_zero) = true;
+      }
+      return positive_zero && negative_zero;
+    }
     case DataType::kString:
-      return Value(column.DictionaryEntry(static_cast<int32_t>(key)));
+      return false;
   }
-  return Value::Null();
+  return false;
 }
 
 }  // namespace
@@ -297,20 +309,40 @@ std::unordered_map<int64_t, double> ValueHistogram(
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
                                         const std::vector<int32_t>& rows) {
   CountingPass pass(column, rows);
-  // std::sort is not stable and tokens can tie (equal counts, values
-  // equal under ValueLess such as 0.0 and -0.0), so the pre-sort order is
-  // part of the result: the per-row map's iteration order.
-  const auto hist = HistogramOf(pass);
-  std::vector<TokenFreq> out;
-  out.reserve(hist.size());
-  for (const auto& [key, count] : hist) {
-    out.push_back(
-        TokenFreq{KeyValue(column, key), static_cast<int64_t>(count)});
+  // Tokens sort by (count descending, Column::OrderKey ascending), which
+  // decides every pair exactly as (count descending, ValueLess) does. When
+  // no two keys can tie, that order is total and the starting order does
+  // not matter, so the sort starts from first-occurrence order. Otherwise
+  // std::sort's result depends on its starting order (it is not stable),
+  // which must then be the per-row map's iteration order.
+  struct Ranked {
+    int64_t count;
+    double order;
+    int64_t key;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(pass.keys().size());
+  if (KeysCanTie(column, pass.keys())) {
+    for (const auto& [key, count] : HistogramOf(pass)) {
+      ranked.push_back(
+          {static_cast<int64_t>(count), column.OrderKey(key), key});
+    }
+  } else {
+    for (size_t i = 0; i < pass.keys().size(); ++i) {
+      const int64_t key = pass.keys()[i];
+      ranked.push_back({pass.counts()[i], column.OrderKey(key), key});
+    }
   }
-  std::sort(out.begin(), out.end(), [](const TokenFreq& a, const TokenFreq& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return ValueLess(a.token, b.token);
-  });
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) {
+              if (a.count != b.count) return a.count > b.count;
+              return a.order < b.order;
+            });
+  std::vector<TokenFreq> out;
+  out.reserve(ranked.size());
+  for (const Ranked& r : ranked) {
+    out.push_back(TokenFreq{column.KeyValue(r.key), r.count});
+  }
   return out;
 }
 

@@ -48,8 +48,12 @@ struct TokenFreq {
 };
 
 /// Distinct non-null tokens of `column` within `rows`, sorted by descending
-/// frequency (ties broken by value order for determinism). This is the
-/// token list the logarithmic filter-term binning operates on (paper §5).
+/// frequency, equal frequencies by ValueLess (dataframe/ops.h). Tokens that
+/// tie on both — possible only for NaN, for +0.0 against -0.0, and for
+/// int64 values beyond ±2^53 that round to one double — are left in the
+/// order std::sort leaves them when it starts from the per-row map's
+/// iteration order. This is the token list the logarithmic filter-term
+/// binning operates on (paper §5).
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
                                         const std::vector<int32_t>& rows);
 

@@ -18,17 +18,17 @@ namespace atena {
 /// logarithmic binning [31]). The last bin absorbs everything rarer.
 class TermBinning {
  public:
-  /// Builds the binning over a column's token frequency list (as produced
-  /// by TokenFrequencies: sorted by descending count).
+  /// Builds the binning over a column's token frequency list.
+  /// Precondition: `tokens` is sorted by descending count, as
+  /// TokenFrequencies returns it. A token's bin then never decreases along
+  /// the list, so each bin is one contiguous range of token indices and the
+  /// binning stores only the range boundaries.
   TermBinning(const std::vector<TokenFreq>& tokens, int num_bins);
 
   int num_bins() const { return num_bins_; }
 
-  /// Tokens (indices into the original list) assigned to `bin`.
-  const std::vector<int>& BinMembers(int bin) const { return bins_[bin]; }
-
-  /// True when `bin` holds at least one token.
-  bool BinNonEmpty(int bin) const { return !bins_[bin].empty(); }
+  /// Number of tokens assigned to `bin`.
+  int BinSize(int bin) const { return bounds_[bin + 1] - bounds_[bin]; }
 
   /// Samples a token index for `bin`. When the requested bin is empty the
   /// nearest non-empty bin is used (so every bin choice maps to a concrete
@@ -38,7 +38,8 @@ class TermBinning {
 
  private:
   int num_bins_;
-  std::vector<std::vector<int>> bins_;
+  // Bin b holds the token indices [bounds_[b], bounds_[b + 1]).
+  std::vector<int> bounds_;
 };
 
 }  // namespace atena

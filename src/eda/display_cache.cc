@@ -31,8 +31,8 @@ uint64_t HashValue(const Value& value) {
 }
 
 // Estimated heap bytes of cached values, charged against Options::max_bytes.
-// Estimates only count the dominant payloads (element storage, group member
-// lists, token strings) — constants like struct headers are approximated by
+// Estimates only count the dominant payloads (element storage, group keys,
+// token strings) — constants like struct headers are approximated by
 // kEntryOverhead. What matters is that multi-megabyte row sets from
 // million-row tables are charged at full weight so the byte budget tracks
 // real memory, not that small entries are exact.
@@ -45,8 +45,7 @@ size_t RowsBytes(const std::vector<int32_t>& rows) {
 size_t GroupedBytes(const GroupedResult& grouped) {
   size_t bytes = kEntryOverhead;
   for (const Group& g : grouped.groups) {
-    bytes += kEntryOverhead + g.rows.capacity() * sizeof(int32_t) +
-             g.keys.size() * sizeof(Value);
+    bytes += kEntryOverhead + g.keys.size() * sizeof(Value);
   }
   return bytes;
 }

@@ -41,11 +41,14 @@ IndexedRewardContext MakeIndexedRewardContext(const RewardContext& context);
 double DiversityReward(const RewardContext& context);
 double DiversityReward(const IndexedRewardContext& context);
 
-/// Retained scalar reference (the PR 7 kernel/scalar A/B pattern): a flat
-/// running-min scan over squared distances with early exit, one sqrt at
-/// the end. Ignores `context.index`. The indexed path's exact re-check
-/// uses the same squared-distance kernel, which is how bit-identity is
-/// guaranteed (DESIGN.md §14).
+/// The production diversity path whenever no index covers the history:
+/// the index is disabled, or the history is still below
+/// EnvConfig::diversity_index_threshold (every training-length episode),
+/// where the environment keeps it dormant. A flat running-min scan over
+/// squared distances with early exit, one sqrt at the end.
+/// Ignores `context.index`. The indexed path's exact re-check uses the
+/// same squared-distance kernel, which is how the two paths stay
+/// bit-identical (DESIGN.md §14).
 double ScalarDiversityReward(const IndexedRewardContext& context);
 
 }  // namespace atena

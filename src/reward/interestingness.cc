@@ -34,7 +34,7 @@ std::unordered_map<int64_t, double> GroupSizeHistogram(const Display& d) {
   if (!d.grouped || d.rows.empty()) return hist;
   const double total = static_cast<double>(d.rows.size());
   for (const auto& g : d.grouped->groups) {
-    const double share = static_cast<double>(g.rows.size()) / total;
+    const double share = static_cast<double>(g.size) / total;
     hist[static_cast<int64_t>(std::floor(2.0 * std::log2(share)))] += 1.0;
   }
   return hist;

@@ -144,7 +144,7 @@ void ExpectGroupedBitIdenticalAb(const GroupedResult& a,
   EXPECT_EQ(a.agg_name, b.agg_name);
   for (size_t g = 0; g < a.groups.size(); ++g) {
     EXPECT_EQ(a.groups[g].keys, b.groups[g].keys) << "group " << g;
-    EXPECT_EQ(a.groups[g].rows, b.groups[g].rows) << "group " << g;
+    EXPECT_EQ(a.groups[g].size, b.groups[g].size) << "group " << g;
     EXPECT_EQ(a.groups[g].agg_valid, b.groups[g].agg_valid) << "group " << g;
     EXPECT_EQ(std::bit_cast<uint64_t>(a.groups[g].aggregate),
               std::bit_cast<uint64_t>(b.groups[g].aggregate))

@@ -512,7 +512,7 @@ TEST(GroupTest, NullKeyNeverMergesWithAValue) {
     auto out = GroupAggregate(*t, rows, spec);
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.value().groups.size(), 3u) << keys.size() << " keys";
-    for (const Group& g : out.value().groups) EXPECT_EQ(g.rows.size(), 1u);
+    for (const Group& g : out.value().groups) EXPECT_EQ(g.size, 1);
     EXPECT_EQ(ScalarGroupAggregate(*t, rows, spec).groups.size(), 3u);
   }
 }
@@ -860,7 +860,7 @@ void ExpectGroupedBitIdentical(const GroupedResult& a,
           << a.groups[g].keys[k].ToString() << " vs "
           << b.groups[g].keys[k].ToString();
     }
-    EXPECT_EQ(a.groups[g].rows, b.groups[g].rows) << "group " << g;
+    EXPECT_EQ(a.groups[g].size, b.groups[g].size) << "group " << g;
     EXPECT_EQ(a.groups[g].agg_valid, b.groups[g].agg_valid) << "group " << g;
     // Bit-exact, not approximately-equal: the kernel must preserve the
     // scalar accumulation order.
@@ -910,6 +910,121 @@ TEST(KernelParityTest, GroupAggregateMatchesScalar) {
                 .value()
                 .groups.size(),
             size_t{1} << 16);
+}
+
+/// Key columns whose ValueLess order is easy to get wrong, each with nulls
+/// except the time column: a dictionary whose first-appearance order
+/// ("b", "a", "", "aa") is not lexicographic; int64 keys beyond ±2^53,
+/// where distinct values can round to one double and tie (2^53 + 1 rounds
+/// to 2^53); 20 doubles including both +0.0 and -0.0, which tie; NaN with
+/// two payloads, which ties with everything, among 6 values (NaN is not
+/// ordered, so std::sort stays well-defined only with at most 16 groups);
+/// an ascending time column, so hash groups are discovered in key order;
+/// and a small int column for the middle of multi-column keys.
+TablePtr MakeOrderingEdgeTable() {
+  constexpr int kRows = 640;
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const std::vector<std::string> tokens = {"b", "a", "", "aa"};
+  const std::vector<double> nan_values = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0, 1.0, -1.0};
+  ColumnBuilder strings("s", DataType::kString);
+  ColumnBuilder big("big", DataType::kInt64);
+  ColumnBuilder zeros("zeros", DataType::kFloat64);
+  ColumnBuilder nans("nans", DataType::kFloat64);
+  ColumnBuilder time("time", DataType::kFloat64);
+  ColumnBuilder mid("mid", DataType::kInt64);
+  Rng rng(2020);
+  for (int r = 0; r < kRows; ++r) {
+    if (r % 9 == 4) {
+      strings.AppendNull();
+    } else {
+      const size_t token =
+          r < 4 ? static_cast<size_t>(r) : rng.NextBounded(tokens.size());
+      EXPECT_TRUE(strings.AppendString(tokens[token]).ok());
+    }
+    const auto b = static_cast<int64_t>(rng.NextBounded(32));
+    if (r % 11 == 5) {
+      big.AppendNull();
+    } else {
+      EXPECT_TRUE(big.AppendInt(b < 24 ? kBig + b : -kBig - (b - 24)).ok());
+    }
+    const auto z = rng.NextBounded(20);
+    if (r % 13 == 6) {
+      zeros.AppendNull();
+    } else {
+      EXPECT_TRUE(zeros
+                      .AppendDouble(z == 0   ? 0.0
+                                    : z == 1 ? -0.0
+                                             : (static_cast<double>(z) - 10.5) *
+                                                   0.75)
+                      .ok());
+    }
+    if (r % 7 == 3) {
+      nans.AppendNull();
+    } else {
+      EXPECT_TRUE(nans.AppendDouble(nan_values[rng.NextBounded(6)]).ok());
+    }
+    EXPECT_TRUE(time.AppendDouble(0.5 * r).ok());
+    if (r % 5 == 2) {
+      mid.AppendNull();
+    } else {
+      EXPECT_TRUE(mid.AppendInt(static_cast<int64_t>(rng.NextBounded(3))).ok());
+    }
+  }
+  std::vector<ColumnPtr> columns;
+  for (ColumnBuilder* builder : {&strings, &big, &zeros, &nans, &time, &mid}) {
+    columns.push_back(builder->Finish());
+  }
+  return Table::Make("ordering_edges", std::move(columns)).value();
+}
+
+TEST(KernelParityTest, GroupOrderMatchesScalarOnKeyEdgeCases) {
+  TablePtr t = MakeOrderingEdgeTable();
+  std::vector<std::vector<int32_t>> selections =
+      StressSelections(t->num_rows(), 21);
+  std::vector<int32_t> reversed = selections.front();
+  std::reverse(reversed.begin(), reversed.end());
+  selections.push_back(std::move(reversed));
+  const std::vector<GroupSpec> specs = {
+      {{0}, AggFunc::kCount, -1},  // strings, dense path
+      {{0}, AggFunc::kAvg, 4},
+      {{1}, AggFunc::kCount, -1},  // beyond ±2^53, hash path
+      {{1}, AggFunc::kSum, 4},
+      {{1, 0}, AggFunc::kCount, -1},
+      {{0, 1}, AggFunc::kMin, 4},
+      {{2}, AggFunc::kCount, -1},  // ±0.0 among 21 groups
+      {{2}, AggFunc::kMax, 4},
+      {{2, 0}, AggFunc::kCount, -1},
+      {{3}, AggFunc::kCount, -1},  // two NaN payloads among 7 groups
+      {{3}, AggFunc::kAvg, 1},
+      {{4}, AggFunc::kCount, -1},  // ascending discovery order
+      {{4}, AggFunc::kSum, 2},
+      {{0, 5, 1}, AggFunc::kCount, -1},  // nulls in the middle column
+      {{2, 5}, AggFunc::kAvg, 4},
+      {{4, 5, 0}, AggFunc::kCount, -1},
+  };
+  for (const GroupSpec& spec : specs) {
+    for (size_t s = 0; s < selections.size(); ++s) {
+      SCOPED_TRACE("spec on column " + std::to_string(spec.group_columns[0]) +
+                   " with " + std::to_string(spec.group_columns.size()) +
+                   " keys, selection " + std::to_string(s));
+      auto kernel = GroupAggregate(*t, selections[s], spec);
+      ASSERT_TRUE(kernel.ok());
+      ExpectGroupedBitIdentical(kernel.value(),
+                                ScalarGroupAggregate(*t, selections[s], spec));
+    }
+  }
+  // The dense string path emits dictionary rank order, not code order.
+  const GroupedResult by_string =
+      GroupAggregate(*t, selections.front(), {{0}, AggFunc::kCount, -1})
+          .value();
+  ASSERT_EQ(by_string.groups.size(), 5u);
+  EXPECT_TRUE(by_string.groups[0].keys[0].is_null());
+  EXPECT_EQ(by_string.groups[1].keys[0].as_string(), "");
+  EXPECT_EQ(by_string.groups[2].keys[0].as_string(), "a");
+  EXPECT_EQ(by_string.groups[3].keys[0].as_string(), "aa");
+  EXPECT_EQ(by_string.groups[4].keys[0].as_string(), "b");
 }
 
 TEST(KernelErrorTest, GroupAggregateRejectsEachBadSpecWithItsCode) {

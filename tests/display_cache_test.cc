@@ -110,7 +110,6 @@ TEST(DisplayCacheTest, ResidentBytesTracksAllSections) {
   EXPECT_GE(after_vec, after_rows + 500 * sizeof(double));
   auto grouped = std::make_shared<GroupedResult>();
   grouped->groups.resize(3);
-  grouped->groups[0].rows = {1, 2, 3};
   cache.PutGrouped(3, grouped);
   EXPECT_GT(cache.stats().resident_bytes, after_vec);
   // Unbounded by default: nothing was evicted.

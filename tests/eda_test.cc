@@ -65,10 +65,18 @@ TEST(BinningTest, LogarithmicAssignment) {
   // max=64; halving ranges: bin0 [64..32), ... with 64 itself in bin 0.
   auto tokens = SyntheticTokens({64, 40, 16, 3, 1});
   TermBinning binning(tokens, 4);
-  EXPECT_EQ(binning.BinMembers(0).size(), 2u);  // 64, 40
-  EXPECT_EQ(binning.BinMembers(2).size(), 1u);  // 16 -> log2(4)=2
+  EXPECT_EQ(binning.BinSize(0), 2);  // 64, 40
+  EXPECT_EQ(binning.BinSize(1), 0);
+  EXPECT_EQ(binning.BinSize(2), 1);  // 16 -> log2(4)=2
   // 3 -> log2(64/3)=4.4 -> clamped to last bin together with 1.
-  EXPECT_EQ(binning.BinMembers(3).size(), 2u);
+  EXPECT_EQ(binning.BinSize(3), 2);
+  // Each bin is its contiguous range of the count-descending list.
+  Rng rng(5);
+  for (int draw = 0; draw < 32; ++draw) {
+    EXPECT_LT(binning.SampleToken(0, &rng), 2);
+    EXPECT_EQ(binning.SampleToken(2, &rng), 2);
+    EXPECT_GE(binning.SampleToken(3, &rng), 3);
+  }
 }
 
 TEST(BinningTest, SampleFallsBackToNearestNonEmptyBin) {
@@ -94,11 +102,9 @@ class BinCountTest : public ::testing::TestWithParam<int> {};
 TEST_P(BinCountTest, EveryTokenLandsInExactlyOneBin) {
   auto tokens = SyntheticTokens({512, 400, 256, 100, 64, 32, 9, 2, 1, 1});
   TermBinning binning(tokens, GetParam());
-  size_t total = 0;
-  for (int b = 0; b < binning.num_bins(); ++b) {
-    total += binning.BinMembers(b).size();
-  }
-  EXPECT_EQ(total, tokens.size());
+  int total = 0;
+  for (int b = 0; b < binning.num_bins(); ++b) total += binning.BinSize(b);
+  EXPECT_EQ(total, static_cast<int>(tokens.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Bins, BinCountTest, ::testing::Values(1, 2, 4, 8, 16));

@@ -5,6 +5,8 @@
 //  - a fixed random-action script runs with the full compound reward on
 //    every experimental dataset plus one scaled table, and a CRC32 over its
 //    encoded display vectors and step rewards must match;
+//  - GroupAggregate and TokenFrequencies outputs on every dataset, in
+//    output order, with every key, member count and aggregate bit;
 //  - short PPO training runs (RunAtena with 1 and 4 actors, the 4-actor run
 //    at 1 and 4 stepping threads, and one FlatPolicy run) digest their
 //    learning curve, best-episode operations and every final parameter
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -27,6 +30,8 @@
 #include "common/random.h"
 #include "core/atena.h"
 #include "data/registry.h"
+#include "dataframe/ops.h"
+#include "dataframe/stats.h"
 #include "eda/environment.h"
 #include "reward/compound.h"
 #include "rl/checkpoint.h"
@@ -115,6 +120,149 @@ TEST_P(GoldenDigestTest, RandomScriptMatchesRecordedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Datasets, GoldenDigestTest, ::testing::ValuesIn(kFixtures),
     [](const ::testing::TestParamInfo<GoldenFixture>& info) {
+      return std::string(info.param.dataset) + "_x" +
+             std::to_string(info.param.scale);
+    });
+
+// ---------------------------------------------------- dataframe outputs
+
+// GroupAggregate orders groups by key and TokenFrequencies orders tokens by
+// count then key; where keys tie, the result is what std::sort makes of
+// the order the keys were discovered in. These digests pin that order
+// together with every key, member count and aggregate bit, on each
+// dataset's root selection and on one filtered selection.
+struct DataframeFixture {
+  const char* dataset;
+  int scale;
+  uint32_t grouped_digest;
+  uint32_t tokens_digest;
+};
+
+constexpr DataframeFixture kDataframeFixtures[] = {
+    {"cyber1", 1, 0x28F55B36u, 0x9E0724C3u},
+    {"cyber2", 1, 0xE3E41739u, 0xEEB4E165u},
+    {"cyber3", 1, 0x3BB4CBEAu, 0x554BC775u},
+    {"cyber4", 1, 0x457BAF80u, 0x9387AD74u},
+    {"flights1", 1, 0xB84343B0u, 0x8F07D499u},
+    {"flights2", 1, 0xAD68BD88u, 0xFD19C2EDu},
+    {"flights3", 1, 0xD85A39FBu, 0xEA848B64u},
+    {"flights4", 1, 0xE636CA69u, 0x66B89E3Cu},
+    {"cyber1", 10, 0x45E8C46Bu, 0xD6C006AEu},
+};
+
+void PrintTo(const DataframeFixture& fixture, std::ostream* os) {
+  *os << fixture.dataset << " x" << fixture.scale;
+}
+
+/// A cell as a type tag, a null flag and its value bits or string bytes.
+uint32_t ValueCrc(uint32_t crc, const Value& value) {
+  crc = PodCrc(crc, value.is_null());
+  if (value.is_int()) {
+    crc = PodCrc(crc, uint8_t{1});
+    crc = PodCrc(crc, value.as_int());
+  } else if (value.is_double()) {
+    crc = PodCrc(crc, uint8_t{2});
+    crc = PodCrc(crc, std::bit_cast<uint64_t>(value.as_double()));
+  } else if (value.is_string()) {
+    crc = PodCrc(crc, uint8_t{3});
+    crc = PodCrc(crc, value.as_string().size());
+    crc = Crc32Extend(crc, value.as_string());
+  }
+  return crc;
+}
+
+/// The root selection, and the rows whose first string column differs from
+/// its first non-null cell (a scattered, non-identity selection).
+std::vector<std::vector<int32_t>> FixtureSelections(const Table& table) {
+  std::vector<std::vector<int32_t>> selections{AllRows(table).value()};
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Column& col = *table.column(c);
+    if (col.type() != DataType::kString) continue;
+    for (int64_t r = 0; r < col.length(); ++r) {
+      if (col.IsNull(r)) continue;
+      selections.push_back(FilterRows(table, selections.front(), c,
+                                       CompareOp::kNeq, col.GetValue(r))
+                               .value());
+      return selections;
+    }
+  }
+  return selections;
+}
+
+/// COUNT by every column, AVG of the first numeric column by every column,
+/// and COUNT by every adjacent column pair.
+std::vector<GroupSpec> FixtureSpecs(const Table& table) {
+  int numeric = -1;
+  for (int c = 0; c < table.num_columns() && numeric < 0; ++c) {
+    if (table.column(c)->type() != DataType::kString) numeric = c;
+  }
+  std::vector<GroupSpec> specs;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    specs.push_back({{c}, AggFunc::kCount, -1});
+  }
+  for (int c = 0; c < table.num_columns(); ++c) {
+    specs.push_back({{c}, AggFunc::kAvg, numeric});
+  }
+  for (int c = 0; c + 1 < table.num_columns(); ++c) {
+    specs.push_back({{c, c + 1}, AggFunc::kCount, -1});
+  }
+  return specs;
+}
+
+uint32_t GroupedDigest(const Table& table) {
+  uint32_t crc = 0;
+  for (const std::vector<int32_t>& rows : FixtureSelections(table)) {
+    for (const GroupSpec& spec : FixtureSpecs(table)) {
+      const GroupedResult grouped = GroupAggregate(table, rows, spec).value();
+      crc = PodCrc(crc, grouped.groups.size());
+      for (const Group& g : grouped.groups) {
+        for (const Value& key : g.keys) crc = ValueCrc(crc, key);
+        crc = PodCrc(crc, g.size);
+        crc = PodCrc(crc, g.agg_valid);
+        crc = PodCrc(crc, std::bit_cast<uint64_t>(g.aggregate));
+      }
+    }
+  }
+  return crc;
+}
+
+uint32_t TokensDigest(const Table& table) {
+  uint32_t crc = 0;
+  for (const std::vector<int32_t>& rows : FixtureSelections(table)) {
+    for (int c = 0; c < table.num_columns(); ++c) {
+      const std::vector<TokenFreq> tokens =
+          TokenFrequencies(*table.column(c), rows);
+      crc = PodCrc(crc, tokens.size());
+      for (const TokenFreq& token : tokens) {
+        crc = ValueCrc(crc, token.token);
+        crc = PodCrc(crc, token.count);
+      }
+    }
+  }
+  return crc;
+}
+
+class GoldenDataframeTest
+    : public ::testing::TestWithParam<DataframeFixture> {};
+
+TEST_P(GoldenDataframeTest, GroupedAndTokenOutputsMatchRecordedDigests) {
+  const DataframeFixture& fixture = GetParam();
+  const Dataset dataset = MakeDataset(fixture.dataset, fixture.scale).value();
+  const uint32_t grouped = GroupedDigest(*dataset.table);
+  const uint32_t tokens = TokensDigest(*dataset.table);
+  EXPECT_EQ(grouped, fixture.grouped_digest)
+      << fixture.dataset << " x" << fixture.scale << ": grouped digest "
+      << DigestString(grouped) << " (recorded with GCC " << kRecordedCompiler
+      << ", this build " << __VERSION__ << ")";
+  EXPECT_EQ(tokens, fixture.tokens_digest)
+      << fixture.dataset << " x" << fixture.scale << ": tokens digest "
+      << DigestString(tokens) << " (recorded with GCC " << kRecordedCompiler
+      << ", this build " << __VERSION__ << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Datasets, GoldenDataframeTest, ::testing::ValuesIn(kDataframeFixtures),
+    [](const ::testing::TestParamInfo<DataframeFixture>& info) {
       return std::string(info.param.dataset) + "_x" +
              std::to_string(info.param.scale);
     });

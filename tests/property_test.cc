@@ -53,11 +53,9 @@ TEST_P(EnvInvariantTest, RandomEpisodesPreserveInvariants) {
     //    columns are set; groups partition the display rows.
     EXPECT_EQ(display.is_grouped(), display.grouped != nullptr);
     if (display.grouped) {
-      size_t partitioned = 0;
-      for (const auto& g : display.grouped->groups) {
-        partitioned += g.rows.size();
-      }
-      EXPECT_EQ(partitioned, display.rows.size());
+      int64_t partitioned = 0;
+      for (const auto& g : display.grouped->groups) partitioned += g.size;
+      EXPECT_EQ(partitioned, static_cast<int64_t>(display.rows.size()));
       EXPECT_LE(display.group_columns.size(),
                 static_cast<size_t>(config.max_group_attrs));
     }

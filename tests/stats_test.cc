@@ -286,6 +286,69 @@ TEST(StatsOracleLargeTest, RegrowthAndLargeDictionaries) {
   }
 }
 
+// Token orders that are easy to get wrong, on every kind of selection
+// (identity, sorted subset, shuffled, reversed): a dictionary whose
+// first-appearance order ("b", "a", "", "aa") is not lexicographic, with
+// nulls; more than 16 int64 tokens beyond ±2^53, where distinct values can
+// round to one double and tie; more than 16 doubles with +0.0 and -0.0 at
+// equal counts; NaN with two payloads among at most 16 tokens; and
+// all-distinct ascending columns, whose tokens all tie on count.
+TEST(StatsOracleTieTest, TokenOrderEdgeCases) {
+  constexpr int kRows = 600;
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const std::vector<std::string> tokens = {"b", "a", "", "aa"};
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  ColumnBuilder strings("s", DataType::kString);
+  ColumnBuilder big("big", DataType::kInt64);
+  ColumnBuilder zeros("zeros", DataType::kFloat64);
+  ColumnBuilder nans("nans", DataType::kFloat64);
+  ColumnBuilder time("time", DataType::kFloat64);
+  ColumnBuilder ids("ids", DataType::kInt64);
+  for (int r = 0; r < kRows; ++r) {
+    if (r % 7 == 5) {
+      strings.AppendNull();
+    } else {
+      EXPECT_TRUE(
+          strings.AppendString(tokens[static_cast<size_t>(r) % 4]).ok());
+    }
+    // 20 values, 30 rows each: 2^53 and 2^53 + 1 (one double), 2^53 + 3
+    // and 2^53 + 4 (one double), ...
+    const int64_t b = r % 20;
+    EXPECT_TRUE(big.AppendInt(b < 15 ? kBig + b : -kBig - b).ok());
+    // 20 values, 30 rows each, -0.0 first: +0.0 and -0.0 tie.
+    const int z = (r * 7) % 20;
+    EXPECT_TRUE(zeros
+                    .AppendDouble(z == 0   ? -0.0
+                                  : z == 1 ? 0.0
+                                           : (z - 10.5) * 0.75)
+                    .ok());
+    const double nan_values[] = {kNaN, -kNaN, 0.0, -0.0, 2.0, -2.0};
+    EXPECT_TRUE(nans.AppendDouble(nan_values[r % 6]).ok());
+    EXPECT_TRUE(time.AppendDouble(0.25 * r).ok());
+    EXPECT_TRUE(ids.AppendInt(r).ok());
+  }
+  std::vector<int32_t> all(kRows);
+  for (int32_t i = 0; i < kRows; ++i) all[static_cast<size_t>(i)] = i;
+  std::vector<std::vector<int32_t>> selections = {all};
+  std::vector<int32_t> thirds;
+  for (int32_t i = 0; i < kRows; i += 3) thirds.push_back(i);
+  selections.push_back(thirds);
+  std::vector<int32_t> shuffled = all;
+  Rng rng(41);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+  }
+  selections.push_back(shuffled);
+  selections.push_back(std::vector<int32_t>(all.rbegin(), all.rend()));
+  for (ColumnBuilder* builder : {&strings, &big, &zeros, &nans, &time, &ids}) {
+    ColumnPtr column = builder->Finish();
+    for (size_t s = 0; s < selections.size(); ++s) {
+      ExpectMatchesOracle(*column, selections[s],
+                          column->name() + " selection " + std::to_string(s));
+    }
+  }
+}
+
 // Every thread counts with its own scratch: concurrent passes over shared
 // columns must each match the oracle.
 TEST(StatsOracleLargeTest, ConcurrentPassesMatchOracle) {

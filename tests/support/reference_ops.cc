@@ -43,10 +43,13 @@ std::vector<int32_t> ScanRows(const Column& col,
   return out;
 }
 
-/// Aggregates one group's member rows (already in selection order).
-void AggregateGroup(const Column& agg_col, AggFunc agg, Group* g) {
+/// Aggregates one group's member rows (already in selection order) and
+/// records their count.
+void AggregateGroup(const Column& agg_col, AggFunc agg,
+                    const std::vector<int32_t>& members, Group* g) {
+  g->size = static_cast<int64_t>(members.size());
   if (agg == AggFunc::kCount) {
-    g->aggregate = static_cast<double>(g->rows.size());
+    g->aggregate = static_cast<double>(members.size());
     g->agg_valid = true;
     return;
   }
@@ -54,7 +57,7 @@ void AggregateGroup(const Column& agg_col, AggFunc agg, Group* g) {
   double mn = std::numeric_limits<double>::infinity();
   double mx = -std::numeric_limits<double>::infinity();
   int64_t n = 0;
-  for (int32_t r : g->rows) {
+  for (int32_t r : members) {
     if (agg_col.IsNull(r)) continue;
     double v = agg_col.AsDoubleOrNan(r);
     acc += v;
@@ -198,6 +201,7 @@ GroupedResult ScalarGroupAggregate(const Table& table,
     }
   };
 
+  std::vector<std::vector<int32_t>> members;  // per group, selection order
   std::vector<int64_t> row_key(2 * k);
   for (int32_t r : rows) {
     uint64_t hash = 0x9E3779B97F4A7C15ULL;
@@ -237,15 +241,18 @@ GroupedResult ScalarGroupAggregate(const Table& table,
       g.keys.reserve(k);
       for (const Column* col : key_cols) g.keys.push_back(col->GetValue(r));
       result.groups.push_back(std::move(g));
+      members.emplace_back();
       if (result.groups.size() * 4 > capacity * 3) grow();
     }
-    result.groups[static_cast<size_t>(group)].rows.push_back(r);
+    members[static_cast<size_t>(group)].push_back(r);
   }
 
   const Column& agg_col = spec.agg == AggFunc::kCount
                               ? *key_cols[0]
                               : *table.column(spec.agg_column);
-  for (Group& g : result.groups) AggregateGroup(agg_col, spec.agg, &g);
+  for (size_t g = 0; g < result.groups.size(); ++g) {
+    AggregateGroup(agg_col, spec.agg, members[g], &result.groups[g]);
+  }
 
   std::sort(result.groups.begin(), result.groups.end(),
             [](const Group& a, const Group& b) {

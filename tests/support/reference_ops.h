@@ -26,7 +26,8 @@ std::vector<int32_t> ScalarFilterRows(const Table& table,
 
 /// GroupAggregate as a single-threaded hash group-by: groups are discovered
 /// in row-encounter order, members appended in selection order, each group
-/// aggregated over its members in that order, then sorted by key.
+/// aggregated over its members in that order, then the groups (keys, member
+/// counts and aggregates) sorted by key with ValueLess.
 GroupedResult ScalarGroupAggregate(const Table& table,
                                    const std::vector<int32_t>& rows,
                                    const GroupSpec& spec);
