@@ -10,7 +10,10 @@
 //  - short PPO training runs (RunAtena with 1 and 4 actors, the 4-actor run
 //    at 1 and 4 stepping threads, and one FlatPolicy run) digest their
 //    learning curve, best-episode operations and every final parameter
-//    value, which pins the network kernels, the optimizer and the trainer.
+//    value, which pins the network kernels, the optimizer and the trainer;
+//  - a journaled serving run with the compound reward and forced journal
+//    compaction digests its delivered traces, its journal bytes, and a
+//    recovery from a mid-run copy of the journal, at 1 and 4 threads.
 // A mismatch means behaviour changed; if that was intended, the failure
 // message prints the new digest to record here.
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -34,8 +38,12 @@
 #include "dataframe/stats.h"
 #include "eda/environment.h"
 #include "reward/compound.h"
+#include "index/notebook_store.h"
 #include "rl/checkpoint.h"
 #include "rl/trainer.h"
+#include "serve/journal.h"
+#include "serve/session_manager.h"
+#include "serve/snapshot.h"
 
 namespace atena {
 namespace {
@@ -385,6 +393,235 @@ TEST(GoldenFlatPolicyTest, PpoMatchesRecordedDigest) {
       << "FlatPolicy: digest " << DigestString(digest) << " (recorded with GCC "
       << kRecordedCompiler << ", this build " << __VERSION__ << ")";
 }
+
+// -------------------------------------------------------------- serving
+
+// The served product: 48 sessions of 24 steps (two 12-step episodes each),
+// at most 32 live, alternating greedy and sampled acting, scored by the
+// compound reward, registered in a notebook store and journaled with a
+// compaction floor low enough to compact mid-run. Thread count never
+// changes what is served or journaled, so both fixtures share each digest.
+struct ServeDigests {
+  /// Delivered traces in session-id order.
+  uint32_t traces;
+  /// The final journal and its `.prev`.
+  uint32_t journal;
+  uint32_t journal_prev;
+  /// The journal a recovery from the mid-run copy writes at its closing
+  /// compaction.
+  uint32_t recovered_journal;
+};
+
+constexpr ServeDigests kServeDigests = {0xF9F0E36Cu, 0xAA49318Du, 0x0B287C71u,
+                                         0x76F8E91Au};
+
+struct ServeFixture {
+  const char* name;
+  int num_threads;
+};
+
+constexpr ServeFixture kServeFixtures[] = {{"OneThread", 1},
+                                           {"FourThreads", 4}};
+
+void PrintTo(const ServeFixture& fixture, std::ostream* os) {
+  *os << fixture.name;
+}
+
+constexpr int kServeLive = 32;
+constexpr int kServeSessions = 48;
+constexpr int kServeSteps = 24;
+constexpr uint64_t kServeSeed = 5150;
+
+SessionConfig ServeSessionAt(int index) {
+  SessionConfig config;
+  config.seed = kServeSeed + static_cast<uint64_t>(index);
+  config.max_steps = kServeSteps;
+  config.greedy = index % 2 == 0;
+  return config;
+}
+
+uint32_t FileCrc(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(path, &bytes).ok()) << path;
+  return Crc32(bytes);
+}
+
+/// Removes a journal plus the `.prev` and notebook sidecars next to it.
+void RemoveJournalFamily(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+  for (int64_t seq = 0; seq < 16; ++seq) {
+    std::remove(JournalSidecarPath(path, seq).c_str());
+  }
+}
+
+/// Copies the journal family at `from` to `to`, renaming the sidecars.
+void CopyJournalFamily(const std::string& from, const std::string& to) {
+  RemoveJournalFamily(to);
+  auto copy = [](const std::string& src, const std::string& dst) {
+    std::string bytes;
+    if (!FileExists(src)) return;
+    ASSERT_TRUE(ReadFileToString(src, &bytes).ok()) << src;
+    ASSERT_TRUE(AtomicWriteFile(dst, bytes).ok()) << dst;
+  };
+  copy(from, to);
+  copy(from + ".prev", to + ".prev");
+  for (int64_t seq = 0; seq < 16; ++seq) {
+    copy(JournalSidecarPath(from, seq), JournalSidecarPath(to, seq));
+  }
+}
+
+uint32_t TracesDigest(const std::map<uint64_t, SessionTrace>& traces,
+                      const Table& table) {
+  uint32_t crc = 0;
+  for (const auto& [id, trace] : traces) {
+    for (const ServedStep& step : trace.steps) {
+      crc = Crc32Extend(crc, step.op.Describe(table));
+      crc = PodCrc(crc, step.valid);
+      crc = PodCrc(crc, std::bit_cast<uint64_t>(step.reward));
+      crc = PodCrc(crc, step.display_signature);
+    }
+    crc = PodCrc(crc, std::bit_cast<uint64_t>(trace.total_reward));
+  }
+  return crc;
+}
+
+/// Admits sessions until `live` are running or every session is admitted.
+void Refill(SessionManager& manager, int* admitted) {
+  while (manager.active_sessions() < kServeLive &&
+         *admitted < kServeSessions) {
+    ASSERT_TRUE(manager.Admit(ServeSessionAt(*admitted)).ok());
+    ++*admitted;
+  }
+}
+
+/// Ticks, delivers and refills until nothing is live.
+void ServeToEnd(SessionManager& manager, int* admitted,
+                std::map<uint64_t, SessionTrace>* delivered) {
+  while (manager.active_sessions() > 0) {
+    manager.Tick();
+    for (SessionOutcome& outcome : manager.TakeCompleted()) {
+      EXPECT_EQ(outcome.reason, RetireReason::kCompleted);
+      (*delivered)[outcome.trace.id] = std::move(outcome.trace);
+    }
+    Refill(manager, admitted);
+  }
+}
+
+class GoldenServeTest : public ::testing::TestWithParam<ServeFixture> {};
+
+TEST_P(GoldenServeTest, ServedTracesJournalAndRecoveryMatchRecordedDigests) {
+  const ServeFixture& fixture = GetParam();
+  SnapshotOptions snapshot_options;
+  snapshot_options.env.episode_length = 12;
+  auto snapshot = std::make_shared<PolicySnapshot>(
+      MakeDataset("cyber1").value(), snapshot_options);
+  const Table& table = *snapshot->dataset().table;
+  EdaEnvironment proto_env(snapshot->dataset(), snapshot_options.env);
+  auto proto = MakeStandardReward(&proto_env).value();
+  auto make_options = [&](const std::string& journal) {
+    ServeOptions options;
+    options.num_threads = fixture.num_threads;
+    auto coherency = proto->coherency();
+    auto reward_options = proto->options();
+    options.reward_factory =
+        [coherency, reward_options]() -> std::shared_ptr<RewardSignal> {
+      return std::make_shared<CompoundReward>(coherency, reward_options);
+    };
+    options.notebook_store = std::make_shared<NotebookStore>();
+    options.journal_path = journal;
+    options.journal_compact_bytes = int64_t{64} << 10;
+    options.journal_compact_snap_factor = 0;
+    return options;
+  };
+  const std::string base = ::testing::TempDir() + "/golden_serve_" +
+                           fixture.name + "_" + std::to_string(getpid());
+  const std::string path = base + ".jnl";
+  const std::string crash_path = base + "_crash.jnl";
+  RemoveJournalFamily(path);
+
+  // The uninterrupted run. The journal family is copied after the first
+  // tick that follows a mid-run compaction: the copy holds a snapshot with
+  // live sessions, a notebook sidecar and a tick record after it.
+  std::map<uint64_t, SessionTrace> delivered;
+  std::map<uint64_t, SessionTrace> delivered_before_crash;
+  int admitted_at_crash = -1;
+  {
+    SessionManager manager(snapshot, make_options(path));
+    int admitted = 0;
+    Refill(manager, &admitted);
+    // The first Admit started the journal with a compaction of its own.
+    const int64_t start_compactions = manager.stats().journal_compactions;
+    bool compacted = false;
+    while (manager.active_sessions() > 0) {
+      manager.Tick();
+      if (compacted && admitted_at_crash < 0) {
+        CopyJournalFamily(path, crash_path);
+        admitted_at_crash = admitted;
+        delivered_before_crash = delivered;
+      }
+      compacted = manager.stats().journal_compactions > start_compactions;
+      for (SessionOutcome& outcome : manager.TakeCompleted()) {
+        EXPECT_EQ(outcome.reason, RetireReason::kCompleted);
+        delivered[outcome.trace.id] = std::move(outcome.trace);
+      }
+      Refill(manager, &admitted);
+    }
+  }
+  ASSERT_EQ(delivered.size(), static_cast<size_t>(kServeSessions));
+  ASSERT_GE(admitted_at_crash, 0) << "the run never compacted mid-run";
+  const uint32_t traces = TracesDigest(delivered, table);
+  const uint32_t journal = FileCrc(path);
+  const uint32_t journal_prev = FileCrc(path + ".prev");
+
+  // Recovery from the mid-run copy, driven on as the original was. Outcomes
+  // retired after the copied compaction are delivered again; merging by id
+  // must give the uninterrupted traces.
+  uint32_t recovered_journal = 0;
+  std::map<uint64_t, SessionTrace> merged = delivered_before_crash;
+  {
+    SessionManager recovered(snapshot, make_options(crash_path));
+    SessionManager::RecoveryInfo info;
+    const Status status = recovered.RecoverFromJournal(crash_path, &info);
+    ASSERT_TRUE(status.ok()) << status;
+    EXPECT_FALSE(info.used_prev_fallback);
+    EXPECT_GT(info.sessions_restored, 0);
+    EXPECT_EQ(info.ticks_replayed, 1);
+    recovered_journal = FileCrc(crash_path);
+    int admitted = admitted_at_crash;
+    for (SessionOutcome& outcome : recovered.TakeCompleted()) {
+      merged[outcome.trace.id] = std::move(outcome.trace);
+    }
+    Refill(recovered, &admitted);
+    ServeToEnd(recovered, &admitted, &merged);
+  }
+  RemoveJournalFamily(path);
+  RemoveJournalFamily(crash_path);
+  ASSERT_EQ(merged.size(), static_cast<size_t>(kServeSessions));
+  const uint32_t recovered_traces = TracesDigest(merged, table);
+
+  const std::string context = std::string(fixture.name) +
+                              " (recorded with GCC " + kRecordedCompiler +
+                              ", this build " + __VERSION__ + ")";
+  EXPECT_EQ(traces, kServeDigests.traces)
+      << context << ": traces digest " << DigestString(traces);
+  EXPECT_EQ(recovered_traces, kServeDigests.traces)
+      << context << ": recovered traces digest "
+      << DigestString(recovered_traces);
+  EXPECT_EQ(journal, kServeDigests.journal)
+      << context << ": journal digest " << DigestString(journal);
+  EXPECT_EQ(journal_prev, kServeDigests.journal_prev)
+      << context << ": journal .prev digest " << DigestString(journal_prev);
+  EXPECT_EQ(recovered_journal, kServeDigests.recovered_journal)
+      << context << ": recovered journal digest "
+      << DigestString(recovered_journal);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Serve, GoldenServeTest, ::testing::ValuesIn(kServeFixtures),
+    [](const ::testing::TestParamInfo<ServeFixture>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace atena
