@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -63,7 +64,7 @@ const std::vector<std::vector<double>>& RealHistory(size_t count) {
   config.episode_length = static_cast<int>(count);
   config.stats_row_cap = 256;
   // The generator itself must not pay for (or depend on) the index.
-  config.diversity_index_enabled = false;
+  config.diversity_index_threshold = INT_MAX;
   EdaEnvironment env(MakeDataset("flights4").value(), config);
   env.Reset();
   Rng actions(count);

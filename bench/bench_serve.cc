@@ -4,14 +4,9 @@
 // retirement admits a replacement until the simulated workload is
 // exhausted, so the batch composition changes while the clock runs.
 //
-// Each config runs both acting modes: batched=1 issues one ActBatch
-// forward per tick across every live session (the point of the runtime),
-// batched=0 falls back to one forward per session per tick. The
-// batched_speedup counter is aggregate steps/sec relative to the
-// batched=0 run of the same session count (benchmarks run in
-// registration order, so the baseline always lands first). Results go to
-// BENCH_serve.json with sessions_per_sec, steps_per_sec, p50/p95/p99
-// per-step latency and the shared display cache's hit rate.
+// Every tick issues one ActBatch forward across every live session.
+// Results go to BENCH_serve.json with sessions_per_sec, steps_per_sec,
+// p50/p95/p99 per-step latency and the shared display cache's hit rate.
 //
 // Sessions are served without a reward signal: reward scoring is
 // per-session work whose cost is measured by bench_env, and it would only
@@ -26,9 +21,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -89,16 +84,8 @@ const std::shared_ptr<const PolicySnapshot>& SharedSnapshot() {
   return *snapshot;
 }
 
-/// steps_per_sec of the batched=0 run per session count — the
-/// batched_speedup baseline.
-std::map<int, double>& BaselineStepsPerSec() {
-  static std::map<int, double> baselines;
-  return baselines;
-}
-
 void BM_ServeSessions(benchmark::State& state) {
   const int concurrent = static_cast<int>(state.range(0));
-  const bool batched = state.range(1) != 0;
   const int base_steps = StepsPerSession();
   // 50% churn beyond the initial cohort.
   const uint64_t total_sessions =
@@ -113,9 +100,7 @@ void BM_ServeSessions(benchmark::State& state) {
   // iterations drain and re-admit sessions, so after the first iteration
   // the display cache is warm and admissions recycle pooled environments —
   // the steady state this bench measures. Only Tick() calls are timed.
-  ServeOptions options;
-  options.batched_acting = batched;
-  SessionManager manager(SharedSnapshot(), options);
+  SessionManager manager(SharedSnapshot(), ServeOptions{});
   for (auto _ : state) {
     uint64_t admitted = 0;
     for (; admitted < static_cast<uint64_t>(concurrent); ++admitted) {
@@ -157,22 +142,12 @@ void BM_ServeSessions(benchmark::State& state) {
           ? static_cast<double>(total_finished) / measured_seconds
           : 0.0;
   bench::AddLatencyPercentiles(state, tick_seconds, "step_latency");
-
-  auto& baselines = BaselineStepsPerSec();
-  if (!batched) baselines[concurrent] = steps_per_sec;
-  const auto baseline = baselines.find(concurrent);
-  if (baseline != baselines.end() && baseline->second > 0.0) {
-    state.counters["batched_speedup"] = steps_per_sec / baseline->second;
-  }
 }
 BENCHMARK(BM_ServeSessions)
-    ->ArgNames({"sessions", "batched"})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
+    ->ArgNames({"sessions"})
+    ->Args({4})
+    ->Args({64})
+    ->Args({1024})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -444,7 +419,7 @@ void BM_ServeLongSessions(benchmark::State& state) {
   snapshot_options.env.episode_length = steps;
   snapshot_options.env.num_term_bins = 8;
   snapshot_options.env.stats_row_cap = 256;
-  snapshot_options.env.diversity_index_enabled = indexed;
+  if (!indexed) snapshot_options.env.diversity_index_threshold = INT_MAX;
   const auto snapshot = std::make_shared<const PolicySnapshot>(
       MakeDataset("flights4").value(), snapshot_options);
 
@@ -540,9 +515,8 @@ int main(int argc, char** argv) {
     if (scale > 0) {
       benchmark::RegisterBenchmark("BM_ServeSessions",
                                    atena::BM_ServeSessions)
-          ->ArgNames({"sessions", "batched"})
-          ->Args({scale, 0})
-          ->Args({scale, 1})
+          ->ArgNames({"sessions"})
+          ->Args({scale})
           ->UseManualTime()
           ->Unit(benchmark::kMillisecond);
     }

@@ -49,7 +49,7 @@ cmake -B "$repo/build-tsan" -S "$repo" -DATENA_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
   --target thread_pool_test parallel_trainer_test display_cache_test \
            checkpoint_test guardrails_test serve_test serve_faults_test \
-           serve_journal_test index_test dataframe_test stats_test
+           serve_journal_test index_test dataframe_test stats_test golden_test
 # Only the binaries that actually spin up threads (the pool itself, the
 # parallel trainer's stepping path, the shared display cache, the
 # thread-crossing checkpoint resume, the guardrail fault-injection
@@ -58,13 +58,14 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # matrix — quarantine/deadline/shed/reload under worker threads — the
 # display-vector index exercised through the multi-threaded serve path
 # and the shared notebook store, concurrent FilterRows/GroupAggregate
-# calls on one shared table, and the column-statistics pass's
+# calls on one shared table, the column-statistics pass's
 # thread-local scratch plus the cache's shared Stats section under
-# concurrent stepping) —
+# concurrent stepping, and the golden fixtures' 4-thread training and
+# journaled serving runs, which must match their 1-thread digests) —
 # TSan's ~10x slowdown makes a full suite sweep disproportionate.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
     --timeout "$test_timeout" \
-    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test|stats_test'
+    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test|stats_test|golden_test'
 
 echo "== all checks passed =="

@@ -238,27 +238,6 @@ Status DurableAppender::Open(const std::string& path) {
   return Status::OK();
 }
 
-Status DurableAppender::Append(std::string_view data) {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("DurableAppender: no file open");
-  }
-  const char* bytes = data.data();
-  size_t remaining = data.size();
-  while (remaining > 0) {
-    ssize_t n;
-    if (InjectFailure("append-write", path_) ||
-        (n = ::write(fd_, bytes, remaining)) < 0) {
-      // A short prefix may already be in the file — the torn suffix
-      // readers of append-only files are required to tolerate.
-      return StepError("append-write", path_);
-    }
-    bytes += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  if (!data.empty()) dirty_ = true;
-  return Status::OK();
-}
-
 Status DurableAppender::AppendParts(
     std::initializer_list<std::string_view> parts) {
   if (fd_ < 0) {

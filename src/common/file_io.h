@@ -56,9 +56,9 @@ Status AppendDurableFile(const std::string& path, std::string_view data);
 
 /// The hot-path variant of AppendDurableFile for high-frequency appenders
 /// (the serving journal's group commit): the file descriptor is held open
-/// across appends, and writing is decoupled from flushing — Append pushes
-/// bytes into the kernel (cheap), Sync makes everything appended so far
-/// durable with one fdatasync (the expensive part, paid only at commit
+/// across appends, and writing is decoupled from flushing — AppendParts
+/// pushes bytes into the kernel (cheap), Sync makes everything appended so
+/// far durable with one fdatasync (the expensive part, paid only at commit
 /// barriers). fdatasync persists the data and the file-size metadata
 /// needed to read it back; a crash can only leave a torn suffix.
 /// Consults the same failure hook with the same "append-*" ops as
@@ -83,16 +83,12 @@ class DurableAppender {
   /// bytes are the caller's to flush (or to abandon, crash-style).
   void Close();
 
-  /// Appends `data` on the held descriptor (write loop, no flush).
-  /// FailedPrecondition when not open. Until the next Sync the new bytes
-  /// survive a process crash (they are in the page cache) but not a
-  /// system crash.
-  Status Append(std::string_view data);
-
-  /// Append of the concatenation of `parts` (at most 16 non-empty ones)
-  /// as one gather write — the record's pieces never have to be copied
-  /// into a contiguous buffer first. Same semantics and failure hook op
-  /// ("append-write") as Append.
+  /// Appends the concatenation of `parts` (at most 16 non-empty ones) on
+  /// the held descriptor as one gather write (writev loop, no flush) — a
+  /// record's pieces never have to be copied into a contiguous buffer
+  /// first. FailedPrecondition when not open; consults the "append-write"
+  /// failure hook. Until the next Sync the new bytes survive a process
+  /// crash (they are in the page cache) but not a system crash.
   Status AppendParts(std::initializer_list<std::string_view> parts);
 
   /// Makes every appended byte durable: one fdatasync ("append-fsync"

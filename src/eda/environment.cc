@@ -488,14 +488,13 @@ void EdaEnvironment::RestoreSnapshot(const Snapshot& snapshot) {
 }
 
 const VectorIndex* EdaEnvironment::display_index() const {
-  if (indexed_upto_ == 0) return nullptr;  // disabled or below threshold
+  if (indexed_upto_ == 0) return nullptr;  // below the threshold
   ATENA_CHECK(indexed_upto_ == display_vectors_.size())
       << "display index out of sync with history";
   return &display_index_;
 }
 
 void EdaEnvironment::SyncDisplayIndex() {
-  if (!config_.diversity_index_enabled) return;
   if (indexed_upto_ == 0 &&
       display_vectors_.size() <
           static_cast<size_t>(config_.diversity_index_threshold)) {

@@ -46,14 +46,13 @@ struct EnvConfig {
   /// megabytes and the entry cap alone would admit gigabytes.
   size_t display_cache_max_bytes = size_t{256} << 20;
   int display_cache_shards = 8;
-  /// Incremental vector index over display_vectors() (DESIGN.md §14),
-  /// which the diversity reward routes its min-distance query through.
-  /// Results are bit-identical with the index on or off; only the cost of
+  /// History length at which the incremental vector index over
+  /// display_vectors() (DESIGN.md §14), which the diversity reward routes
+  /// its min-distance query through, activates. Below it the scalar scan
+  /// is used — training episodes (~12 steps) never pay index maintenance;
+  /// long serving sessions cross it once and stay indexed. INT_MAX never
+  /// indexes. Results are bit-identical at any threshold; only the cost of
   /// long sessions changes (sub-linear vs linear per step).
-  bool diversity_index_enabled = true;
-  /// History length at which the index activates. Below it the scalar
-  /// scan is used — training episodes (~12 steps) never pay index
-  /// maintenance; long serving sessions cross it once and stay indexed.
   int diversity_index_threshold = 64;
 };
 

@@ -68,45 +68,100 @@ namespace {
 // Payload encoding: the checkpoint container's idiom (rl/checkpoint.cc) —
 // whitespace-delimited keyword sections, strings length-prefixed so
 // arbitrary dataset tokens survive. Encoding runs on the serving hot path
-// (one tick record per Tick), so numbers append via std::to_chars into one
-// growing string — no ostream formatting. Doubles encode as the 16-hex-
-// digit IEEE-754 bit pattern: exact by construction and several times
-// cheaper than shortest-round-trip decimal on both the encode and the
-// replay-parse side.
+// (one tick record per Tick), so numbers go through std::to_chars — no
+// ostream formatting. Doubles encode as the 16-hex-digit IEEE-754 bit
+// pattern: exact by construction and several times cheaper than
+// shortest-round-trip decimal on both the encode and the replay-parse side.
+//
+// Every number is written by PutNum or PutF64 into a caller's buffer; Num
+// and F64 append through them to a growing string. A fixed-width record
+// part (a tick entry up to its operation, a stream state) is assembled in
+// one stack buffer and lands in the payload as a single append. The
+// buffers are sized for the widest value, so to_chars never runs out of
+// room; the check keeps a failed conversion from leaving `p` at the
+// buffer's end for the next `*p++`.
+
+template <typename T>
+char* PutNum(char* p, char* end, T value) {
+  const std::to_chars_result result = std::to_chars(p, end, value);
+  ATENA_CHECK(result.ec == std::errc()) << "journal entry buffer too small";
+  return result.ptr;
+}
+
+char* PutF64(char* p, double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  for (int i = 15; i >= 0; --i) {
+    p[i] = "0123456789abcdef"[bits & 0xF];
+    bits >>= 4;
+  }
+  return p + 16;
+}
+
+/// A stream's full state: "<w0> <w1> <w2> <w3> <has_spare> <spare>" — the
+/// snapshot's env_rng/act_rng and a tick entry's "F" fallback alike.
+char* PutRng(char* p, char* end, const RngState& rng) {
+  for (const uint64_t word : rng.words) {
+    p = PutNum(p, end, word);
+    *p++ = ' ';
+  }
+  *p++ = rng.has_spare_gaussian ? '1' : '0';
+  *p++ = ' ';
+  return PutF64(p, rng.spare_gaussian);
+}
+
+// Tick entries carry the delta form when possible ("d <draws> <spare>"),
+// the full state ("F <state>") otherwise — the dominant byte saving of
+// the tick record.
+char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
+  if (rng.full) {
+    *p++ = 'F';
+    *p++ = ' ';
+    return PutRng(p, end, rng.state);
+  }
+  *p++ = 'd';
+  *p++ = ' ';
+  p = PutNum(p, end, rng.draws);
+  *p++ = ' ';
+  if (rng.has_spare) {
+    *p++ = '1';
+    *p++ = ' ';
+    return PutF64(p, rng.spare);
+  }
+  // A cleared/absent spare keeps its pre-step bytes; the value is omitted
+  // (MaterializeJournalRng carries it from `current`).
+  *p++ = '0';
+  return p;
+}
+
+/// A step's fields up to its operation: "<valid> <reward> <signature> ".
+char* PutStepHead(char* p, char* end, const ServedStep& step) {
+  *p++ = step.valid ? '1' : '0';
+  *p++ = ' ';
+  p = PutF64(p, step.reward);
+  *p++ = ' ';
+  p = PutNum(p, end, step.display_signature);
+  *p++ = ' ';
+  return p;
+}
 
 template <typename T>
 void Num(std::string& out, T value) {
-  char buf[40];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
+  char buf[24];
+  out.append(buf, PutNum(buf, buf + sizeof(buf), value));
 }
 
 void F64(std::string& out, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
   char buf[16];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  out.append(buf, sizeof(buf));
+  out.append(buf, PutF64(buf, value));
 }
 
 void Sp(std::string& out) { out.push_back(' '); }
 void Nl(std::string& out) { out.push_back('\n'); }
 
 void EncodeRng(std::string& out, const RngState& rng) {
-  Num(out, rng.words[0]);
-  Sp(out);
-  Num(out, rng.words[1]);
-  Sp(out);
-  Num(out, rng.words[2]);
-  Sp(out);
-  Num(out, rng.words[3]);
-  Sp(out);
-  Num(out, rng.has_spare_gaussian ? 1 : 0);
-  Sp(out);
-  F64(out, rng.spare_gaussian);
+  char buf[128];
+  out.append(buf, PutRng(buf, buf + sizeof(buf), rng));
 }
 
 void EncodeValue(std::string& out, const Value& value) {
@@ -153,13 +208,9 @@ void EncodeOp(std::string& out, const EdaOperation& op) {
   }
 }
 
-void EncodeStep(std::string& out, const JournalStep& step) {
-  Num(out, step.valid ? 1 : 0);
-  Sp(out);
-  F64(out, step.reward);
-  Sp(out);
-  Num(out, step.display_signature);
-  Sp(out);
+void EncodeStep(std::string& out, const ServedStep& step) {
+  char buf[48];
+  out.append(buf, PutStepHead(buf, buf + sizeof(buf), step));
   EncodeOp(out, step.op);
 }
 
@@ -219,111 +270,6 @@ std::string TickPayloadHeader(bool overloaded, size_t count) {
   Sp(out);
   Num(out, count);
   Nl(out);
-  return out;
-}
-
-// Raw char* variants of the encoders above, for the per-entry stack
-// buffer below (same bytes, no per-token std::string::append). The buffer
-// is sized for the widest entry, so to_chars never runs out of room; the
-// check keeps a failed conversion from leaving `p` at the buffer's end
-// for the next `*p++`.
-template <typename T>
-char* PutNum(char* p, char* end, T value) {
-  const std::to_chars_result result = std::to_chars(p, end, value);
-  ATENA_CHECK(result.ec == std::errc()) << "journal entry buffer too small";
-  return result.ptr;
-}
-
-char* PutF64(char* p, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 15; i >= 0; --i) {
-    p[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  return p + 16;
-}
-
-// Tick entries carry the delta form when possible ("d <draws> <spare>"),
-// the full state ("F <state>") otherwise — the dominant byte saving of
-// the tick record.
-char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
-  if (rng.full) {
-    *p++ = 'F';
-    *p++ = ' ';
-    for (const uint64_t word : rng.state.words) {
-      p = PutNum(p, end, word);
-      *p++ = ' ';
-    }
-    *p++ = rng.state.has_spare_gaussian ? '1' : '0';
-    *p++ = ' ';
-    return PutF64(p, rng.state.spare_gaussian);
-  }
-  *p++ = 'd';
-  *p++ = ' ';
-  p = PutNum(p, end, rng.draws);
-  *p++ = ' ';
-  if (rng.has_spare) {
-    *p++ = '1';
-    *p++ = ' ';
-    return PutF64(p, rng.spare);
-  }
-  // A cleared/absent spare keeps its pre-step bytes; the value is omitted
-  // (MaterializeJournalRng carries it from `current`).
-  *p++ = '0';
-  return p;
-}
-
-// Everything up to the operation is fixed-bounded (at most 297 bytes even
-// with two full-state fallbacks), so it encodes into one stack buffer and
-// lands in the payload as a single append; the operation tail can carry
-// an arbitrary dataset string, so it keeps the growing-string encoders.
-void EncodeTickEntryStep(std::string& out, uint64_t id, int end,
-                         int stage_after, const JournalRng& env,
-                         const JournalRng& act, const EdaOperation& op,
-                         bool valid, double reward,
-                         uint64_t display_signature) {
-  char buf[384];
-  char* const limit = buf + sizeof(buf);
-  char* p = buf;
-  *p++ = 's';
-  *p++ = ' ';
-  p = PutNum(p, limit, id);
-  *p++ = ' ';
-  p = PutNum(p, limit, end);
-  *p++ = ' ';
-  p = PutNum(p, limit, stage_after);
-  *p++ = ' ';
-  p = PutJournalRng(p, limit, env);
-  *p++ = ' ';
-  p = PutJournalRng(p, limit, act);
-  *p++ = ' ';
-  *p++ = valid ? '1' : '0';
-  *p++ = ' ';
-  p = PutF64(p, reward);
-  *p++ = ' ';
-  p = PutNum(p, limit, display_signature);
-  *p++ = ' ';
-  out.append(buf, static_cast<size_t>(p - buf));
-  EncodeOp(out, op);
-  Nl(out);
-}
-
-std::string EncodeTickPayload(const JournalTick& tick) {
-  std::string out = TickPayloadHeader(tick.overloaded, tick.entries.size());
-  out.reserve(32 + tick.entries.size() * 96);
-  for (const JournalTickEntry& entry : tick.entries) {
-    if (entry.kind == JournalTickEntry::Kind::kQuarantine) {
-      out += "q ";
-      Num(out, entry.id);
-      Nl(out);
-      continue;
-    }
-    EncodeTickEntryStep(out, entry.id, entry.end, entry.stage_after,
-                        entry.env_rng, entry.act_rng, entry.step.op,
-                        entry.step.valid, entry.step.reward,
-                        entry.step.display_signature);
-  }
   return out;
 }
 
@@ -404,7 +350,7 @@ std::string EncodeSnapPayload(const JournalSnapshot& snap) {
     out += "trace ";
     Num(out, s.trace.size());
     Nl(out);
-    for (const JournalStep& step : s.trace) {
+    for (const ServedStep& step : s.trace) {
       EncodeStep(out, step);
       Nl(out);
     }
@@ -585,7 +531,7 @@ class PayloadReader {
     return Status::OK();
   }
 
-  Status ReadStep(JournalStep* step) {
+  Status ReadStep(ServedStep* step) {
     ATENA_RETURN_IF_ERROR(ReadBool(&step->valid, "step valid flag"));
     ATENA_RETURN_IF_ERROR(ReadF64(&step->reward, "step reward"));
     ATENA_RETURN_IF_ERROR(Read(&step->display_signature, "step signature"));
@@ -759,7 +705,7 @@ Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
     }
     s.trace.reserve(static_cast<size_t>(trace_count));
     for (int64_t t = 0; t < trace_count; ++t) {
-      JournalStep step;
+      ServedStep step;
       ATENA_RETURN_IF_ERROR(reader.ReadStep(&step));
       s.trace.push_back(std::move(step));
     }
@@ -773,19 +719,13 @@ Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
 // ---------------------------------------------------------------------------
 // Record framing.
 
-std::string FrameRecord(const char* type, const std::string& payload) {
-  char crc_hex[9];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  std::string framed = "ATJ ";
-  framed += type;
-  framed += " ";
-  framed += crc_hex;
-  framed += " ";
-  framed += std::to_string(payload.size());
-  framed += "\n";
-  framed += payload;
-  framed += "\n";
-  return framed;
+/// "ATJ <type> <crc32-8hex> <payload-bytes>\n": the frame line of every
+/// record, appended or written by a compaction.
+std::string FrameLine(const char* type, uint32_t crc, size_t payload_bytes) {
+  char line[64];
+  const int len = std::snprintf(line, sizeof(line), "ATJ %s %08x %zu\n", type,
+                                crc, payload_bytes);
+  return std::string(line, static_cast<size_t>(len));
 }
 
 /// Parses one "ATJ <type> <crc> <size>" frame-header line. Strict: exactly
@@ -868,13 +808,31 @@ void JournalTickBuilder::AddQuarantine(uint64_t id) {
 
 void JournalTickBuilder::AddStep(uint64_t id, int end, int stage_after,
                                  const JournalRng& env, const JournalRng& act,
-                                 const EdaOperation& op, bool valid,
-                                 double reward, uint64_t display_signature) {
-  EncodeTickEntryStep(body_, id, end, stage_after, env, act, op, valid,
-                      reward, display_signature);
+                                 const ServedStep& step) {
+  // Everything up to the operation is fixed-bounded (at most 297 bytes even
+  // with two full-state fallbacks); the operation can carry an arbitrary
+  // dataset string, so it appends through the growing-string encoders.
+  char buf[384];
+  char* const limit = buf + sizeof(buf);
+  char* p = buf;
+  *p++ = 's';
+  *p++ = ' ';
+  p = PutNum(p, limit, id);
+  *p++ = ' ';
+  p = PutNum(p, limit, end);
+  *p++ = ' ';
+  p = PutNum(p, limit, stage_after);
+  *p++ = ' ';
+  p = PutJournalRng(p, limit, env);
+  *p++ = ' ';
+  p = PutJournalRng(p, limit, act);
+  *p++ = ' ';
+  p = PutStepHead(p, limit, step);
+  body_.append(buf, p);
+  EncodeOp(body_, step.op);
+  Nl(body_);
   ++entries_;
 }
-
 
 std::string JournalSidecarPath(const std::string& journal_path, int64_t seq) {
   return journal_path + ".nb." + std::to_string(seq);
@@ -969,9 +927,14 @@ SessionJournal::SessionJournal(std::string path) : path_(std::move(path)) {}
 Status SessionJournal::Reset(const JournalMeta& meta,
                              const JournalSnapshot& snapshot) {
   std::string content = kFileHeader;
-  content += FrameRecord("meta", EncodeMetaPayload(meta));
+  auto add_record = [&content](const char* type, const std::string& payload) {
+    content += FrameLine(type, Crc32(payload), payload.size());
+    content += payload;
+    content += '\n';
+  };
+  add_record("meta", EncodeMetaPayload(meta));
   const size_t before_snap = content.size();
-  content += FrameRecord("snap", EncodeSnapPayload(snapshot));
+  add_record("snap", EncodeSnapPayload(snapshot));
   const int64_t snap_bytes =
       static_cast<int64_t>(content.size() - before_snap);
   if (FileExists(path_)) {
@@ -992,13 +955,17 @@ Status SessionJournal::Reset(const JournalMeta& meta,
   return Status::OK();
 }
 
-Status SessionJournal::Append(const char* type, const std::string& payload) {
-  const std::string framed = FrameRecord(type, payload);
+Status SessionJournal::Append(const char* type, std::string_view a,
+                              std::string_view b) {
+  const std::string line =
+      FrameLine(type, Crc32Extend(Crc32Extend(0, a), b), a.size() + b.size());
   if (!appender_.is_open()) {
     ATENA_RETURN_IF_ERROR(appender_.Open(path_));
   }
-  ATENA_RETURN_IF_ERROR(appender_.Append(framed));
-  appended_bytes_ += static_cast<int64_t>(framed.size());
+  ATENA_RETURN_IF_ERROR(
+      appender_.AppendParts({line, a, b, std::string_view("\n", 1)}));
+  appended_bytes_ +=
+      static_cast<int64_t>(line.size() + a.size() + b.size() + 1);
   return Status::OK();
 }
 
@@ -1012,32 +979,10 @@ Status SessionJournal::AppendReload(const JournalReload& reload) {
   return Append("reload", EncodeReloadPayload(reload));
 }
 
-Status SessionJournal::AppendTick(const JournalTick& tick) {
-  return Append("tick", EncodeTickPayload(tick));
-}
-
-Status SessionJournal::AppendTickBuilt(const JournalTickBuilder& builder,
-                                       bool overloaded) {
-  // Frame + payload header land in one stack buffer; the builder's body
-  // is never copied — the CRC streams over both pieces and one gather
-  // write moves them into the kernel. The bytes on disk are exactly
-  // FrameRecord("tick", TickPayloadHeader(...) + body).
-  const std::string header = TickPayloadHeader(overloaded, builder.entries());
-  const std::string& body = builder.body();
-  const uint32_t crc = Crc32Extend(Crc32Extend(0, header), body);
-  char prefix[64];
-  const int prefix_len = std::snprintf(
-      prefix, sizeof(prefix), "ATJ tick %08x %zu\n", crc,
-      header.size() + body.size());
-  if (!appender_.is_open()) {
-    ATENA_RETURN_IF_ERROR(appender_.Open(path_));
-  }
-  ATENA_RETURN_IF_ERROR(appender_.AppendParts(
-      {std::string_view(prefix, static_cast<size_t>(prefix_len)), header,
-       body, std::string_view("\n", 1)}));
-  appended_bytes_ += static_cast<int64_t>(static_cast<size_t>(prefix_len) +
-                                          header.size() + body.size() + 1);
-  return Status::OK();
+Status SessionJournal::AppendTick(const JournalTickBuilder& builder,
+                                  bool overloaded) {
+  return Append("tick", TickPayloadHeader(overloaded, builder.entries()),
+                builder.body());
 }
 
 Status SessionJournal::AppendStop(const std::vector<uint64_t>& ids) {

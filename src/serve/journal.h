@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/file_io.h"
@@ -57,12 +58,16 @@ struct JournalMeta {
   int num_term_bins = 0;
 };
 
-/// One committed environment step as journaled (and as verified on
-/// replay): the concrete operation plus the step's observable products.
-struct JournalStep {
+/// One served step of a session's trace — also what the journal records
+/// per committed step and verifies on replay: the concrete operation plus
+/// the step's observable products.
+struct ServedStep {
   EdaOperation op;
   bool valid = true;
   double reward = 0.0;
+  /// Canonical signature of the display the step landed on — a pure
+  /// function of the logical display (DisplayVectorKey), so traces can be
+  /// compared bit-exactly without retaining row sets.
   uint64_t display_signature = 0;
 };
 
@@ -135,7 +140,7 @@ struct JournalTickEntry {
 
   Kind kind = Kind::kStep;
   uint64_t id = 0;
-  JournalStep step;
+  ServedStep step;
   /// DegradeStage after the commit (including an escalation this tick).
   int stage_after = 0;
   int end = kLive;
@@ -156,11 +161,11 @@ struct JournalTick {
   std::vector<JournalTickEntry> entries;
 };
 
-/// Zero-copy writer for a tick record's payload: the serial commit loop
-/// encodes each entry straight into the payload string as it commits —
-/// no JournalTick materialization, no operation/term copies — and the
-/// result parses back through ReadJournal as a normal tick record. The
-/// buffer is reusable across ticks (Clear keeps its capacity).
+/// Writer for a tick record's payload: the serial commit loop encodes each
+/// entry straight into the payload string as it commits — no JournalTick
+/// materialization, no operation/term copies — and the result parses back
+/// through ReadJournal as a JournalTick. The buffer is reusable across
+/// ticks (Clear keeps its capacity).
 class JournalTickBuilder {
  public:
   void Clear() {
@@ -171,11 +176,10 @@ class JournalTickBuilder {
 
   void AddQuarantine(uint64_t id);
   void AddStep(uint64_t id, int end, int stage_after, const JournalRng& env,
-               const JournalRng& act, const EdaOperation& op, bool valid,
-               double reward, uint64_t display_signature);
+               const JournalRng& act, const ServedStep& step);
   /// The encoded entries. The full tick payload is the
   /// "<overloaded> <count>\n" header followed by these bytes;
-  /// SessionJournal::AppendTickBuilt frames and appends it without ever
+  /// SessionJournal::AppendTick frames and appends it without ever
   /// concatenating the two.
   const std::string& body() const { return body_; }
 
@@ -203,7 +207,7 @@ struct JournalSessionState {
   double total_reward = 0.0;
   RngState env_rng;
   RngState act_rng;
-  std::vector<JournalStep> trace;
+  std::vector<ServedStep> trace;
 };
 
 struct JournalSnapshot {
@@ -297,14 +301,9 @@ class SessionJournal {
   /// cleanly.
   Status AppendAdmit(const JournalAdmit& admit);
   Status AppendReload(const JournalReload& reload);
-  Status AppendTick(const JournalTick& tick);
-  /// AppendTick for entries pre-encoded by a JournalTickBuilder — the
-  /// hot path. Never materializes a JournalTick, and the record reaches
-  /// the kernel as one gather write of its pieces (frame line, payload
-  /// header, builder body) with a streamed CRC — the builder's bytes are
-  /// not copied into a contiguous record first. Byte-identical on disk
-  /// to AppendTick of the equivalent JournalTick.
-  Status AppendTickBuilt(const JournalTickBuilder& builder, bool overloaded);
+  /// The tick's entries as a JournalTickBuilder encoded them during the
+  /// serial commit; the builder's bytes are not copied (see Append).
+  Status AppendTick(const JournalTickBuilder& builder, bool overloaded);
   Status AppendStop(const std::vector<uint64_t>& ids);
 
   /// True when appended records are not yet durable (a Sync would flush).
@@ -314,7 +313,12 @@ class SessionJournal {
   Status Sync();
 
  private:
-  Status Append(const char* type, const std::string& payload);
+  /// Appends one record whose payload is `a` followed by `b`: the frame
+  /// line, both pieces and the closing newline reach the kernel as one
+  /// gather write, with the CRC streamed over the pieces, so a payload is
+  /// never copied into a contiguous record first.
+  Status Append(const char* type, std::string_view a,
+                std::string_view b = {});
 
   std::string path_;
   int64_t appended_bytes_ = 0;

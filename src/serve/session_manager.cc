@@ -105,11 +105,13 @@ SessionManager::SessionManager(std::shared_ptr<const PolicySnapshot> snapshot,
     : snapshot_(std::move(snapshot)),
       options_(std::move(options)),
       health_log_(options_.health_log_path) {
-  if (options_.cache_capacity > 0) {
-    cache_ = std::make_shared<DisplayCache>(DisplayCache::Options{
-        .capacity = options_.cache_capacity,
-        .max_bytes = snapshot_->options().env.display_cache_max_bytes,
-        .shards = options_.cache_shards});
+  // The shared cache is configured exactly like a training environment's.
+  const EnvConfig& env = snapshot_->options().env;
+  if (env.display_cache_enabled && env.display_cache_capacity > 0) {
+    cache_ = std::make_shared<DisplayCache>(
+        DisplayCache::Options{.capacity = env.display_cache_capacity,
+                              .max_bytes = env.display_cache_max_bytes,
+                              .shards = env.display_cache_shards});
   }
   const int threads =
       options_.num_threads > 0
@@ -269,37 +271,64 @@ void SessionManager::Retire(size_t index, RetireReason reason, Status status,
   sessions_[index].reset();
 }
 
-bool SessionManager::EscalateDegrade(size_t index) {
+void SessionManager::CommitStep(size_t index, ServedStep step,
+                                StepOutcome outcome, int end,
+                                DegradeStage stage_after) {
   Session& s = *sessions_[index];
-  ++stats_.degrade_transitions;
-  switch (s.stage) {
-    case DegradeStage::kNormal:
-      s.stage = DegradeStage::kNoDiversity;
-      if (s.reward) s.reward->SetDegradedMode(true);
-      LogSessionEvent("degrade", s, "\"stage\":\"no_diversity\"");
-      return false;
-    case DegradeStage::kNoDiversity:
-      s.stage = DegradeStage::kGreedy;
-      LogSessionEvent("degrade", s, "\"stage\":\"greedy\"");
-      return false;
-    case DegradeStage::kGreedy:
-      break;
+  s.trace.total_reward += step.reward;
+  s.trace.steps.push_back(std::move(step));
+  ++s.steps_done;
+  ++steps_served_;
+  if (s.stage >= DegradeStage::kNoDiversity) {
+    ++s.degraded_steps;
+    ++stats_.degraded_steps;
+    if (s.stage >= DegradeStage::kGreedy) ++stats_.degraded_greedy_steps;
   }
-  // Past the last stage: the session cannot be served within budget even
-  // fully degraded — retire it with its partial notebook.
-  LogSessionEvent("deadline_retire", s, std::string("\"stage\":\"") +
-                                            DegradeStageName(s.stage) + "\"");
-  Retire(index, RetireReason::kDeadlineExceeded,
-         Status::ResourceExhausted(
-             "step deadline (" + std::to_string(options_.step_deadline_nanos) +
-             "ns) still exceeded at the last degradation stage"),
-         /*env_healthy=*/true);
-  return true;
+  // The overrunning step stays in the notebook; the *next* step runs
+  // further down the ladder (or not at all).
+  while (s.stage < stage_after) {
+    s.stage = static_cast<DegradeStage>(static_cast<int>(s.stage) + 1);
+    ++stats_.degrade_transitions;
+    if (s.stage == DegradeStage::kNoDiversity && s.reward) {
+      s.reward->SetDegradedMode(true);
+    }
+    LogSessionEvent("degrade", s, std::string("\"stage\":\"") +
+                                      DegradeStageName(s.stage) + "\"");
+  }
+  switch (end) {
+    case JournalTickEntry::kCompleted:
+      Retire(index, RetireReason::kCompleted, Status::OK(),
+             /*env_healthy=*/true);
+      return;
+    case JournalTickEntry::kDeadlineRetired:
+      // Past the last stage: the session cannot be served within budget
+      // even fully degraded — retire it with its partial notebook.
+      ++stats_.degrade_transitions;
+      LogSessionEvent("deadline_retire", s,
+                      std::string("\"stage\":\"") +
+                          DegradeStageName(s.stage) + "\"");
+      Retire(index, RetireReason::kDeadlineExceeded,
+             Status::ResourceExhausted(
+                 "step deadline (" +
+                 std::to_string(options_.step_deadline_nanos) +
+                 "ns) still exceeded at the last degradation stage"),
+             /*env_healthy=*/true);
+      return;
+  }
+  if (outcome.done) {
+    // Episode boundary inside a longer session: the finished notebook
+    // joins the corpus, then the next one starts. (A session completing
+    // its step budget was retired above — registered there, not twice.)
+    RegisterNotebook(s);
+    s.observation = s.env->Reset();
+  } else {
+    s.observation = std::move(outcome.observation);
+  }
 }
 
 void SessionManager::LogSessionEvent(const char* type, const Session& session,
                                      const std::string& extra) {
-  if (!health_log_.enabled()) return;
+  if (!health_log_.enabled() || recovering_) return;
   std::string body = "\"type\":" + JsonString(type) +
                      ",\"session\":" + std::to_string(session.id) +
                      ",\"seed\":" + std::to_string(session.config.seed) +
@@ -353,48 +382,34 @@ int SessionManager::Tick() {
   }
   for (const std::vector<int>& members : groups) {
     Session& first = *sessions_[static_cast<size_t>(members.front())];
-    TwofoldPolicy* policy = first.snapshot->policy();
-    if (options_.batched_acting) {
-      // Pad the batch up to the forward pass's 4-row register-tile width
-      // so a draining runtime (1–3 live sessions) keeps the tiled GEMM
-      // instead of falling back to per-row dot products. GEMM rows are
-      // independent, and a padded row carries a null Rng, so live rows'
-      // results are bit-identical with or without padding; padded outputs
-      // are dropped.
-      constexpr int kTileRows = 4;
-      const int count = static_cast<int>(members.size());
-      const int rows = std::max(count, kTileRows);
-      obs_batch_.Resize(rows, first.snapshot->observation_dim());
-      rngs_.assign(static_cast<size_t>(rows), nullptr);
-      for (int r = 0; r < count; ++r) {
-        Session& s = *sessions_[static_cast<size_t>(members[static_cast<size_t>(r)])];
-        std::copy(s.observation.begin(), s.observation.end(),
-                  obs_batch_.RowPtr(r));
-        if (!s.config.greedy && s.stage < DegradeStage::kGreedy) {
-          rngs_[static_cast<size_t>(r)] = &s.act_rng;
-        }
+    // Pad the batch up to the forward pass's 4-row register-tile width so
+    // a draining runtime (1–3 live sessions) keeps the tiled GEMM instead
+    // of falling back to per-row dot products. GEMM rows are independent,
+    // and a padded row carries a null Rng, so live rows' results are
+    // bit-identical with or without padding; padded outputs are dropped.
+    constexpr int kTileRows = 4;
+    const int count = static_cast<int>(members.size());
+    const int rows = std::max(count, kTileRows);
+    obs_batch_.Resize(rows, first.snapshot->observation_dim());
+    rngs_.assign(static_cast<size_t>(rows), nullptr);
+    for (int r = 0; r < count; ++r) {
+      Session& s =
+          *sessions_[static_cast<size_t>(members[static_cast<size_t>(r)])];
+      std::copy(s.observation.begin(), s.observation.end(),
+                obs_batch_.RowPtr(r));
+      if (!s.config.greedy && s.stage < DegradeStage::kGreedy) {
+        rngs_[static_cast<size_t>(r)] = &s.act_rng;
       }
-      for (int r = count; r < rows; ++r) {
-        std::copy(obs_batch_.RowPtr(0),
-                  obs_batch_.RowPtr(0) + obs_batch_.cols(),
-                  obs_batch_.RowPtr(r));
-      }
-      std::vector<PolicyStep> group_acts = policy->ActBatch(obs_batch_, rngs_);
-      for (int r = 0; r < count; ++r) {
-        acts[static_cast<size_t>(members[static_cast<size_t>(r)])] =
-            std::move(group_acts[static_cast<size_t>(r)]);
-      }
-    } else {
-      // Baseline path: one forward per session (what bench_serve compares
-      // the batched path against).
-      for (int idx : members) {
-        Session& s = *sessions_[static_cast<size_t>(idx)];
-        const bool greedy =
-            s.config.greedy || s.stage >= DegradeStage::kGreedy;
-        acts[static_cast<size_t>(idx)] =
-            greedy ? policy->ActGreedy(s.observation)
-                   : policy->Act(s.observation, &s.act_rng);
-      }
+    }
+    for (int r = count; r < rows; ++r) {
+      std::copy(obs_batch_.RowPtr(0), obs_batch_.RowPtr(0) + obs_batch_.cols(),
+                obs_batch_.RowPtr(r));
+    }
+    std::vector<PolicyStep> group_acts =
+        first.snapshot->policy()->ActBatch(obs_batch_, rngs_);
+    for (int r = 0; r < count; ++r) {
+      acts[static_cast<size_t>(members[static_cast<size_t>(r)])] =
+          std::move(group_acts[static_cast<size_t>(r)]);
     }
   }
 
@@ -451,93 +466,57 @@ int SessionManager::Tick() {
     if (bad >= 0) {
       slot.status = Status::Internal("non-finite observation element " +
                                      std::to_string(bad));
-      return;
     }
-    slot.executed = true;
   });
 
-  // 3. Serial commit in admission order: quarantine, record, walk the
-  // degradation ladder, retire, reset.
+  // 3. Serial commit in admission order: quarantine, or decide how the
+  // step's commit ends — from the step budget and the deadline — journal
+  // exactly that, and commit it.
   int executed_steps = 0;
   int64_t duration_sum = 0;
   for (int i = 0; i < live; ++i) {
     Session& s = *sessions_[static_cast<size_t>(i)];
     StepSlot& slot = slots_[static_cast<size_t>(i)];
-    const uint64_t sid = s.id;
     if (!slot.status.ok()) {
       LogSessionEvent(
           "quarantine", s,
           "\"code\":" + JsonString(StatusCodeName(slot.status.code())) +
               ",\"detail\":" + JsonString(slot.status.message()));
+      if (journaling) tick_builder_.AddQuarantine(s.id);
       Retire(static_cast<size_t>(i), RetireReason::kQuarantined,
              std::move(slot.status), /*env_healthy=*/false);
-      if (journaling) tick_builder_.AddQuarantine(sid);
       continue;
     }
-    s.trace.steps.push_back(RecordStep(slot.outcome, *s.env));
-    s.trace.total_reward += slot.outcome.reward;
-    ++s.steps_done;
-    ++steps_served_;
     ++executed_steps;
     duration_sum += slot.duration_nanos;
-    if (s.stage >= DegradeStage::kNoDiversity) {
-      ++s.degraded_steps;
-      ++stats_.degraded_steps;
-      if (s.stage >= DegradeStage::kGreedy) ++stats_.degraded_greedy_steps;
-    }
-    // Post-commit stream states, captured before any retirement below can
-    // destroy the session. The episode-boundary Reset further down
-    // consumes no randomness, so capturing here is already exact.
-    // Delta-encoded against the pre-step base — a few bytes per stream
-    // instead of four 20-digit words.
-    JournalRng env_jr, act_jr;
-    if (journaling) {
-      env_jr = MakeJournalRng(env_rng_before_[static_cast<size_t>(i)],
-                              s.env->rng_state());
-      act_jr = MakeJournalRng(act_rng_before_[static_cast<size_t>(i)],
-                              s.act_rng.state());
-    }
-    const ServedStep& recorded = s.trace.steps.back();
-    if (s.steps_done >= s.effective_max_steps) {
-      if (journaling) {
-        tick_builder_.AddStep(sid, JournalTickEntry::kCompleted,
-                              static_cast<int>(s.stage), env_jr, act_jr,
-                              recorded.op, recorded.valid, recorded.reward,
-                              recorded.display_signature);
-      }
-      Retire(static_cast<size_t>(i), RetireReason::kCompleted, Status::OK(),
-             /*env_healthy=*/true);
-      continue;
-    }
-    if (options_.step_deadline_nanos > 0 &&
-        slot.duration_nanos > options_.step_deadline_nanos) {
-      // The overrunning step stays in the notebook; the *next* step runs
-      // one stage further down the ladder (or not at all).
-      if (EscalateDegrade(static_cast<size_t>(i))) {
-        if (journaling) {
-          tick_builder_.AddStep(sid, JournalTickEntry::kDeadlineRetired,
-                                static_cast<int>(DegradeStage::kGreedy),
-                                env_jr, act_jr, recorded.op, recorded.valid,
-                                recorded.reward, recorded.display_signature);
-        }
-        continue;
+    ServedStep step = RecordStep(slot.outcome, *s.env);
+    int end = JournalTickEntry::kLive;
+    DegradeStage stage_after = s.stage;
+    if (s.steps_done + 1 >= s.effective_max_steps) {
+      end = JournalTickEntry::kCompleted;
+    } else if (options_.step_deadline_nanos > 0 &&
+               slot.duration_nanos > options_.step_deadline_nanos) {
+      if (s.stage == DegradeStage::kGreedy) {
+        end = JournalTickEntry::kDeadlineRetired;
+      } else {
+        stage_after = static_cast<DegradeStage>(static_cast<int>(s.stage) + 1);
       }
     }
     if (journaling) {
-      tick_builder_.AddStep(sid, JournalTickEntry::kLive,
-                            static_cast<int>(s.stage), env_jr, act_jr,
-                            recorded.op, recorded.valid, recorded.reward,
-                            recorded.display_signature);
+      // Post-step stream states, delta-encoded against the pre-step base —
+      // a few bytes per stream instead of four 20-digit words. The
+      // episode-boundary Reset in the commit consumes no randomness, so
+      // capturing before it is already exact.
+      tick_builder_.AddStep(
+          s.id, end, static_cast<int>(stage_after),
+          MakeJournalRng(env_rng_before_[static_cast<size_t>(i)],
+                         s.env->rng_state()),
+          MakeJournalRng(act_rng_before_[static_cast<size_t>(i)],
+                         s.act_rng.state()),
+          step);
     }
-    if (slot.outcome.done) {
-      // Episode boundary inside a longer session: the finished notebook
-      // joins the corpus, then the next one starts. (A session completing
-      // its step budget was retired above — registered there, not twice.)
-      RegisterNotebook(s);
-      s.observation = s.env->Reset();
-    } else {
-      s.observation = std::move(slot.outcome.observation);
-    }
+    CommitStep(static_cast<size_t>(i), std::move(step),
+               std::move(slot.outcome), end, stage_after);
   }
   sessions_.erase(std::remove(sessions_.begin(), sessions_.end(), nullptr),
                   sessions_.end());
@@ -545,9 +524,8 @@ int SessionManager::Tick() {
                 duration_sum / executed_steps > options_.step_deadline_nanos;
   if (journaling && journal_) {
     const int64_t before = journal_->appended_bytes();
-    AccountJournalAppend(
-        journal_->AppendTickBuilt(tick_builder_, overloaded_),
-        before);
+    AccountJournalAppend(journal_->AppendTick(tick_builder_, overloaded_),
+                         before);
     MaybeAutoCompact();
   }
   return executed_steps;
@@ -695,11 +673,7 @@ JournalSnapshot SessionManager::CaptureJournalSnapshot(
     state.total_reward = s.trace.total_reward;
     state.env_rng = s.env->rng_state();
     state.act_rng = s.act_rng.state();
-    state.trace.reserve(s.trace.steps.size());
-    for (const ServedStep& step : s.trace.steps) {
-      state.trace.push_back(JournalStep{step.op, step.valid, step.reward,
-                                        step.display_signature});
-    }
+    state.trace = s.trace.steps;
     snap.sessions.push_back(std::move(state));
   }
   return snap;
@@ -845,15 +819,8 @@ Status SessionManager::ReplayJournalSnapshot(const JournalSnapshot& snap,
   gens[0] = snapshot_;
   auto resolve_gen = [&](uint32_t gen) -> Status {
     if (gens[gen]) return Status::OK();
-    Result<std::shared_ptr<PolicySnapshot>> loaded = LoadPolicySnapshot(
-        snapshot_->dataset(), snapshot_->options(), snap.generation_paths[gen]);
-    if (!loaded.ok()) {
-      return Status::IOError("recovery cannot load policy generation " +
-                             std::to_string(gen) + " from '" +
-                             snap.generation_paths[gen] +
-                             "': " + loaded.status().message());
-    }
-    gens[gen] = std::move(loaded).value();
+    ATENA_ASSIGN_OR_RETURN(gens[gen],
+                           LoadGeneration(gen, snap.generation_paths[gen]));
     return Status::OK();
   };
   for (const JournalSessionState& st : snap.sessions) {
@@ -904,7 +871,7 @@ Status SessionManager::ReplayJournalSnapshot(const JournalSnapshot& snap,
     }
     const size_t begin = trace_len - static_cast<size_t>(st.episode_steps);
     for (size_t i = begin; i < trace_len; ++i) {
-      const JournalStep& step = st.trace[i];
+      const ServedStep& step = st.trace[i];
       Result<StepOutcome> stepped = s.env->TryStepOperation(step.op);
       if (!stepped.ok()) {
         return Status::InvalidArgument(
@@ -935,10 +902,7 @@ Status SessionManager::ReplayJournalSnapshot(const JournalSnapshot& snap,
     if (s.stage >= DegradeStage::kNoDiversity && s.reward) {
       s.reward->SetDegradedMode(true);
     }
-    for (const JournalStep& step : st.trace) {
-      s.trace.steps.push_back(ServedStep{step.op, step.valid, step.reward,
-                                         step.display_signature});
-    }
+    s.trace.steps = st.trace;
     s.trace.total_reward = st.total_reward;
     sessions_.push_back(std::move(session));
   }
@@ -955,22 +919,12 @@ Status SessionManager::ReplayJournalRecord(const JournalRecord& record,
             "admit record pins unknown policy generation " +
             std::to_string(admit.gen));
       }
-      std::shared_ptr<const PolicySnapshot> pinned;
-      if (admit.gen == current_gen_) {
-        pinned = snapshot_;
-      } else {
+      std::shared_ptr<const PolicySnapshot> pinned = snapshot_;
+      if (admit.gen != current_gen_) {
         // Admitted on an older generation than the final one (reloads and
         // admissions interleaved before the crash).
-        Result<std::shared_ptr<PolicySnapshot>> loaded =
-            LoadPolicySnapshot(snapshot_->dataset(), snapshot_->options(),
-                               generation_paths_[admit.gen]);
-        if (!loaded.ok()) {
-          return Status::IOError("recovery cannot load policy generation " +
-                                 std::to_string(admit.gen) + " from '" +
-                                 generation_paths_[admit.gen] +
-                                 "': " + loaded.status().message());
-        }
-        pinned = std::move(loaded).value();
+        ATENA_ASSIGN_OR_RETURN(
+            pinned, LoadGeneration(admit.gen, generation_paths_[admit.gen]));
       }
       SessionConfig config;
       config.seed = admit.seed;
@@ -990,17 +944,10 @@ Status SessionManager::ReplayJournalRecord(const JournalRecord& record,
             " out of sequence (expected " +
             std::to_string(generation_paths_.size()) + ")");
       }
-      Result<std::shared_ptr<PolicySnapshot>> loaded = LoadPolicySnapshot(
-          snapshot_->dataset(), snapshot_->options(), reload.path);
-      if (!loaded.ok()) {
-        return Status::IOError("recovery cannot reload policy generation " +
-                               std::to_string(reload.gen) + " from '" +
-                               reload.path +
-                               "': " + loaded.status().message());
-      }
+      ATENA_ASSIGN_OR_RETURN(snapshot_,
+                             LoadGeneration(reload.gen, reload.path));
       generation_paths_.push_back(reload.path);
       current_gen_ = reload.gen;
-      snapshot_ = std::move(loaded).value();
       ++stats_.reload_successes;
       return Status::OK();
     }
@@ -1008,17 +955,7 @@ Status SessionManager::ReplayJournalRecord(const JournalRecord& record,
       return ReplayJournalTick(record.tick, info);
     case JournalRecord::Kind::kStop: {
       for (uint64_t id : record.stop_ids) {
-        size_t index = sessions_.size();
-        for (size_t i = 0; i < sessions_.size(); ++i) {
-          if (sessions_[i] && sessions_[i]->id == id) {
-            index = i;
-            break;
-          }
-        }
-        if (index == sessions_.size()) {
-          return Status::InvalidArgument(
-              "stop record references unknown session " + std::to_string(id));
-        }
+        ATENA_ASSIGN_OR_RETURN(const size_t index, FindSession(id));
         Retire(index, RetireReason::kHardStopped, Status::OK(),
                /*env_healthy=*/true);
       }
@@ -1034,18 +971,7 @@ Status SessionManager::ReplayJournalRecord(const JournalRecord& record,
 Status SessionManager::ReplayJournalTick(const JournalTick& tick,
                                          RecoveryInfo* info) {
   for (const JournalTickEntry& entry : tick.entries) {
-    size_t index = sessions_.size();
-    for (size_t i = 0; i < sessions_.size(); ++i) {
-      if (sessions_[i] && sessions_[i]->id == entry.id) {
-        index = i;
-        break;
-      }
-    }
-    if (index == sessions_.size()) {
-      return Status::InvalidArgument(
-          "tick record references unknown session " +
-          std::to_string(entry.id));
-    }
+    ATENA_ASSIGN_OR_RETURN(const size_t index, FindSession(entry.id));
     Session& s = *sessions_[index];
     if (entry.kind == JournalTickEntry::Kind::kQuarantine) {
       // The fault's original Status text is not journaled (only that the
@@ -1069,7 +995,7 @@ Status SessionManager::ReplayJournalTick(const JournalTick& tick,
           ": " + stepped.status().message());
     }
     StepOutcome outcome = std::move(stepped).value();
-    const ServedStep recorded = RecordStep(outcome, *s.env);
+    ServedStep recorded = RecordStep(outcome, *s.env);
     // The replay-verification invariant: the recomputed step must match
     // the journaled one bit-for-bit, or this journal belongs to a
     // different dataset, policy snapshot or reward configuration.
@@ -1082,61 +1008,43 @@ Status SessionManager::ReplayJournalTick(const JournalTick& tick,
           " — the journal was written under a different dataset, policy "
           "snapshot or reward configuration");
     }
-    s.trace.steps.push_back(recorded);
-    s.trace.total_reward += outcome.reward;
-    ++s.steps_done;
-    ++steps_served_;
-    ++info->steps_replayed;
-    // Degraded-step accounting uses the stage the step *ran* at (this
-    // tick's escalation lands after the step committed, as in Tick).
-    if (s.stage >= DegradeStage::kNoDiversity) {
-      ++s.degraded_steps;
-      ++stats_.degraded_steps;
-      if (s.stage >= DegradeStage::kGreedy) ++stats_.degraded_greedy_steps;
-    }
-    const int pre_stage = static_cast<int>(s.stage);
-    int transitions = entry.stage_after - pre_stage;
-    if (entry.end == JournalTickEntry::kDeadlineRetired) ++transitions;
-    stats_.degrade_transitions += transitions;
-    if (entry.stage_after >= static_cast<int>(DegradeStage::kNoDiversity) &&
-        pre_stage < static_cast<int>(DegradeStage::kNoDiversity) &&
-        s.reward) {
-      s.reward->SetDegradedMode(true);
-    }
-    s.stage = static_cast<DegradeStage>(entry.stage_after);
-    if (entry.end == JournalTickEntry::kCompleted) {
-      Retire(index, RetireReason::kCompleted, Status::OK(),
-             /*env_healthy=*/true);
-      continue;
-    }
-    if (entry.end == JournalTickEntry::kDeadlineRetired) {
-      Retire(index, RetireReason::kDeadlineExceeded,
-             Status::ResourceExhausted(
-                 "step deadline (" +
-                 std::to_string(options_.step_deadline_nanos) +
-                 "ns) still exceeded at the last degradation stage"),
-             /*env_healthy=*/true);
-      continue;
-    }
-    if (outcome.done) {
-      RegisterNotebook(s);
-      s.observation = s.env->Reset();
-    } else {
-      s.observation = std::move(outcome.observation);
-    }
-    // The recorded post-commit stream states (the replayed operation
-    // itself consumed no randomness, so the live states are still the
-    // recorded deltas' pre-step base).
+    // The recorded post-step stream states (the replayed operation itself
+    // consumed no randomness, so the live states are still the recorded
+    // deltas' pre-step base; the commit's episode-boundary Reset consumes
+    // none either).
     s.env->set_rng_state(
         MaterializeJournalRng(entry.env_rng, s.env->rng_state()));
     s.act_rng.set_state(
         MaterializeJournalRng(entry.act_rng, s.act_rng.state()));
+    ++info->steps_replayed;
+    CommitStep(index, std::move(recorded), std::move(outcome), entry.end,
+               static_cast<DegradeStage>(entry.stage_after));
   }
   sessions_.erase(std::remove(sessions_.begin(), sessions_.end(), nullptr),
                   sessions_.end());
   overloaded_ = tick.overloaded;
   ++info->ticks_replayed;
   return Status::OK();
+}
+
+Result<size_t> SessionManager::FindSession(uint64_t id) const {
+  for (size_t i = 0; i < sessions_.size(); ++i) {
+    if (sessions_[i] && sessions_[i]->id == id) return i;
+  }
+  return Status::InvalidArgument("journal record references unknown session " +
+                                 std::to_string(id));
+}
+
+Result<std::shared_ptr<const PolicySnapshot>> SessionManager::LoadGeneration(
+    uint32_t gen, const std::string& path) const {
+  Result<std::shared_ptr<PolicySnapshot>> loaded =
+      LoadPolicySnapshot(snapshot_->dataset(), snapshot_->options(), path);
+  if (!loaded.ok()) {
+    return Status::IOError("recovery cannot load policy generation " +
+                           std::to_string(gen) + " from '" + path +
+                           "': " + loaded.status().message());
+  }
+  return std::shared_ptr<const PolicySnapshot>(std::move(loaded).value());
 }
 
 Status SessionManager::RecoverFromJournal(const std::string& path,

@@ -39,18 +39,8 @@ struct SessionConfig {
   bool greedy = false;
 };
 
-/// One served step of a session's trace.
-struct ServedStep {
-  EdaOperation op;
-  bool valid = true;
-  double reward = 0.0;
-  /// Canonical signature of the display the step landed on — a pure
-  /// function of the logical display (DisplayVectorKey), so traces can be
-  /// compared bit-exactly without retaining row sets.
-  uint64_t display_signature = 0;
-};
-
-/// The complete record of one finished session.
+/// The complete record of one finished session (ServedStep, one served
+/// step, is declared with the journal that records it: serve/journal.h).
 struct SessionTrace {
   uint64_t id = 0;
   uint64_t seed = 0;
@@ -76,8 +66,9 @@ const char* RetireReasonName(RetireReason reason);
 ///                  history (DESIGN.md §14) this stage rarely fires — the
 ///                  scan it skips is no longer the dominant per-step cost
 ///                  on long sessions — but it stays in the ladder as the
-///                  cheap first response for deployments that disable the
-///                  index;
+///                  cheap first response for sessions whose history is
+///                  still below EnvConfig::diversity_index_threshold, where
+///                  the scan is linear;
 ///   kGreedy      → argmax acting: the session stops consuming its acting
 ///                  stream entirely. One more overrun retires the session
 ///                  with kDeadlineExceeded.
@@ -126,14 +117,6 @@ struct ServeFaultInjection {
 struct ServeOptions {
   /// Worker threads for environment stepping; 0 = all hardware cores.
   int num_threads = 0;
-  /// One batched forward per tick across every pending session (the point
-  /// of this runtime). False falls back to one forward per session per
-  /// tick — the baseline bench_serve measures the speedup against.
-  bool batched_acting = true;
-  /// The display cache shared by all sessions (capacity 0 disables it).
-  /// Its byte budget is the snapshot's env.display_cache_max_bytes.
-  size_t cache_capacity = size_t{1} << 16;
-  int cache_shards = 8;
   /// Builds the per-session reward signal. Each session needs its own
   /// instance because Compute is stateful; share only internally-const
   /// state (e.g. one trained CoherencyClassifier) across the factory's
@@ -384,6 +367,9 @@ class SessionManager {
   const std::shared_ptr<const PolicySnapshot>& snapshot() const {
     return snapshot_;
   }
+  /// The display cache all sessions share, configured (enabled flag,
+  /// capacity, byte budget, shards) by the snapshot's EnvConfig; null when
+  /// that config disables caching.
   const std::shared_ptr<DisplayCache>& display_cache() const {
     return cache_;
   }
@@ -420,10 +406,9 @@ class SessionManager {
 
   /// Index-addressed result slot of one session's parallel step.
   struct StepSlot {
-    Status status;          // non-OK => quarantine
-    StepOutcome outcome;    // valid only when status.ok() && executed
+    Status status;        // non-OK => quarantine
+    StepOutcome outcome;  // valid only when status.ok()
     int64_t duration_nanos = 0;
-    bool executed = false;  // false when pre-step screening failed
   };
 
   std::unique_ptr<EdaEnvironment> AcquireEnv(uint64_t seed);
@@ -436,13 +421,22 @@ class SessionManager {
   /// and is discarded.
   void Retire(size_t index, RetireReason reason, Status status,
               bool env_healthy);
-  /// One ladder escalation for sessions_[index]; retires on overflow.
-  /// Returns true when the session was retired.
-  bool EscalateDegrade(size_t index);
+  /// The serial commit of one executed step of sessions_[index], shared
+  /// by Tick and journal replay: records `step` (counting it as degraded
+  /// at the stage it ran at), walks the degradation ladder down to
+  /// `stage_after`, then ends as `end` (a JournalTickEntry::End) says —
+  /// the session retires completed or deadline-retired, or it stays live
+  /// and crosses an episode boundary when `outcome.done`.
+  void CommitStep(size_t index, ServedStep step, StepOutcome outcome,
+                  int end, DegradeStage stage_after);
   /// Registers the session's current display-vector sequence in the
   /// notebook store (no-op without a store; the store skips sequences
   /// below its minimum length).
   void RegisterNotebook(const Session& session);
+  /// Appends a per-session event to the health log. A no-op while
+  /// recovering: each event is durably logged before the tick record
+  /// carrying its transition is appended, so a replayed event is already
+  /// in the log.
   void LogSessionEvent(const char* type, const Session& session,
                        const std::string& extra);
 
@@ -473,6 +467,12 @@ class SessionManager {
                                RecoveryInfo* info);
   Status ReplayJournalRecord(const JournalRecord& record, RecoveryInfo* info);
   Status ReplayJournalTick(const JournalTick& tick, RecoveryInfo* info);
+  /// The index of live session `id` in sessions_ (InvalidArgument when a
+  /// replayed record references a session that is not live).
+  Result<size_t> FindSession(uint64_t id) const;
+  /// Loads policy generation `gen` from `path` for recovery.
+  Result<std::shared_ptr<const PolicySnapshot>> LoadGeneration(
+      uint32_t gen, const std::string& path) const;
 
   std::shared_ptr<const PolicySnapshot> snapshot_;
   ServeOptions options_;

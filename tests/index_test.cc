@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -323,8 +324,7 @@ EnvConfig IndexedEnvConfig(int episode_length, int threshold) {
   EnvConfig config;
   config.episode_length = episode_length;
   config.num_term_bins = 4;
-  config.diversity_index_enabled = threshold >= 0;
-  config.diversity_index_threshold = threshold < 0 ? 0 : threshold;
+  config.diversity_index_threshold = threshold < 0 ? INT_MAX : threshold;
   return config;
 }
 
@@ -481,10 +481,9 @@ SnapshotOptions ServeIndexedOptions(bool index_enabled) {
   SnapshotOptions options;
   options.env.episode_length = 6;
   options.env.num_term_bins = 4;
-  options.env.diversity_index_enabled = index_enabled;
   // Activate almost immediately so even 6-step serving episodes exercise
   // the indexed path.
-  options.env.diversity_index_threshold = 2;
+  options.env.diversity_index_threshold = index_enabled ? 2 : INT_MAX;
   options.policy.hidden = {24, 24};
   return options;
 }

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -577,6 +578,84 @@ TEST(ServeRecoveryTest, DegradationLadderStateSurvivesRecovery) {
     ExpectTracesEqual(outcome.trace, want.trace, table, context);
   }
   CleanJournalFamily(path);
+}
+
+// Every session event is durably in the health log before the tick record
+// that carries its transition is appended, so replaying the journal must
+// not log those events a second time.
+TEST(ServeRecoveryTest, RecoveryDoesNotRelogJournaledEvents) {
+  SnapshotOptions snapshot_options = SmallOptions();
+  snapshot_options.env.episode_length = 4;
+  auto snapshot = std::make_shared<PolicySnapshot>(
+      MakeDataset("cyber2").value(), snapshot_options);
+  const std::string path = TempPath("serve_journal_relog.jnl");
+  const std::string log_path = TempPath("serve_journal_relog.jsonl");
+  CleanJournalFamily(path);
+  RemoveIfExists(log_path);
+
+  // Session 2 overruns its first three steps: it degrades to kNoDiversity,
+  // then to kGreedy, then retires past the last stage.
+  static constexpr int64_t kDeadline = 1000;
+  auto build_options = [&]() {
+    ServeOptions options;
+    options.journal_path = path;
+    options.health_log_path = log_path;
+    options.notebook_store = std::make_shared<NotebookStore>();
+    options.step_deadline_nanos = kDeadline;
+    options.fault_injection.step_duration_nanos =
+        [](uint64_t session_id, int step_index) -> int64_t {
+      return session_id == 2 && step_index < 3 ? 5 * kDeadline
+                                               : kDeadline / 10;
+    };
+    return options;
+  };
+  // Crash after 9 ticks of 10-step sessions: two episode boundaries each,
+  // no compaction after the journal's start.
+  {
+    SessionManager manager(snapshot, build_options());
+    for (uint64_t seed : {810, 811, 812, 813}) {
+      SessionConfig config;
+      config.seed = seed;
+      config.max_steps = 10;
+      MustAdmit(manager, config);
+    }
+    for (int t = 0; t < 9; ++t) manager.Tick();
+    EXPECT_EQ(manager.stats().deadline_retired, 1);
+  }
+
+  // Event lines keyed without their leading event number.
+  auto event_counts = [&]() {
+    std::map<std::string, int> counts;
+    std::istringstream lines(ReadRaw(log_path));
+    for (std::string line; std::getline(lines, line);) {
+      ++counts[line.substr(line.find(','))];
+    }
+    return counts;
+  };
+  const std::map<std::string, int> before = event_counts();
+  int registered = 0;
+  for (const auto& [event, count] : before) {
+    if (event.find("\"type\":\"notebook_registered\"") != std::string::npos) {
+      registered += count;
+    }
+  }
+  EXPECT_GE(registered, 6);
+
+  {
+    SessionManager recovered(snapshot, build_options());
+    MustRecover(recovered, path);
+  }
+  for (const auto& [event, count] : event_counts()) {
+    if (event.find("\"type\":\"recover_ok\"") != std::string::npos ||
+        event.find("\"type\":\"journal_compact\"") != std::string::npos) {
+      continue;
+    }
+    const auto it = before.find(event);
+    EXPECT_LE(count, it == before.end() ? 0 : it->second)
+        << "logged again by recovery: " << event;
+  }
+  CleanJournalFamily(path);
+  RemoveIfExists(log_path);
 }
 
 TEST(ServeRecoveryTest, ReloadedSnapshotGenerationsSurviveRecovery) {

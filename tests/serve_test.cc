@@ -2,8 +2,7 @@
 // (src/serve/). The contract under test: a session's trace is a pure
 // function of its SessionConfig and the snapshot — bit-identical to the
 // single-session serial reference no matter how many sessions share the
-// batch, which thread count steps them, when they join or leave, or
-// whether acting is batched at all.
+// batch, which thread count steps them, or when they join or leave.
 
 #include <gtest/gtest.h>
 
@@ -176,30 +175,6 @@ TEST(ServeDeterminismTest, MidServingAdmissionsDoNotChangeTraces) {
   }
 }
 
-TEST(ServeDeterminismTest, UnbatchedActingProducesIdenticalTraces) {
-  auto snapshot = SmallSnapshot();
-  const auto configs = MixedConfigs(5);
-  std::map<uint64_t, SessionTrace> batched;
-  const Table& table = *snapshot->dataset().table;
-  for (bool batch : {true, false}) {
-    ServeOptions options;
-    options.batched_acting = batch;
-    SessionManager manager(snapshot, options);
-    for (const auto& config : configs) MustAdmit(manager, config);
-    manager.Drain();
-    auto by_seed = BySeed(manager.TakeCompleted());
-    ASSERT_EQ(by_seed.size(), configs.size());
-    if (batch) {
-      batched = std::move(by_seed);
-      continue;
-    }
-    for (const auto& [seed, trace] : by_seed) {
-      ExpectTracesEqual(trace, batched.at(seed), table,
-                        "unbatched seed " + std::to_string(seed));
-    }
-  }
-}
-
 // Same contract with real reward scoring attached: per-session rewards are
 // part of the trace and must be batch-composition-independent too.
 TEST(ServeDeterminismTest, RewardScoredTracesMatchSerialReference) {
@@ -255,8 +230,8 @@ TEST(ServeDeterminismTest, RecycledEnvironmentsServeIdenticalTraces) {
                     *snapshot->dataset().table, "recycled env");
 }
 
-// The shared cache takes its byte budget from the snapshot's
-// env.display_cache_max_bytes. A tiny budget must keep resident bytes near
+// The shared cache takes its configuration, byte budget included, from the
+// snapshot's EnvConfig. A tiny budget must keep resident bytes near
 // it by evicting, and must change no trace: evicted entries recompute
 // bit-identically.
 TEST(ServeDeterminismTest, CacheByteBudgetBoundsResidencyNotTraces) {
@@ -264,11 +239,10 @@ TEST(ServeDeterminismTest, CacheByteBudgetBoundsResidencyNotTraces) {
   auto serve = [&](size_t max_bytes) {
     SnapshotOptions options = SmallOptions();
     options.env.display_cache_max_bytes = max_bytes;
+    options.env.display_cache_shards = 1;  // one shard: the budget is exact
     auto snapshot = std::make_shared<PolicySnapshot>(
         MakeDataset("cyber2").value(), options);
-    ServeOptions serve_options;
-    serve_options.cache_shards = 1;  // one shard: the budget is exact
-    SessionManager manager(snapshot, serve_options);
+    SessionManager manager(snapshot, ServeOptions{});
     for (const auto& config : MixedConfigs(8)) MustAdmit(manager, config);
     manager.Drain();
     return std::make_pair(BySeed(manager.TakeCompleted()),
