@@ -63,7 +63,8 @@ void FlatPolicy::BuildActionTable(const EdaEnvironment& env) {
         for (int t = 0; t < limit; ++t) {
           ActionRecord record;
           record.is_concrete = true;
-          record.concrete = EdaOperation::Filter(c, op, tokens[t].token);
+          record.concrete =
+              EdaOperation::Filter(c, op, col.KeyValue(tokens[t].key));
           actions_.push_back(std::move(record));
         }
       } else {

@@ -1,6 +1,7 @@
 #include "coherency/rules.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "dataframe/stats.h"
@@ -9,21 +10,15 @@ namespace atena {
 
 namespace {
 
-/// Distinct-value ratio of each column over the full table, used to decide
-/// whether a column is "continuous" (many distinct numeric values) or
-/// "id-like" (nearly unique). Computed once per rule set.
-std::vector<double> DistinctRatios(const Table& table) {
-  std::vector<double> ratios(static_cast<size_t>(table.num_columns()), 0.0);
-  auto rows = AllRows(table).value();
-  for (int c = 0; c < table.num_columns(); ++c) {
-    ColumnStats stats = ComputeColumnStats(*table.column(c), rows);
-    ratios[static_cast<size_t>(c)] =
-        table.num_rows() > 0
-            ? static_cast<double>(stats.distinct) /
-                  static_cast<double>(table.num_rows())
-            : 0.0;
-  }
-  return ratios;
+/// Distinct-value ratio of each column over the full table
+/// (ColumnDistinctRatios), used to decide whether a column is "continuous"
+/// (many distinct numeric values) or "id-like" (nearly unique). Computed
+/// once per rule set and shared by its rules.
+using SharedRatios = std::shared_ptr<const std::vector<double>>;
+
+SharedRatios RatiosOf(const Table& table) {
+  return std::make_shared<const std::vector<double>>(
+      ColumnDistinctRatios(table));
 }
 
 bool OpEquals(const EdaOperation& a, const EdaOperation& b) {
@@ -42,14 +37,12 @@ bool OpEquals(const EdaOperation& a, const EdaOperation& b) {
   return false;
 }
 
-}  // namespace
-
-std::vector<LabelingFunctionPtr> GeneralCoherencyRules(TablePtr table) {
+std::vector<LabelingFunctionPtr> GeneralRules(const Table& table,
+                                              const SharedRatios& ratios) {
   std::vector<LabelingFunctionPtr> rules;
-  auto ratios = std::make_shared<std::vector<double>>(DistinctRatios(*table));
   auto types = std::make_shared<std::vector<DataType>>();
-  for (int c = 0; c < table->num_columns(); ++c) {
-    types->push_back(table->column(c)->type());
+  for (int c = 0; c < table.num_columns(); ++c) {
+    types->push_back(table.column(c)->type());
   }
 
   rules.push_back(MakeLf("group_too_deep", [](const RewardContext& ctx) {
@@ -292,7 +285,8 @@ std::vector<LabelingFunctionPtr> GeneralCoherencyRules(TablePtr table) {
   return rules;
 }
 
-std::vector<LabelingFunctionPtr> FocalAttributeRules(const Dataset& dataset) {
+std::vector<LabelingFunctionPtr> FocalRules(const Dataset& dataset,
+                                            const SharedRatios& ratios) {
   std::vector<LabelingFunctionPtr> rules;
   auto focal = std::make_shared<std::unordered_set<int>>();
   for (const auto& attr : dataset.info.focal_attributes) {
@@ -300,8 +294,6 @@ std::vector<LabelingFunctionPtr> FocalAttributeRules(const Dataset& dataset) {
     if (c >= 0) focal->insert(c);
   }
   if (focal->empty()) return rules;
-  auto ratios =
-      std::make_shared<std::vector<double>>(DistinctRatios(*dataset.table));
 
   rules.push_back(MakeLf(
       "nonfocal_numeric_range_filter", [focal, ratios](const RewardContext& ctx) {
@@ -351,9 +343,20 @@ std::vector<LabelingFunctionPtr> FocalAttributeRules(const Dataset& dataset) {
   return rules;
 }
 
+}  // namespace
+
+std::vector<LabelingFunctionPtr> GeneralCoherencyRules(TablePtr table) {
+  return GeneralRules(*table, RatiosOf(*table));
+}
+
+std::vector<LabelingFunctionPtr> FocalAttributeRules(const Dataset& dataset) {
+  return FocalRules(dataset, RatiosOf(*dataset.table));
+}
+
 std::vector<LabelingFunctionPtr> StandardRuleSet(const Dataset& dataset) {
-  auto rules = GeneralCoherencyRules(dataset.table);
-  auto focal = FocalAttributeRules(dataset);
+  const SharedRatios ratios = RatiosOf(*dataset.table);
+  auto rules = GeneralRules(*dataset.table, ratios);
+  auto focal = FocalRules(dataset, ratios);
   rules.insert(rules.end(), focal.begin(), focal.end());
   return rules;
 }

@@ -120,7 +120,8 @@ Result<TablePtr> DescribeTable(const Table& table) {
       top.AppendNull();
       top_count.AppendNull();
     } else {
-      ATENA_RETURN_IF_ERROR(top.AppendString(tokens[0].token.ToString()));
+      ATENA_RETURN_IF_ERROR(
+          top.AppendString(col.KeyValue(tokens[0].key).ToString()));
       ATENA_RETURN_IF_ERROR(top_count.AppendInt(tokens[0].count));
     }
   }

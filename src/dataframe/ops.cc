@@ -73,13 +73,17 @@ std::vector<double> GroupedResult::GroupSizes() const {
   return sizes;
 }
 
+Value GroupedResult::Key(const Table& source, size_t group, size_t j) const {
+  return source.column(spec.group_columns[j])->GetValue(groups[group].row);
+}
+
 Result<TablePtr> GroupedResult::ToTable(const Table& source) const {
   std::vector<ColumnPtr> columns;
   for (size_t k = 0; k < key_names.size(); ++k) {
     DataType type = source.column(spec.group_columns[k])->type();
     ColumnBuilder builder(key_names[k], type);
-    for (const auto& g : groups) {
-      ATENA_RETURN_IF_ERROR(builder.AppendValue(g.keys[k]));
+    for (size_t g = 0; g < groups.size(); ++g) {
+      ATENA_RETURN_IF_ERROR(builder.AppendValue(Key(source, g, k)));
     }
     columns.push_back(builder.Finish());
   }

@@ -89,16 +89,20 @@ struct GroupSpec {
   int agg_column = -1;
 };
 
-/// One result group: its key values (one per group column), its member
-/// count, and the aggregate (`agg_valid` is false when no non-null input
-/// reached the aggregator). Groups keep no member row ids: every reader of
-/// a grouped display needs only how many rows each group holds.
+/// One result group: its member count, the aggregate (`agg_valid` is false
+/// when no non-null input reached the aggregator) and one of its member
+/// rows in the source table. That row's group-column cells are the group's
+/// key — two rows share a group exactly when their key cells have equal
+/// Column::CellKey bits and null flags — so a group stores no boxed key;
+/// GroupedResult::Key reads one on demand. Every other reader of a grouped
+/// display needs only how many rows each group holds.
 struct Group {
-  std::vector<Value> keys;
   int64_t size = 0;
   double aggregate = 0.0;
+  int32_t row = 0;
   bool agg_valid = false;
 };
+static_assert(sizeof(Group) <= 24, "a cached group is 24 bytes");
 
 /// The grouped result display: groups sorted by key under ValueLess,
 /// column by column. Groups whose keys tie (±0.0, NaN, int64 values beyond
@@ -113,8 +117,14 @@ struct GroupedResult {
   /// Group sizes as doubles (for the observation encoder's mean/variance).
   std::vector<double> GroupSizes() const;
 
+  /// The key of group `group` in group column `j`, boxed from the group's
+  /// member row of `source` (the table this result was computed on): null
+  /// for a null key cell, otherwise the cell's exact value.
+  Value Key(const Table& source, size_t group, size_t j) const;
+
   /// Materializes the grouped display as a table (key columns + one
-  /// aggregate column), for rendering.
+  /// aggregate column) over `source`, the table this result was computed
+  /// on, for rendering.
   Result<TablePtr> ToTable(const Table& source) const;
 };
 
@@ -127,6 +137,9 @@ struct GroupedResult {
 /// which emits groups straight in key order, and one open-addressing hash
 /// table filled in selection order for every other key, whose groups are
 /// then sorted by typed keys that compare exactly as ValueLess does.
+/// Each group's member row is noted by the loops that count members: the
+/// dense path's counting loop keeps a slot's last row, group creation on
+/// the hash path a group's first.
 /// SUM/MIN/MAX/AVG take one selection-order sweep over the aggregated
 /// column, so each group accumulates its members in selection order and
 /// the result is bit-identical to the scalar reference

@@ -7,6 +7,7 @@
 #include "common/hashing.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
+#include "dataframe/ops.h"
 
 namespace atena {
 
@@ -340,10 +341,23 @@ std::vector<TokenFreq> TokenFrequencies(const Column& column,
             });
   std::vector<TokenFreq> out;
   out.reserve(ranked.size());
-  for (const Ranked& r : ranked) {
-    out.push_back(TokenFreq{column.KeyValue(r.key), r.count});
-  }
+  for (const Ranked& r : ranked) out.push_back(TokenFreq{r.key, r.count});
   return out;
+}
+
+std::vector<double> ColumnDistinctRatios(const Table& table) {
+  std::vector<double> ratios(static_cast<size_t>(table.num_columns()), 0.0);
+  if (table.num_rows() == 0) return ratios;
+  // A table past the int32 row-id bound cannot be explored at all; as for
+  // EdaEnvironment's root selection, value() aborting on one is right.
+  const std::vector<int32_t> rows = AllRows(table).value();
+  const double num_rows = static_cast<double>(table.num_rows());
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const ColumnStats stats = ComputeColumnStats(*table.column(c), rows);
+    ratios[static_cast<size_t>(c)] =
+        static_cast<double>(stats.distinct) / num_rows;
+  }
+  return ratios;
 }
 
 }  // namespace atena

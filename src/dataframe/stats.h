@@ -41,11 +41,14 @@ std::vector<ColumnStats> ComputeSelectionStats(
 std::unordered_map<int64_t, double> ValueHistogram(
     const Column& column, const std::vector<int32_t>& rows);
 
-/// One token of a column and its frequency in the selection.
+/// One token of a column and its frequency in the selection. The token is
+/// kept as its Column::CellKey; Column::KeyValue boxes it where a reader
+/// needs the value (a filter term, a table description).
 struct TokenFreq {
-  Value token;
+  int64_t key = 0;
   int64_t count = 0;
 };
+static_assert(sizeof(TokenFreq) == 16, "a cached token is 16 bytes");
 
 /// Distinct non-null tokens of `column` within `rows`, sorted by descending
 /// frequency, equal frequencies by ValueLess (dataframe/ops.h). Tokens that
@@ -56,6 +59,11 @@ struct TokenFreq {
 /// binning operates on (paper §5).
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
                                         const std::vector<int32_t>& rows);
+
+/// Distinct non-null values of every column of `table` over all its rows,
+/// divided by its row count (0 for an empty table), in column order: the
+/// measure that tells continuous and id-like columns from categorical ones.
+std::vector<double> ColumnDistinctRatios(const Table& table);
 
 }  // namespace atena
 

@@ -63,10 +63,10 @@ class DisplayCache {
     /// past capacity/shards).
     size_t capacity = size_t{1} << 16;
     /// Maximum estimated resident bytes across all shards, 0 = unbounded.
-    /// Entry sizes are estimated at Put (vector payloads, group members,
-    /// token strings); a shard evicts LRU until back under its share. At
-    /// million-row tables a single filter row set is ~4 MB, so an entry
-    /// cap alone no longer bounds memory — this does.
+    /// Entry sizes are estimated at Put (element storage, a grouped
+    /// result's header, per-entry bookkeeping); a shard evicts LRU until
+    /// back under its share. At million-row tables a single filter row set
+    /// is ~4 MB, so an entry cap alone no longer bounds memory — this does.
     size_t max_bytes = 0;
     int shards = 8;
   };

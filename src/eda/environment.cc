@@ -46,15 +46,7 @@ EdaEnvironment::EdaEnvironment(Dataset dataset, EnvConfig config)
   // and value() aborting is the right behavior.
   all_rows_ = AllRows(*dataset_.table).value();
   root_signature_ = RootRowsSignature(*dataset_.table);
-  distinct_ratios_.reserve(static_cast<size_t>(table().num_columns()));
-  for (int c = 0; c < table().num_columns(); ++c) {
-    ColumnStats stats = ComputeColumnStats(*table().column(c), all_rows_);
-    distinct_ratios_.push_back(
-        table().num_rows() > 0
-            ? static_cast<double>(stats.distinct) /
-                  static_cast<double>(table().num_rows())
-            : 0.0);
-  }
+  distinct_ratios_ = ColumnDistinctRatios(*dataset_.table);
   Reset();
 }
 
@@ -146,13 +138,15 @@ EdaOperation EdaEnvironment::ResolveAction(const EnvAction& action) {
       }
       // Sample a concrete token for the chosen frequency bin over the
       // current display's rows (paper §5). The token list is memoized per
-      // (display row set, column); only the bin sampling consumes rng_.
+      // (display row set, column); only the bin sampling consumes rng_, and
+      // only the sampled token is boxed into a term.
       auto tokens = CurrentTokenFrequencies(column);
       TermBinning binning(*tokens, config_.num_term_bins);
       int token_index = binning.SampleToken(action.filter_bin, &rng_);
-      Value term = token_index >= 0
-                       ? (*tokens)[static_cast<size_t>(token_index)].token
-                       : Value::Null();
+      Value term =
+          token_index >= 0
+              ? col.KeyValue((*tokens)[static_cast<size_t>(token_index)].key)
+              : Value::Null();
       return EdaOperation::Filter(column, op, std::move(term),
                                   action.filter_bin);
     }
@@ -388,7 +382,7 @@ std::vector<EdaOperation> EdaEnvironment::EnumerateOperations(
                                     static_cast<int>(tokens->size()));
     const bool string_col = col.type() == DataType::kString;
     for (int i = 0; i < limit; ++i) {
-      const Value& token = (*tokens)[static_cast<size_t>(i)].token;
+      const Value token = col.KeyValue((*tokens)[static_cast<size_t>(i)].key);
       out.push_back(EdaOperation::Filter(c, CompareOp::kEq, token));
       if (string_col) {
         out.push_back(EdaOperation::Filter(c, CompareOp::kNeq, token));

@@ -25,10 +25,13 @@ const char* ChartKindName(ChartKind kind) {
 
 namespace {
 
-std::string CompositeKeyLabel(const Group& group) {
+std::string CompositeKeyLabel(const Table& source,
+                              const GroupedResult& grouped, size_t group) {
   std::vector<std::string> parts;
-  parts.reserve(group.keys.size());
-  for (const auto& key : group.keys) parts.push_back(key.ToString());
+  parts.reserve(grouped.key_names.size());
+  for (size_t j = 0; j < grouped.key_names.size(); ++j) {
+    parts.push_back(grouped.Key(source, group, j).ToString());
+  }
   return JoinStrings(parts, " / ");
 }
 
@@ -47,10 +50,11 @@ Result<ChartSpec> GroupedChart(const Table& source, const Display& display,
   spec.title = grouped.agg_name + " by " + spec.x_label;
 
   // Points in key order (GroupAggregate already sorts by key).
-  for (const auto& group : grouped.groups) {
+  for (size_t g = 0; g < grouped.groups.size(); ++g) {
+    const Group& group = grouped.groups[g];
     if (!group.agg_valid) continue;
-    spec.points.push_back(ChartPoint{CompositeKeyLabel(group),
-                                     group.aggregate});
+    spec.points.push_back(
+        ChartPoint{CompositeKeyLabel(source, grouped, g), group.aggregate});
   }
   if (static_cast<int>(spec.points.size()) < options.min_points) {
     spec.kind = ChartKind::kNone;

@@ -137,13 +137,16 @@ TEST(RegistryTest, MakeAllDatasetsReturnsEight) {
 // FilterRows/GroupAggregate and the scalar reference
 // (tests/support/reference_ops.h).
 
-void ExpectGroupedBitIdenticalAb(const GroupedResult& a,
-                                 const GroupedResult& b) {
+void ExpectGroupedBitIdenticalAb(const Table& t, const GroupedResult& a,
+                                 const ReferenceGroupedResult& b) {
   ASSERT_EQ(a.groups.size(), b.groups.size());
   EXPECT_EQ(a.key_names, b.key_names);
   EXPECT_EQ(a.agg_name, b.agg_name);
   for (size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].keys, b.groups[g].keys) << "group " << g;
+    for (size_t k = 0; k < b.groups[g].keys.size(); ++k) {
+      EXPECT_EQ(a.Key(t, g, k), b.groups[g].keys[k])
+          << "group " << g << " key " << k;
+    }
     EXPECT_EQ(a.groups[g].size, b.groups[g].size) << "group " << g;
     EXPECT_EQ(a.groups[g].agg_valid, b.groups[g].agg_valid) << "group " << g;
     EXPECT_EQ(std::bit_cast<uint64_t>(a.groups[g].aggregate),
@@ -171,9 +174,9 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
       if (col.type() == DataType::kString) {
         auto tokens = TokenFrequencies(col, all);
         if (!tokens.empty()) {
-          preds.emplace_back(CompareOp::kEq, tokens.front().token);
-          preds.emplace_back(CompareOp::kNeq, tokens.back().token);
-          const std::string top = tokens.front().token.ToString();
+          preds.emplace_back(CompareOp::kEq, col.KeyValue(tokens.front().key));
+          preds.emplace_back(CompareOp::kNeq, col.KeyValue(tokens.back().key));
+          const std::string top = col.KeyValue(tokens.front().key).ToString();
           preds.emplace_back(
               CompareOp::kContains,
               Value(top.substr(0, std::max<size_t>(1, top.size() / 2))));
@@ -203,7 +206,7 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
       spec.group_columns = {c};
       auto kernel_g = GroupAggregate(t, all, spec);
       ASSERT_TRUE(kernel_g.ok());
-      ExpectGroupedBitIdenticalAb(kernel_g.value(),
+      ExpectGroupedBitIdenticalAb(t, kernel_g.value(),
                                   ScalarGroupAggregate(t, all, spec));
     }
 
@@ -223,7 +226,7 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
       avg.agg_column = first_numeric;
       auto kernel_g = GroupAggregate(t, all, avg);
       ASSERT_TRUE(kernel_g.ok());
-      ExpectGroupedBitIdenticalAb(kernel_g.value(),
+      ExpectGroupedBitIdenticalAb(t, kernel_g.value(),
                                   ScalarGroupAggregate(t, all, avg));
     }
   }
@@ -243,8 +246,9 @@ std::map<std::string, double> CountBy(const Table& t, const char* column) {
   auto grouped = GroupAggregate(t, AllRows(t).value(), spec);
   EXPECT_TRUE(grouped.ok());
   std::map<std::string, double> out;
-  for (const auto& g : grouped.value().groups) {
-    out[g.keys[0].ToString()] = g.aggregate;
+  const auto& groups = grouped.value().groups;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    out[grouped.value().Key(t, g, 0).ToString()] = groups[g].aggregate;
   }
   return out;
 }
@@ -259,8 +263,9 @@ std::map<std::string, double> AvgBy(const Table& t, const char* key_column,
   auto grouped = GroupAggregate(t, AllRows(t).value(), spec);
   EXPECT_TRUE(grouped.ok());
   std::map<std::string, double> out;
-  for (const auto& g : grouped.value().groups) {
-    out[g.keys[0].ToString()] = g.aggregate;
+  const auto& groups = grouped.value().groups;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    out[grouped.value().Key(t, g, 0).ToString()] = groups[g].aggregate;
   }
   return out;
 }
@@ -302,7 +307,7 @@ TEST(Cyber2Test, RceAttackIsPlanted) {
   auto sources = GroupAggregate(t, cgi_rows.value(), spec);
   ASSERT_TRUE(sources.ok());
   ASSERT_EQ(sources.value().groups.size(), 1u);
-  EXPECT_EQ(sources.value().groups[0].keys[0].as_string(), "203.0.113.99");
+  EXPECT_EQ(sources.value().Key(t, 0, 0).as_string(), "203.0.113.99");
 }
 
 TEST(Cyber3Test, PhishingHostIsPlanted) {
@@ -367,8 +372,9 @@ TEST(FlightsTest, LaxAndAtlSufferExtraJuneDelays) {
   ASSERT_TRUE(grouped.ok());
   double lax = 0, atl = 0, others = 0;
   int other_count = 0;
-  for (const auto& g : grouped.value().groups) {
-    const std::string& airport = g.keys[0].as_string();
+  for (size_t i = 0; i < grouped.value().groups.size(); ++i) {
+    const Group& g = grouped.value().groups[i];
+    const std::string airport = grouped.value().Key(t, i, 0).as_string();
     if (airport == "LAX") {
       lax = g.aggregate;
     } else if (airport == "ATL") {

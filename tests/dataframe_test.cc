@@ -371,6 +371,51 @@ TEST(FilterTest, OrderingOpsOnAllNullNumericColumnSelectNothing) {
 
 // -------------------------------------------------------------- GroupBy
 
+/// Value equality at the bit level: NaN keys compare equal to themselves
+/// (operator== follows IEEE and would report identical NaN groups unequal).
+bool ValueBitEq(const Value& x, const Value& y) {
+  if (x.is_double() && y.is_double()) {
+    return std::bit_cast<uint64_t>(x.as_double()) ==
+           std::bit_cast<uint64_t>(y.as_double());
+  }
+  return x == y;
+}
+
+/// A kernel result of `rows` of `t` against the scalar reference's, bit for
+/// bit. Every group's member row must lie in the selection, and every key
+/// the kernel materializes from it (GroupedResult::Key) must equal the
+/// reference's boxed key; since a key is read off the member row's cells,
+/// equal keys also prove that the row belongs to its group. Sizes and
+/// aggregates are exact, not approximately equal: the kernel must preserve
+/// the scalar accumulation order.
+void ExpectMatchesReference(const Table& t, const std::vector<int32_t>& rows,
+                            const GroupedResult& kernel,
+                            const ReferenceGroupedResult& reference) {
+  ASSERT_EQ(kernel.groups.size(), reference.groups.size());
+  EXPECT_EQ(kernel.key_names, reference.key_names);
+  EXPECT_EQ(kernel.agg_name, reference.agg_name);
+  std::vector<int32_t> selected = rows;
+  std::sort(selected.begin(), selected.end());
+  for (size_t g = 0; g < kernel.groups.size(); ++g) {
+    const Group& got = kernel.groups[g];
+    const ReferenceGroup& want = reference.groups[g];
+    EXPECT_TRUE(std::binary_search(selected.begin(), selected.end(), got.row))
+        << "group " << g << ": member row " << got.row << " is not selected";
+    ASSERT_EQ(want.keys.size(), kernel.spec.group_columns.size());
+    for (size_t k = 0; k < want.keys.size(); ++k) {
+      const Value key = kernel.Key(t, g, k);
+      EXPECT_TRUE(ValueBitEq(key, want.keys[k]))
+          << "group " << g << " key " << k << ": " << key.ToString()
+          << " vs " << want.keys[k].ToString();
+    }
+    EXPECT_EQ(got.size, want.size) << "group " << g;
+    EXPECT_EQ(got.agg_valid, want.agg_valid) << "group " << g;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.aggregate),
+              std::bit_cast<uint64_t>(want.aggregate))
+        << "group " << g;
+  }
+}
+
 TEST(GroupTest, CountPerGroup) {
   auto t = MakeCityTable();
   GroupSpec spec;
@@ -379,7 +424,7 @@ TEST(GroupTest, CountPerGroup) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value().groups.size(), 4u);  // berlin, madrid, paris, rome
   // Sorted by key: berlin first with 2 rows.
-  EXPECT_EQ(out.value().groups[0].keys[0].as_string(), "berlin");
+  EXPECT_EQ(out.value().Key(*t, 0, 0).as_string(), "berlin");
   EXPECT_DOUBLE_EQ(out.value().groups[0].aggregate, 2.0);
   EXPECT_EQ(out.value().agg_name, "COUNT(*)");
 }
@@ -513,7 +558,8 @@ TEST(GroupTest, NullKeyNeverMergesWithAValue) {
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.value().groups.size(), 3u) << keys.size() << " keys";
     for (const Group& g : out.value().groups) EXPECT_EQ(g.size, 1);
-    EXPECT_EQ(ScalarGroupAggregate(*t, rows, spec).groups.size(), 3u);
+    ExpectMatchesReference(*t, rows, out.value(),
+                           ScalarGroupAggregate(*t, rows, spec));
   }
 }
 
@@ -537,10 +583,11 @@ TEST(StatsTest, TokenFrequenciesSortedByCount) {
   auto t = MakeCityTable();
   auto tokens = TokenFrequencies(*t->column(0), AllRows(*t).value());
   ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[0].token.as_string(), "berlin");
+  const Column& city = *t->column(0);
+  EXPECT_EQ(city.KeyValue(tokens[0].key).as_string(), "berlin");
   EXPECT_EQ(tokens[0].count, 2);
   // Ties broken by value order.
-  EXPECT_EQ(tokens[1].token.as_string(), "madrid");
+  EXPECT_EQ(city.KeyValue(tokens[1].key).as_string(), "madrid");
 }
 
 TEST(StatsTest, ValueHistogramExcludesNulls) {
@@ -837,33 +884,16 @@ TEST(KernelErrorTest, FilterRejectsEachBadInputWithItsCode) {
   }
 }
 
-/// Value equality at the bit level: NaN keys compare equal to themselves
-/// (operator== follows IEEE and would report identical NaN groups unequal).
-bool ValueBitEq(const Value& x, const Value& y) {
-  if (x.is_double() && y.is_double()) {
-    return std::bit_cast<uint64_t>(x.as_double()) ==
-           std::bit_cast<uint64_t>(y.as_double());
-  }
-  return x == y;
-}
-
+/// Two kernel results, bit for bit: member rows, sizes and aggregates.
 void ExpectGroupedBitIdentical(const GroupedResult& a,
                                const GroupedResult& b) {
   ASSERT_EQ(a.groups.size(), b.groups.size());
   EXPECT_EQ(a.key_names, b.key_names);
   EXPECT_EQ(a.agg_name, b.agg_name);
   for (size_t g = 0; g < a.groups.size(); ++g) {
-    ASSERT_EQ(a.groups[g].keys.size(), b.groups[g].keys.size());
-    for (size_t k = 0; k < a.groups[g].keys.size(); ++k) {
-      EXPECT_TRUE(ValueBitEq(a.groups[g].keys[k], b.groups[g].keys[k]))
-          << "group " << g << " key " << k << ": "
-          << a.groups[g].keys[k].ToString() << " vs "
-          << b.groups[g].keys[k].ToString();
-    }
+    EXPECT_EQ(a.groups[g].row, b.groups[g].row) << "group " << g;
     EXPECT_EQ(a.groups[g].size, b.groups[g].size) << "group " << g;
     EXPECT_EQ(a.groups[g].agg_valid, b.groups[g].agg_valid) << "group " << g;
-    // Bit-exact, not approximately-equal: the kernel must preserve the
-    // scalar accumulation order.
     EXPECT_EQ(std::bit_cast<uint64_t>(a.groups[g].aggregate),
               std::bit_cast<uint64_t>(b.groups[g].aggregate))
         << "group " << g;
@@ -900,8 +930,8 @@ TEST(KernelParityTest, GroupAggregateMatchesScalar) {
       for (const auto& rows : in.selections) {
         auto kernel = GroupAggregate(t, rows, spec);
         ASSERT_TRUE(kernel.ok());
-        ExpectGroupedBitIdentical(kernel.value(),
-                                  ScalarGroupAggregate(t, rows, spec));
+        ExpectMatchesReference(t, rows, kernel.value(),
+                               ScalarGroupAggregate(t, rows, spec));
       }
     }
   }
@@ -1011,8 +1041,8 @@ TEST(KernelParityTest, GroupOrderMatchesScalarOnKeyEdgeCases) {
                    " keys, selection " + std::to_string(s));
       auto kernel = GroupAggregate(*t, selections[s], spec);
       ASSERT_TRUE(kernel.ok());
-      ExpectGroupedBitIdentical(kernel.value(),
-                                ScalarGroupAggregate(*t, selections[s], spec));
+      ExpectMatchesReference(*t, selections[s], kernel.value(),
+                             ScalarGroupAggregate(*t, selections[s], spec));
     }
   }
   // The dense string path emits dictionary rank order, not code order.
@@ -1020,11 +1050,11 @@ TEST(KernelParityTest, GroupOrderMatchesScalarOnKeyEdgeCases) {
       GroupAggregate(*t, selections.front(), {{0}, AggFunc::kCount, -1})
           .value();
   ASSERT_EQ(by_string.groups.size(), 5u);
-  EXPECT_TRUE(by_string.groups[0].keys[0].is_null());
-  EXPECT_EQ(by_string.groups[1].keys[0].as_string(), "");
-  EXPECT_EQ(by_string.groups[2].keys[0].as_string(), "a");
-  EXPECT_EQ(by_string.groups[3].keys[0].as_string(), "aa");
-  EXPECT_EQ(by_string.groups[4].keys[0].as_string(), "b");
+  EXPECT_TRUE(by_string.Key(*t, 0, 0).is_null());
+  EXPECT_EQ(by_string.Key(*t, 1, 0).as_string(), "");
+  EXPECT_EQ(by_string.Key(*t, 2, 0).as_string(), "a");
+  EXPECT_EQ(by_string.Key(*t, 3, 0).as_string(), "aa");
+  EXPECT_EQ(by_string.Key(*t, 4, 0).as_string(), "b");
 }
 
 TEST(KernelErrorTest, GroupAggregateRejectsEachBadSpecWithItsCode) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,6 +115,40 @@ TEST(DisplayCacheTest, ResidentBytesTracksAllSections) {
   EXPECT_GT(cache.stats().resident_bytes, after_vec);
   // Unbounded by default: nothing was evicted.
   EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(DisplayCacheTest, GroupedAndTokenChargesFollowTheirLayouts) {
+  // A group is a flat 24-byte record (member count, aggregate, member row)
+  // and a token a 16-byte (cell key, count) pair: neither holds a heap
+  // payload, so an entry's charge grows by exactly one record per slot of
+  // capacity. A grouped entry's header strings are charged by length.
+  auto grouped_charge = [](size_t groups, const std::string& agg_name) {
+    DisplayCache cache({.capacity = 8, .shards = 1});
+    auto grouped = std::make_shared<GroupedResult>();
+    grouped->spec.group_columns = {0};
+    grouped->key_names = {"source_ip"};
+    grouped->agg_name = agg_name;
+    grouped->groups.reserve(groups);
+    grouped->groups.resize(groups);
+    cache.PutGrouped(1, grouped);
+    return cache.stats().resident_bytes;
+  };
+  const uint64_t empty = grouped_charge(0, "COUNT(*)");
+  EXPECT_GE(empty, sizeof(GroupedResult));
+  EXPECT_EQ(grouped_charge(1000, "COUNT(*)") - empty, 1000 * sizeof(Group));
+  EXPECT_EQ(grouped_charge(0, "AVG(response_bytes)") - empty,
+            std::string("AVG(response_bytes)").size() -
+                std::string("COUNT(*)").size());
+
+  auto tokens_charge = [](size_t tokens) {
+    DisplayCache cache({.capacity = 8, .shards = 1});
+    auto list = std::make_shared<std::vector<TokenFreq>>();
+    list->reserve(tokens);
+    list->resize(tokens);
+    cache.PutTokens(1, list);
+    return cache.stats().resident_bytes;
+  };
+  EXPECT_EQ(tokens_charge(1000) - tokens_charge(0), 1000 * sizeof(TokenFreq));
 }
 
 TEST(DisplayCacheTest, FilterSignatureIsOrderIndependent) {

@@ -54,7 +54,7 @@ std::vector<TokenFreq> SyntheticTokens(std::vector<int64_t> counts) {
   int64_t id = 0;
   for (int64_t c : counts) {
     TokenFreq tf;
-    tf.token = Value(id++);
+    tf.key = id++;
     tf.count = c;
     tokens.push_back(tf);
   }

@@ -60,24 +60,31 @@ ColumnStats OracleColumnStats(const Column& column,
   return stats;
 }
 
-std::vector<TokenFreq> OracleTokenFrequencies(
+/// A token as the per-row loop boxed it: its first cell's value.
+struct OracleToken {
+  Value token;
+  int64_t count = 0;
+};
+
+std::vector<OracleToken> OracleTokenFrequencies(
     const Column& column, const std::vector<int32_t>& rows) {
-  std::unordered_map<int64_t, TokenFreq> by_key;
+  std::unordered_map<int64_t, OracleToken> by_key;
   for (int32_t r : rows) {
     if (column.IsNull(r)) continue;
     auto [it, inserted] = by_key.try_emplace(column.CellKey(r));
     if (inserted) it->second.token = column.GetValue(r);
     ++it->second.count;
   }
-  std::vector<TokenFreq> out;
+  std::vector<OracleToken> out;
   for (auto& [k, tf] : by_key) {
     (void)k;
     out.push_back(std::move(tf));
   }
-  std::sort(out.begin(), out.end(), [](const TokenFreq& a, const TokenFreq& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return ValueLess(a.token, b.token);
-  });
+  std::sort(out.begin(), out.end(),
+            [](const OracleToken& a, const OracleToken& b) {
+              if (a.count != b.count) return a.count > b.count;
+              return ValueLess(a.token, b.token);
+            });
   return out;
 }
 
@@ -117,15 +124,18 @@ bool SameValue(const Value& a, const Value& b) {
   return a == b;
 }
 
-void ExpectSameTokens(const std::vector<TokenFreq>& got,
-                      const std::vector<TokenFreq>& want,
+/// Tokens against the oracle's, each boxed from its cell key
+/// (Column::KeyValue) and compared bit for bit.
+void ExpectSameTokens(const Column& column, const std::vector<TokenFreq>& got,
+                      const std::vector<OracleToken>& want,
                       const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].count, want[i].count) << context << " token " << i;
-    EXPECT_TRUE(SameValue(got[i].token, want[i].token))
-        << context << " token " << i << ": " << got[i].token.ToString()
-        << " vs " << want[i].token.ToString();
+    const Value token = column.KeyValue(got[i].key);
+    EXPECT_TRUE(SameValue(token, want[i].token))
+        << context << " token " << i << ": " << token.ToString() << " vs "
+        << want[i].token.ToString();
   }
 }
 
@@ -136,7 +146,7 @@ void ExpectMatchesOracle(const Column& column,
                       OracleHistogram(column, rows), context);
   ExpectSameStats(ComputeColumnStats(column, rows),
                   OracleColumnStats(column, rows), context);
-  ExpectSameTokens(TokenFrequencies(column, rows),
+  ExpectSameTokens(column, TokenFrequencies(column, rows),
                    OracleTokenFrequencies(column, rows), context);
 }
 

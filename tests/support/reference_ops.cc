@@ -46,7 +46,7 @@ std::vector<int32_t> ScanRows(const Column& col,
 /// Aggregates one group's member rows (already in selection order) and
 /// records their count.
 void AggregateGroup(const Column& agg_col, AggFunc agg,
-                    const std::vector<int32_t>& members, Group* g) {
+                    const std::vector<int32_t>& members, ReferenceGroup* g) {
   g->size = static_cast<int64_t>(members.size());
   if (agg == AggFunc::kCount) {
     g->aggregate = static_cast<double>(members.size());
@@ -155,11 +155,10 @@ std::vector<int32_t> ScalarFilterRows(const Table& table,
   }
 }
 
-GroupedResult ScalarGroupAggregate(const Table& table,
-                                   const std::vector<int32_t>& rows,
-                                   const GroupSpec& spec) {
-  GroupedResult result;
-  result.spec = spec;
+ReferenceGroupedResult ScalarGroupAggregate(const Table& table,
+                                            const std::vector<int32_t>& rows,
+                                            const GroupSpec& spec) {
+  ReferenceGroupedResult result;
   for (int c : spec.group_columns) {
     result.key_names.push_back(table.column(c)->name());
   }
@@ -237,7 +236,7 @@ GroupedResult ScalarGroupAggregate(const Table& table,
       slot_hash[pos] = hash;
       group_hash.push_back(hash);
       key_storage.insert(key_storage.end(), row_key.begin(), row_key.end());
-      Group g;
+      ReferenceGroup g;
       g.keys.reserve(k);
       for (const Column* col : key_cols) g.keys.push_back(col->GetValue(r));
       result.groups.push_back(std::move(g));
@@ -255,7 +254,7 @@ GroupedResult ScalarGroupAggregate(const Table& table,
   }
 
   std::sort(result.groups.begin(), result.groups.end(),
-            [](const Group& a, const Group& b) {
+            [](const ReferenceGroup& a, const ReferenceGroup& b) {
               for (size_t i = 0; i < a.keys.size() && i < b.keys.size(); ++i) {
                 if (ValueLess(a.keys[i], b.keys[i])) return true;
                 if (ValueLess(b.keys[i], a.keys[i])) return false;
