@@ -110,23 +110,24 @@ void BM_ColumnStats(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnStats);
 
-// Column statistics at the environment's default stats_row_cap: a 4,096-row
-// stride sample of cyber4, the selection size every observation encode and
-// reward histogram works on.
-std::vector<int32_t> StatsSample(const Table& t) {
+// Column statistics at the environment's default stats_row_cap: the
+// 4,096-row stride sample of a selection (EdaEnvironment::CapRows), the
+// selection size every observation encode and reward histogram works on.
+std::vector<int32_t> StatsSample(const std::vector<int32_t>& rows) {
   constexpr int kRows = 4096;
-  std::vector<int32_t> rows;
-  rows.reserve(kRows);
-  const double stride = static_cast<double>(t.num_rows()) / kRows;
+  if (rows.size() <= static_cast<size_t>(kRows)) return rows;
+  std::vector<int32_t> out;
+  out.reserve(kRows);
+  const double stride = static_cast<double>(rows.size()) / kRows;
   for (int i = 0; i < kRows; ++i) {
-    rows.push_back(static_cast<int32_t>(i * stride));
+    out.push_back(rows[static_cast<size_t>(i * stride)]);
   }
-  return rows;
+  return out;
 }
 
 void RunColumnStats4K(benchmark::State& state, const char* column) {
   const Table& t = *BigDataset().table;
-  const auto rows = StatsSample(t);
+  const auto rows = StatsSample(AllRows(t).value());
   const Column& col = *t.column(t.FindColumn(column));
   for (auto _ : state) {
     auto stats = ComputeColumnStats(col, rows);
@@ -150,19 +151,6 @@ void BM_ColumnStats4K_Dictionary(benchmark::State& state) {
   RunColumnStats4K(state, "source_ip");
 }
 BENCHMARK(BM_ColumnStats4K_Dictionary);
-
-void BM_ValueHistogram4K(benchmark::State& state) {
-  const Table& t = *BigDataset().table;
-  const auto rows = StatsSample(t);
-  const Column& col = *t.column(t.FindColumn("destination_port"));
-  for (auto _ : state) {
-    auto hist = ValueHistogram(col, rows);
-    benchmark::DoNotOptimize(hist.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows.size()));
-}
-BENCHMARK(BM_ValueHistogram4K);
 
 void BM_TokenFrequencies(benchmark::State& state) {
   const Table& t = *BigDataset().table;
@@ -209,8 +197,9 @@ BENCHMARK(BM_GroupByThreeColumns);
 // end-to-end benchmark trains and serves on): COUNT by an all-distinct key
 // column — timestamp (a double: the hash path) and packet_id (a
 // small-range int: the dense path) — COUNT by a two-column key whose
-// second column is all-distinct, and the token list of the timestamp
-// column at the environment's 4,096-row stats cap.
+// second column is all-distinct, the token list of the timestamp column
+// at the environment's 4,096-row stats cap, and the FILTER reward's
+// per-attribute KL.
 const Dataset& Cyber1() {
   static const Dataset& dataset = *new Dataset(MakeDataset("cyber1").value());
   return dataset;
@@ -245,7 +234,7 @@ BENCHMARK(BM_GroupByTwoColumnsKeyed);
 
 void BM_TokenFrequenciesKeyColumn(benchmark::State& state) {
   const Table& t = *Cyber1().table;
-  const auto rows = StatsSample(t);
+  const auto rows = StatsSample(AllRows(t).value());
   const Column& col = *t.column(t.FindColumn("timestamp"));
   for (auto _ : state) {
     auto tokens = TokenFrequencies(col, rows);
@@ -255,6 +244,31 @@ void BM_TokenFrequenciesKeyColumn(benchmark::State& state) {
                           static_cast<int64_t>(rows.size()));
 }
 BENCHMARK(BM_TokenFrequenciesKeyColumn);
+
+// The FILTER reward's per-attribute deviation at its measured shape: the
+// 4,096-row stride sample of cyber1's root display (the previous display)
+// against a filtered child (the current one), on a column the reward
+// compares (distinct ratio at most 0.5).
+void BM_SelectionKl4K(benchmark::State& state) {
+  const Table& t = *Cyber1().table;
+  const auto all = AllRows(t).value();
+  const auto root = StatsSample(all);
+  const auto child = StatsSample(
+      FilterRows(t, all, t.FindColumn("protocol"), CompareOp::kEq,
+                 Value(std::string("TCP")))
+          .value());
+  const Column& col = *t.column(t.FindColumn("length"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SelectionKlDivergence(col, child, root));
+  }
+  state.counters["p_keys"] =
+      static_cast<double>(ComputeColumnStats(col, child).distinct);
+  state.counters["q_keys"] =
+      static_cast<double>(ComputeColumnStats(col, root).distinct);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(root.size() + child.size()));
+}
+BENCHMARK(BM_SelectionKl4K);
 
 // ------------------------------------------- million-row scalar vs kernel
 //
@@ -410,9 +424,10 @@ BENCHMARK(BM_GroupBy1M_Avg_Kernel);
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_dataframe.json");
+  atena::bench::JsonFileReporter reporter("BENCH_dataframe.json", args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

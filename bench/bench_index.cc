@@ -234,10 +234,11 @@ void RegisterBenchmarks() {
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   atena::RegisterBenchmarks();
-  atena::bench::JsonFileReporter reporter("BENCH_index.json");
+  atena::bench::JsonFileReporter reporter("BENCH_index.json", args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/string_utils.h"
 
 namespace atena {
 namespace bench {
@@ -35,9 +36,20 @@ inline void AddLatencyPercentiles(benchmark::State& state,
 /// times, items/sec and all user counters such as cache_hit_rate). The
 /// micro-bench binaries write BENCH_env.json / BENCH_dataframe.json next to
 /// their working directory so the perf trajectory is tracked across PRs.
+///
+/// The summary opens with a "context" object: the benchmark filter and the
+/// command line the bench main received (`args`, taken before
+/// benchmark::Initialize consumes its flags). Rows measured with different
+/// filters or flags differ, so rows are compared only under one context.
 class JsonFileReporter : public benchmark::ConsoleReporter {
  public:
-  explicit JsonFileReporter(std::string path) : path_(std::move(path)) {}
+  JsonFileReporter(std::string path, std::vector<std::string> args)
+      : path_(std::move(path)), args_(std::move(args)) {
+    // The program by name: where it was built is not how it measured.
+    if (!args_.empty()) {
+      args_[0] = args_[0].substr(args_[0].find_last_of('/') + 1);
+    }
+  }
 
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
@@ -55,7 +67,14 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
       std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
       return;
     }
-    std::fprintf(out, "{\n  \"benchmarks\": [\n");
+    std::fprintf(out,
+                 "{\n  \"context\": {\"benchmark_filter\": %s, \"args\": [",
+                 JsonString(benchmark::GetBenchmarkFilter()).c_str());
+    for (size_t i = 0; i < args_.size(); ++i) {
+      std::fprintf(out, "%s%s", i > 0 ? ", " : "",
+                   JsonString(args_[i]).c_str());
+    }
+    std::fprintf(out, "]},\n  \"benchmarks\": [\n");
     for (size_t i = 0; i < runs_.size(); ++i) {
       const Run& run = runs_[i];
       const double iters =
@@ -80,6 +99,7 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
 
  private:
   std::string path_;
+  std::vector<std::string> args_;
   std::vector<Run> runs_;
 };
 

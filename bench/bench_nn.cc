@@ -210,9 +210,10 @@ BENCHMARK(BM_TwofoldBatchUpdate);
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_nn.json");
+  atena::bench::JsonFileReporter reporter("BENCH_nn.json", args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -508,6 +508,7 @@ BENCHMARK(BM_ServeLongSessions)
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   if (const char* env = std::getenv("ATENA_SERVE_SESSIONS")) {
@@ -521,7 +522,7 @@ int main(int argc, char** argv) {
           ->Unit(benchmark::kMillisecond);
     }
   }
-  atena::bench::JsonFileReporter reporter("BENCH_serve.json");
+  atena::bench::JsonFileReporter reporter("BENCH_serve.json", args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

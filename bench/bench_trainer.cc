@@ -133,9 +133,10 @@ BENCHMARK(BM_TrainerSteps)
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_trainer.json");
+  atena::bench::JsonFileReporter reporter("BENCH_trainer.json", args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -49,7 +49,8 @@ cmake -B "$repo/build-tsan" -S "$repo" -DATENA_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
   --target thread_pool_test parallel_trainer_test display_cache_test \
            checkpoint_test guardrails_test serve_test serve_faults_test \
-           serve_journal_test index_test dataframe_test stats_test golden_test
+           serve_journal_test index_test dataframe_test stats_test golden_test \
+           reward_test
 # Only the binaries that actually spin up threads (the pool itself, the
 # parallel trainer's stepping path, the shared display cache, the
 # thread-crossing checkpoint resume, the guardrail fault-injection
@@ -59,13 +60,15 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # display-vector index exercised through the multi-threaded serve path
 # and the shared notebook store, concurrent FilterRows/GroupAggregate
 # calls on one shared table, the column-statistics pass's
-# thread-local scratch plus the cache's shared Stats section under
-# concurrent stepping, and the golden fixtures' 4-thread training and
-# journaled serving runs, which must match their 1-thread digests) —
+# thread-local scratch and histogram arena plus the cache's shared Stats
+# section under concurrent stepping, the golden fixtures' 4-thread
+# training and journaled serving runs, which must match their 1-thread
+# digests, and the FILTER reward's shared Deviation section under
+# concurrent stepping) —
 # TSan's ~10x slowdown makes a full suite sweep disproportionate.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
     --timeout "$test_timeout" \
-    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test|stats_test|golden_test'
+    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test|stats_test|golden_test|reward_test'
 
 echo "== all checks passed =="

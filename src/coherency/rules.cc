@@ -10,16 +10,11 @@ namespace atena {
 
 namespace {
 
-/// Distinct-value ratio of each column over the full table
-/// (ColumnDistinctRatios), used to decide whether a column is "continuous"
-/// (many distinct numeric values) or "id-like" (nearly unique). Computed
-/// once per rule set and shared by its rules.
+/// The table's distinct-value ratios (Table::distinct_ratios), used to
+/// decide whether a column is "continuous" (many distinct numeric values)
+/// or "id-like" (nearly unique). The rules hold them through a pointer
+/// that shares ownership of the table, so the table outlives every rule.
 using SharedRatios = std::shared_ptr<const std::vector<double>>;
-
-SharedRatios RatiosOf(const Table& table) {
-  return std::make_shared<const std::vector<double>>(
-      ColumnDistinctRatios(table));
-}
 
 bool OpEquals(const EdaOperation& a, const EdaOperation& b) {
   if (a.type != b.type) return false;
@@ -37,12 +32,14 @@ bool OpEquals(const EdaOperation& a, const EdaOperation& b) {
   return false;
 }
 
-std::vector<LabelingFunctionPtr> GeneralRules(const Table& table,
-                                              const SharedRatios& ratios) {
+}  // namespace
+
+std::vector<LabelingFunctionPtr> GeneralCoherencyRules(TablePtr table) {
+  const SharedRatios ratios(table, &table->distinct_ratios());
   std::vector<LabelingFunctionPtr> rules;
   auto types = std::make_shared<std::vector<DataType>>();
-  for (int c = 0; c < table.num_columns(); ++c) {
-    types->push_back(table.column(c)->type());
+  for (int c = 0; c < table->num_columns(); ++c) {
+    types->push_back(table->column(c)->type());
   }
 
   rules.push_back(MakeLf("group_too_deep", [](const RewardContext& ctx) {
@@ -285,8 +282,8 @@ std::vector<LabelingFunctionPtr> GeneralRules(const Table& table,
   return rules;
 }
 
-std::vector<LabelingFunctionPtr> FocalRules(const Dataset& dataset,
-                                            const SharedRatios& ratios) {
+std::vector<LabelingFunctionPtr> FocalAttributeRules(const Dataset& dataset) {
+  const SharedRatios ratios(dataset.table, &dataset.table->distinct_ratios());
   std::vector<LabelingFunctionPtr> rules;
   auto focal = std::make_shared<std::unordered_set<int>>();
   for (const auto& attr : dataset.info.focal_attributes) {
@@ -343,20 +340,9 @@ std::vector<LabelingFunctionPtr> FocalRules(const Dataset& dataset,
   return rules;
 }
 
-}  // namespace
-
-std::vector<LabelingFunctionPtr> GeneralCoherencyRules(TablePtr table) {
-  return GeneralRules(*table, RatiosOf(*table));
-}
-
-std::vector<LabelingFunctionPtr> FocalAttributeRules(const Dataset& dataset) {
-  return FocalRules(dataset, RatiosOf(*dataset.table));
-}
-
 std::vector<LabelingFunctionPtr> StandardRuleSet(const Dataset& dataset) {
-  const SharedRatios ratios = RatiosOf(*dataset.table);
-  auto rules = GeneralRules(*dataset.table, ratios);
-  auto focal = FocalRules(dataset, ratios);
+  auto rules = GeneralCoherencyRules(dataset.table);
+  auto focal = FocalAttributeRules(dataset);
   rules.insert(rules.end(), focal.begin(), focal.end());
   return rules;
 }

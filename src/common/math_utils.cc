@@ -49,41 +49,6 @@ double NormalizedEntropy(const std::vector<double>& counts) {
   return Entropy(counts) / std::log(static_cast<double>(support));
 }
 
-double KlDivergence(const std::unordered_map<int64_t, double>& p,
-                    const std::unordered_map<int64_t, double>& q,
-                    double epsilon) {
-  if (p.empty() && q.empty()) return 0.0;
-  // Union of supports, with additive smoothing so Q never has a zero where P
-  // is positive (the paper compares a filtered display against its parent,
-  // whose supports can differ in both directions).
-  std::unordered_map<int64_t, double> keys;
-  double p_total = 0.0, q_total = 0.0;
-  for (const auto& [k, v] : p) {
-    keys[k] = 0.0;
-    p_total += v;
-  }
-  for (const auto& [k, v] : q) {
-    keys[k] = 0.0;
-    q_total += v;
-  }
-  const double n = static_cast<double>(keys.size());
-  p_total += epsilon * n;
-  q_total += epsilon * n;
-  if (p_total <= 0.0 || q_total <= 0.0) return 0.0;
-  double kl = 0.0;
-  for (const auto& [k, unused] : keys) {
-    (void)unused;
-    auto pit = p.find(k);
-    auto qit = q.find(k);
-    double pv = ((pit != p.end()) ? pit->second : 0.0) + epsilon;
-    double qv = ((qit != q.end()) ? qit->second : 0.0) + epsilon;
-    double pp = pv / p_total;
-    double qq = qv / q_total;
-    kl += pp * std::log(pp / qq);
-  }
-  return std::max(0.0, kl);
-}
-
 double SquaredEuclideanDistance(const std::vector<double>& a,
                                 const std::vector<double>& b) {
   // Delegates with an infinite bound: one kernel, one accumulation order,

@@ -1,9 +1,13 @@
 #ifndef ATENA_COMMON_MATH_UTILS_H_
 #define ATENA_COMMON_MATH_UTILS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace atena {
@@ -35,9 +39,50 @@ double NormalizedEntropy(const std::vector<double>& counts);
 /// are smoothed additively (epsilon added to every key in the union of
 /// supports) and normalized, so the divergence is always finite. Returns 0
 /// for two empty histograms.
-double KlDivergence(const std::unordered_map<int64_t, double>& p,
-                    const std::unordered_map<int64_t, double>& q,
-                    double epsilon = 1e-4);
+///
+/// `Map` is a std::unordered_map<int64_t, double> on any allocator: the
+/// reward's few-key maps, or the arena-backed histograms of
+/// SelectionKlDivergence (dataframe/stats.h). The union map lives on p's
+/// allocator and receives p's keys, then q's, in iteration order; the sum
+/// runs in the union's iteration order. libstdc++'s buckets and iteration
+/// order depend on neither the allocator nor the mapped type, so maps
+/// built by the same inserts give the same bits.
+template <typename Map>
+double KlDivergence(const Map& p, const Map& q, double epsilon = 1e-4) {
+  if (p.empty() && q.empty()) return 0.0;
+  // Union of supports, with additive smoothing so Q never has a zero where P
+  // is positive (the paper compares a filtered display against its parent,
+  // whose supports can differ in both directions). Each union entry keeps
+  // the key's P and Q counts (0 where absent).
+  using Counts = std::pair<double, double>;
+  using UnionAllocator =
+      typename std::allocator_traits<typename Map::allocator_type>::
+          template rebind_alloc<std::pair<const int64_t, Counts>>;
+  std::unordered_map<int64_t, Counts, typename Map::hasher,
+                     typename Map::key_equal, UnionAllocator>
+      keys(UnionAllocator(p.get_allocator()));
+  double p_total = 0.0, q_total = 0.0;
+  for (const auto& [k, v] : p) {
+    keys[k].first = v;
+    p_total += v;
+  }
+  for (const auto& [k, v] : q) {
+    keys[k].second = v;
+    q_total += v;
+  }
+  const double n = static_cast<double>(keys.size());
+  p_total += epsilon * n;
+  q_total += epsilon * n;
+  if (p_total <= 0.0 || q_total <= 0.0) return 0.0;
+  double kl = 0.0;
+  for (const auto& [k, counts] : keys) {
+    (void)k;
+    const double pp = (counts.first + epsilon) / p_total;
+    const double qq = (counts.second + epsilon) / q_total;
+    kl += pp * std::log(pp / qq);
+  }
+  return std::max(0.0, kl);
+}
 
 /// Squared Euclidean (L2) distance. Mismatched tails count as distance
 /// from zero — equivalent to zero-padding the shorter vector — so vectors

@@ -44,6 +44,11 @@ std::string PadRight(std::string_view text, size_t width);
 /// steps can be logged without producing an unparseable line.
 std::string JsonNumber(double value);
 
+/// `"..."` with backslash, quote and control characters escaped — safe to
+/// splice a Status message, file path or command line into a JSON object
+/// body. Numbers go through JsonNumber.
+std::string JsonString(const std::string& value);
+
 }  // namespace atena
 
 #endif  // ATENA_COMMON_STRING_UTILS_H_

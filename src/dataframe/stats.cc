@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
+#include <memory_resource>
+#include <unordered_map>
 
 #include "common/hashing.h"
 #include "common/logging.h"
@@ -22,6 +25,10 @@ constexpr size_t kMaxDirectCodes = size_t{1} << 16;
 // thread never pins more than ~1.5 MB of counting scratch.
 constexpr size_t kMaxRetainedSlots = size_t{1} << 15;
 constexpr size_t kMinTableSlots = 16;
+// Bytes of a thread's histogram arena. Maps past it (one whole-table pass
+// over a scaled table) continue on the upstream allocator, which the
+// scope's end releases.
+constexpr size_t kArenaBytes = size_t{256} << 10;
 
 /// Open-addressed table slot. A slot is occupied in the current pass iff
 /// its stamp equals the scratch epoch, so starting a pass never clears
@@ -200,19 +207,69 @@ class CountingPass {
   CountScratch& s_;
 };
 
+/// A thread's monotonic arena for the maps below. The buffer is not
+/// zero-filled, so pages no map reaches stay out of RSS.
+struct HistogramArena {
+  std::unique_ptr<std::byte[]> buffer =
+      std::make_unique_for_overwrite<std::byte[]>(kArenaBytes);
+  std::pmr::monotonic_buffer_resource resource{
+      buffer.get(), kArenaBytes, std::pmr::new_delete_resource()};
+  bool busy = false;
+};
+
+/// The calling thread's histogram arena for one scope. Maps on resource()
+/// are declared after the scope object, so they are destroyed before it,
+/// and never leave it: the scope's end releases every byte at once. At
+/// most one scope per thread may be alive at a time.
+class ArenaScope {
+ public:
+  ArenaScope() : arena_(ThreadArena()) {
+    ATENA_CHECK(!arena_.busy) << "nested histogram arena scope";
+    arena_.busy = true;
+  }
+  ~ArenaScope() {
+    arena_.resource.release();
+    arena_.busy = false;
+  }
+
+  ArenaScope(const ArenaScope&) = delete;
+  ArenaScope& operator=(const ArenaScope&) = delete;
+
+  std::pmr::memory_resource* resource() const { return &arena_.resource; }
+
+ private:
+  static HistogramArena& ThreadArena() {
+    thread_local HistogramArena arena;
+    return arena;
+  }
+
+  HistogramArena& arena_;
+};
+
+using ArenaHistogram = std::pmr::unordered_map<int64_t, double>;
+
 /// The histogram map the per-row `hist[key] += 1.0` loop builds. That loop
 /// restructures the map only when it inserts a new key, and it inserts the
 /// distinct keys in first-occurrence order — so inserting just those keys,
 /// in that order (no reserve), yields the same buckets and the same
-/// iteration order.
-std::unordered_map<int64_t, double> HistogramOf(const CountingPass& pass) {
-  std::unordered_map<int64_t, double> hist;
+/// iteration order. The allocator plays no part in either.
+ArenaHistogram HistogramOf(const CountingPass& pass, const ArenaScope& arena) {
+  ArenaHistogram hist(arena.resource());
   const std::vector<int64_t>& keys = pass.keys();
   const std::vector<int64_t>& counts = pass.counts();
   for (size_t i = 0; i < keys.size(); ++i) {
     hist.emplace(keys[i], static_cast<double>(counts[i]));
   }
   return hist;
+}
+
+/// HistogramOf over its own counting pass, which ends before the next one
+/// may start.
+ArenaHistogram SelectionHistogram(const Column& column,
+                                  const std::vector<int32_t>& rows,
+                                  const ArenaScope& arena) {
+  CountingPass pass(column, rows);
+  return HistogramOf(pass, arena);
 }
 
 /// Entropy() of `distinct` copies of `count`, without materializing them.
@@ -277,8 +334,11 @@ ColumnStats ComputeColumnStats(const Column& column,
     // per-row histogram map iterates them.
     std::vector<double> ordered;
     ordered.reserve(counts.size());
-    for (const auto& entry : HistogramOf(pass)) {
-      ordered.push_back(entry.second);
+    {
+      ArenaScope arena;
+      for (const auto& entry : HistogramOf(pass, arena)) {
+        ordered.push_back(entry.second);
+      }
     }
     stats.entropy = Entropy(ordered);
   }
@@ -301,10 +361,13 @@ std::vector<ColumnStats> ComputeSelectionStats(
   return stats;
 }
 
-std::unordered_map<int64_t, double> ValueHistogram(
-    const Column& column, const std::vector<int32_t>& rows) {
-  CountingPass pass(column, rows);
-  return HistogramOf(pass);
+double SelectionKlDivergence(const Column& column,
+                             const std::vector<int32_t>& p_rows,
+                             const std::vector<int32_t>& q_rows) {
+  ArenaScope arena;
+  const ArenaHistogram p = SelectionHistogram(column, p_rows, arena);
+  const ArenaHistogram q = SelectionHistogram(column, q_rows, arena);
+  return KlDivergence(p, q);
 }
 
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
@@ -324,7 +387,8 @@ std::vector<TokenFreq> TokenFrequencies(const Column& column,
   std::vector<Ranked> ranked;
   ranked.reserve(pass.keys().size());
   if (KeysCanTie(column, pass.keys())) {
-    for (const auto& [key, count] : HistogramOf(pass)) {
+    ArenaScope arena;
+    for (const auto& [key, count] : HistogramOf(pass, arena)) {
       ranked.push_back(
           {static_cast<int64_t>(count), column.OrderKey(key), key});
     }
@@ -345,17 +409,15 @@ std::vector<TokenFreq> TokenFrequencies(const Column& column,
   return out;
 }
 
-std::vector<double> ColumnDistinctRatios(const Table& table) {
+Result<std::vector<double>> ColumnDistinctRatios(const Table& table) {
+  ATENA_ASSIGN_OR_RETURN(const std::vector<int32_t> rows, AllRows(table));
   std::vector<double> ratios(static_cast<size_t>(table.num_columns()), 0.0);
   if (table.num_rows() == 0) return ratios;
-  // A table past the int32 row-id bound cannot be explored at all; as for
-  // EdaEnvironment's root selection, value() aborting on one is right.
-  const std::vector<int32_t> rows = AllRows(table).value();
   const double num_rows = static_cast<double>(table.num_rows());
   for (int c = 0; c < table.num_columns(); ++c) {
-    const ColumnStats stats = ComputeColumnStats(*table.column(c), rows);
+    CountingPass pass(*table.column(c), rows);
     ratios[static_cast<size_t>(c)] =
-        static_cast<double>(stats.distinct) / num_rows;
+        static_cast<double>(pass.keys().size()) / num_rows;
   }
   return ratios;
 }

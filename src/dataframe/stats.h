@@ -2,7 +2,6 @@
 #define ATENA_DATAFRAME_STATS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dataframe/table.h"
@@ -26,7 +25,8 @@ struct ColumnStats {
 // exact counts. Results are bit-identical to histogramming with one
 // std::unordered_map operator[] per row — the map iteration order, and so
 // every entropy/KL sum and TokenFrequencies' tie order, is the same
-// (DESIGN.md §6, "Stats").
+// (DESIGN.md §6, "Stats"). Where a sum needs that order, the map is
+// rebuilt on a per-thread arena (stats.cc, ArenaScope).
 
 /// Computes ColumnStats of `column` restricted to `rows`.
 ColumnStats ComputeColumnStats(const Column& column,
@@ -36,10 +36,15 @@ ColumnStats ComputeColumnStats(const Column& column,
 std::vector<ColumnStats> ComputeSelectionStats(
     const Table& table, const std::vector<int32_t>& rows);
 
-/// Value histogram over a row selection, keyed by Column::CellKey (nulls are
-/// excluded). Feeds the KL-divergence interestingness reward.
-std::unordered_map<int64_t, double> ValueHistogram(
-    const Column& column, const std::vector<int32_t>& rows);
+/// KL divergence (common/math_utils.h KlDivergence) between the value
+/// histograms of `column` over `p_rows` and over `q_rows`, keyed by
+/// Column::CellKey, nulls excluded: the deviation the FILTER reward
+/// measures per attribute (paper §4.2). The histograms and the KL's union
+/// map live on a per-thread arena; their buckets, iteration order and so
+/// every bit of the result equal those of the per-row map loop.
+double SelectionKlDivergence(const Column& column,
+                             const std::vector<int32_t>& p_rows,
+                             const std::vector<int32_t>& q_rows);
 
 /// One token of a column and its frequency in the selection. The token is
 /// kept as its Column::CellKey; Column::KeyValue boxes it where a reader
@@ -63,7 +68,9 @@ std::vector<TokenFreq> TokenFrequencies(const Column& column,
 /// Distinct non-null values of every column of `table` over all its rows,
 /// divided by its row count (0 for an empty table), in column order: the
 /// measure that tells continuous and id-like columns from categorical ones.
-std::vector<double> ColumnDistinctRatios(const Table& table);
+/// Table::Make stores it (Table::distinct_ratios). OutOfRange for a table
+/// past the int32 row-id bound, which no selection can address.
+Result<std::vector<double>> ColumnDistinctRatios(const Table& table);
 
 }  // namespace atena
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/string_utils.h"
+#include "dataframe/stats.h"
 
 namespace atena {
 
@@ -34,6 +35,8 @@ Result<TablePtr> Table::Make(std::string name, std::vector<ColumnPtr> columns) {
     }
   }
   table->columns_ = std::move(columns);
+  ATENA_ASSIGN_OR_RETURN(table->distinct_ratios_,
+                         ColumnDistinctRatios(*table));
   return TablePtr(table);
 }
 

@@ -17,7 +17,9 @@ namespace atena {
 class Table {
  public:
   /// Builds a table from finished columns; all columns must have equal
-  /// length and distinct, non-empty names.
+  /// length and distinct, non-empty names, and the row count must fit the
+  /// int32 row ids every selection uses (OutOfRange otherwise). Computes
+  /// distinct_ratios() once.
   static Result<std::shared_ptr<const Table>> Make(
       std::string name, std::vector<ColumnPtr> columns);
 
@@ -27,6 +29,15 @@ class Table {
 
   const ColumnPtr& column(int i) const { return columns_[i]; }
   const std::string& column_name(int i) const { return columns_[i]->name(); }
+
+  /// Distinct non-null values of each column over all rows, divided by the
+  /// row count (0 for an empty table), in column order
+  /// (ColumnDistinctRatios, dataframe/stats.h). The reward and the
+  /// coherency rules use it to tell key-like and continuous columns (ratio
+  /// near 1) from categorical ones.
+  const std::vector<double>& distinct_ratios() const {
+    return distinct_ratios_;
+  }
 
   /// Index of the column named `name`, or -1 when absent.
   int FindColumn(std::string_view name) const;
@@ -46,6 +57,7 @@ class Table {
   std::string name_;
   int64_t num_rows_ = 0;
   std::vector<ColumnPtr> columns_;
+  std::vector<double> distinct_ratios_;
 };
 
 using TablePtr = std::shared_ptr<const Table>;

@@ -10,7 +10,7 @@ namespace atena {
 
 namespace {
 
-// Section salts keep the six typed key spaces disjoint even when they are
+// Section salts keep the seven typed key spaces disjoint even when they are
 // derived from the same operation-path signature.
 constexpr uint64_t kRowsSalt = 0xA1C4E953F0B6D711ULL;
 constexpr uint64_t kGroupSalt = 0xB7E151628AED2A6BULL;
@@ -18,6 +18,7 @@ constexpr uint64_t kTokenSalt = 0x93C467E37DB0C7A4ULL;
 constexpr uint64_t kCappedSalt = 0xD1310BA698DFB5ACULL;
 constexpr uint64_t kVectorSalt = 0xF61E2562C040B340ULL;
 constexpr uint64_t kStatsSalt = 0x8E79DCB0603A180EULL;
+constexpr uint64_t kDeviationSalt = 0xC5B1A3E0F2D47968ULL;
 
 uint64_t HashValue(const Value& value) {
   if (value.is_null()) return Mix64(0x9D2C5680ULL);
@@ -67,6 +68,8 @@ size_t StatsBytes(const std::vector<ColumnStats>& stats) {
 size_t VectorBytes(const std::vector<double>& vec) {
   return kEntryOverhead + vec.capacity() * sizeof(double);
 }
+
+constexpr size_t kDeviationBytes = kEntryOverhead + sizeof(double);
 
 }  // namespace
 
@@ -182,6 +185,16 @@ void DisplayCache::PutVector(uint64_t key,
   Put(key, std::move(vec), bytes);
 }
 
+std::optional<double> DisplayCache::GetDeviation(uint64_t key) {
+  auto hit = std::static_pointer_cast<const double>(Get(key));
+  if (!hit) return std::nullopt;
+  return *hit;
+}
+
+void DisplayCache::PutDeviation(uint64_t key, double deviation) {
+  Put(key, std::make_shared<const double>(deviation), kDeviationBytes);
+}
+
 void DisplayCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
@@ -274,6 +287,15 @@ uint64_t DisplayVectorKey(const Display& display, int row_cap) {
   }
   key = HashCombine(key, static_cast<uint64_t>(display.agg));
   return HashCombine(key, static_cast<uint64_t>(display.agg_column));
+}
+
+uint64_t FilterDeviationKey(uint64_t rows_signature,
+                            uint64_t previous_rows_signature,
+                            int filtered_column, int row_cap) {
+  uint64_t key = HashCombine(kDeviationSalt, rows_signature);
+  key = HashCombine(key, previous_rows_signature);
+  key = HashCombine(key, static_cast<uint64_t>(filtered_column));
+  return HashCombine(key, static_cast<uint64_t>(row_cap));
 }
 
 }  // namespace atena

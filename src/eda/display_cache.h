@@ -5,6 +5,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -48,10 +49,10 @@ struct DisplayCacheSnapshot {
 /// environment memoizes the expensive products of a step keyed by a
 /// canonical 64-bit signature of the operation path (see the Signature
 /// functions below): filter row sets, grouped results, per-column token
-/// frequencies, capped row samples, per-selection column statistics and
-/// encoded display vectors. One instance is shared by all actors of
-/// ParallelPpoTrainer; each key shard has its own mutex, so concurrent
-/// actors contend only within a shard.
+/// frequencies, capped row samples, per-selection column statistics,
+/// encoded display vectors and the FILTER reward's deviation. One instance
+/// is shared by all actors of ParallelPpoTrainer; each key shard has its
+/// own mutex, so concurrent actors contend only within a shard.
 ///
 /// Every cached value is an immutable shared_ptr produced by the exact
 /// deterministic kernel the cache fronts, so a hit is bit-identical to a
@@ -94,6 +95,11 @@ class DisplayCache {
 
   std::shared_ptr<const std::vector<double>> GetVector(uint64_t key);
   void PutVector(uint64_t key, std::shared_ptr<const std::vector<double>> vec);
+
+  /// One double per entry: the ungrouped FILTER reward's max-KL deviation
+  /// (reward/interestingness.cc).
+  std::optional<double> GetDeviation(uint64_t key);
+  void PutDeviation(uint64_t key, double deviation);
 
   void Clear();
 
@@ -173,6 +179,15 @@ uint64_t StatsKey(uint64_t rows_signature, int row_cap);
 
 /// Key of the encoded observation vector of `display` (Vector section).
 uint64_t DisplayVectorKey(const Display& display, int row_cap);
+
+/// Key of the ungrouped FILTER reward's deviation (Deviation section): the
+/// max KL over the capped selections of a display and of the display it
+/// was derived from, `filtered_column` (the last filter's column, -1 for
+/// none) excluded. Ordered in the two signatures, so two filter orders
+/// that reach one row set from different parents get different keys.
+uint64_t FilterDeviationKey(uint64_t rows_signature,
+                            uint64_t previous_rows_signature,
+                            int filtered_column, int row_cap);
 
 }  // namespace atena
 

@@ -46,7 +46,6 @@ EdaEnvironment::EdaEnvironment(Dataset dataset, EnvConfig config)
   // and value() aborting is the right behavior.
   all_rows_ = AllRows(*dataset_.table).value();
   root_signature_ = RootRowsSignature(*dataset_.table);
-  distinct_ratios_ = ColumnDistinctRatios(*dataset_.table);
   Reset();
 }
 

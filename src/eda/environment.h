@@ -224,14 +224,6 @@ class EdaEnvironment {
     cache_ = std::move(cache);
   }
 
-  /// Distinct-value ratio of each column over the full table (distinct
-  /// non-null values / rows), computed once. Reward functions and
-  /// coherency rules use it to tell key-like/continuous columns (ratio
-  /// near 1) from categorical ones.
-  const std::vector<double>& column_distinct_ratios() const {
-    return distinct_ratios_;
-  }
-
   /// Opaque saved session state for speculative evaluation (greedy
   /// baselines try every candidate operation, then roll back).
   struct Snapshot {
@@ -281,7 +273,6 @@ class EdaEnvironment {
   RowSet all_rows_;
   uint64_t root_signature_ = 0;
 
-  std::vector<double> distinct_ratios_;
   std::vector<Display> stack_;
   std::vector<Display> history_;
   std::vector<std::vector<double>> display_vectors_;

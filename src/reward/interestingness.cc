@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <unordered_map>
 
 #include "common/math_utils.h"
 #include "dataframe/stats.h"
@@ -83,6 +85,55 @@ std::vector<double> NumericValues(const Column& column,
   return out;
 }
 
+/// max_A KL(P_A(current) || P_A(previous)) over the capped selections of
+/// an ungrouped display and its predecessor: a pure function of the two
+/// row signatures, the filtered column and stats_row_cap, memoized under
+/// FilterDeviationKey.
+double FilterDeviation(const EdaEnvironment& env, const Display& current,
+                       const Display& previous) {
+  // Deviation is measured over the analyzable (categorical-ish) attributes
+  // only: a range cut on a key-like or continuous column (row ids,
+  // timestamps) trivially reshapes that column's distribution without
+  // telling a reader anything.
+  // ...and excluding the filtered attribute itself: a predicate on A
+  // trivially reshapes A's distribution; what makes the subset exceptional
+  // is deviation in the OTHER attributes (the SeeDB-style deviation the
+  // paper cites [45]).
+  const int filtered_column =
+      current.filters.empty() ? -1 : current.filters.back().column;
+  DisplayCache* cache = env.display_cache().get();
+  const uint64_t key =
+      FilterDeviationKey(current.rows_signature, previous.rows_signature,
+                         filtered_column, env.config().stats_row_cap);
+  if (cache) {
+    if (std::optional<double> hit = cache->GetDeviation(key)) return *hit;
+  }
+
+  const Table& table = env.table();
+  // Cached, zero-copy capped selections (shared with the encoder's views).
+  const RowSet cur_rows = env.CappedRows(current);
+  const RowSet prev_rows = env.CappedRows(previous);
+  const std::vector<double>& ratios = table.distinct_ratios();
+  double max_kl = 0.0;
+  bool any_column = false;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    if (c == filtered_column) continue;
+    if (ratios[static_cast<size_t>(c)] > 0.5) continue;
+    any_column = true;
+    max_kl = std::max(max_kl, SelectionKlDivergence(*table.column(c),
+                                                    cur_rows, prev_rows));
+  }
+  if (!any_column) {
+    // Degenerate schema (every column key-like): fall back to all columns.
+    for (int c = 0; c < table.num_columns(); ++c) {
+      max_kl = std::max(max_kl, SelectionKlDivergence(*table.column(c),
+                                                      cur_rows, prev_rows));
+    }
+  }
+  if (cache) cache->PutDeviation(key, max_kl);
+  return max_kl;
+}
+
 }  // namespace
 
 double GroupInterestingness(int64_t num_groups, int num_group_attrs,
@@ -105,21 +156,17 @@ double GroupInterestingness(int64_t num_groups, int num_group_attrs,
 
 double FilterInterestingness(const EdaEnvironment& env,
                              const Display& current, const Display& previous) {
-  const Table& table = env.table();
-  // Cached, zero-copy capped selections (shared with the encoder's views).
-  const RowSet cur_rows = env.CappedRows(current);
-  const RowSet prev_rows = env.CappedRows(previous);
-
   const double support = SupportFactor(current.rows.size());
   if (current.is_grouped()) {
     // Compare only the aggregated attribute (paper §4.2). Continuous
     // attributes are compared by binned distribution; exact-value
     // histograms would make every filter look maximally interesting.
     if (current.agg != AggFunc::kCount && current.agg_column >= 0) {
-      const Column& agg_col = *table.column(current.agg_column);
+      const Column& agg_col = *env.table().column(current.agg_column);
       std::unordered_map<int64_t, double> p, q;
-      BinnedHistograms(NumericValues(agg_col, cur_rows),
-                       NumericValues(agg_col, prev_rows), 16, &p, &q);
+      BinnedHistograms(NumericValues(agg_col, env.CappedRows(current)),
+                       NumericValues(agg_col, env.CappedRows(previous)), 16,
+                       &p, &q);
       return support * SquashKl(KlDivergence(p, q));
     }
     // COUNT aggregation: compare the group-size distributions.
@@ -128,37 +175,7 @@ double FilterInterestingness(const EdaEnvironment& env,
     if (q.empty()) return support * SquashKl(KlDivergence(p, p));
     return support * SquashKl(KlDivergence(p, q));
   }
-
-  // Deviation is measured over the analyzable (categorical-ish) attributes
-  // only: a range cut on a key-like or continuous column (row ids,
-  // timestamps) trivially reshapes that column's distribution without
-  // telling a reader anything.
-  // ...and excluding the filtered attribute itself: a predicate on A
-  // trivially reshapes A's distribution; what makes the subset exceptional
-  // is deviation in the OTHER attributes (the SeeDB-style deviation the
-  // paper cites [45]).
-  const int filtered_column =
-      current.filters.empty() ? -1 : current.filters.back().column;
-  const auto& ratios = env.column_distinct_ratios();
-  double max_kl = 0.0;
-  bool any_column = false;
-  for (int c = 0; c < table.num_columns(); ++c) {
-    if (c == filtered_column) continue;
-    if (ratios[static_cast<size_t>(c)] > 0.5) continue;
-    any_column = true;
-    auto p = ValueHistogram(*table.column(c), cur_rows);
-    auto q = ValueHistogram(*table.column(c), prev_rows);
-    max_kl = std::max(max_kl, KlDivergence(p, q));
-  }
-  if (!any_column) {
-    // Degenerate schema (every column key-like): fall back to all columns.
-    for (int c = 0; c < table.num_columns(); ++c) {
-      auto p = ValueHistogram(*table.column(c), cur_rows);
-      auto q = ValueHistogram(*table.column(c), prev_rows);
-      max_kl = std::max(max_kl, KlDivergence(p, q));
-    }
-  }
-  return support * SquashKl(max_kl);
+  return support * SquashKl(FilterDeviation(env, current, previous));
 }
 
 double OperationInterestingness(const RewardContext& context) {

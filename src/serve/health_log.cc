@@ -1,6 +1,5 @@
 #include "serve/health_log.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/file_io.h"
@@ -28,42 +27,6 @@ void ServingHealthLog::Append(const std::string& body) {
   if (!written.ok()) {
     ATENA_LOG(kWarning) << "serving health log write failed: " << written;
   }
-}
-
-std::string JsonString(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
-  out += '"';
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace atena

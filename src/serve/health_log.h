@@ -44,11 +44,6 @@ class ServingHealthLog {
   int64_t events_ = 0;
 };
 
-/// `"..."` with backslash, quote and control characters escaped — safe to
-/// splice a Status message or file path into a JSON object body. Numbers
-/// go through JsonNumber (common/string_utils.h).
-std::string JsonString(const std::string& value);
-
 }  // namespace atena
 
 #endif  // ATENA_SERVE_HEALTH_LOG_H_

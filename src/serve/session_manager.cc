@@ -128,8 +128,8 @@ std::unique_ptr<EdaEnvironment> SessionManager::AcquireEnv(uint64_t seed) {
     env_pool_.pop_back();
     // Reseeding the term stream (plus the Reset in Admit) makes a recycled
     // environment observationally identical to a freshly constructed one;
-    // the expensive dataset-derived state (distinct-value ratios, encoder
-    // layout) depends only on the dataset and carries over untouched.
+    // the dataset-derived state (root selection, encoder layout) depends
+    // only on the dataset and carries over untouched.
     env->set_rng_state(Rng(seed).state());
     return env;
   }

@@ -483,8 +483,8 @@ class SessionManager {
   std::vector<std::unique_ptr<Session>> sessions_;  // admission order
   std::vector<SessionOutcome> completed_;
   /// Retired sessions' environments, reseeded and reused by Admit: the
-  /// per-environment setup (distinct-value ratios, encoder layout) depends
-  /// only on the dataset, so recycling skips it entirely.
+  /// per-environment setup (root selection, encoder layout) depends only
+  /// on the dataset, so recycling skips it entirely.
   std::vector<std::unique_ptr<EdaEnvironment>> env_pool_;
 
   uint64_t next_id_ = 1;

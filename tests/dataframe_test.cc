@@ -590,15 +590,22 @@ TEST(StatsTest, TokenFrequenciesSortedByCount) {
   EXPECT_EQ(city.KeyValue(tokens[1].key).as_string(), "madrid");
 }
 
-TEST(StatsTest, ValueHistogramExcludesNulls) {
+TEST(StatsTest, SelectionKlDivergenceExcludesNulls) {
   auto t = MakeCityTable();
-  auto hist = ValueHistogram(*t->column(1), AllRows(*t).value());
-  double total = 0;
-  for (const auto& [k, v] : hist) {
-    (void)k;
-    total += v;
-  }
-  EXPECT_DOUBLE_EQ(total, 4.0);
+  const Column& population = *t->column(1);
+  // Row 2's population is null: with it or without it the histogram is the
+  // same four values, so the divergence is exactly zero.
+  EXPECT_EQ(SelectionKlDivergence(population, AllRows(*t).value(),
+                                  {0, 1, 3, 4}),
+            0.0);
+  EXPECT_GT(SelectionKlDivergence(population, {0, 2}, {0, 1, 3, 4}), 0.0);
+}
+
+TEST(StatsTest, TableStoresDistinctRatios) {
+  auto t = MakeCityTable();
+  // city: berlin, paris, rome, madrid over 5 rows; population: 4 values
+  // and a null; area: 5 values.
+  EXPECT_EQ(t->distinct_ratios(), (std::vector<double>{0.8, 0.8, 1.0}));
 }
 
 // ------------------------------------------------------------------ CSV

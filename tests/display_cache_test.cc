@@ -151,6 +151,32 @@ TEST(DisplayCacheTest, GroupedAndTokenChargesFollowTheirLayouts) {
   EXPECT_EQ(tokens_charge(1000) - tokens_charge(0), 1000 * sizeof(TokenFreq));
 }
 
+TEST(DisplayCacheTest, DeviationEntryIsChargedOneDouble) {
+  // The Deviation section holds one double per entry: its charge is the
+  // per-entry overhead that an empty vector entry is charged, plus 8 bytes.
+  DisplayCache empty_vector({.capacity = 8, .shards = 1});
+  empty_vector.PutVector(1, std::make_shared<const std::vector<double>>());
+  DisplayCache cache({.capacity = 8, .shards = 1});
+  EXPECT_FALSE(cache.GetDeviation(1).has_value());
+  cache.PutDeviation(1, 0.375);
+  ASSERT_TRUE(cache.GetDeviation(1).has_value());
+  EXPECT_EQ(*cache.GetDeviation(1), 0.375);
+  EXPECT_EQ(cache.stats().resident_bytes,
+            empty_vector.stats().resident_bytes + sizeof(double));
+}
+
+TEST(DisplayCacheTest, DeviationKeyIsOrderedAndUsesEveryInput) {
+  const uint64_t rows = 0x9E3779B97F4A7C15ULL;
+  const uint64_t previous = 0xD1B54A32D192ED03ULL;
+  const uint64_t key = FilterDeviationKey(rows, previous, 2, 4096);
+  // The display and its predecessor play different roles.
+  EXPECT_NE(key, FilterDeviationKey(previous, rows, 2, 4096));
+  EXPECT_NE(key, FilterDeviationKey(rows, previous + 1, 2, 4096));
+  EXPECT_NE(key, FilterDeviationKey(rows, previous, 3, 4096));
+  EXPECT_NE(key, FilterDeviationKey(rows, previous, -1, 4096));
+  EXPECT_NE(key, FilterDeviationKey(rows, previous, 2, 512));
+}
+
 TEST(DisplayCacheTest, FilterSignatureIsOrderIndependent) {
   FilterPred a{/*column=*/0, CompareOp::kEq, Value(std::string("SYN"))};
   FilterPred b{/*column=*/2, CompareOp::kGe, Value(int64_t{80})};

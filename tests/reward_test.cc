@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "coherency/rules.h"
 #include "data/registry.h"
 #include "reward/compound.h"
@@ -123,6 +130,160 @@ TEST(GroupOperationTest, GroupScoreMatchesDirectComputation) {
       static_cast<int64_t>(display.grouped->groups.size()),
       1, static_cast<int64_t>(display.rows.size()));
   EXPECT_DOUBLE_EQ(OperationInterestingness(ctx), expected);
+}
+
+// ------------------------------------------ memoized filter deviation
+
+EnvConfig MemoConfig(bool cache) {
+  EnvConfig config = SmallConfig();
+  config.display_cache_enabled = cache;
+  return config;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// FilterInterestingness of the environment's current display against its
+/// previous one.
+double CurrentFilterScore(const EdaEnvironment& env) {
+  return FilterInterestingness(env, env.current_display(),
+                               env.previous_display());
+}
+
+/// The Deviation-section key of the environment's current display.
+uint64_t CurrentDeviationKey(const EdaEnvironment& env) {
+  const Display& current = env.current_display();
+  return FilterDeviationKey(current.rows_signature,
+                            env.previous_display().rows_signature,
+                            current.filters.back().column,
+                            env.config().stats_row_cap);
+}
+
+EdaOperation MethodFilter(const Table& table) {
+  return EdaOperation::Filter(table.FindColumn("method"), CompareOp::kEq,
+                              Value(std::string("GET")));
+}
+
+// The first score of a filtered display computes the deviation and stores
+// it; the second is one lookup of that entry. Both equal the cache-off
+// score bit for bit.
+TEST(FilterDeviationMemoTest, MissAndHitMatchCacheOffBits) {
+  Dataset d = SmallDataset();
+  EdaEnvironment cached(d, MemoConfig(true));
+  EdaEnvironment uncached(d, MemoConfig(false));
+  ASSERT_TRUE(cached.StepOperation(MethodFilter(*d.table)).valid);
+  ASSERT_TRUE(uncached.StepOperation(MethodFilter(*d.table)).valid);
+  const double want = CurrentFilterScore(uncached);
+  EXPECT_GT(want, 0.0);
+
+  DisplayCache& cache = *cached.display_cache();
+  const uint64_t key = CurrentDeviationKey(cached);
+  ASSERT_FALSE(cache.GetDeviation(key).has_value());
+  const double miss = CurrentFilterScore(cached);
+  EXPECT_EQ(Bits(miss), Bits(want));
+  ASSERT_TRUE(cache.GetDeviation(key).has_value());
+
+  const DisplayCacheStats before = cache.stats();
+  const double hit = CurrentFilterScore(cached);
+  const DisplayCacheStats after = cache.stats();
+  EXPECT_EQ(Bits(hit), Bits(want));
+  EXPECT_EQ(after.hits - before.hits, 1u);  // the deviation, nothing else
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
+}
+
+// A then B and B then A select one row set (its signature is commutative)
+// but deviate from different parents: each order gets its own entry, equal
+// to its cache-off score. Filters on two columns also exclude different
+// columns; two filters on one column differ only in the parent.
+TEST(FilterDeviationMemoTest, ReorderedFiltersKeepSeparateEntries) {
+  Dataset d = SmallDataset();
+  const int bytes = d.table->FindColumn("response_bytes");
+  const EdaOperation status_not_200 = EdaOperation::Filter(
+      d.table->FindColumn("status"), CompareOp::kNeq, Value(int64_t{200}));
+  const std::vector<std::pair<EdaOperation, EdaOperation>> pairs = {
+      {MethodFilter(*d.table), status_not_200},
+      {EdaOperation::Filter(bytes, CompareOp::kGt, Value(int64_t{1000})),
+       EdaOperation::Filter(bytes, CompareOp::kLe, Value(int64_t{50000}))}};
+  EdaEnvironment cached(d, MemoConfig(true));
+  EdaEnvironment uncached(d, MemoConfig(false));
+  auto score_after = [](EdaEnvironment* env, const EdaOperation& first,
+                        const EdaOperation& second) {
+    env->Reset();
+    EXPECT_TRUE(env->StepOperation(first).valid);
+    EXPECT_TRUE(env->StepOperation(second).valid);
+    return CurrentFilterScore(*env);
+  };
+  for (const auto& [a, b] : pairs) {
+    const std::string context =
+        a.Describe(*d.table) + ", " + b.Describe(*d.table);
+    const double ab_off = score_after(&uncached, a, b);
+    const double ba_off = score_after(&uncached, b, a);
+    // Distinct values, so an entry shared by both orders would show.
+    ASSERT_NE(Bits(ab_off), Bits(ba_off)) << context;
+
+    EXPECT_EQ(Bits(score_after(&cached, a, b)), Bits(ab_off)) << context;
+    const uint64_t rows_ab = cached.current_display().rows_signature;
+    const uint64_t key_ab = CurrentDeviationKey(cached);
+    EXPECT_EQ(Bits(score_after(&cached, b, a)), Bits(ba_off)) << context;
+    EXPECT_EQ(cached.current_display().rows_signature, rows_ab) << context;
+    EXPECT_NE(CurrentDeviationKey(cached), key_ab) << context;
+    // Both entries stay resident: a second pass hits each of them.
+    EXPECT_EQ(Bits(score_after(&cached, a, b)), Bits(ab_off)) << context;
+    EXPECT_EQ(Bits(score_after(&cached, b, a)), Bits(ba_off)) << context;
+  }
+}
+
+/// Rewards every step with OperationInterestingness alone.
+class InterestingnessSignal : public RewardSignal {
+ public:
+  double Compute(const RewardContext& context) override {
+    return OperationInterestingness(context);
+  }
+};
+
+/// Bits of every step reward of a fixed random-action script.
+std::vector<uint64_t> ScriptRewardBits(EdaEnvironment* env, uint64_t seed) {
+  InterestingnessSignal signal;
+  env->SetRewardSignal(&signal);
+  Rng rng(seed);
+  std::vector<uint64_t> bits;
+  for (int episode = 0; episode < 12; ++episode) {
+    env->Reset();
+    while (!env->done()) {
+      bits.push_back(
+          Bits(env->Step(SampleRandomAction(env->action_space(), &rng))
+                   .reward));
+    }
+  }
+  env->SetRewardSignal(nullptr);
+  return bits;
+}
+
+// Environments stepping on threads share one cache, so they fill and hit
+// each other's deviation entries: every reward equals the serial,
+// cache-off run's.
+TEST(FilterDeviationMemoTest, SharedCacheUnderConcurrentStepping) {
+  Dataset d = SmallDataset();
+  std::vector<std::vector<uint64_t>> serial;
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    EdaEnvironment env(d, MemoConfig(false));
+    serial.push_back(ScriptRewardBits(&env, 300 + seed));
+  }
+  auto shared = std::make_shared<DisplayCache>(
+      DisplayCache::Options{.capacity = 4096, .shards = 4});
+  std::vector<std::vector<uint64_t>> parallel(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < parallel.size(); ++t) {
+    threads.emplace_back([&, t] {
+      EdaEnvironment env(d, MemoConfig(true));
+      env.SetDisplayCache(shared);
+      parallel[t] = ScriptRewardBits(&env, 300 + t % 2);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < parallel.size(); ++t) {
+    EXPECT_EQ(parallel[t], serial[t % 2]) << "thread " << t;
+  }
 }
 
 // ------------------------------------------------------------ diversity

@@ -1,14 +1,16 @@
-// The column-statistics engine against its oracle. ValueHistogram,
-// ComputeColumnStats and TokenFrequencies run one flat counting pass and
-// rebuild only the distinct keys into a map; the oracle below is the
-// per-row std::unordered_map loop they replaced. Every result must match
-// it bit for bit, including the map's iteration order, which feeds
-// order-sensitive floating-point sums and std::sort's tie handling.
+// The column-statistics engine against its oracle. ComputeColumnStats,
+// TokenFrequencies and SelectionKlDivergence run one flat counting pass and
+// rebuild only the distinct keys into an arena-backed map; the oracle
+// below is the per-row std::unordered_map loop they replaced. Every result
+// must match it bit for bit, which holds only if the rebuilt maps iterate
+// in the oracle map's order: it feeds order-sensitive floating-point sums
+// (entropy, KL) and std::sort's tie handling.
 // Further down: the per-selection stats memo (EdaEnvironment::
 // SelectionStats) against direct computation, cache on and off, and under
 // concurrent stepping on a shared cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -39,6 +41,40 @@ std::unordered_map<int64_t, double> OracleHistogram(
     hist[column.CellKey(r)] += 1.0;
   }
   return hist;
+}
+
+/// The KL the reward computed before the union map carried both counts:
+/// std::unordered_map union of p's keys then q's, each count looked up.
+double OracleKlDivergence(const std::unordered_map<int64_t, double>& p,
+                          const std::unordered_map<int64_t, double>& q) {
+  constexpr double kEpsilon = 1e-4;
+  if (p.empty() && q.empty()) return 0.0;
+  std::unordered_map<int64_t, double> keys;
+  double p_total = 0.0, q_total = 0.0;
+  for (const auto& [k, v] : p) {
+    keys[k] = 0.0;
+    p_total += v;
+  }
+  for (const auto& [k, v] : q) {
+    keys[k] = 0.0;
+    q_total += v;
+  }
+  const double n = static_cast<double>(keys.size());
+  p_total += kEpsilon * n;
+  q_total += kEpsilon * n;
+  if (p_total <= 0.0 || q_total <= 0.0) return 0.0;
+  double kl = 0.0;
+  for (const auto& [k, unused] : keys) {
+    (void)unused;
+    auto pit = p.find(k);
+    auto qit = q.find(k);
+    double pv = ((pit != p.end()) ? pit->second : 0.0) + kEpsilon;
+    double qv = ((qit != q.end()) ? qit->second : 0.0) + kEpsilon;
+    double pp = pv / p_total;
+    double qq = qv / q_total;
+    kl += pp * std::log(pp / qq);
+  }
+  return std::max(0.0, kl);
 }
 
 ColumnStats OracleColumnStats(const Column& column,
@@ -92,20 +128,6 @@ std::vector<OracleToken> OracleTokenFrequencies(
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-void ExpectSameHistogram(const std::unordered_map<int64_t, double>& got,
-                         const std::unordered_map<int64_t, double>& want,
-                         const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  ASSERT_EQ(got.bucket_count(), want.bucket_count()) << context;
-  auto g = got.begin();
-  size_t i = 0;
-  for (auto w = want.begin(); w != want.end(); ++w, ++g, ++i) {
-    ASSERT_EQ(g->first, w->first) << context << " element " << i;
-    ASSERT_EQ(Bits(g->second), Bits(w->second)) << context << " element "
-                                                << i;
-  }
-}
-
 void ExpectSameStats(const ColumnStats& got, const ColumnStats& want,
                      const std::string& context) {
   EXPECT_EQ(std::memcmp(&got, &want, sizeof(ColumnStats)), 0)
@@ -139,11 +161,36 @@ void ExpectSameTokens(const Column& column, const std::vector<TokenFreq>& got,
   }
 }
 
+/// SelectionKlDivergence against KlDivergence over the oracle's maps, and
+/// both against the oracle's own KL.
+void ExpectSameKl(const Column& column, const std::vector<int32_t>& p_rows,
+                  const std::vector<int32_t>& q_rows,
+                  const std::string& context) {
+  const auto p = OracleHistogram(column, p_rows);
+  const auto q = OracleHistogram(column, q_rows);
+  const double want = OracleKlDivergence(p, q);
+  const double got = SelectionKlDivergence(column, p_rows, q_rows);
+  EXPECT_EQ(Bits(got), Bits(want)) << context << ": " << got << " vs "
+                                   << want;
+  EXPECT_EQ(Bits(KlDivergence(p, q)), Bits(want)) << context;
+}
+
+/// The KL of every ordered pair of `selections`, each against itself too.
+void ExpectSameKlOnPairs(const Column& column,
+                         const std::vector<std::vector<int32_t>>& selections,
+                         const std::string& context) {
+  for (size_t p = 0; p < selections.size(); ++p) {
+    for (size_t q = 0; q < selections.size(); ++q) {
+      ExpectSameKl(column, selections[p], selections[q],
+                   context + " KL " + std::to_string(p) + " || " +
+                       std::to_string(q));
+    }
+  }
+}
+
 void ExpectMatchesOracle(const Column& column,
                          const std::vector<int32_t>& rows,
                          const std::string& context) {
-  ExpectSameHistogram(ValueHistogram(column, rows),
-                      OracleHistogram(column, rows), context);
   ExpectSameStats(ComputeColumnStats(column, rows),
                   OracleColumnStats(column, rows), context);
   ExpectSameTokens(column, TokenFrequencies(column, rows),
@@ -242,12 +289,13 @@ TEST_P(StatsOracleTest, MatchesPerRowMapLoop) {
     ColumnPtr column =
         RandomColumn(c.type, c.length, c.cardinality, c.null_rate, &rng);
     const auto selections = Selections(c.length, &rng);
+    const std::string context =
+        std::string(DataTypeName(c.type)) + " trial " + std::to_string(trial);
     for (size_t s = 0; s < selections.size(); ++s) {
       ExpectMatchesOracle(*column, selections[s],
-                          std::string(DataTypeName(c.type)) + " trial " +
-                              std::to_string(trial) + " selection " +
-                              std::to_string(s));
+                          context + " selection " + std::to_string(s));
     }
+    ExpectSameKlOnPairs(*column, selections, context);
   }
 }
 
@@ -293,6 +341,12 @@ TEST(StatsOracleLargeTest, RegrowthAndLargeDictionaries) {
     std::vector<int32_t> few = {5, 3, 5, 79999, 0};
     ExpectMatchesOracle(*column, few,
                         std::string("after large ") + DataTypeName(type));
+    // ~80,000-key histograms overflow the KL's arena onto the upstream
+    // allocator; the small pair after them runs on the arena again.
+    std::vector<int32_t> odd;
+    for (int32_t i = 1; i < 80000; i += 2) odd.push_back(i);
+    ExpectSameKlOnPairs(*column, {all, odd, few},
+                        std::string("large ") + DataTypeName(type));
   }
 }
 
@@ -356,11 +410,12 @@ TEST(StatsOracleTieTest, TokenOrderEdgeCases) {
       ExpectMatchesOracle(*column, selections[s],
                           column->name() + " selection " + std::to_string(s));
     }
+    ExpectSameKlOnPairs(*column, selections, column->name());
   }
 }
 
-// Every thread counts with its own scratch: concurrent passes over shared
-// columns must each match the oracle.
+// Every thread counts with its own scratch and arena: concurrent passes
+// over shared columns must each match the oracle.
 TEST(StatsOracleLargeTest, ConcurrentPassesMatchOracle) {
   Rng rng(5);
   std::vector<ColumnPtr> columns = {
@@ -377,11 +432,38 @@ TEST(StatsOracleLargeTest, ConcurrentPassesMatchOracle) {
                                         selections.size()];
           ExpectMatchesOracle(*columns[c], rows,
                               "thread " + std::to_string(t));
+          ExpectSameKl(*columns[c], rows, selections.back(),
+                       "thread " + std::to_string(t));
         }
       }
     });
   }
   for (auto& thread : threads) thread.join();
+}
+
+// ------------------------------------------------ per-table ratios
+
+// Table::Make stores each column's distinct ratio once; the reward and the
+// coherency rules read it. It must equal the oracle's distinct count over
+// all rows divided by the row count, bit for bit.
+TEST(DistinctRatiosTest, TableStoresRatiosOfEveryDataset) {
+  std::vector<Dataset> datasets = MakeAllDatasets().value();
+  datasets.push_back(MakeDataset("cyber1", 10).value());
+  for (const Dataset& dataset : datasets) {
+    const Table& table = *dataset.table;
+    const std::vector<int32_t> all = AllRows(table).value();
+    ASSERT_EQ(table.distinct_ratios().size(),
+              static_cast<size_t>(table.num_columns()));
+    for (int c = 0; c < table.num_columns(); ++c) {
+      const double direct =
+          static_cast<double>(OracleHistogram(*table.column(c), all).size()) /
+          static_cast<double>(table.num_rows());
+      EXPECT_EQ(Bits(table.distinct_ratios()[static_cast<size_t>(c)]),
+                Bits(direct))
+          << table.name() << " (" << table.num_rows() << " rows) column "
+          << table.column_name(c);
+    }
+  }
 }
 
 // ------------------------------------------------ the per-selection memo
