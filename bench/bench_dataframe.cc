@@ -1,10 +1,11 @@
 // Micro-benchmarks of the dataframe substrate: filter, group-by/aggregate
 // and column-statistics kernels on the largest experimental dataset and on
-// cyber1's all-distinct key columns, plus million-row scalar-vs-kernel
-// pairs on a scaled variant (row count overridable via ATENA_BENCH_ROWS);
-// the _Scalar rows time the reference implementations in
-// tests/support/reference_ops.h. Results are written to
-// BENCH_dataframe.json (see bench_json.h).
+// cyber1's all-distinct key columns, cyber1's table build at 1x and 100x,
+// plus million-row scalar-vs-kernel pairs on a scaled variant (row count
+// overridable via ATENA_BENCH_ROWS); the _Scalar rows time the reference
+// implementations in tests/support/reference_ops.h. Results go to the JSON
+// summary named by --bench_json (see bench_json.h); scripts/bench.sh writes
+// BENCH_dataframe.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include "data/registry.h"
 #include "dataframe/ops.h"
 #include "dataframe/stats.h"
+#include "eda/binning.h"
+#include "eda/environment.h"
 #include "support/reference_ops.h"
 
 namespace atena {
@@ -195,11 +198,12 @@ BENCHMARK(BM_GroupByThreeColumns);
 //
 // The shapes the product pays for most, on cyber1 (the dataset the
 // end-to-end benchmark trains and serves on): COUNT by an all-distinct key
-// column — timestamp (a double: the hash path) and packet_id (a
-// small-range int: the dense path) — COUNT by a two-column key whose
-// second column is all-distinct, the token list of the timestamp column
-// at the environment's 4,096-row stats cap, and the FILTER reward's
-// per-attribute KL.
+// column — timestamp (a double) and packet_id (an int) — COUNT by a
+// two-column key whose second column is all-distinct (a code space past
+// 2^16: the hashed composite key) and by protocol x info (the dense
+// composite tally), the token list of the timestamp column at the
+// environment's 4,096-row stats cap and its filter-term binning, the
+// FILTER reward's per-attribute KL, and the table build.
 const Dataset& Cyber1() {
   static const Dataset& dataset = *new Dataset(MakeDataset("cyber1").value());
   return dataset;
@@ -219,6 +223,25 @@ void BM_GroupByKeyColumn(benchmark::State& state, const char* column) {
 BENCHMARK_CAPTURE(BM_GroupByKeyColumn, timestamp, "timestamp");
 BENCHMARK_CAPTURE(BM_GroupByKeyColumn, packet_id, "packet_id");
 
+// COUNT by timestamp over a small filtered display (the ARP rows, ~6% of
+// cyber1): a key whose code space is many times the selection.
+void BM_GroupByKeyColumnFiltered(benchmark::State& state) {
+  const Table& t = *Cyber1().table;
+  const auto rows = FilterRows(t, AllRows(t).value(), t.FindColumn("protocol"),
+                               CompareOp::kEq, Value(std::string("ARP")))
+                        .value();
+  GroupSpec spec;
+  spec.group_columns = {t.FindColumn("timestamp")};
+  for (auto _ : state) {
+    auto out = GroupAggregate(t, rows, spec);
+    benchmark::DoNotOptimize(out.value().groups.size());
+  }
+  state.counters["rows"] = static_cast<double>(rows.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_GroupByKeyColumnFiltered);
+
 void BM_GroupByTwoColumnsKeyed(benchmark::State& state) {
   const Table& t = *Cyber1().table;
   auto rows = AllRows(t).value();
@@ -232,6 +255,19 @@ void BM_GroupByTwoColumnsKeyed(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByTwoColumnsKeyed);
 
+void BM_GroupByProtocolInfo(benchmark::State& state) {
+  const Table& t = *Cyber1().table;
+  auto rows = AllRows(t).value();
+  GroupSpec spec;
+  spec.group_columns = {t.FindColumn("protocol"), t.FindColumn("info")};
+  for (auto _ : state) {
+    auto out = GroupAggregate(t, rows, spec);
+    benchmark::DoNotOptimize(out.value().groups.size());
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+BENCHMARK(BM_GroupByProtocolInfo);
+
 void BM_TokenFrequenciesKeyColumn(benchmark::State& state) {
   const Table& t = *Cyber1().table;
   const auto rows = StatsSample(AllRows(t).value());
@@ -244,6 +280,22 @@ void BM_TokenFrequenciesKeyColumn(benchmark::State& state) {
                           static_cast<int64_t>(rows.size()));
 }
 BENCHMARK(BM_TokenFrequenciesKeyColumn);
+
+// The FILTER action's term binning (paper §5) over the same token list,
+// 4,096 tokens that all share one count, at the environment's bin count.
+void BM_TermBinningKeyColumn(benchmark::State& state) {
+  const Table& t = *Cyber1().table;
+  const auto rows = StatsSample(AllRows(t).value());
+  const auto tokens =
+      TokenFrequencies(*t.column(t.FindColumn("timestamp")), rows);
+  for (auto _ : state) {
+    TermBinning binning(tokens, EnvConfig().num_term_bins);
+    benchmark::DoNotOptimize(binning.BinSize(0));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tokens.size()));
+}
+BENCHMARK(BM_TermBinningKeyColumn);
 
 // The FILTER reward's per-attribute deviation at its measured shape: the
 // 4,096-row stride sample of cyber1's root display (the previous display)
@@ -269,6 +321,21 @@ void BM_SelectionKl4K(benchmark::State& state) {
                           static_cast<int64_t>(root.size() + child.size()));
 }
 BENCHMARK(BM_SelectionKl4K);
+
+// The table build every run starts with: generate cyber1, code its
+// columns and count their distinct values (Table::Make's distinct ratios).
+void BM_MakeDataset(benchmark::State& state) {
+  const int scale = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto dataset = MakeDataset("cyber1", scale);
+    benchmark::DoNotOptimize(dataset.value().table->num_rows());
+  }
+}
+BENCHMARK(BM_MakeDataset)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MakeDataset)
+    ->Arg(100)
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- million-row scalar vs kernel
 //
@@ -424,10 +491,11 @@ BENCHMARK(BM_GroupBy1M_Avg_Kernel);
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::string json_path = atena::bench::TakeJsonPath(&argc, argv);
   const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_dataframe.json", args);
+  atena::bench::JsonFileReporter reporter(json_path, args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -1,8 +1,9 @@
 // Micro-benchmarks of the EDA environment: observation encoding, single
 // steps of each operation type, full episodes on cold (random-action) and
 // hot (converged-policy replay) workloads, and the compound-reward path.
-// Results are written to BENCH_env.json (see bench_json.h), including the
-// display-cache hit rate of each episode workload.
+// Results, including the display-cache hit rate of each episode workload,
+// go to the JSON summary named by --bench_json (see bench_json.h);
+// scripts/bench.sh writes BENCH_env.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -213,10 +214,11 @@ BENCHMARK(BM_CompoundRewardEpisode);
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::string json_path = atena::bench::TakeJsonPath(&argc, argv);
   const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_env.json", args);
+  atena::bench::JsonFileReporter reporter(json_path, args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -15,7 +15,8 @@
 // the scalar scan is linear in history length while the ball-bounded
 // descent re-checks a near-constant candidate set (`vectors_checked` is
 // emitted per config so the sub-linear claim is visible directly, not
-// just through wall-clock). Results go to BENCH_index.json.
+// just through wall-clock). Results go to the JSON summary named by
+// --bench_json; scripts/bench.sh writes BENCH_index.json.
 //
 // Scale overrides: ATENA_BENCH_INDEX_MAX drops registered history/corpus
 // sizes above the given value (the smoke test pins 1000 so ctest stays
@@ -234,11 +235,12 @@ void RegisterBenchmarks() {
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::string json_path = atena::bench::TakeJsonPath(&argc, argv);
   const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   atena::RegisterBenchmarks();
-  atena::bench::JsonFileReporter reporter("BENCH_index.json", args);
+  atena::bench::JsonFileReporter reporter(json_path, args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,16 +32,38 @@ inline void AddLatencyPercentiles(benchmark::State& state,
       benchmark::Counter(Percentile(seconds, 99.0) * to_ms);
 }
 
+/// Takes `--bench_json=PATH` out of a bench main's arguments, before
+/// benchmark::Initialize sees them, and returns PATH (empty when the flag is
+/// absent). A bench writes its JSON summary only to a path it is given, so
+/// an exploratory or filtered run never replaces a committed
+/// BENCH_<name>.json; scripts/bench.sh names the committed files.
+inline std::string TakeJsonPath(int* argc, char** argv) {
+  constexpr std::string_view kFlag = "--bench_json=";
+  std::string path;
+  int kept = 1;
+  for (int i = 1; i < *argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, kFlag.size()) == kFlag) {
+      path = std::string(arg.substr(kFlag.size()));
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argv[kept] = nullptr;
+  *argc = kept;
+  return path;
+}
+
 /// Console reporter that additionally records every iteration run and, at
 /// Finalize, writes a compact machine-readable JSON summary (per-iteration
-/// times, items/sec and all user counters such as cache_hit_rate). The
-/// micro-bench binaries write BENCH_env.json / BENCH_dataframe.json next to
-/// their working directory so the perf trajectory is tracked across PRs.
+/// times, items/sec and all user counters such as cache_hit_rate) to the
+/// path it was given (TakeJsonPath); with an empty path it writes nothing.
 ///
 /// The summary opens with a "context" object: the benchmark filter and the
 /// command line the bench main received (`args`, taken before
-/// benchmark::Initialize consumes its flags). Rows measured with different
-/// filters or flags differ, so rows are compared only under one context.
+/// benchmark::Initialize consumes its flags, without the output path). Rows
+/// measured with different filters or flags differ, so rows are compared
+/// only under one context.
 class JsonFileReporter : public benchmark::ConsoleReporter {
  public:
   JsonFileReporter(std::string path, std::vector<std::string> args)
@@ -62,6 +85,7 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
 
   void Finalize() override {
     benchmark::ConsoleReporter::Finalize();
+    if (path_.empty()) return;
     std::FILE* out = std::fopen(path_.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());

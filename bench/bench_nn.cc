@@ -4,7 +4,7 @@
 // comparison at the heart of paper §5, and the per-sample vs batched
 // acting comparison that motivates the stateless-graph substrate (one
 // shared parameter store, per-call workspaces, ActBatch across actors).
-// Writes BENCH_nn.json next to the working directory.
+// scripts/bench.sh writes the results to BENCH_nn.json (--bench_json).
 #include <benchmark/benchmark.h>
 
 #include "baselines/flat_policy.h"
@@ -210,10 +210,11 @@ BENCHMARK(BM_TwofoldBatchUpdate);
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::string json_path = atena::bench::TakeJsonPath(&argc, argv);
   const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_nn.json", args);
+  atena::bench::JsonFileReporter reporter(json_path, args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

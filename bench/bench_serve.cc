@@ -5,7 +5,8 @@
 // exhausted, so the batch composition changes while the clock runs.
 //
 // Every tick issues one ActBatch forward across every live session.
-// Results go to BENCH_serve.json with sessions_per_sec, steps_per_sec,
+// Results go to the JSON summary named by --bench_json (scripts/bench.sh
+// writes BENCH_serve.json) with sessions_per_sec, steps_per_sec,
 // p50/p95/p99 per-step latency and the shared display cache's hit rate.
 //
 // Sessions are served without a reward signal: reward scoring is
@@ -508,6 +509,7 @@ BENCHMARK(BM_ServeLongSessions)
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::string json_path = atena::bench::TakeJsonPath(&argc, argv);
   const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -522,7 +524,7 @@ int main(int argc, char** argv) {
           ->Unit(benchmark::kMillisecond);
     }
   }
-  atena::bench::JsonFileReporter reporter("BENCH_serve.json", args);
+  atena::bench::JsonFileReporter reporter(json_path, args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -1,7 +1,8 @@
 // Macro-benchmark of ParallelPpoTrainer's lockstep training loop: full
 // PPO training slices (batched acting + concurrent env stepping + update)
-// at 1/2/4/8 actors across stepping-thread counts. Results go to
-// BENCH_trainer.json with a steps_per_sec counter and, for multi-thread
+// at 1/2/4/8 actors across stepping-thread counts. Results go to the JSON
+// summary named by --bench_json (scripts/bench.sh writes
+// BENCH_trainer.json) with a steps_per_sec counter and, for multi-thread
 // configs, scaling_efficiency relative to the same actor count at one
 // thread (1.0 = perfect linear scaling; expect ~1/threads on machines
 // with a single core — the thread count changes wall-clock only, never
@@ -133,10 +134,11 @@ BENCHMARK(BM_TrainerSteps)
 }  // namespace atena
 
 int main(int argc, char** argv) {
+  const std::string json_path = atena::bench::TakeJsonPath(&argc, argv);
   const std::vector<std::string> args(argv, argv + argc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  atena::bench::JsonFileReporter reporter("BENCH_trainer.json", args);
+  atena::bench::JsonFileReporter reporter(json_path, args);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 build + test cycle and the
-# product-path benchmark's smoke test, then the same
+# Full verification sweep: the tier-1 build + test cycle, one short run of
+# every bench binary (which must leave the committed BENCH_*.json files
+# untouched) and the product-path benchmark's smoke test, then the same
 # suite again under AddressSanitizer (ATENA_SANITIZE=address) and
 # UndefinedBehaviorSanitizer (ATENA_SANITIZE=undefined, built with
 # -D_GLIBCXX_ASSERTIONS, which also bounds-checks std::vector operator[]
@@ -24,6 +25,34 @@ cmake -B "$repo/build" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
   --timeout "$test_timeout"
+
+echo "== bench binaries: one short run each, committed results untouched =="
+# Every tier-1 bench binary runs once from the repository root at a minimal
+# --benchmark_min_time and without --bench_json (bench_trainer only its
+# cheapest row, the scaled benches at the smoke sizes ctest uses). A bench
+# that still wrote its BENCH_<name>.json unasked would replace a committed
+# result: the check fails if any BENCH_*.json in the root changed or
+# appeared during the runs.
+(
+  cd "$repo"
+  before="$(cksum BENCH_*.json)"
+  ATENA_BENCH_ROWS=30000 build/bench/bench_dataframe \
+    --benchmark_min_time=0.01 > /dev/null
+  ATENA_BENCH_SCALE=2 build/bench/bench_env \
+    --benchmark_min_time=0.01 > /dev/null
+  ATENA_BENCH_INDEX_MAX=1000 build/bench/bench_index \
+    --benchmark_min_time=0.01 > /dev/null
+  build/bench/bench_nn --benchmark_min_time=0.01 > /dev/null
+  ATENA_SERVE_LONG_STEPS=128 build/bench/bench_serve \
+    --benchmark_min_time=0.01 > /dev/null
+  build/bench/bench_trainer \
+    --benchmark_filter='BM_TrainerSteps/actors:1/threads:1/' \
+    --benchmark_min_time=0.01 > /dev/null
+  if [ "$(cksum BENCH_*.json)" != "$before" ]; then
+    echo "a bench binary changed a BENCH_*.json in the repository root" >&2
+    exit 1
+  fi
+)
 
 echo "== perfbench smoke: every workload at tiny sizes, traced and not =="
 # Builds the benchmark into <repo>/.bench_build on first use.

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
+
+#include "common/hashing.h"
 
 namespace atena {
 
@@ -14,7 +17,41 @@ namespace {
 // 0x8000000000000001 (-denorm_min); callers that key on it keep nulls apart
 // with IsNull (GroupAggregate folds a null mask into its group key).
 constexpr int64_t kNullCellKey = std::numeric_limits<int64_t>::min() + 1;
+
+/// An unsigned image of a numeric cell key whose order is the order of the
+/// values: an int64 with its sign bit flipped, a double in IEEE total order
+/// (-NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < NaN). Distinct keys have
+/// distinct images.
+uint64_t SortableImage(DataType type, int64_t key) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  const auto bits = static_cast<uint64_t>(key);
+  if (type == DataType::kInt64) return bits ^ kSign;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
 }  // namespace
+
+bool KeysCanTie(DataType type, const std::vector<int64_t>& keys) {
+  constexpr int64_t kExactInt = int64_t{1} << 53;
+  switch (type) {
+    case DataType::kInt64:
+      return std::any_of(keys.begin(), keys.end(), [](int64_t key) {
+        return key > kExactInt || key < -kExactInt;
+      });
+    case DataType::kFloat64: {
+      bool positive_zero = false;
+      bool negative_zero = false;
+      for (int64_t key : keys) {
+        const double v = std::bit_cast<double>(static_cast<uint64_t>(key));
+        if (std::isnan(v)) return true;
+        if (v == 0.0) (std::signbit(v) ? negative_zero : positive_zero) = true;
+      }
+      return positive_zero && negative_zero;
+    }
+    case DataType::kString:
+      return false;
+  }
+  return false;
+}
 
 Value Column::GetValue(int64_t row) const {
   if (IsNull(row)) return Value::Null();
@@ -160,6 +197,103 @@ int32_t ColumnBuilder::InternString(std::string_view value) {
   return code;
 }
 
+void ColumnBuilder::CodeNumericCells(Column* column) {
+  const DataType type = column->type_;
+  const size_t n = column->validity_.size();
+  const uint8_t* valid = column->validity_.data();
+  std::vector<int32_t>& codes = column->codes_;
+  codes.assign(n, 0);
+
+  // One pass numbers the distinct cell keys in first-appearance order
+  // (ids). While each new key exceeds the one before (a time or id column
+  // in row order), a row is numbered by comparing its key with the last
+  // one. The first row that breaks that order starts an open-addressing
+  // table (load at most 1/2) over the keys seen so far, and the rest of
+  // the column is numbered through it.
+  std::vector<int64_t> keys;
+  std::vector<int32_t> table;  // id per slot, -1 when empty
+  size_t mask = 0;
+  uint64_t last = 0;  // SortableImage of keys.back()
+  auto rehash = [&](size_t capacity) {
+    table.assign(capacity, -1);
+    mask = capacity - 1;
+    for (size_t id = 0; id < keys.size(); ++id) {
+      size_t pos = Mix64(static_cast<uint64_t>(keys[id])) & mask;
+      while (table[pos] >= 0) pos = (pos + 1) & mask;
+      table[pos] = static_cast<int32_t>(id);
+    }
+  };
+  auto number = [&](auto key_of) {
+    for (size_t r = 0; r < n; ++r) {
+      if (!valid[r]) continue;
+      const int64_t key = key_of(r);
+      if (table.empty()) {
+        const uint64_t image = SortableImage(type, key);
+        if (keys.empty() || image > last) {
+          last = image;
+          codes[r] = static_cast<int32_t>(keys.size());
+          keys.push_back(key);
+          continue;
+        }
+        if (image == last) {
+          codes[r] = static_cast<int32_t>(keys.size() - 1);
+          continue;
+        }
+        rehash(std::bit_ceil(std::max<size_t>(64, 4 * keys.size())));
+      }
+      size_t pos = Mix64(static_cast<uint64_t>(key)) & mask;
+      while (table[pos] >= 0 &&
+             keys[static_cast<size_t>(table[pos])] != key) {
+        pos = (pos + 1) & mask;
+      }
+      if (table[pos] >= 0) {
+        codes[r] = table[pos];
+        continue;
+      }
+      codes[r] = static_cast<int32_t>(keys.size());
+      table[pos] = codes[r];
+      keys.push_back(key);
+      if (2 * keys.size() > table.size()) rehash(2 * table.size());
+    }
+  };
+  if (type == DataType::kInt64) {
+    const int64_t* ints = column->ints_.data();
+    number([ints](size_t r) { return ints[r]; });
+  } else {
+    const double* doubles = column->doubles_.data();
+    number([doubles](size_t r) {
+      return static_cast<int64_t>(std::bit_cast<uint64_t>(doubles[r]));
+    });
+  }
+  const size_t distinct = keys.size();
+  column->distinct_count_ = static_cast<int64_t>(distinct);
+  column->order_coded_ = !KeysCanTie(type, keys);
+  if (table.empty()) {
+    // Keys first appeared in ascending order: the ids are the codes.
+    column->code_keys_ = std::move(keys);
+    return;
+  }
+  std::vector<int32_t>().swap(table);
+
+  // A sort of the distinct keys turns ids into codes numbered in ascending
+  // value order; one pass rewrites each row's id as its code.
+  std::vector<std::pair<uint64_t, int32_t>> order(distinct);
+  for (size_t id = 0; id < distinct; ++id) {
+    order[id] = {SortableImage(type, keys[id]), static_cast<int32_t>(id)};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<int32_t> id_code(distinct);
+  column->code_keys_.resize(distinct);
+  for (size_t code = 0; code < distinct; ++code) {
+    const auto id = static_cast<size_t>(order[code].second);
+    column->code_keys_[code] = keys[id];
+    id_code[id] = static_cast<int32_t>(code);
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (valid[r]) codes[r] = id_code[static_cast<size_t>(codes[r])];
+  }
+}
+
 ColumnPtr ColumnBuilder::Finish() {
   auto finished = column_;
   column_ = std::shared_ptr<Column>(new Column());
@@ -167,8 +301,10 @@ ColumnPtr ColumnBuilder::Finish() {
   column_->type_ = finished->type_;
 
   // Rank the dictionary once: group-by and token lists order string keys
-  // by rank instead of comparing strings.
-  if (finished->type_ == DataType::kString) {
+  // by rank instead of comparing strings. Numeric cells get their codes.
+  if (finished->type_ != DataType::kString) {
+    CodeNumericCells(finished.get());
+  } else {
     const std::vector<std::string>& dictionary = finished->dictionary_;
     std::vector<int32_t>& rank_code = finished->rank_code_;
     rank_code.resize(dictionary.size());
@@ -245,6 +381,22 @@ ColumnPtr ColumnBuilder::Finish() {
         }
         break;
     }
+  }
+
+  // Every dictionary entry is the value of some non-null cell, except an
+  // "" that AppendNull interned as the nulls' placeholder code 0 when no
+  // non-null cell carries code 0.
+  if (finished->type_ == DataType::kString) {
+    const auto& chunks = finished->chunk_stats_;
+    const bool placeholder =
+        !finished->dictionary_.empty() &&
+        std::none_of(chunks.begin(), chunks.end(),
+                     [](const ColumnChunkStats& cs) {
+                       return cs.min_code == 0;
+                     });
+    finished->distinct_count_ =
+        static_cast<int64_t>(finished->dictionary_.size()) -
+        (placeholder ? 1 : 0);
   }
   return finished;
 }

@@ -33,8 +33,8 @@ struct ColumnChunkStats {
   /// nan_count). +inf/-inf when the chunk has no non-null numeric cell.
   double min = 0.0;
   double max = 0.0;
-  /// Exact integer bounds for int64 columns (feeds the dense group-by fast
-  /// path, which must not round). INT64_MAX/INT64_MIN when empty.
+  /// Exact integer bounds for int64 columns (feed the filter's exact-integer
+  /// scan, which must not round). INT64_MAX/INT64_MIN when empty.
   int64_t min_int = 0;
   int64_t max_int = 0;
   /// Dictionary-code bounds for string columns. INT32_MAX/-1 when the
@@ -49,16 +49,21 @@ struct ColumnChunkStats {
   int32_t nan_count = 0;
 };
 
-/// Immutable typed column. String columns are dictionary-encoded: each cell
-/// stores a 32-bit code into a per-column dictionary, so equality filters and
-/// group-bys run on integer codes. Nulls are tracked in a validity vector.
+/// Immutable typed column. Every cell carries a dense 32-bit code, one per
+/// distinct non-null value: string columns are dictionary-encoded (the code
+/// indexes a per-column dictionary, numbered in first-appearance order), and
+/// int64/float64 columns number their distinct values in ascending order
+/// when the column is built. Counting passes and group-bys run on the codes
+/// (CodeKey maps one back to its cell key). Nulls are tracked in a validity
+/// vector.
 ///
 /// Columns are built once via ColumnBuilder and then shared (shared_ptr)
 /// between tables/views; they are never mutated after construction. Building
 /// also materializes per-chunk zone maps (see ColumnChunkStats), which
-/// FilterRows (dataframe/ops.h) uses for chunk skipping, and a string
-/// column's lexicographic dictionary order (OrderKey, CodeAtRank), which
-/// GroupAggregate and TokenFrequencies sort string keys by.
+/// FilterRows (dataframe/ops.h) uses for chunk skipping, the order of the
+/// codes (CodeRank, CodeAtRank; a string column's is its dictionary's
+/// lexicographic order), which GroupAggregate and TokenFrequencies sort keys
+/// by, and the column's distinct count.
 class Column {
  public:
   DataType type() const { return type_; }
@@ -75,8 +80,27 @@ class Column {
   std::string_view GetString(int64_t row) const {
     return dictionary_[codes_[row]];
   }
-  /// Dictionary code of a string cell (meaningless for null cells).
+  /// Code of a cell (meaningless for null cells).
   int32_t GetCode(int64_t row) const { return codes_[row]; }
+  /// Number of codes: the dictionary size of a string column (which may
+  /// hold one entry, "", that only null cells carry), the distinct non-null
+  /// count of a numeric column.
+  int32_t num_codes() const {
+    return type_ == DataType::kString
+               ? static_cast<int32_t>(dictionary_.size())
+               : static_cast<int32_t>(code_keys_.size());
+  }
+  /// The CellKey of the non-null cells coded `code`.
+  int64_t CodeKey(int32_t code) const {
+    return type_ == DataType::kString ? code : code_keys_[code];
+  }
+  /// Distinct non-null cell keys over all rows.
+  int64_t distinct_count() const { return distinct_count_; }
+  /// True when the codes' order (CodeRank) is ValueLess order with no ties:
+  /// two codes compare under CodeRank exactly as their values compare under
+  /// ValueLess. Always true for strings. A numeric column is not order-coded
+  /// when two of its distinct keys tie under ValueLess (KeysCanTie).
+  bool order_coded() const { return order_coded_; }
   int32_t dictionary_size() const {
     return static_cast<int32_t>(dictionary_.size());
   }
@@ -113,9 +137,17 @@ class Column {
   /// that round to one double.
   double OrderKey(int64_t cell_key) const;
 
-  /// The dictionary code at rank `rank` of the dictionary's lexicographic
-  /// order (ranks and codes are ordered once, when the column is built).
-  int32_t CodeAtRank(int32_t rank) const { return rank_code_[rank]; }
+  /// The place of `code` in the ascending order of the codes' values: a
+  /// string code's rank in the dictionary's lexicographic order, a numeric
+  /// code itself (numeric codes are numbered in ascending order). Ranks and
+  /// codes are ordered once, when the column is built.
+  int32_t CodeRank(int32_t code) const {
+    return type_ == DataType::kString ? code_rank_[code] : code;
+  }
+  /// The code at rank `rank` (the inverse of CodeRank).
+  int32_t CodeAtRank(int32_t rank) const {
+    return type_ == DataType::kString ? rank_code_[rank] : rank;
+  }
 
   /// Looks up the dictionary code of `token`; returns -1 when absent.
   int32_t FindCode(std::string_view token) const;
@@ -136,6 +168,11 @@ class Column {
   const double* double_data() const { return doubles_.data(); }
   const int32_t* code_data() const { return codes_.data(); }
   const uint8_t* validity_data() const { return validity_.data(); }
+  /// CodeRank of every string code, indexed by code; nullptr for a numeric
+  /// column, whose codes are their own ranks.
+  const int32_t* rank_data() const {
+    return type_ == DataType::kString ? code_rank_.data() : nullptr;
+  }
 
  private:
   friend class ColumnBuilder;
@@ -145,7 +182,8 @@ class Column {
   DataType type_ = DataType::kInt64;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
-  std::vector<int32_t> codes_;
+  std::vector<int32_t> codes_;  // per row; 0 for null cells
+  std::vector<int64_t> code_keys_;  // numeric: code → CellKey, ascending
   std::vector<std::string> dictionary_;
   std::unordered_map<std::string, int32_t> dictionary_index_;
   std::vector<int32_t> code_rank_;  // code → lexicographic rank
@@ -153,9 +191,17 @@ class Column {
   std::vector<uint8_t> validity_;
   std::vector<ColumnChunkStats> chunk_stats_;
   int64_t null_count_ = 0;
+  int64_t distinct_count_ = 0;
+  bool order_coded_ = true;
 };
 
 using ColumnPtr = std::shared_ptr<const Column>;
+
+/// True when two of `keys` (distinct non-null cell keys of a column of
+/// `type`) can tie under ValueLess (dataframe/ops.h): NaN ties with
+/// everything, +0.0 with -0.0, and two int64 values beyond ±2^53 can round
+/// to one double. Distinct strings never tie.
+bool KeysCanTie(DataType type, const std::vector<int64_t>& keys);
 
 /// Accumulates cells and produces an immutable Column. Append* calls must
 /// match the declared type; mismatches return an error and leave the builder
@@ -175,11 +221,15 @@ class ColumnBuilder {
   int64_t length() const { return static_cast<int64_t>(column_->validity_.size()); }
   DataType type() const { return column_->type_; }
 
-  /// Finalizes the column. The builder is left empty and reusable.
+  /// Finalizes the column: codes numeric cells, ranks the codes, builds
+  /// the zone maps and counts the distinct values. The builder is left
+  /// empty and reusable.
   ColumnPtr Finish();
 
  private:
   int32_t InternString(std::string_view value);
+  /// Codes the cells of a numeric column being finished.
+  static void CodeNumericCells(Column* column);
 
   std::shared_ptr<Column> column_;
 };

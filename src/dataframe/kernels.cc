@@ -11,6 +11,7 @@
 #include <numeric>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "common/hashing.h"
 #include "common/string_utils.h"
@@ -699,7 +700,7 @@ void FillGroupHeader(const Table& table, const GroupSpec& spec,
 /// reference's per-group loop — while the agg column is read in one
 /// sequential sweep. Serial by design: merging per-thread partial sums
 /// would reassociate the adds and change SUM/AVG bits. `row_ids` holds one
-/// id per selected row (dense slot or hash group id); `id_to_group` maps
+/// id per selected row (dense slot or hashed group id); `id_to_group` maps
 /// ids to output groups, -1 for ids no row holds.
 template <typename IdT>
 void Aggregate(const Column& agg_col, AggFunc agg,
@@ -775,116 +776,114 @@ void Aggregate(const Column& agg_col, AggFunc agg,
   }
 }
 
-/// Dense single-column fast path: when the lone group column is a string
-/// (slots are dictionary codes) or an int64 with a small, exactly-
-/// representable global range (slots are offsets from the minimum), the
-/// row→group map is direct addressing — no hashing at all — and groups are
-/// emitted straight in key order, with no sort: the null slot first, then
-/// ascending int slots, or string codes in dictionary rank order. Distinct
-/// keys on these paths never tie under ValueLess, so that order is the
-/// unique sorted one. Doubles never take this path: -0.0/0.0 and NaN form
-/// ValueLess ties where discovery order matters. `identity_sel` marks a
-/// selection known to be 0..n-1, which lets passes 1 and 2 drop the
-/// selection indirection. Each group's member row is its slot's last row
-/// in selection order, noted by the counting pass. On success `row_ids`
-/// holds each row's SLOT, resolved through `slot_to_group` (-1 for
-/// unoccupied slots) instead of a remap pass over the selection.
-bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
-                          const std::vector<int32_t>& rows, bool identity_sel,
-                          std::vector<uint16_t>* row_ids,
-                          std::vector<Group>* groups,
-                          std::vector<int32_t>* slot_to_group) {
-  constexpr int64_t kDenseSlotLimit = int64_t{1} << 16;
-  constexpr int64_t kExactInt = int64_t{1} << 53;  // doubles stay exact here
-  const Column& col = *table.column(spec.group_columns[0]);
-  const bool strings = col.type() == DataType::kString;
+// Composite code keys (below) fit one uint64_t up to this code space; a
+// larger space, like a key column that is not order-coded, keeps exact keys.
+constexpr uint64_t kMaxCodeSpace = uint64_t{1} << 62;
+// Code spaces up to this size are tallied by direct addressing; their slot
+// ids fit uint16_t. The tally's cost grows with the space, a hashed table's
+// with the selection, so a space past kMaxSlotsPerRow slots per selected
+// row (a small filtered display under a large key) is hashed instead.
+constexpr uint64_t kDenseSlotLimit = uint64_t{1} << 16;
+constexpr uint64_t kMaxSlotsPerRow = 16;
+
+/// Calls body(i, r) for the i-th selected row r. An identity selection's
+/// row is the loop index itself (a size_t, so the loop stays affine and
+/// vectorizes), not a selection load.
+template <typename Body>
+inline void ForEachSelected(const std::vector<int32_t>& rows, bool identity,
+                            Body&& body) {
   const size_t n = rows.size();
   const int32_t* sel = rows.data();
+  if (identity) {
+    for (size_t i = 0; i < n; ++i) body(i, i);
+  } else {
+    for (size_t i = 0; i < n; ++i) body(i, sel[i]);
+  }
+}
+
+/// Adds key column `col`'s digit times `stride` to each selected row's
+/// composite key: the rank of the cell's code plus one, or 0 for a null
+/// cell. Over order-coded key columns, the sum Σ_j digit_j × stride_j
+/// (column 0 most significant, each stride the product of the later
+/// columns' code counts plus one) orders rows exactly as ValueLess does,
+/// column by column, nulls first, and two rows have equal sums exactly when
+/// their key cells have equal cell keys and null flags.
+template <typename KeyT>
+void AddDigits(const Column& col, KeyT stride,
+               const std::vector<int32_t>& rows, bool identity, KeyT* keys) {
+  const int32_t* codes = col.code_data();
   const uint8_t* valid = col.validity_data();
-
-  int64_t slots = 0;   // slot 0 is reserved for null keys
-  int64_t base = 0;    // int path: slot = value - base + 1
-  if (strings) {
-    slots = static_cast<int64_t>(col.dictionary_size()) + 1;
-    if (slots > kDenseSlotLimit) return false;
-  } else if (col.type() == DataType::kInt64) {
-    int64_t mn = std::numeric_limits<int64_t>::max();
-    int64_t mx = std::numeric_limits<int64_t>::min();
-    for (const ColumnChunkStats& cs : col.chunk_stats()) {
-      mn = std::min(mn, cs.min_int);
-      mx = std::max(mx, cs.max_int);
-    }
-    if (mn > mx) {
-      slots = 1;  // all-null column
-    } else {
-      if (mn < -kExactInt || mx > kExactInt) return false;
-      const int64_t range = mx - mn;  // < 2^54, no overflow
-      if (range + 2 > kDenseSlotLimit) return false;
-      slots = range + 2;
-      base = mn;
-    }
+  if (const int32_t* rank = col.rank_data()) {
+    ForEachSelected(rows, identity, [&](size_t i, auto r) {
+      keys[i] = static_cast<KeyT>(
+          keys[i] + (valid[r] ? static_cast<KeyT>(rank[codes[r]] + 1) * stride
+                              : KeyT{0}));
+    });
   } else {
-    return false;
+    ForEachSelected(rows, identity, [&](size_t i, auto r) {
+      keys[i] = static_cast<KeyT>(
+          keys[i] + (valid[r] ? static_cast<KeyT>(codes[r] + 1) * stride
+                              : KeyT{0}));
+    });
   }
-  row_ids->resize(n);  // sized here, past every cheap early-out above
+}
 
-  // Pass 1: slot per selected row.
+/// Dense tally for code spaces up to 2^16: each selected row's slot is its
+/// composite key, so the row→group map is direct addressing (no hashing),
+/// and groups come out straight in key order with no sort. A single key
+/// column keeps its own loop, slot = code + 1 (0 for null), with no rank
+/// lookup per row; its slots are then visited in rank order. On return
+/// `row_ids` holds each row's slot, resolved through `slot_to_group` (-1
+/// for unoccupied slots) instead of a remap pass over the selection.
+void DenseAssignGroups(const std::vector<const Column*>& key_cols,
+                       const std::vector<uint64_t>& strides, uint64_t space,
+                       const std::vector<int32_t>& rows, bool identity,
+                       std::vector<uint16_t>* row_ids,
+                       std::vector<Group>* groups,
+                       std::vector<int32_t>* slot_to_group) {
+  const size_t n = rows.size();
+  row_ids->assign(n, 0);
   uint16_t* slot = row_ids->data();
-  if (strings) {
-    const int32_t* codes = col.code_data();
-    if (identity_sel) {
-      for (size_t i = 0; i < n; ++i) {
-        slot[i] = valid[i] ? static_cast<uint16_t>(codes[i] + 1) : 0;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t r = sel[i];
-        slot[i] = valid[r] ? static_cast<uint16_t>(codes[r] + 1) : 0;
-      }
-    }
+  const bool single = key_cols.size() == 1;
+  if (single) {
+    const int32_t* codes = key_cols[0]->code_data();
+    const uint8_t* valid = key_cols[0]->validity_data();
+    ForEachSelected(rows, identity, [&](size_t i, auto r) {
+      slot[i] = valid[r] ? static_cast<uint16_t>(codes[r] + 1) : 0;
+    });
   } else {
-    const int64_t* ints = col.int_data();
-    if (identity_sel) {
-      for (size_t i = 0; i < n; ++i) {
-        slot[i] = valid[i] ? static_cast<uint16_t>(ints[i] - base + 1) : 0;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t r = sel[i];
-        slot[i] = valid[r] ? static_cast<uint16_t>(ints[r] - base + 1) : 0;
-      }
+    for (size_t j = 0; j < key_cols.size(); ++j) {
+      AddDigits(*key_cols[j], static_cast<uint16_t>(strides[j]), rows,
+                identity, slot);
     }
   }
 
-  // Pass 2: count rows per slot, noting each slot's latest row, then emit
-  // the occupied slots in key order. A slot's count and row share one
-  // 8-byte record, so the note adds a store to a line the count already
-  // holds (a branch that kept only the first row cost ~50% on 1M rows), and
-  // an identity selection's row is the loop index, not a selection load.
+  // Count rows per slot, noting each slot's latest row, then emit the
+  // occupied slots in key order. A slot's count and row share one 8-byte
+  // record, so the note adds a store to a line the count already holds (a
+  // branch that kept only the first row cost ~50% on 1M rows).
   struct SlotTally {
     int32_t count = 0;
     int32_t row = 0;
   };
-  std::vector<SlotTally> tally(static_cast<size_t>(slots));
-  if (identity_sel) {
-    for (size_t i = 0; i < n; ++i) {
-      SlotTally& t = tally[slot[i]];
-      ++t.count;
-      t.row = static_cast<int32_t>(i);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      SlotTally& t = tally[slot[i]];
-      ++t.count;
-      t.row = sel[i];
-    }
-  }
-  slot_to_group->assign(static_cast<size_t>(slots), -1);
-  for (int64_t i = 0; i < slots; ++i) {
+  std::vector<SlotTally> tally(space);
+  ForEachSelected(rows, identity, [&](size_t i, auto r) {
+    SlotTally& t = tally[slot[i]];
+    ++t.count;
+    t.row = static_cast<int32_t>(r);
+  });
+  slot_to_group->assign(space, -1);
+  groups->reserve(static_cast<size_t>(
+      std::count_if(tally.begin(), tally.end(),
+                    [](const SlotTally& t) { return t.count > 0; })));
+  const Column& lone = *key_cols[0];
+  for (uint64_t i = 0; i < space; ++i) {
     // The slot of the i-th smallest key.
-    const size_t s = static_cast<size_t>(
-        i == 0 || !strings ? i
-                           : col.CodeAtRank(static_cast<int32_t>(i - 1)) + 1);
+    const size_t s =
+        single && i > 0
+            ? static_cast<size_t>(
+                  lone.CodeAtRank(static_cast<int32_t>(i - 1)) + 1)
+            : static_cast<size_t>(i);
     const SlotTally& t = tally[s];
     if (t.count == 0) continue;
     (*slot_to_group)[s] = static_cast<int32_t>(groups->size());
@@ -892,33 +891,148 @@ bool TryDenseSingleColumn(const Table& table, const GroupSpec& spec,
     g.size = t.count;
     g.row = t.row;
   }
-  return true;
 }
 
-/// Hash path for every key the dense path does not take: one
-/// open-addressing table on a combined 64-bit key hash, filled in selection
-/// order, so group ids come out in row-encounter order — the scalar
-/// reference's discovery order, which fixes every tie-break of the sort in
-/// EmitHashGroups. Each group's exact key is stored flat in `keys` and
-/// compared on every hash hit, so hash collisions chain instead of merging
-/// groups. The exact key is the k cell keys followed by ⌈k/64⌉ null-mask
-/// words (bit j%64 of word j/64 set when key column j is null): CellKey's
-/// null sentinel equals one non-null value's key, and the mask is what
-/// keeps the two apart. `row_gid` receives each selected row's group id,
+/// The hashed group table's key form for composite code keys the dense
+/// tally does not take: one uint64_t per row (AddDigits), compared whole.
+class CodeKeys {
+ public:
+  CodeKeys(const std::vector<const Column*>& key_cols,
+           const std::vector<uint64_t>& strides,
+           const std::vector<int32_t>& rows, bool identity)
+      : row_keys_(rows.size(), 0) {
+    for (size_t j = 0; j < key_cols.size(); ++j) {
+      AddDigits(*key_cols[j], strides[j], rows, identity, row_keys_.data());
+    }
+  }
+
+  uint64_t Hash(size_t i) const { return Mix64(row_keys_[i]); }
+  bool Matches(int32_t group, size_t i) const {
+    return group_keys_[static_cast<size_t>(group)] == row_keys_[i];
+  }
+  void Add(size_t i) { group_keys_.push_back(row_keys_[i]); }
+
+  /// Group ids in key order. Distinct groups have distinct keys, so the
+  /// order is unique.
+  std::vector<int32_t> SortedIds() const {
+    std::vector<std::pair<uint64_t, int32_t>> keyed(group_keys_.size());
+    for (size_t g = 0; g < keyed.size(); ++g) {
+      keyed[g] = {group_keys_[g], static_cast<int32_t>(g)};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<int32_t> order(keyed.size());
+    for (size_t pos = 0; pos < keyed.size(); ++pos) {
+      order[pos] = keyed[pos].second;
+    }
+    return order;
+  }
+
+ private:
+  std::vector<uint64_t> row_keys_;
+  std::vector<uint64_t> group_keys_;
+};
+
+/// The hashed group table's key form for every key with a column that is
+/// not order-coded, or a code space past 2^62: the k cell keys followed by
+/// ⌈k/64⌉ null-mask words (bit j%64 of word j/64 set when key column j is
+/// null). CellKey's null sentinel equals one non-null value's key, and the
+/// mask is what keeps the two apart.
+class ExactKeys {
+ public:
+  ExactKeys(const std::vector<const Column*>& key_cols,
+            const std::vector<int32_t>& rows)
+      : key_cols_(key_cols),
+        rows_(rows),
+        words_(key_cols.size() + (key_cols.size() + 63) / 64),
+        row_key_(words_) {}
+
+  /// Reads row i's exact key into the row buffer and hashes it.
+  uint64_t Hash(size_t i) {
+    const int32_t r = rows_[i];
+    const size_t k = key_cols_.size();
+    uint64_t hash = 0x9E3779B97F4A7C15ULL;
+    uint64_t nulls = 0;
+    for (size_t j = 0; j < k; ++j) {
+      row_key_[j] = key_cols_[j]->CellKey(r);
+      hash = HashCombine(hash, static_cast<uint64_t>(row_key_[j]));
+      nulls |= uint64_t{key_cols_[j]->IsNull(r)} << (j % 64);
+      if (j % 64 == 63 || j + 1 == k) {
+        row_key_[k + j / 64] = static_cast<int64_t>(nulls);
+        nulls = 0;
+      }
+    }
+    return hash;
+  }
+  bool Matches(int32_t group, size_t /*i*/) const {
+    return std::equal(row_key_.begin(), row_key_.end(),
+                      keys_.begin() + static_cast<std::ptrdiff_t>(
+                                          static_cast<size_t>(group) * words_));
+  }
+  void Add(size_t /*i*/) {
+    keys_.insert(keys_.end(), row_key_.begin(), row_key_.end());
+  }
+
+  /// Group ids in key order. Each group's typed key is read off its exact
+  /// key: per key column a null flag and the cell's Column::OrderKey. For
+  /// every pair the comparator returns what ValueLess over the boxed keys,
+  /// column by column, returns: nulls first and tied with each other, then
+  /// `<` on the order keys. std::sort's moves depend only on its
+  /// comparator's outcomes, so sorting the discovery order with it yields
+  /// the permutation that sorting boxed keys with ValueLess does, ties
+  /// included (±0.0, NaN, int64 values that round to one double).
+  std::vector<int32_t> SortedIds() const {
+    struct TypedKey {
+      double order = 0.0;
+      bool null = false;
+    };
+    const size_t k = key_cols_.size();
+    const size_t num_groups = keys_.size() / words_;
+    std::vector<TypedKey> typed(num_groups * k);
+    for (size_t g = 0; g < num_groups; ++g) {
+      const int64_t* key = keys_.data() + g * words_;
+      for (size_t j = 0; j < k; ++j) {
+        TypedKey& t = typed[g * k + j];
+        t.null = (static_cast<uint64_t>(key[k + j / 64]) >> (j % 64)) & 1;
+        if (!t.null) t.order = key_cols_[j]->OrderKey(key[j]);
+      }
+    }
+    std::vector<int32_t> order(num_groups);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+      const TypedKey* x = &typed[static_cast<size_t>(a) * k];
+      const TypedKey* y = &typed[static_cast<size_t>(b) * k];
+      for (size_t j = 0; j < k; ++j) {
+        if (x[j].null != y[j].null) return x[j].null;
+        if (x[j].order < y[j].order) return true;
+        if (y[j].order < x[j].order) return false;
+      }
+      return false;
+    });
+    return order;
+  }
+
+ private:
+  const std::vector<const Column*>& key_cols_;
+  const std::vector<int32_t>& rows_;
+  size_t words_;
+  std::vector<int64_t> row_key_;  // the current row's exact key
+  std::vector<int64_t> keys_;     // words_ per group, flat
+};
+
+/// One open-addressing table on the key form `Keys` (CodeKeys or
+/// ExactKeys), filled in selection order, so group ids come out in
+/// row-encounter order — the scalar reference's discovery order, which
+/// fixes every tie-break of ExactKeys::SortedIds. A hash hit is confirmed
+/// against the group's stored key, so hash collisions chain instead of
+/// merging groups. `row_gid` receives each selected row's group id,
 /// `counts` each group's member count and `first_rows` each group's first
 /// member row.
-void HashAssignGroups(const std::vector<const Column*>& key_cols,
-                      const std::vector<int32_t>& rows,
+template <typename Keys>
+void HashAssignGroups(Keys* keys, const std::vector<int32_t>& rows,
                       std::vector<int32_t>* row_gid,
                       std::vector<int32_t>* counts,
-                      std::vector<int32_t>* first_rows,
-                      std::vector<int64_t>* keys) {
+                      std::vector<int32_t>* first_rows) {
   const size_t n = rows.size();
-  const size_t k = key_cols.size();
-  const size_t words = k + (k + 63) / 64;
-  std::vector<const uint8_t*> key_valid(k);
-  for (size_t j = 0; j < k; ++j) key_valid[j] = key_cols[j]->validity_data();
-
   size_t capacity = 64;
   size_t mask = capacity - 1;
   std::vector<int32_t> slot_group(capacity, -1);
@@ -937,37 +1051,13 @@ void HashAssignGroups(const std::vector<const Column*>& key_cols,
     }
   };
 
-  std::vector<int64_t> row_key(words);
   row_gid->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    const int32_t r = rows[i];
-    uint64_t hash;
-    if (k == 1) {
-      row_key[0] = key_cols[0]->CellKey(r);
-      row_key[1] = key_valid[0][r] == 0;
-      hash = Mix64(static_cast<uint64_t>(row_key[0]));
-    } else {
-      hash = 0x9E3779B97F4A7C15ULL;
-      uint64_t nulls = 0;
-      for (size_t j = 0; j < k; ++j) {
-        row_key[j] = key_cols[j]->CellKey(r);
-        hash = HashCombine(hash, static_cast<uint64_t>(row_key[j]));
-        nulls |= uint64_t{key_valid[j][r] == 0} << (j % 64);
-        if (j % 64 == 63 || j + 1 == k) {
-          row_key[k + j / 64] = static_cast<int64_t>(nulls);
-          nulls = 0;
-        }
-      }
-    }
-
+    const uint64_t hash = keys->Hash(i);
     size_t pos = static_cast<size_t>(hash) & mask;
     int32_t group = -1;
     while (slot_group[pos] >= 0) {
-      if (slot_hash[pos] == hash &&
-          std::equal(row_key.begin(), row_key.end(),
-                     keys->begin() +
-                         static_cast<std::ptrdiff_t>(
-                             static_cast<size_t>(slot_group[pos]) * words))) {
+      if (slot_hash[pos] == hash && keys->Matches(slot_group[pos], i)) {
         group = slot_group[pos];
         break;
       }
@@ -978,9 +1068,9 @@ void HashAssignGroups(const std::vector<const Column*>& key_cols,
       slot_group[pos] = group;
       slot_hash[pos] = hash;
       group_hash.push_back(hash);
-      keys->insert(keys->end(), row_key.begin(), row_key.end());
+      keys->Add(i);
       counts->push_back(0);
-      first_rows->push_back(r);
+      first_rows->push_back(rows[i]);
       if (group_hash.size() * 4 > capacity * 3) grow();
     }
     ++(*counts)[static_cast<size_t>(group)];
@@ -988,54 +1078,17 @@ void HashAssignGroups(const std::vector<const Column*>& key_cols,
   }
 }
 
-/// Emits the hash path's groups in key order. Each group's typed key is
-/// read off its exact key: per key column a null flag and the cell's
-/// Column::OrderKey. For every pair the comparator returns what ValueLess
-/// over the boxed keys, column by column, returns: nulls first and tied
-/// with each other, then `<` on the order keys. std::sort's moves depend
-/// only on its comparator's outcomes, so sorting the discovery order with
-/// it yields the permutation that sorting boxed keys with ValueLess does,
-/// ties included (±0.0, NaN, int64 values that round to one double).
+/// Emits the hashed groups in key order (`order`, group ids by key);
 /// `id_to_group` receives each group id's output position.
-void EmitHashGroups(const std::vector<const Column*>& key_cols,
+void EmitHashGroups(const std::vector<int32_t>& order,
                     const std::vector<int32_t>& counts,
                     const std::vector<int32_t>& first_rows,
-                    const std::vector<int64_t>& keys,
                     std::vector<Group>* groups,
                     std::vector<int32_t>* id_to_group) {
-  struct TypedKey {
-    double order = 0.0;
-    bool null = false;
-  };
-  const size_t num_groups = counts.size();
-  const size_t k = key_cols.size();
-  const size_t words = k + (k + 63) / 64;
-  std::vector<TypedKey> typed(num_groups * k);
-  for (size_t g = 0; g < num_groups; ++g) {
-    const int64_t* key = keys.data() + g * words;
-    for (size_t j = 0; j < k; ++j) {
-      TypedKey& t = typed[g * k + j];
-      t.null = (static_cast<uint64_t>(key[k + j / 64]) >> (j % 64)) & 1;
-      if (!t.null) t.order = key_cols[j]->OrderKey(key[j]);
-    }
-  }
-  std::vector<int32_t> order(num_groups);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    const TypedKey* x = &typed[static_cast<size_t>(a) * k];
-    const TypedKey* y = &typed[static_cast<size_t>(b) * k];
-    for (size_t j = 0; j < k; ++j) {
-      if (x[j].null != y[j].null) return x[j].null;
-      if (x[j].order < y[j].order) return true;
-      if (y[j].order < x[j].order) return false;
-    }
-    return false;
-  });
-
-  groups->resize(num_groups);
-  id_to_group->resize(num_groups);
-  for (size_t pos = 0; pos < num_groups; ++pos) {
-    const size_t id = static_cast<size_t>(order[pos]);
+  groups->resize(order.size());
+  id_to_group->resize(order.size());
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    const auto id = static_cast<size_t>(order[pos]);
     (*id_to_group)[id] = static_cast<int32_t>(pos);
     Group& g = (*groups)[pos];
     g.size = counts[id];
@@ -1055,14 +1108,14 @@ Result<GroupedResult> GroupAggregate(const Table& table,
   const size_t n = rows.size();
   const int32_t* sel = rows.data();
   // Per-row ids live in one of two vectors, sized by whichever assigner
-  // runs: the dense path's slot space is capped at 2^16, so its slot ids
+  // runs: the dense tally's slot space is capped at 2^16, so its slot ids
   // fit uint16_t — half the id traffic across the write, count and
-  // aggregation passes — while the hash path keeps int32 group ids.
+  // aggregation passes — while the hashed table keeps int32 group ids.
   std::vector<uint16_t> slot_ids;
   std::vector<int32_t> row_gid;
 
   // An identity selection (the root display, and the benchmark regime)
-  // lets the dense assigner and the aggregation sweep drop the selection
+  // lets the assigners and the aggregation sweep drop the selection
   // indirection entirely. The check runs blockwise: branch-free inner
   // loops that vectorize, early exit between blocks.
   bool identity = static_cast<int64_t>(n) == table.num_rows();
@@ -1079,23 +1132,50 @@ Result<GroupedResult> GroupAggregate(const Table& table,
     }
   }
 
-  // Both assigners emit the groups in key order, with member counts and
-  // member rows, and map each per-row id (dense slot or hash group id) to
-  // its output group.
+  // The key's code space: the product of the key columns' code counts plus
+  // one (the null digit), with each column's stride the product of the
+  // later columns'. Over order-coded columns the composite code key is the
+  // group key in ValueLess order (AddDigits); otherwise, or past 2^62, the
+  // groups keep exact keys.
+  std::vector<const Column*> key_cols;
+  for (int c : spec.group_columns) key_cols.push_back(table.column(c).get());
+  std::vector<uint64_t> strides(key_cols.size());
+  uint64_t space = 1;
+  bool coded = true;
+  for (size_t j = key_cols.size(); j-- > 0;) {
+    const uint64_t digits =
+        static_cast<uint64_t>(key_cols[j]->num_codes()) + 1;
+    if (!key_cols[j]->order_coded() || space > kMaxCodeSpace / digits) {
+      coded = false;
+      break;
+    }
+    strides[j] = space;
+    space *= digits;
+  }
+
+  // Each assigner emits the groups in key order, with member counts and
+  // member rows, and maps each per-row id (dense slot or hashed group id)
+  // to its output group. Each is the only path for its input class.
   std::vector<int32_t> id_to_group;
-  const bool dense =
-      spec.group_columns.size() == 1 &&
-      TryDenseSingleColumn(table, spec, rows, identity, &slot_ids,
-                           &result.groups, &id_to_group);
-  if (!dense) {
-    std::vector<const Column*> key_cols;
-    for (int c : spec.group_columns) key_cols.push_back(table.column(c).get());
+  const bool dense = coded && space <= kDenseSlotLimit &&
+                     space <= kMaxSlotsPerRow * std::max<uint64_t>(n, 1);
+  if (dense) {
+    DenseAssignGroups(key_cols, strides, space, rows, identity, &slot_ids,
+                      &result.groups, &id_to_group);
+  } else {
     std::vector<int32_t> counts;
     std::vector<int32_t> first_rows;
-    std::vector<int64_t> keys;
-    HashAssignGroups(key_cols, rows, &row_gid, &counts, &first_rows, &keys);
-    EmitHashGroups(key_cols, counts, first_rows, keys, &result.groups,
-                   &id_to_group);
+    if (coded) {
+      CodeKeys keys(key_cols, strides, rows, identity);
+      HashAssignGroups(&keys, rows, &row_gid, &counts, &first_rows);
+      EmitHashGroups(keys.SortedIds(), counts, first_rows, &result.groups,
+                     &id_to_group);
+    } else {
+      ExactKeys keys(key_cols, rows);
+      HashAssignGroups(&keys, rows, &row_gid, &counts, &first_rows);
+      EmitHashGroups(keys.SortedIds(), counts, first_rows, &result.groups,
+                     &id_to_group);
+    }
   }
 
   if (spec.agg == AggFunc::kCount) {

@@ -132,14 +132,17 @@ struct GroupedResult {
 /// Requirements: at least one group column; numeric agg column for
 /// SUM/MIN/MAX/AVG; all column indices valid.
 ///
-/// Runs serially on the group-by kernel (dataframe/kernels.cc): direct
-/// addressing for a single dictionary or small-range int64 key column,
-/// which emits groups straight in key order, and one open-addressing hash
-/// table filled in selection order for every other key, whose groups are
-/// then sorted by typed keys that compare exactly as ValueLess does.
-/// Each group's member row is noted by the loops that count members: the
-/// dense path's counting loop keeps a slot's last row, group creation on
-/// the hash path a group's first.
+/// Runs serially on the group-by kernel (dataframe/kernels.cc), keyed on
+/// the key columns' codes (Column). When every key column is order-coded,
+/// a group's key is one composite integer whose order is ValueLess order:
+/// a code space of at most 2^16 slots (and at most 16 per selected row) is
+/// tallied by direct addressing, which emits groups straight in key order;
+/// a larger space up to 2^62 goes through one open-addressing table on the
+/// composite key, whose groups are then sorted by it. Every other key keeps
+/// exact cell keys in the same table, and its groups are sorted by typed
+/// keys that compare exactly as ValueLess does. A group's member row is any
+/// of its members (each has the group's key cells): the tally keeps a
+/// slot's last row, the table a group's first.
 /// SUM/MIN/MAX/AVG take one selection-order sweep over the aggregated
 /// column, so each group accumulates its members in selection order and
 /// the result is bit-identical to the scalar reference

@@ -10,15 +10,13 @@
 #include "common/hashing.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
-#include "dataframe/ops.h"
 
 namespace atena {
 
 namespace {
 
-// Dictionary columns with at most this many entries count through
-// direct-addressed per-code slots; larger dictionaries and numeric columns
-// go through the open-addressed table.
+// Columns with at most this many codes count through direct-addressed
+// per-code slots; columns with more go through the open-addressed table.
 constexpr size_t kMaxDirectCodes = size_t{1} << 16;
 // Scratch grown past this many elements by one large pass (a full-table
 // pass over a scaled table) is released when that pass ends, so a worker
@@ -36,16 +34,16 @@ constexpr size_t kArenaBytes = size_t{256} << 10;
 struct Slot {
   int64_t key = 0;
   uint32_t stamp = 0;
-  uint32_t index = 0;  // position of `key` in CountScratch::keys
+  uint32_t index = 0;  // position of `key` in CountScratch::codes
 };
 
 /// Per-thread counting scratch, reused across passes.
 struct CountScratch {
   // Result of the current pass.
-  std::vector<int64_t> keys;    // distinct keys, first-occurrence order
-  std::vector<int64_t> counts;  // counts[i] = occurrences of keys[i]
+  std::vector<int64_t> codes;   // distinct codes, first-occurrence order
+  std::vector<int64_t> counts;  // counts[i] = occurrences of codes[i]
   int64_t nulls = 0;
-  // Direct-addressed counts per dictionary code; all zero between passes.
+  // Direct-addressed counts per code; all zero between passes.
   std::vector<int64_t> code_counts;
   std::vector<Slot> slots;
   uint32_t epoch = 0;
@@ -62,51 +60,34 @@ void ReleaseIfOversized(std::vector<T>* v) {
   if (v->capacity() > kMaxRetainedSlots) std::vector<T>().swap(*v);
 }
 
-/// One counting pass over a selection: every distinct non-null cell key
-/// (Column::CellKey) in first-occurrence order, its exact count, and the
-/// number of null cells. No per-row allocation; the result lives in the
-/// calling thread's scratch until the pass object is destroyed, so at
-/// most one pass per thread may be alive at a time.
+/// One counting pass over a selection: every distinct code of its non-null
+/// cells in first-occurrence order, its exact count, and the number of null
+/// cells. Codes are counted the same way for every column type; key(i)
+/// maps one back to its cell key (Column::CellKey), so the distinct keys,
+/// their counts and their order are those of counting cell keys. No
+/// per-row allocation; the result lives in the calling thread's scratch
+/// until the pass object is destroyed, so at most one pass per thread may
+/// be alive at a time.
 class CountingPass {
  public:
   CountingPass(const Column& column, const std::vector<int32_t>& rows)
-      : s_(ThreadScratch()) {
+      : column_(column), s_(ThreadScratch()) {
     ATENA_CHECK(!s_.busy) << "nested column counting pass";
     s_.busy = true;
-    s_.keys.clear();
+    s_.codes.clear();
     s_.counts.clear();
+    const int32_t* codes = column.code_data();
     const uint8_t* valid = column.validity_data();
-    switch (column.type()) {
-      case DataType::kString: {
-        const int32_t* codes = column.code_data();
-        if (static_cast<size_t>(column.dictionary_size()) <=
-            kMaxDirectCodes) {
-          CountCodes(codes, valid, rows,
-                     static_cast<size_t>(column.dictionary_size()));
-        } else {
-          CountHashed(rows, valid, [codes](int32_t r) {
-            return static_cast<int64_t>(codes[r]);
-          });
-        }
-        break;
-      }
-      case DataType::kInt64: {
-        const int64_t* ints = column.int_data();
-        CountHashed(rows, valid, [ints](int32_t r) { return ints[r]; });
-        break;
-      }
-      case DataType::kFloat64: {
-        const double* doubles = column.double_data();
-        CountHashed(rows, valid, [doubles](int32_t r) {
-          return static_cast<int64_t>(std::bit_cast<uint64_t>(doubles[r]));
-        });
-        break;
-      }
+    const auto num_codes = static_cast<size_t>(column.num_codes());
+    if (num_codes <= kMaxDirectCodes) {
+      CountDirect(codes, valid, rows, num_codes);
+    } else {
+      CountHashed(codes, valid, rows);
     }
   }
 
   ~CountingPass() {
-    ReleaseIfOversized(&s_.keys);
+    ReleaseIfOversized(&s_.codes);
     ReleaseIfOversized(&s_.counts);
     ReleaseIfOversized(&s_.slots);
     s_.busy = false;
@@ -115,18 +96,20 @@ class CountingPass {
   CountingPass(const CountingPass&) = delete;
   CountingPass& operator=(const CountingPass&) = delete;
 
-  const std::vector<int64_t>& keys() const { return s_.keys; }
+  size_t distinct() const { return s_.codes.size(); }
+  int32_t code(size_t i) const { return static_cast<int32_t>(s_.codes[i]); }
+  int64_t key(size_t i) const { return column_.CodeKey(code(i)); }
   const std::vector<int64_t>& counts() const { return s_.counts; }
   int64_t nulls() const { return s_.nulls; }
 
  private:
-  void CountCodes(const int32_t* codes, const uint8_t* valid,
-                  const std::vector<int32_t>& rows, size_t dictionary_size) {
-    if (s_.code_counts.size() < dictionary_size) {
-      s_.code_counts.resize(dictionary_size, 0);
+  void CountDirect(const int32_t* codes, const uint8_t* valid,
+                   const std::vector<int32_t>& rows, size_t num_codes) {
+    if (s_.code_counts.size() < num_codes) {
+      s_.code_counts.resize(num_codes, 0);
     }
     int64_t* code_counts = s_.code_counts.data();
-    std::vector<int64_t>& keys = s_.keys;
+    std::vector<int64_t>& seen = s_.codes;
     int64_t nulls = 0;
     for (int32_t r : rows) {
       if (!valid[r]) {
@@ -134,27 +117,26 @@ class CountingPass {
         continue;
       }
       const int32_t code = codes[r];
-      if (code_counts[code]++ == 0) keys.push_back(code);
+      if (code_counts[code]++ == 0) seen.push_back(code);
     }
     s_.nulls = nulls;
-    s_.counts.resize(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      s_.counts[i] = code_counts[keys[i]];
-      code_counts[keys[i]] = 0;
+    s_.counts.resize(seen.size());
+    for (size_t i = 0; i < seen.size(); ++i) {
+      s_.counts[i] = code_counts[seen[i]];
+      code_counts[seen[i]] = 0;
     }
   }
 
-  template <typename KeyOf>
-  void CountHashed(const std::vector<int32_t>& rows, const uint8_t* valid,
-                   KeyOf key_of) {
+  void CountHashed(const int32_t* codes, const uint8_t* valid,
+                   const std::vector<int32_t>& rows) {
     // Load factor stays <= 1/2: the table starts at twice the row count
-    // (bounded) and doubles whenever the distinct keys reach half of it.
+    // (bounded) and doubles whenever the distinct codes reach half of it.
     size_t capacity = std::bit_ceil(std::max(
         kMinTableSlots, 2 * std::min(rows.size(), kMaxRetainedSlots / 2)));
     size_t mask = ResetTable(capacity);
     Slot* slots = s_.slots.data();
     uint32_t epoch = s_.epoch;
-    std::vector<int64_t>& keys = s_.keys;
+    std::vector<int64_t>& seen = s_.codes;
     std::vector<int64_t>& counts = s_.counts;
     int64_t nulls = 0;
     for (int32_t r : rows) {
@@ -162,23 +144,23 @@ class CountingPass {
         ++nulls;
         continue;
       }
-      const int64_t key = key_of(r);
+      const int64_t key = codes[r];
       size_t pos = Mix64(static_cast<uint64_t>(key)) & mask;
       while (true) {
         Slot& slot = slots[pos];
         if (slot.stamp != epoch) {
-          slot = Slot{key, epoch, static_cast<uint32_t>(keys.size())};
-          keys.push_back(key);
+          slot = Slot{key, epoch, static_cast<uint32_t>(seen.size())};
+          seen.push_back(key);
           counts.push_back(1);
-          if (2 * keys.size() > capacity) {
+          if (2 * seen.size() > capacity) {
             capacity *= 2;
             mask = ResetTable(capacity);
             slots = s_.slots.data();
             epoch = s_.epoch;
-            for (size_t i = 0; i < keys.size(); ++i) {
-              size_t at = Mix64(static_cast<uint64_t>(keys[i])) & mask;
+            for (size_t i = 0; i < seen.size(); ++i) {
+              size_t at = Mix64(static_cast<uint64_t>(seen[i])) & mask;
               while (slots[at].stamp == epoch) at = (at + 1) & mask;
-              slots[at] = Slot{keys[i], epoch, static_cast<uint32_t>(i)};
+              slots[at] = Slot{seen[i], epoch, static_cast<uint32_t>(i)};
             }
           }
           break;
@@ -204,6 +186,7 @@ class CountingPass {
     return capacity - 1;
   }
 
+  const Column& column_;
   CountScratch& s_;
 };
 
@@ -255,10 +238,9 @@ using ArenaHistogram = std::pmr::unordered_map<int64_t, double>;
 /// iteration order. The allocator plays no part in either.
 ArenaHistogram HistogramOf(const CountingPass& pass, const ArenaScope& arena) {
   ArenaHistogram hist(arena.resource());
-  const std::vector<int64_t>& keys = pass.keys();
   const std::vector<int64_t>& counts = pass.counts();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    hist.emplace(keys[i], static_cast<double>(counts[i]));
+  for (size_t i = 0; i < pass.distinct(); ++i) {
+    hist.emplace(pass.key(i), static_cast<double>(counts[i]));
   }
   return hist;
 }
@@ -284,33 +266,6 @@ double EqualCountsEntropy(size_t distinct, double count) {
   double h = 0.0;
   for (size_t i = 0; i < distinct; ++i) h -= p * log_p;
   return h;
-}
-
-/// True when two of `keys` (distinct non-null cell keys of `column`) can
-/// tie under ValueLess: NaN ties with everything, +0.0 with -0.0, and two
-/// int64 values beyond ±2^53 can round to one double. Distinct strings
-/// never tie.
-bool KeysCanTie(const Column& column, const std::vector<int64_t>& keys) {
-  constexpr int64_t kExactInt = int64_t{1} << 53;
-  switch (column.type()) {
-    case DataType::kInt64:
-      return std::any_of(keys.begin(), keys.end(), [](int64_t key) {
-        return key > kExactInt || key < -kExactInt;
-      });
-    case DataType::kFloat64: {
-      bool positive_zero = false;
-      bool negative_zero = false;
-      for (int64_t key : keys) {
-        const double v = std::bit_cast<double>(static_cast<uint64_t>(key));
-        if (std::isnan(v)) return true;
-        if (v == 0.0) (std::signbit(v) ? negative_zero : positive_zero) = true;
-      }
-      return positive_zero && negative_zero;
-    }
-    case DataType::kString:
-      return false;
-  }
-  return false;
 }
 
 }  // namespace
@@ -373,29 +328,54 @@ double SelectionKlDivergence(const Column& column,
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
                                         const std::vector<int32_t>& rows) {
   CountingPass pass(column, rows);
-  // Tokens sort by (count descending, Column::OrderKey ascending), which
-  // decides every pair exactly as (count descending, ValueLess) does. When
-  // no two keys can tie, that order is total and the starting order does
-  // not matter, so the sort starts from first-occurrence order. Otherwise
-  // std::sort's result depends on its starting order (it is not stable),
-  // which must then be the per-row map's iteration order.
+  const size_t distinct = pass.distinct();
+  std::vector<TokenFreq> out;
+  out.reserve(distinct);
+  // Tokens sort by (count descending, ValueLess ascending). When no two of
+  // the selection's keys can tie, that order is total, so it is the order
+  // of (count descending, Column::CodeRank ascending) — ranks follow the
+  // values' order, and they differ from ValueLess only on keys that tie —
+  // and one sort of packed integers from any starting order yields it.
+  bool can_tie = false;
+  if (!column.order_coded()) {
+    std::vector<int64_t> keys(distinct);
+    for (size_t i = 0; i < distinct; ++i) keys[i] = pass.key(i);
+    can_tie = KeysCanTie(column.type(), keys);
+  }
+  if (!can_tie) {
+    // (UINT32_MAX - count) in the high half, the rank in the low half. A
+    // count is below 2^32: a selection holds fewer row ids than that.
+    constexpr uint64_t kLow = 0xFFFFFFFFULL;
+    std::vector<uint64_t> packed(distinct);
+    for (size_t i = 0; i < distinct; ++i) {
+      const auto count = static_cast<uint64_t>(pass.counts()[i]);
+      const auto rank = static_cast<uint64_t>(column.CodeRank(pass.code(i)));
+      packed[i] = ((kLow - count) << 32) | rank;
+    }
+    std::sort(packed.begin(), packed.end());
+    for (uint64_t p : packed) {
+      const int32_t code = column.CodeAtRank(static_cast<int32_t>(p & kLow));
+      out.push_back(TokenFreq{column.CodeKey(code),
+                              static_cast<int64_t>(kLow - (p >> 32))});
+    }
+    return out;
+  }
+  // Keys that tie: sort by (count descending, Column::OrderKey ascending),
+  // which decides every pair exactly as (count descending, ValueLess) does.
+  // std::sort's result then depends on its starting order (it is not
+  // stable), which must be the per-row map's iteration order.
   struct Ranked {
     int64_t count;
     double order;
     int64_t key;
   };
   std::vector<Ranked> ranked;
-  ranked.reserve(pass.keys().size());
-  if (KeysCanTie(column, pass.keys())) {
+  ranked.reserve(distinct);
+  {
     ArenaScope arena;
     for (const auto& [key, count] : HistogramOf(pass, arena)) {
       ranked.push_back(
           {static_cast<int64_t>(count), column.OrderKey(key), key});
-    }
-  } else {
-    for (size_t i = 0; i < pass.keys().size(); ++i) {
-      const int64_t key = pass.keys()[i];
-      ranked.push_back({pass.counts()[i], column.OrderKey(key), key});
     }
   }
   std::sort(ranked.begin(), ranked.end(),
@@ -403,23 +383,8 @@ std::vector<TokenFreq> TokenFrequencies(const Column& column,
               if (a.count != b.count) return a.count > b.count;
               return a.order < b.order;
             });
-  std::vector<TokenFreq> out;
-  out.reserve(ranked.size());
   for (const Ranked& r : ranked) out.push_back(TokenFreq{r.key, r.count});
   return out;
-}
-
-Result<std::vector<double>> ColumnDistinctRatios(const Table& table) {
-  ATENA_ASSIGN_OR_RETURN(const std::vector<int32_t> rows, AllRows(table));
-  std::vector<double> ratios(static_cast<size_t>(table.num_columns()), 0.0);
-  if (table.num_rows() == 0) return ratios;
-  const double num_rows = static_cast<double>(table.num_rows());
-  for (int c = 0; c < table.num_columns(); ++c) {
-    CountingPass pass(*table.column(c), rows);
-    ratios[static_cast<size_t>(c)] =
-        static_cast<double>(pass.keys().size()) / num_rows;
-  }
-  return ratios;
 }
 
 }  // namespace atena

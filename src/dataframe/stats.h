@@ -65,13 +65,6 @@ static_assert(sizeof(TokenFreq) == 16, "a cached token is 16 bytes");
 std::vector<TokenFreq> TokenFrequencies(const Column& column,
                                         const std::vector<int32_t>& rows);
 
-/// Distinct non-null values of every column of `table` over all its rows,
-/// divided by its row count (0 for an empty table), in column order: the
-/// measure that tells continuous and id-like columns from categorical ones.
-/// Table::Make stores it (Table::distinct_ratios). OutOfRange for a table
-/// past the int32 row-id bound, which no selection can address.
-Result<std::vector<double>> ColumnDistinctRatios(const Table& table);
-
 }  // namespace atena
 
 #endif  // ATENA_DATAFRAME_STATS_H_

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "common/string_utils.h"
-#include "dataframe/stats.h"
+#include "dataframe/ops.h"
 
 namespace atena {
 
@@ -34,9 +34,18 @@ Result<TablePtr> Table::Make(std::string name, std::vector<ColumnPtr> columns) {
       }
     }
   }
+  ATENA_RETURN_IF_ERROR(ValidateInt32RowRange(
+      table->num_rows_, "Table::Make: table '" + table->name_ + "'"));
   table->columns_ = std::move(columns);
-  ATENA_ASSIGN_OR_RETURN(table->distinct_ratios_,
-                         ColumnDistinctRatios(*table));
+  table->distinct_ratios_.assign(table->columns_.size(), 0.0);
+  if (table->num_rows_ > 0) {
+    const double num_rows = static_cast<double>(table->num_rows_);
+    for (size_t c = 0; c < table->columns_.size(); ++c) {
+      table->distinct_ratios_[c] =
+          static_cast<double>(table->columns_[c]->distinct_count()) /
+          num_rows;
+    }
+  }
   return TablePtr(table);
 }
 

@@ -30,11 +30,11 @@ class Table {
   const ColumnPtr& column(int i) const { return columns_[i]; }
   const std::string& column_name(int i) const { return columns_[i]->name(); }
 
-  /// Distinct non-null values of each column over all rows, divided by the
-  /// row count (0 for an empty table), in column order
-  /// (ColumnDistinctRatios, dataframe/stats.h). The reward and the
-  /// coherency rules use it to tell key-like and continuous columns (ratio
-  /// near 1) from categorical ones.
+  /// Distinct non-null values of each column over all rows
+  /// (Column::distinct_count), divided by the row count (0 for an empty
+  /// table), in column order. The reward and the coherency rules use it to
+  /// tell key-like and continuous columns (ratio near 1) from categorical
+  /// ones.
   const std::vector<double>& distinct_ratios() const {
     return distinct_ratios_;
   }

@@ -1,6 +1,7 @@
 #include "eda/binning.h"
 
 #include <cmath>
+#include <cstdint>
 
 namespace atena {
 
@@ -8,15 +9,21 @@ TermBinning::TermBinning(const std::vector<TokenFreq>& tokens, int num_bins)
     : num_bins_(num_bins), bounds_(static_cast<size_t>(num_bins) + 1, 0) {
   if (tokens.empty() || num_bins <= 0) return;
   const double max_count = static_cast<double>(tokens.front().count);
-  for (const TokenFreq& token : tokens) {
-    const double c = static_cast<double>(token.count);
+  // Tokens come sorted by count, so equal counts are adjacent and share a
+  // bin: the bin is evaluated once per run of equal counts.
+  for (size_t i = 0; i < tokens.size();) {
+    const int64_t count = tokens[i].count;
+    size_t end = i + 1;
+    while (end < tokens.size() && tokens[end].count == count) ++end;
+    const double c = static_cast<double>(count);
     // Bin index = how many halvings of max_count are needed to reach c.
     int bin = 0;
     if (c > 0 && c < max_count) {
       bin = static_cast<int>(std::floor(std::log2(max_count / c)));
     }
     if (bin >= num_bins_) bin = num_bins_ - 1;
-    ++bounds_[static_cast<size_t>(bin) + 1];
+    bounds_[static_cast<size_t>(bin) + 1] += static_cast<int>(end - i);
+    i = end;
   }
   for (size_t b = 1; b < bounds_.size(); ++b) bounds_[b] += bounds_[b - 1];
 }

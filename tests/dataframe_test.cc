@@ -126,6 +126,170 @@ TEST(ColumnTest, CellKeyEqualityMatchesValueEquality) {
   EXPECT_NE(col->CellKey(3), col->CellKey(0));
 }
 
+/// Codes of a finished column against its cells: every non-null cell's
+/// code maps back to the cell's key (CodeKey), every code is some non-null
+/// cell's, CodeRank and CodeAtRank are inverse, and on an order-coded
+/// column ascending ranks are strictly ascending values under ValueLess.
+void ExpectCodesMatchCells(const Column& col) {
+  std::vector<bool> seen(static_cast<size_t>(col.num_codes()), false);
+  for (int64_t r = 0; r < col.length(); ++r) {
+    if (col.IsNull(r)) continue;
+    const int32_t code = col.GetCode(r);
+    ASSERT_GE(code, 0) << "row " << r;
+    ASSERT_LT(code, col.num_codes()) << "row " << r;
+    EXPECT_EQ(col.CodeKey(code), col.CellKey(r)) << "row " << r;
+    seen[static_cast<size_t>(code)] = true;
+  }
+  if (col.type() != DataType::kString) {
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), true), col.num_codes());
+    EXPECT_EQ(col.distinct_count(), col.num_codes());
+  }
+  for (int32_t rank = 0; rank < col.num_codes(); ++rank) {
+    EXPECT_EQ(col.CodeRank(col.CodeAtRank(rank)), rank);
+  }
+  if (!col.order_coded()) return;
+  for (int32_t rank = 1; rank < col.num_codes(); ++rank) {
+    const Value lo = col.KeyValue(col.CodeKey(col.CodeAtRank(rank - 1)));
+    const Value hi = col.KeyValue(col.CodeKey(col.CodeAtRank(rank)));
+    EXPECT_TRUE(ValueLess(lo, hi))
+        << "rank " << rank << ": " << lo.ToString() << " vs " << hi.ToString();
+  }
+}
+
+ColumnPtr IntColumn(const std::vector<int64_t>& values, int null_every = 0) {
+  ColumnBuilder b("i", DataType::kInt64);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (null_every > 0 && i % static_cast<size_t>(null_every) == 0) {
+      b.AppendNull();
+    }
+    EXPECT_TRUE(b.AppendInt(values[i]).ok());
+  }
+  return b.Finish();
+}
+
+ColumnPtr DoubleColumn(const std::vector<double>& values,
+                       int null_every = 0) {
+  ColumnBuilder b("d", DataType::kFloat64);
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (null_every > 0 && i % static_cast<size_t>(null_every) == 0) {
+      b.AppendNull();
+    }
+    EXPECT_TRUE(b.AppendDouble(values[i]).ok());
+  }
+  return b.Finish();
+}
+
+// Numeric codes come from two builds: keys that first appear in ascending
+// order are numbered as they come, any other order through a hash table
+// and a sort of the distinct keys. Both must number codes in ascending
+// value order and map each back to its cell.
+TEST(ColumnTest, NumericCodesMapBackToCellKeys) {
+  Rng rng(17);
+  std::vector<int64_t> shuffled;
+  std::vector<double> doubles;
+  for (int i = 0; i < 3000; ++i) {
+    shuffled.push_back(static_cast<int64_t>(rng.NextBounded(700)) - 350);
+    doubles.push_back(static_cast<double>(rng.NextBounded(500)) * 0.37 - 9.0);
+  }
+  std::vector<int64_t> ascending;
+  for (int i = 0; i < 3000; ++i) ascending.push_back(i / 3 - 500);
+  // Ascending, then one step back to a key seen before, then new keys.
+  std::vector<int64_t> late_break = ascending;
+  late_break.push_back(-400);
+  late_break.push_back(7);
+  late_break.push_back(100000);
+  late_break.push_back(-100000);
+  const std::vector<ColumnPtr> columns = {
+      IntColumn(shuffled),      IntColumn(shuffled, 7),
+      IntColumn(ascending),     IntColumn(ascending, 5),
+      IntColumn(late_break, 9), DoubleColumn(doubles),
+      DoubleColumn(doubles, 4),
+      DoubleColumn({-std::numeric_limits<double>::infinity(), 1e300, -2.5,
+                    0.0, std::numeric_limits<double>::infinity(), -1e-300,
+                    0.0})};
+  for (const ColumnPtr& col : columns) {
+    SCOPED_TRACE(std::string(DataTypeName(col->type())) + " column of " +
+                 std::to_string(col->length()) + " rows");
+    EXPECT_TRUE(col->order_coded());
+    ExpectCodesMatchCells(*col);
+  }
+  EXPECT_EQ(IntColumn(ascending)->num_codes(), 1000);
+  EXPECT_EQ(IntColumn(late_break, 9)->num_codes(), 1002);
+}
+
+// A numeric column is order-coded exactly when no two of its distinct keys
+// tie under ValueLess; strings always are.
+TEST(ColumnTest, OrderCodedFlagFollowsValueLessTies) {
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    ColumnPtr column;
+    bool order_coded;
+    const char* what;
+  };
+  const std::vector<Case> cases = {
+      {IntColumn({kBig, -kBig, 0, 3}), true, "ints within ±2^53"},
+      {IntColumn({kBig + 1, 0}), false, "an int past 2^53"},
+      {IntColumn({5, -kBig - 1}), false, "an int past -2^53"},
+      {DoubleColumn({0.0, 1.0, -2.0}), true, "+0.0 alone"},
+      {DoubleColumn({-0.0, 1.0}), true, "-0.0 alone"},
+      {DoubleColumn({0.0, -0.0, 1.0}), false, "+0.0 and -0.0"},
+      {DoubleColumn({1.0, kNaN}), false, "NaN"},
+      {DoubleColumn({kNaN}), false, "NaN alone"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.column->order_coded(), c.order_coded) << c.what;
+    ExpectCodesMatchCells(*c.column);
+  }
+  ColumnBuilder strings("s", DataType::kString);
+  for (const char* token : {"b", "a", "", "aa", "a"}) {
+    ASSERT_TRUE(strings.AppendString(token).ok());
+  }
+  const ColumnPtr col = strings.Finish();
+  EXPECT_TRUE(col->order_coded());
+  EXPECT_EQ(col->distinct_count(), 4);
+  ExpectCodesMatchCells(*col);
+}
+
+// Null cells carry no code a counting pass reads; an all-null or empty
+// column has no codes and counts no distinct value. A string column's ""
+// counts only when a non-null cell holds it, not when it is the null
+// cells' placeholder.
+TEST(ColumnTest, NullsAndEmptyColumnsHaveNoCodes) {
+  for (DataType type :
+       {DataType::kInt64, DataType::kFloat64, DataType::kString}) {
+    ColumnBuilder empty("e", type);
+    const ColumnPtr none = empty.Finish();
+    EXPECT_EQ(none->num_codes(), 0);
+    EXPECT_EQ(none->distinct_count(), 0);
+    EXPECT_TRUE(none->order_coded());
+    ColumnBuilder nulls("n", type);
+    for (int i = 0; i < 5; ++i) nulls.AppendNull();
+    const ColumnPtr all_null = nulls.Finish();
+    EXPECT_EQ(all_null->distinct_count(), 0) << DataTypeName(type);
+    EXPECT_TRUE(all_null->order_coded());
+    if (type != DataType::kString) {
+      EXPECT_EQ(all_null->num_codes(), 0);
+    }
+  }
+  ColumnBuilder placeholder("s", DataType::kString);
+  placeholder.AppendNull();
+  ASSERT_TRUE(placeholder.AppendString("x").ok());
+  placeholder.AppendNull();
+  const ColumnPtr col = placeholder.Finish();
+  EXPECT_EQ(col->num_codes(), 2);  // the placeholder "" and "x"
+  EXPECT_EQ(col->distinct_count(), 1);
+  ColumnBuilder real("s", DataType::kString);
+  real.AppendNull();
+  ASSERT_TRUE(real.AppendString("x").ok());
+  ASSERT_TRUE(real.AppendString("").ok());
+  EXPECT_EQ(real.Finish()->distinct_count(), 2);
+  const ColumnPtr ints = IntColumn({4, 4, 9}, 2);
+  EXPECT_EQ(ints->null_count(), 2);
+  EXPECT_EQ(ints->distinct_count(), 2);
+  ExpectCodesMatchCells(*ints);
+}
+
 // ---------------------------------------------------------------- Table
 
 TEST(TableTest, MakeRejectsMismatchedLengths) {
@@ -1040,7 +1204,20 @@ TEST(KernelParityTest, GroupOrderMatchesScalarOnKeyEdgeCases) {
       {{0, 5, 1}, AggFunc::kCount, -1},  // nulls in the middle column
       {{2, 5}, AggFunc::kAvg, 4},
       {{4, 5, 0}, AggFunc::kCount, -1},
+      {{0, 3}, AggFunc::kCount, -1},  // string + NaN double: exact keys
+      {{0, 2}, AggFunc::kSum, 4},     // string + ±0.0: exact keys
+      {{5, 0}, AggFunc::kCount, -1},  // code keys, nulls first and last
+      {{5, 4, 0}, AggFunc::kAvg, 2},
   };
+  // Which key form each column takes: ±2^53 ints, ±0.0 and NaN are not
+  // order-coded; strings, the time and the small int column are.
+  const std::vector<bool> order_coded = {true, false, false, false, true,
+                                         true};
+  for (int c = 0; c < t->num_columns(); ++c) {
+    EXPECT_EQ(t->column(c)->order_coded(),
+              order_coded[static_cast<size_t>(c)])
+        << t->column_name(c);
+  }
   for (const GroupSpec& spec : specs) {
     for (size_t s = 0; s < selections.size(); ++s) {
       SCOPED_TRACE("spec on column " + std::to_string(spec.group_columns[0]) +
@@ -1062,6 +1239,191 @@ TEST(KernelParityTest, GroupOrderMatchesScalarOnKeyEdgeCases) {
   EXPECT_EQ(by_string.Key(*t, 2, 0).as_string(), "a");
   EXPECT_EQ(by_string.Key(*t, 3, 0).as_string(), "aa");
   EXPECT_EQ(by_string.Key(*t, 4, 0).as_string(), "b");
+}
+
+/// Key columns sized around the dense composite limit, each with nulls, so
+/// a null digit turns up in every key position: `i255` (int64) and `d255`
+/// (double) have 255 distinct values each, a 256 x 256 = 2^16-slot space,
+/// the largest the dense tally takes; `d256` (double, 256 values) makes
+/// 256 x 257 slots with `i255`, just past it; `s3` (3 strings, first seen
+/// out of lexicographic order) sits between them in three-column keys.
+/// Values come in random order, so the numeric codes are built through the
+/// hash table and a sort.
+TablePtr MakeCodeSpaceTable() {
+  constexpr int kRows = 6000;
+  const std::vector<std::string> tokens = {"m", "b", "x"};
+  ColumnBuilder i255("i255", DataType::kInt64);
+  ColumnBuilder d255("d255", DataType::kFloat64);
+  ColumnBuilder d256("d256", DataType::kFloat64);
+  ColumnBuilder s3("s3", DataType::kString);
+  Rng rng(2022);
+  for (int r = 0; r < kRows; ++r) {
+    // The first 256 rows hold every value once, none null.
+    const bool cover = r < 256;
+    const auto pick = [&](uint64_t distinct) {
+      return cover ? (static_cast<uint64_t>(r) * 97) % distinct
+                   : rng.NextBounded(distinct);
+    };
+    if (!cover && rng.NextBool(0.05)) {
+      i255.AppendNull();
+    } else {
+      EXPECT_TRUE(i255.AppendInt(static_cast<int64_t>(pick(255)) * 3 - 300)
+                      .ok());
+    }
+    if (!cover && rng.NextBool(0.05)) {
+      d255.AppendNull();
+    } else {
+      EXPECT_TRUE(
+          d255.AppendDouble(static_cast<double>(pick(255)) * -0.5 + 7.25)
+              .ok());
+    }
+    if (!cover && rng.NextBool(0.05)) {
+      d256.AppendNull();
+    } else {
+      EXPECT_TRUE(
+          d256.AppendDouble(static_cast<double>(pick(256)) * 1.5 - 100.0)
+              .ok());
+    }
+    if (!cover && rng.NextBool(0.05)) {
+      s3.AppendNull();
+    } else {
+      EXPECT_TRUE(s3.AppendString(tokens[pick(3)]).ok());
+    }
+  }
+  std::vector<ColumnPtr> columns;
+  for (ColumnBuilder* builder : {&i255, &d255, &d256, &s3}) {
+    columns.push_back(builder->Finish());
+  }
+  return Table::Make("code_space", std::move(columns)).value();
+}
+
+/// The product of the key columns' code counts plus one (the null digit),
+/// saturated at 2^64 - 1.
+unsigned __int128 CodeSpace(const Table& t, const std::vector<int>& keys) {
+  unsigned __int128 space = 1;
+  for (int c : keys) {
+    space *= static_cast<unsigned __int128>(t.column(c)->num_codes()) + 1;
+  }
+  return space;
+}
+
+// Composite code keys at the dense tally's limit and just past it, with
+// null digits in the first, middle and last key positions, against the
+// scalar reference on every selection kind.
+TEST(KernelParityTest, CompositeCodeKeysMatchScalar) {
+  TablePtr t = MakeCodeSpaceTable();
+  const std::vector<int> expect_codes = {255, 255, 256, 3};
+  for (int c = 0; c < t->num_columns(); ++c) {
+    EXPECT_EQ(t->column(c)->num_codes(),
+              expect_codes[static_cast<size_t>(c)]);
+    EXPECT_TRUE(t->column(c)->order_coded());
+  }
+  EXPECT_EQ(CodeSpace(*t, {0, 1}), 1u << 16);
+  EXPECT_EQ(CodeSpace(*t, {0, 2}), (1u << 16) + 256);
+  std::vector<std::vector<int32_t>> selections =
+      StressSelections(t->num_rows(), 31);
+  std::vector<int32_t> reversed = selections.front();
+  std::reverse(reversed.begin(), reversed.end());
+  selections.push_back(std::move(reversed));
+  const std::vector<GroupSpec> specs = {
+      // 2^16 slots: the dense tally on the full-size selections, the
+      // hashed code key on the gapped one (over 16 slots per row).
+      {{0, 1}, AggFunc::kCount, -1},
+      {{1, 0}, AggFunc::kAvg, 2},
+      {{0, 2}, AggFunc::kCount, -1},  // 2^16 + 256 slots: hashed code key
+      {{2, 0}, AggFunc::kSum, 0},
+      {{3, 0}, AggFunc::kMin, 1},     // dense, string first
+      {{0, 3}, AggFunc::kMax, 2},     // dense, string last
+      {{0, 3, 1}, AggFunc::kCount, -1},  // string in the middle, hashed
+      {{3, 2, 1}, AggFunc::kAvg, 0},
+      {{2}, AggFunc::kCount, -1},     // one numeric column, dense
+  };
+  for (const GroupSpec& spec : specs) {
+    for (size_t s = 0; s < selections.size(); ++s) {
+      SCOPED_TRACE("spec on column " + std::to_string(spec.group_columns[0]) +
+                   " with " + std::to_string(spec.group_columns.size()) +
+                   " keys, selection " + std::to_string(s));
+      auto kernel = GroupAggregate(*t, selections[s], spec);
+      ASSERT_TRUE(kernel.ok());
+      ExpectMatchesReference(*t, selections[s], kernel.value(),
+                             ScalarGroupAggregate(*t, selections[s], spec));
+    }
+  }
+}
+
+// Code spaces past 2^16 on one column and past 2^62 on five: 70,000 rows
+// with two all-distinct numeric columns (`id`, `t`) and three columns of
+// 9,000 values (`u`, `w`, `s`), each with nulls. A single order-coded
+// column with more than 2^16 codes takes the hashed code key; five columns
+// whose code space passes 2^62 keep exact keys.
+TEST(KernelParityTest, LargeCodeSpacesMatchScalar) {
+  constexpr int kRows = 70'000;
+  ColumnBuilder id("id", DataType::kInt64);
+  ColumnBuilder time("t", DataType::kFloat64);
+  ColumnBuilder u("u", DataType::kInt64);
+  ColumnBuilder w("w", DataType::kFloat64);
+  ColumnBuilder str("s", DataType::kString);
+  Rng rng(4242);
+  std::vector<int64_t> perm(kRows);
+  for (int r = 0; r < kRows; ++r) perm[static_cast<size_t>(r)] = r;
+  for (size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
+  }
+  for (int r = 0; r < kRows; ++r) {
+    const int64_t p = perm[static_cast<size_t>(r)];
+    const int64_t v = p % 9000;
+    // Rows 0..8999 hold every value of the 9,000-value columns.
+    const bool null_row = r >= 9000 && r % 53 == 0;
+    if (null_row) {
+      id.AppendNull();
+      str.AppendNull();
+    } else {
+      EXPECT_TRUE(id.AppendInt(p * 13 - 400'000).ok());
+      EXPECT_TRUE(str.AppendString("k" + std::to_string(v)).ok());
+    }
+    if (r >= 9000 && r % 61 == 0) {
+      time.AppendNull();
+      u.AppendNull();
+    } else {
+      EXPECT_TRUE(time.AppendDouble(static_cast<double>(p) * 0.125).ok());
+      EXPECT_TRUE(u.AppendInt(v * 7 - 1000).ok());
+    }
+    if (r >= 9000 && r % 67 == 0) {
+      w.AppendNull();
+    } else {
+      EXPECT_TRUE(w.AppendDouble(static_cast<double>(v) * -0.25).ok());
+    }
+  }
+  std::vector<ColumnPtr> columns;
+  for (ColumnBuilder* builder : {&id, &time, &u, &w, &str}) {
+    columns.push_back(builder->Finish());
+  }
+  TablePtr t = Table::Make("large_code_space", std::move(columns)).value();
+  for (int c = 0; c < t->num_columns(); ++c) {
+    EXPECT_TRUE(t->column(c)->order_coded());
+  }
+  EXPECT_GT(CodeSpace(*t, {0}), 1u << 16);
+  EXPECT_LE(CodeSpace(*t, {2, 3, 4, 0}), (uint64_t{1} << 62));
+  EXPECT_GT(CodeSpace(*t, {0, 1, 2, 3, 4}), (uint64_t{1} << 62));
+  const std::vector<GroupSpec> specs = {
+      {{0}, AggFunc::kCount, -1},           // hashed code key, one column
+      {{1, 4}, AggFunc::kAvg, 3},           // hashed code key
+      {{2, 3, 4, 0}, AggFunc::kSum, 1},     // hashed code key below 2^62
+      {{0, 1, 2, 3, 4}, AggFunc::kCount, -1},  // past 2^62: exact keys
+      {{4, 3, 2, 1, 0}, AggFunc::kMax, 2},
+  };
+  const auto selections = StressSelections(kRows, 43);
+  for (const GroupSpec& spec : specs) {
+    for (size_t s = 0; s < selections.size(); ++s) {
+      SCOPED_TRACE("spec on column " + std::to_string(spec.group_columns[0]) +
+                   " with " + std::to_string(spec.group_columns.size()) +
+                   " keys, selection " + std::to_string(s));
+      auto kernel = GroupAggregate(*t, selections[s], spec);
+      ASSERT_TRUE(kernel.ok());
+      ExpectMatchesReference(*t, selections[s], kernel.value(),
+                             ScalarGroupAggregate(*t, selections[s], spec));
+    }
+  }
 }
 
 TEST(KernelErrorTest, GroupAggregateRejectsEachBadSpecWithItsCode) {

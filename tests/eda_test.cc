@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "data/registry.h"
@@ -95,6 +97,41 @@ TEST(BinningTest, EmptyTokenListYieldsNoToken) {
   TermBinning binning({}, 4);
   Rng rng(3);
   EXPECT_EQ(binning.SampleToken(0, &rng), -1);
+}
+
+// The binning evaluates one bin per run of equal counts; each bin must
+// hold exactly the tokens whose own count the per-token formula puts there.
+TEST(BinningTest, EqualCountRunsMatchPerTokenBins) {
+  Rng rng(9);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<int64_t> counts;
+    int64_t count = 1 + static_cast<int64_t>(rng.NextBounded(5000));
+    const int runs = 1 + static_cast<int>(rng.NextBounded(40));
+    for (int run = 0; run < runs && count > 0; ++run) {
+      const int length = 1 + static_cast<int>(rng.NextBounded(300));
+      for (int i = 0; i < length; ++i) counts.push_back(count);
+      count -= 1 + static_cast<int64_t>(rng.NextBounded(
+                       static_cast<uint64_t>(count)));
+    }
+    const auto tokens = SyntheticTokens(counts);
+    for (int bins : {1, 3, 8}) {
+      TermBinning binning(tokens, bins);
+      std::vector<int> want(static_cast<size_t>(bins), 0);
+      const double max_count = static_cast<double>(counts.front());
+      for (int64_t c : counts) {
+        int bin = 0;
+        const double d = static_cast<double>(c);
+        if (d < max_count) {
+          bin = static_cast<int>(std::floor(std::log2(max_count / d)));
+        }
+        ++want[static_cast<size_t>(std::min(bin, bins - 1))];
+      }
+      for (int b = 0; b < bins; ++b) {
+        EXPECT_EQ(binning.BinSize(b), want[static_cast<size_t>(b)])
+            << "trial " << trial << ", " << bins << " bins, bin " << b;
+      }
+    }
+  }
 }
 
 class BinCountTest : public ::testing::TestWithParam<int> {};

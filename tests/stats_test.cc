@@ -325,28 +325,52 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{DataType::kInt64, 100, 5, 1.0},
         OracleCase{DataType::kString, 100, 5, 1.0}));
 
-// Distinct keys beyond the retained scratch size force the open-addressed
-// table to regrow mid-pass; dictionaries beyond the direct-address limit
-// take the hashed path.
+/// 80,000 ascending doubles, every 97th cell null: more than 2^16 codes,
+/// numbered as the keys first appear.
+ColumnPtr AscendingColumn() {
+  ColumnBuilder builder("ascending", DataType::kFloat64);
+  for (int i = 0; i < 80000; ++i) {
+    if (i % 97 == 0) {
+      builder.AppendNull();
+    } else {
+      EXPECT_TRUE(builder.AppendDouble(0.5 * i - 1000.0).ok());
+    }
+  }
+  return builder.Finish();
+}
+
+// Distinct codes beyond the retained scratch size force the open-addressed
+// table to regrow mid-pass. Every column here has more codes than the
+// direct-address limit (2^16), so it takes the hashed path: a dictionary,
+// numeric columns coded through the build's hash table and sort (the int64
+// one order-coded, the float64 one not: it holds +0.0 and -0.0), and an
+// ascending, order-coded float64 column.
 TEST(StatsOracleLargeTest, RegrowthAndLargeDictionaries) {
   Rng rng(77);
+  std::vector<ColumnPtr> columns;
   for (DataType type :
        {DataType::kInt64, DataType::kFloat64, DataType::kString}) {
-    ColumnPtr column = RandomColumn(type, 80000, 1 << 30, 0.01, &rng);
+    columns.push_back(RandomColumn(type, 80000, 1 << 30, 0.01, &rng));
+  }
+  columns.push_back(AscendingColumn());
+  EXPECT_TRUE(columns[0]->order_coded());
+  EXPECT_FALSE(columns[1]->order_coded());
+  EXPECT_TRUE(columns[3]->order_coded());
+  for (const ColumnPtr& column : columns) {
+    const std::string name = std::string(DataTypeName(column->type())) +
+                             " column " + column->name();
+    EXPECT_GT(column->num_codes(), 1 << 16) << name;
     std::vector<int32_t> all(80000);
     for (int32_t i = 0; i < 80000; ++i) all[static_cast<size_t>(i)] = i;
-    ExpectMatchesOracle(*column, all,
-                        std::string("large ") + DataTypeName(type));
+    ExpectMatchesOracle(*column, all, "large " + name);
     // A small pass after the large one reuses the released scratch.
     std::vector<int32_t> few = {5, 3, 5, 79999, 0};
-    ExpectMatchesOracle(*column, few,
-                        std::string("after large ") + DataTypeName(type));
+    ExpectMatchesOracle(*column, few, "after large " + name);
     // ~80,000-key histograms overflow the KL's arena onto the upstream
     // allocator; the small pair after them runs on the arena again.
     std::vector<int32_t> odd;
     for (int32_t i = 1; i < 80000; i += 2) odd.push_back(i);
-    ExpectSameKlOnPairs(*column, {all, odd, few},
-                        std::string("large ") + DataTypeName(type));
+    ExpectSameKlOnPairs(*column, {all, odd, few}, "large " + name);
   }
 }
 
@@ -462,6 +486,39 @@ TEST(DistinctRatiosTest, TableStoresRatiosOfEveryDataset) {
                 Bits(direct))
           << table.name() << " (" << table.num_rows() << " rows) column "
           << table.column_name(c);
+    }
+  }
+}
+
+// A string column's null cells carry the placeholder code of an "" entry
+// AppendNull interns; the ratio counts "" only when a non-null cell holds
+// it, as the oracle does.
+TEST(DistinctRatiosTest, NullPlaceholderIsNotAValue) {
+  for (bool empty_string_cell : {false, true}) {
+    ColumnBuilder strings("s", DataType::kString);
+    ColumnBuilder ints("i", DataType::kInt64);
+    for (int r = 0; r < 10; ++r) {
+      if (r % 3 == 0) {
+        strings.AppendNull();
+        ints.AppendNull();
+        continue;
+      }
+      const bool empty = empty_string_cell && r == 5;
+      EXPECT_TRUE(
+          strings.AppendString(empty ? "" : "v" + std::to_string(r % 4)).ok());
+      EXPECT_TRUE(ints.AppendInt(r % 4).ok());
+    }
+    std::vector<ColumnPtr> columns = {strings.Finish(), ints.Finish()};
+    TablePtr table = Table::Make("placeholder", std::move(columns)).value();
+    const std::vector<int32_t> all = AllRows(*table).value();
+    for (int c = 0; c < table->num_columns(); ++c) {
+      const double direct =
+          static_cast<double>(OracleHistogram(*table->column(c), all).size()) /
+          static_cast<double>(table->num_rows());
+      EXPECT_EQ(Bits(table->distinct_ratios()[static_cast<size_t>(c)]),
+                Bits(direct))
+          << table->column_name(c) << (empty_string_cell ? " with" : " without")
+          << " an empty-string cell";
     }
   }
 }
