@@ -74,12 +74,6 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     --timeout "$test_timeout"
 
 echo "== tsan: configure + build + threaded tests (ATENA_SANITIZE=thread) =="
-cmake -B "$repo/build-tsan" -S "$repo" -DATENA_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j "$jobs" \
-  --target thread_pool_test parallel_trainer_test display_cache_test \
-           checkpoint_test guardrails_test serve_test serve_faults_test \
-           serve_journal_test index_test dataframe_test stats_test golden_test \
-           reward_test
 # Only the binaries that actually spin up threads (the pool itself, the
 # parallel trainer's stepping path, the shared display cache, the
 # thread-crossing checkpoint resume, the guardrail fault-injection
@@ -94,10 +88,18 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # training and journaled serving runs, which must match their 1-thread
 # digests, and the FILTER reward's shared Deviation section under
 # concurrent stepping) —
-# TSan's ~10x slowdown makes a full suite sweep disproportionate.
+# TSan's ~10x slowdown makes a full suite sweep disproportionate. Each
+# name is both a build target and a ctest name (atena_add_test), so the
+# ctest regex is anchored to exactly these names.
+tsan_tests=(thread_pool_test parallel_trainer_test display_cache_test
+            checkpoint_test guardrails_test serve_test serve_faults_test
+            serve_journal_test index_test dataframe_test stats_test
+            golden_test reward_test)
+cmake -B "$repo/build-tsan" -S "$repo" -DATENA_SANITIZE=thread
+cmake --build "$repo/build-tsan" -j "$jobs" --target "${tsan_tests[@]}"
+tsan_regex="^($(IFS='|'; echo "${tsan_tests[*]}"))\$"
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-    --timeout "$test_timeout" \
-    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test|stats_test|golden_test|reward_test'
+    --timeout "$test_timeout" -R "$tsan_regex"
 
 echo "== all checks passed =="

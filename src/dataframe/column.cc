@@ -117,7 +117,7 @@ double Column::OrderKey(int64_t cell_key) const {
 }
 
 int32_t Column::FindCode(std::string_view token) const {
-  auto it = dictionary_index_.find(std::string(token));
+  auto it = dictionary_index_.find(token);
   return it == dictionary_index_.end() ? -1 : it->second;
 }
 
@@ -189,7 +189,7 @@ Status ColumnBuilder::AppendValue(const Value& value) {
 }
 
 int32_t ColumnBuilder::InternString(std::string_view value) {
-  auto it = column_->dictionary_index_.find(std::string(value));
+  auto it = column_->dictionary_index_.find(value);
   if (it != column_->dictionary_index_.end()) return it->second;
   int32_t code = static_cast<int32_t>(column_->dictionary_.size());
   column_->dictionary_.emplace_back(value);

@@ -2,6 +2,7 @@
 #define ATENA_DATAFRAME_COLUMN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -176,6 +177,18 @@ class Column {
 
  private:
   friend class ColumnBuilder;
+
+  /// std::hash<std::string_view>, which hashes a std::string to the same
+  /// value std::hash<std::string> does; transparent, so the dictionary is
+  /// probed with a view and a string is built only on insert. Not
+  /// noexcept: libstdc++ then keeps each node's hash cached, as it does
+  /// for std::hash<std::string>.
+  struct StringViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   Column() = default;
 
   std::string name_;
@@ -185,7 +198,8 @@ class Column {
   std::vector<int32_t> codes_;  // per row; 0 for null cells
   std::vector<int64_t> code_keys_;  // numeric: code → CellKey, ascending
   std::vector<std::string> dictionary_;
-  std::unordered_map<std::string, int32_t> dictionary_index_;
+  std::unordered_map<std::string, int32_t, StringViewHash, std::equal_to<>>
+      dictionary_index_;
   std::vector<int32_t> code_rank_;  // code → lexicographic rank
   std::vector<int32_t> rank_code_;  // lexicographic rank → code
   std::vector<uint8_t> validity_;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
 #include <utility>
 
-#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
 
@@ -45,34 +43,6 @@ inline double PruneThresholdSquared(double best, double radius) {
   }
   const double t = best / (1.0 - kBoundSlack) + radius;
   return t * t * (1.0 + kBoundSlack);
-}
-
-const std::string_view kIndexMagic = "ATENA-VIDX v1";
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
-  if (*pos + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, sizeof(*v));
-  *pos += sizeof(*v);
-  return true;
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, sizeof(*v));
-  *pos += sizeof(*v);
-  return true;
 }
 
 }  // namespace
@@ -555,70 +525,6 @@ int VectorIndex::depth() const {
     }
   }
   return max_depth;
-}
-
-Status VectorIndex::Save(const std::string& path) const {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(options_.branching));
-  AppendU32(&payload, static_cast<uint32_t>(options_.leaf_capacity));
-  AppendU32(&payload, static_cast<uint32_t>(options_.kmeans_iterations));
-  AppendU64(&payload, static_cast<uint64_t>(vectors_.size()));
-  for (const auto& v : vectors_) {
-    AppendU32(&payload, static_cast<uint32_t>(v.size()));
-    const size_t bytes = v.size() * sizeof(double);
-    const size_t at = payload.size();
-    payload.resize(at + bytes);
-    if (bytes > 0) std::memcpy(&payload[at], v.data(), bytes);
-  }
-  return WriteChecksummedFile(path, kIndexMagic, payload);
-}
-
-Result<VectorIndex> VectorIndex::Load(const std::string& path) {
-  std::string payload;
-  ATENA_RETURN_IF_ERROR(ReadChecksummedFile(path, kIndexMagic, &payload));
-  size_t pos = 0;
-  uint32_t branching = 0, leaf_capacity = 0, kmeans_iterations = 0;
-  uint64_t count = 0;
-  if (!ReadU32(payload, &pos, &branching) ||
-      !ReadU32(payload, &pos, &leaf_capacity) ||
-      !ReadU32(payload, &pos, &kmeans_iterations) ||
-      !ReadU64(payload, &pos, &count)) {
-    return Status::IOError("vector index " + path + ": truncated header");
-  }
-  if (branching < 2 || leaf_capacity < 1 || kmeans_iterations < 1) {
-    return Status::InvalidArgument("vector index " + path +
-                                   ": implausible options");
-  }
-  Options options;
-  options.branching = static_cast<int>(branching);
-  options.leaf_capacity = static_cast<int>(leaf_capacity);
-  options.kmeans_iterations = static_cast<int>(kmeans_iterations);
-  VectorIndex index(options);
-  // The tree is a pure function of the insertion sequence, so replaying
-  // the stored vectors reproduces the saved index's behavior exactly (and
-  // an exact index's answers do not depend on tree shape anyway).
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t dim = 0;
-    if (!ReadU32(payload, &pos, &dim)) {
-      return Status::IOError("vector index " + path + ": truncated vector " +
-                             std::to_string(i));
-    }
-    const size_t bytes = static_cast<size_t>(dim) * sizeof(double);
-    if (pos + bytes > payload.size()) {
-      return Status::IOError("vector index " + path + ": truncated vector " +
-                             std::to_string(i));
-    }
-    std::vector<double> v(static_cast<size_t>(dim));
-    if (bytes > 0) std::memcpy(v.data(), payload.data() + pos, bytes);
-    pos += bytes;
-    index.Insert(std::move(v));
-  }
-  if (pos != payload.size()) {
-    return Status::IOError("vector index " + path + ": " +
-                           std::to_string(payload.size() - pos) +
-                           " trailing bytes");
-  }
-  return index;
 }
 
 }  // namespace atena

@@ -4,10 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
-
-#include "common/status.h"
 
 namespace atena {
 
@@ -114,13 +111,6 @@ class VectorIndex {
       const std::vector<double>& query, int k,
       size_t id_limit = std::numeric_limits<size_t>::max(),
       QueryStats* stats = nullptr) const;
-
-  /// Persists the index as a CRC-framed container (common/file_io).
-  /// Only the vectors and options are stored: the tree is rebuilt on
-  /// Load by replaying the inserts, so a loaded index answers every
-  /// query identically to the saved one by construction.
-  Status Save(const std::string& path) const;
-  static Result<VectorIndex> Load(const std::string& path);
 
   // Structure introspection (tests/bench).
   int node_count() const { return static_cast<int>(nodes_.size()); }

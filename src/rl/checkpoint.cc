@@ -4,276 +4,128 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "common/file_io.h"
+#include "eda/record_codec.h"
 #include "nn/serialization.h"
 
 namespace atena {
 
 namespace {
 
-constexpr char kCkptMagic[] = "ATENA-CKPT v1";
+constexpr char kCkptMagic[] = "ATENA-CKPT v2";
 
 std::string RenameError(const std::string& from, const std::string& to) {
   return "rename '" + from + "' -> '" + to + "' failed: " +
          std::strerror(errno) + " (errno " + std::to_string(errno) + ")";
 }
 
-// ---------------------------------------------------------------------------
-// Payload encoding. The payload is a whitespace-delimited text stream of
-// keyword-introduced sections; doubles are printed with max_digits10 so
-// every value round-trips bit-exactly, and strings are length-prefixed so
-// arbitrary dataset tokens survive.
+// The payload is written and read through the record codec
+// (eda/record_codec.h), so every double travels as its exact bit pattern;
+// only the checkpoint's own shapes — operation lists and Adam moment
+// matrices — live here. Nothing is committed to the caller's network or
+// optimizer until the whole payload has been validated.
 
-void EncodeRng(std::ostream& out, const RngState& rng) {
-  out << rng.words[0] << " " << rng.words[1] << " " << rng.words[2] << " "
-      << rng.words[3] << " " << (rng.has_spare_gaussian ? 1 : 0) << " "
-      << rng.spare_gaussian;
-}
-
-void EncodeValue(std::ostream& out, const Value& value) {
-  if (value.is_null()) {
-    out << "N";
-  } else if (value.is_int()) {
-    out << "I " << value.as_int();
-  } else if (value.is_double()) {
-    out << "D " << value.as_double();
-  } else {
-    const std::string& s = value.as_string();
-    out << "S " << s.size() << " " << s;
+void EncodeOpList(std::string& out, const char* keyword,
+                  const std::vector<EdaOperation>& ops) {
+  Field(out, keyword, ops.size());
+  for (const EdaOperation& op : ops) {
+    EncodeOp(out, op);
+    out += '\n';
   }
 }
 
-void EncodeOp(std::ostream& out, const EdaOperation& op) {
-  switch (op.type) {
-    case OpType::kBack:
-      out << "B";
-      break;
-    case OpType::kGroup:
-      out << "G " << op.group.group_column << " "
-          << static_cast<int>(op.group.agg) << " " << op.group.agg_column;
-      break;
-    case OpType::kFilter:
-      out << "F " << op.filter.column << " "
-          << static_cast<int>(op.filter.op) << " " << op.filter.term_bin
-          << " ";
-      EncodeValue(out, op.filter.term);
-      break;
+Status ReadOpList(PayloadReader& reader, const char* keyword,
+                  std::vector<EdaOperation>* ops) {
+  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword(keyword));
+  int64_t count = 0;
+  ATENA_RETURN_IF_ERROR(reader.ReadCount(&count, keyword));
+  ops->clear();
+  for (int64_t i = 0; i < count; ++i) {
+    EdaOperation op;
+    ATENA_RETURN_IF_ERROR(reader.ReadOp(&op));
+    ops->push_back(std::move(op));
   }
-  out << "\n";
+  return Status::OK();
 }
 
-void EncodeOps(std::ostream& out, const char* keyword,
-               const std::vector<EdaOperation>& ops) {
-  out << keyword << " " << ops.size() << "\n";
-  for (const EdaOperation& op : ops) EncodeOp(out, op);
-}
-
-void EncodeMatrix(std::ostream& out, const Matrix& m) {
-  out << m.rows() << " " << m.cols() << "\n";
+void EncodeMatrix(std::string& out, const Matrix& m) {
+  Num(out, m.rows());
+  out += ' ';
+  Num(out, m.cols());
+  out += '\n';
   const auto& data = m.data();
   for (size_t i = 0; i < data.size(); ++i) {
-    out << data[i] << (i + 1 == data.size() ? "" : " ");
+    if (i > 0) out += ' ';
+    F64(out, data[i]);
   }
-  out << "\n";
+  out += '\n';
 }
 
-// ---------------------------------------------------------------------------
-// Payload decoding. Every read is checked; any surprise aborts the parse
-// with a Status naming the source, and nothing is committed to the caller's
-// network/optimizer until the whole payload has been validated.
-
-class PayloadReader {
- public:
-  PayloadReader(std::istream& in, const std::string& source, size_t limit)
-      : in_(in), source_(source), limit_(limit) {}
-
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("'" + source_ + "': " + what);
+/// Reads a matrix whose shape must equal `expected`'s.
+Status ReadMatrixLike(PayloadReader& reader, const Matrix& expected,
+                      const char* what, Matrix* out) {
+  int rows = 0, cols = 0;
+  ATENA_RETURN_IF_ERROR(reader.Read(&rows, what));
+  ATENA_RETURN_IF_ERROR(reader.Read(&cols, what));
+  if (rows != expected.rows() || cols != expected.cols()) {
+    return reader.Fail(std::string(what) + " shape " + std::to_string(rows) +
+                       "x" + std::to_string(cols) + " does not match network " +
+                       expected.ShapeString());
   }
-
-  Status ExpectKeyword(const char* keyword) {
-    std::string token;
-    in_ >> token;
-    if (!in_ || token != keyword) {
-      return Fail("expected section '" + std::string(keyword) + "', got '" +
-                  token + "'");
-    }
-    return Status::OK();
+  Matrix m(rows, cols);
+  for (double& v : m.data()) {
+    ATENA_RETURN_IF_ERROR(reader.ReadF64(&v, what));
   }
-
-  template <typename T>
-  Status Read(T* value, const char* what) {
-    in_ >> *value;
-    if (!in_) return Fail(std::string("truncated or malformed ") + what);
-    return Status::OK();
-  }
-
-  Status ReadCount(int64_t* count, const char* what) {
-    ATENA_RETURN_IF_ERROR(Read(count, what));
-    if (*count < 0 || static_cast<uint64_t>(*count) > limit_) {
-      return Fail(std::string("implausible ") + what + " count " +
-                  std::to_string(*count));
-    }
-    return Status::OK();
-  }
-
-  Status ReadRng(RngState* rng) {
-    for (auto& word : rng->words) {
-      ATENA_RETURN_IF_ERROR(Read(&word, "rng word"));
-    }
-    int has_spare = 0;
-    ATENA_RETURN_IF_ERROR(Read(&has_spare, "rng spare flag"));
-    if (has_spare != 0 && has_spare != 1) return Fail("rng spare flag");
-    rng->has_spare_gaussian = has_spare == 1;
-    ATENA_RETURN_IF_ERROR(Read(&rng->spare_gaussian, "rng spare value"));
-    return Status::OK();
-  }
-
-  Status ReadValue(Value* value) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated value");
-    if (tag == "N") {
-      *value = Value::Null();
-    } else if (tag == "I") {
-      int64_t v = 0;
-      ATENA_RETURN_IF_ERROR(Read(&v, "int value"));
-      *value = Value(v);
-    } else if (tag == "D") {
-      double v = 0.0;
-      ATENA_RETURN_IF_ERROR(Read(&v, "double value"));
-      *value = Value(v);
-    } else if (tag == "S") {
-      int64_t len = 0;
-      ATENA_RETURN_IF_ERROR(ReadCount(&len, "string length"));
-      in_.get();  // the single separator after the length
-      std::string s(static_cast<size_t>(len), '\0');
-      in_.read(s.data(), len);
-      if (!in_) return Fail("truncated string value");
-      *value = Value(std::move(s));
-    } else {
-      return Fail("unknown value tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadOp(EdaOperation* op) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated operation");
-    if (tag == "B") {
-      *op = EdaOperation::Back();
-    } else if (tag == "G") {
-      int group_column = 0, agg = 0, agg_column = 0;
-      ATENA_RETURN_IF_ERROR(Read(&group_column, "group column"));
-      ATENA_RETURN_IF_ERROR(Read(&agg, "agg function"));
-      ATENA_RETURN_IF_ERROR(Read(&agg_column, "agg column"));
-      if (agg < 0 || agg >= kNumAggFuncs) {
-        return Fail("agg function " + std::to_string(agg) + " out of range");
-      }
-      *op = EdaOperation::Group(group_column, static_cast<AggFunc>(agg),
-                                agg_column);
-    } else if (tag == "F") {
-      int column = 0, cmp = 0, term_bin = 0;
-      ATENA_RETURN_IF_ERROR(Read(&column, "filter column"));
-      ATENA_RETURN_IF_ERROR(Read(&cmp, "filter operator"));
-      ATENA_RETURN_IF_ERROR(Read(&term_bin, "filter term bin"));
-      if (cmp < 0 || cmp >= kNumCompareOps) {
-        return Fail("filter operator " + std::to_string(cmp) +
-                    " out of range");
-      }
-      Value term;
-      ATENA_RETURN_IF_ERROR(ReadValue(&term));
-      *op = EdaOperation::Filter(column, static_cast<CompareOp>(cmp),
-                                 std::move(term), term_bin);
-    } else {
-      return Fail("unknown operation tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadOps(const char* keyword, std::vector<EdaOperation>* ops) {
-    ATENA_RETURN_IF_ERROR(ExpectKeyword(keyword));
-    int64_t count = 0;
-    ATENA_RETURN_IF_ERROR(ReadCount(&count, keyword));
-    ops->clear();
-    for (int64_t i = 0; i < count; ++i) {
-      EdaOperation op;
-      ATENA_RETURN_IF_ERROR(ReadOp(&op));
-      ops->push_back(std::move(op));
-    }
-    return Status::OK();
-  }
-
-  /// Reads a matrix whose shape must equal `expected`'s.
-  Status ReadMatrixLike(const Matrix& expected, const char* what,
-                        Matrix* out) {
-    int rows = 0, cols = 0;
-    ATENA_RETURN_IF_ERROR(Read(&rows, what));
-    ATENA_RETURN_IF_ERROR(Read(&cols, what));
-    if (rows != expected.rows() || cols != expected.cols()) {
-      return Fail(std::string(what) + " shape " + std::to_string(rows) + "x" +
-                  std::to_string(cols) + " does not match network " +
-                  expected.ShapeString());
-    }
-    Matrix m(rows, cols);
-    for (double& v : m.data()) {
-      ATENA_RETURN_IF_ERROR(Read(&v, what));
-    }
-    *out = std::move(m);
-    return Status::OK();
-  }
-
-  std::istream& stream() { return in_; }
-  const std::string& source() const { return source_; }
-
- private:
-  std::istream& in_;
-  const std::string& source_;
-  size_t limit_;
-};
+  *out = std::move(m);
+  return Status::OK();
+}
 
 }  // namespace
 
 std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
                                     const TrainingCheckpoint& ckpt) {
-  std::ostringstream out;
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-
-  out << "steps_done " << ckpt.steps_done << "\n";
-  out << "updates_done " << ckpt.updates_done << "\n";
-  out << "trainer_rng ";
+  std::string out;
+  Field(out, "steps_done", ckpt.steps_done);
+  Field(out, "updates_done", ckpt.updates_done);
+  out += "trainer_rng ";
   EncodeRng(out, ckpt.trainer_rng);
-  out << "\n";
-  out << "episodes " << ckpt.episodes << "\n";
-  out << "best_reward " << ckpt.best_episode_reward << "\n";
+  out += '\n';
+  Field(out, "episodes", ckpt.episodes);
+  out += "best_reward ";
+  F64(out, ckpt.best_episode_reward);
+  out += '\n';
 
-  out << "curve " << ckpt.curve.size() << "\n";
+  Field(out, "curve", ckpt.curve.size());
   for (const CurvePoint& point : ckpt.curve) {
-    out << point.step << " " << point.mean_episode_reward << "\n";
+    Num(out, point.step);
+    out += ' ';
+    F64(out, point.mean_episode_reward);
+    out += '\n';
   }
-  out << "recent " << ckpt.recent_episode_rewards.size() << "\n";
+  Field(out, "recent", ckpt.recent_episode_rewards.size());
   for (size_t i = 0; i < ckpt.recent_episode_rewards.size(); ++i) {
-    out << ckpt.recent_episode_rewards[i]
-        << (i + 1 == ckpt.recent_episode_rewards.size() ? "" : " ");
+    if (i > 0) out += ' ';
+    F64(out, ckpt.recent_episode_rewards[i]);
   }
-  out << "\n";
-  EncodeOps(out, "best_ops", ckpt.best_episode_ops);
+  out += '\n';
+  EncodeOpList(out, "best_ops", ckpt.best_episode_ops);
 
-  out << "actors " << ckpt.actors.size() << "\n";
+  Field(out, "actors", ckpt.actors.size());
   for (const ActorCheckpoint& actor : ckpt.actors) {
-    out << "actor " << actor.env_seed << " ";
+    out += "actor ";
+    Num(out, actor.env_seed);
+    out += ' ';
     EncodeRng(out, actor.env_rng);
-    out << " " << actor.episode_reward << "\n";
-    EncodeOps(out, "ops", actor.episode_ops);
+    out += ' ';
+    F64(out, actor.episode_reward);
+    out += '\n';
+    EncodeOpList(out, "ops", actor.episode_ops);
   }
 
-  out << "adam_step " << ckpt.adam_step << "\n";
-  out << "adam_moments " << ckpt.adam_m.size() << "\n";
+  Field(out, "adam_step", ckpt.adam_step);
+  Field(out, "adam_moments", ckpt.adam_m.size());
   for (size_t k = 0; k < ckpt.adam_m.size(); ++k) {
     EncodeMatrix(out, ckpt.adam_m[k]);
     EncodeMatrix(out, ckpt.adam_v[k]);
@@ -282,36 +134,39 @@ std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
   // Guard recovery state travels only once an anomaly has occurred (see
   // TrainingCheckpoint::guard).
   if (!ckpt.guard.IsDefault()) {
-    out << "guard " << ckpt.guard.retries_used << " " << ckpt.guard.lr_scale
-        << " " << ckpt.guard.last_good_update << " "
-        << ckpt.guard.events_logged << "\n";
+    out += "guard ";
+    Num(out, ckpt.guard.retries_used);
+    out += ' ';
+    F64(out, ckpt.guard.lr_scale);
+    out += ' ';
+    Num(out, ckpt.guard.last_good_update);
+    out += ' ';
+    Num(out, ckpt.guard.events_logged);
+    out += '\n';
   }
 
   // The network weights, embedded as a verbatim ATENA-NN v2 block.
-  out << "params\n" << SerializeParameters(params);
-  out << "end\n";
-  return out.str();
+  out += "params\n";
+  out += SerializeParameters(params);
+  out += "end\n";
+  return out;
 }
 
 Status DecodeCheckpointPayload(const std::string& payload,
                                const std::vector<Parameter*>& params,
                                const std::string& source,
                                TrainingCheckpoint* out) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, source, payload.size());
+  PayloadReader reader(payload, "'" + source + "'");
   TrainingCheckpoint ckpt;
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("steps_done"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.steps_done, "steps_done"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("updates_done"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.updates_done, "updates_done"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("steps_done", &ckpt.steps_done));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("updates_done", &ckpt.updates_done));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("trainer_rng"));
   ATENA_RETURN_IF_ERROR(reader.ReadRng(&ckpt.trainer_rng));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("episodes"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.episodes, "episodes"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("episodes", &ckpt.episodes));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("best_reward"));
   ATENA_RETURN_IF_ERROR(
-      reader.Read(&ckpt.best_episode_reward, "best_reward"));
+      reader.ReadF64(&ckpt.best_episode_reward, "best_reward"));
 
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("curve"));
   int64_t curve_count = 0;
@@ -320,7 +175,7 @@ Status DecodeCheckpointPayload(const std::string& payload,
     CurvePoint point;
     ATENA_RETURN_IF_ERROR(reader.Read(&point.step, "curve step"));
     ATENA_RETURN_IF_ERROR(
-        reader.Read(&point.mean_episode_reward, "curve reward"));
+        reader.ReadF64(&point.mean_episode_reward, "curve reward"));
     ckpt.curve.push_back(point);
   }
 
@@ -329,11 +184,12 @@ Status DecodeCheckpointPayload(const std::string& payload,
   ATENA_RETURN_IF_ERROR(reader.ReadCount(&recent_count, "recent"));
   for (int64_t i = 0; i < recent_count; ++i) {
     double reward = 0.0;
-    ATENA_RETURN_IF_ERROR(reader.Read(&reward, "recent reward"));
+    ATENA_RETURN_IF_ERROR(reader.ReadF64(&reward, "recent reward"));
     ckpt.recent_episode_rewards.push_back(reward);
   }
 
-  ATENA_RETURN_IF_ERROR(reader.ReadOps("best_ops", &ckpt.best_episode_ops));
+  ATENA_RETURN_IF_ERROR(
+      ReadOpList(reader, "best_ops", &ckpt.best_episode_ops));
 
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("actors"));
   int64_t actor_count = 0;
@@ -344,13 +200,12 @@ Status DecodeCheckpointPayload(const std::string& payload,
     ATENA_RETURN_IF_ERROR(reader.Read(&actor.env_seed, "actor env seed"));
     ATENA_RETURN_IF_ERROR(reader.ReadRng(&actor.env_rng));
     ATENA_RETURN_IF_ERROR(
-        reader.Read(&actor.episode_reward, "actor episode reward"));
-    ATENA_RETURN_IF_ERROR(reader.ReadOps("ops", &actor.episode_ops));
+        reader.ReadF64(&actor.episode_reward, "actor episode reward"));
+    ATENA_RETURN_IF_ERROR(ReadOpList(reader, "ops", &actor.episode_ops));
     ckpt.actors.push_back(std::move(actor));
   }
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("adam_step"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.adam_step, "adam_step"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("adam_step", &ckpt.adam_step));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("adam_moments"));
   int64_t moment_count = 0;
   ATENA_RETURN_IF_ERROR(reader.ReadCount(&moment_count, "adam_moments"));
@@ -363,8 +218,8 @@ Status DecodeCheckpointPayload(const std::string& payload,
   for (int64_t k = 0; k < moment_count; ++k) {
     Matrix m, v;
     const Matrix& expected = params[static_cast<size_t>(k)]->value;
-    ATENA_RETURN_IF_ERROR(reader.ReadMatrixLike(expected, "adam m", &m));
-    ATENA_RETURN_IF_ERROR(reader.ReadMatrixLike(expected, "adam v", &v));
+    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, expected, "adam m", &m));
+    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, expected, "adam v", &v));
     ckpt.adam_m.push_back(std::move(m));
     ckpt.adam_v.push_back(std::move(v));
   }
@@ -376,7 +231,8 @@ Status DecodeCheckpointPayload(const std::string& payload,
   if (section == "guard") {
     ATENA_RETURN_IF_ERROR(
         reader.Read(&ckpt.guard.retries_used, "guard retries"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.guard.lr_scale, "guard lr scale"));
+    ATENA_RETURN_IF_ERROR(
+        reader.ReadF64(&ckpt.guard.lr_scale, "guard lr scale"));
     ATENA_RETURN_IF_ERROR(
         reader.Read(&ckpt.guard.last_good_update, "guard last good update"));
     ATENA_RETURN_IF_ERROR(

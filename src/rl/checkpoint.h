@@ -13,7 +13,7 @@
 
 namespace atena {
 
-/// Durable training checkpoints — the `ATENA-CKPT v1` container.
+/// Durable training checkpoints — the `ATENA-CKPT v2` container.
 ///
 /// A checkpoint captures *everything* ParallelPpoTrainer::Train needs to
 /// continue a run bit-identically after a crash or interruption: the
@@ -25,7 +25,9 @@ namespace atena {
 /// episode's resolved operations (replayed on resume to rebuild the display
 /// stack deterministically without consuming any randomness).
 ///
-/// On disk the payload travels inside a CRC32-checksummed frame
+/// The payload is written and read through the record codec the serving
+/// journal uses (eda/record_codec.h), so every double is stored as its
+/// exact bit pattern. On disk it travels inside a CRC32-checksummed frame
 /// (common/file_io.h) and is written with atomic rotation: the previous
 /// good snapshot survives at `<path>.prev` until a new one is fully
 /// durable, so a crash at any byte offset of a save leaves at least one
@@ -44,7 +46,7 @@ struct ActorCheckpoint {
   std::vector<EdaOperation> episode_ops;
 };
 
-/// In-memory image of one ATENA-CKPT v1 snapshot.
+/// In-memory image of one ATENA-CKPT v2 snapshot.
 struct TrainingCheckpoint {
   /// Rollout position: environment steps completed across all actors.
   int steps_done = 0;
@@ -77,8 +79,7 @@ struct TrainingCheckpoint {
   /// Training-guard recovery state (rl/guardrails.h). Serialized as an
   /// optional section only when non-default — i.e. only once a guard event
   /// has actually occurred — so checkpoints from anomaly-free runs stay
-  /// byte-identical whether guardrails were enabled or not, and older
-  /// readers' payloads stay parseable by this one.
+  /// byte-identical whether guardrails were enabled or not.
   GuardCheckpointState guard;
 };
 
@@ -131,15 +132,15 @@ Status LoadTrainingCheckpoint(const std::string& path,
 /// True when `op` only references columns that exist in `table` — the one
 /// structural property executing a container-sourced operation relies on
 /// (enum ranges are already validated by the payload decoder). Checkpoint
-/// resume and the serving snapshot loader use it to reject — instead of
-/// execute — operations from a container recorded against a different
-/// schema, which would otherwise index columns out of bounds.
+/// resume uses it to reject — instead of execute — operations from a
+/// container recorded against a different schema, which would otherwise
+/// index columns out of bounds.
 bool OpExecutableOn(const Table& table, const EdaOperation& op);
 
 /// Loads ONLY the network weights from `path` into `params`, accepting
 /// either container this project writes:
 ///  - a bare ATENA-NN v2 parameter file (nn/serialization.h), or
-///  - a full ATENA-CKPT v1 training checkpoint, whose embedded parameter
+///  - a full ATENA-CKPT v2 training checkpoint, whose embedded parameter
 ///    block is used (with the same `.prev` fallback as
 ///    LoadTrainingCheckpoint when the primary is corrupt).
 /// The container's architecture is validated against the constructed

@@ -59,7 +59,7 @@ class ParallelPpoTrainer {
     std::vector<EdaOperation> episode_ops;
   };
 
-  /// Builds the full ATENA-CKPT v1 snapshot of the current trainer state.
+  /// Builds the full ATENA-CKPT v2 snapshot of the current trainer state.
   /// Valid only at update boundaries (the rollout buffer must be empty).
   TrainingCheckpoint BuildCheckpoint(const std::vector<ActorState>& actors,
                                      int steps_done, int updates_done) const;

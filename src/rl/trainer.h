@@ -48,7 +48,7 @@ struct TrainerOptions {
 
   /// Durable crash-safe checkpointing (rl/checkpoint.h, DESIGN.md §8).
   /// Empty disables. When set, Train() writes rotating `<path>` +
-  /// `<path>.prev` ATENA-CKPT v1 snapshots at update boundaries and on
+  /// `<path>.prev` ATENA-CKPT v2 snapshots at update boundaries and on
   /// cooperative interruption (RequestTrainingStop), so a crash, OOM-kill
   /// or Ctrl-C loses at most `checkpoint_every_updates` updates of work.
   std::string checkpoint_path;

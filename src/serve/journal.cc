@@ -1,15 +1,12 @@
 #include "serve/journal.h"
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 #include <utility>
 
 #include "common/file_io.h"
-#include "common/logging.h"
+#include "eda/record_codec.h"
 
 namespace atena {
 
@@ -65,50 +62,8 @@ RngState MaterializeJournalRng(const JournalRng& rng,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Payload encoding: the checkpoint container's idiom (rl/checkpoint.cc) —
-// whitespace-delimited keyword sections, strings length-prefixed so
-// arbitrary dataset tokens survive. Encoding runs on the serving hot path
-// (one tick record per Tick), so numbers go through std::to_chars — no
-// ostream formatting. Doubles encode as the 16-hex-digit IEEE-754 bit
-// pattern: exact by construction and several times cheaper than
-// shortest-round-trip decimal on both the encode and the replay-parse side.
-//
-// Every number is written by PutNum or PutF64 into a caller's buffer; Num
-// and F64 append through them to a growing string. A fixed-width record
-// part (a tick entry up to its operation, a stream state) is assembled in
-// one stack buffer and lands in the payload as a single append. The
-// buffers are sized for the widest value, so to_chars never runs out of
-// room; the check keeps a failed conversion from leaving `p` at the
-// buffer's end for the next `*p++`.
-
-template <typename T>
-char* PutNum(char* p, char* end, T value) {
-  const std::to_chars_result result = std::to_chars(p, end, value);
-  ATENA_CHECK(result.ec == std::errc()) << "journal entry buffer too small";
-  return result.ptr;
-}
-
-char* PutF64(char* p, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 15; i >= 0; --i) {
-    p[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  return p + 16;
-}
-
-/// A stream's full state: "<w0> <w1> <w2> <w3> <has_spare> <spare>" — the
-/// snapshot's env_rng/act_rng and a tick entry's "F" fallback alike.
-char* PutRng(char* p, char* end, const RngState& rng) {
-  for (const uint64_t word : rng.words) {
-    p = PutNum(p, end, word);
-    *p++ = ' ';
-  }
-  *p++ = rng.has_spare_gaussian ? '1' : '0';
-  *p++ = ' ';
-  return PutF64(p, rng.spare_gaussian);
-}
+// Payload encoding through the record codec (eda/record_codec.h); only the
+// journal's own forms live here.
 
 // Tick entries carry the delta form when possible ("d <draws> <spare>"),
 // the full state ("F <state>") otherwise — the dominant byte saving of
@@ -145,68 +100,8 @@ char* PutStepHead(char* p, char* end, const ServedStep& step) {
   return p;
 }
 
-template <typename T>
-void Num(std::string& out, T value) {
-  char buf[24];
-  out.append(buf, PutNum(buf, buf + sizeof(buf), value));
-}
-
-void F64(std::string& out, double value) {
-  char buf[16];
-  out.append(buf, PutF64(buf, value));
-}
-
 void Sp(std::string& out) { out.push_back(' '); }
 void Nl(std::string& out) { out.push_back('\n'); }
-
-void EncodeRng(std::string& out, const RngState& rng) {
-  char buf[128];
-  out.append(buf, PutRng(buf, buf + sizeof(buf), rng));
-}
-
-void EncodeValue(std::string& out, const Value& value) {
-  if (value.is_null()) {
-    out += 'N';
-  } else if (value.is_int()) {
-    out += "I ";
-    Num(out, value.as_int());
-  } else if (value.is_double()) {
-    out += "D ";
-    F64(out, value.as_double());
-  } else {
-    const std::string& s = value.as_string();
-    out += "S ";
-    Num(out, s.size());
-    Sp(out);
-    out += s;
-  }
-}
-
-void EncodeOp(std::string& out, const EdaOperation& op) {
-  switch (op.type) {
-    case OpType::kBack:
-      out += 'B';
-      break;
-    case OpType::kGroup:
-      out += "G ";
-      Num(out, op.group.group_column);
-      Sp(out);
-      Num(out, static_cast<int>(op.group.agg));
-      Sp(out);
-      Num(out, op.group.agg_column);
-      break;
-    case OpType::kFilter:
-      out += "F ";
-      Num(out, op.filter.column);
-      Sp(out);
-      Num(out, static_cast<int>(op.filter.op));
-      Sp(out);
-      Num(out, op.filter.term_bin);
-      Sp(out);
-      EncodeValue(out, op.filter.term);
-      break;
-  }
-}
 
 void EncodeStep(std::string& out, const ServedStep& step) {
   char buf[48];
@@ -214,29 +109,15 @@ void EncodeStep(std::string& out, const ServedStep& step) {
   EncodeOp(out, step.op);
 }
 
-void EncodeString(std::string& out, const std::string& s) {
-  Num(out, s.size());
-  Sp(out);
-  out += s;
-}
-
 std::string EncodeMetaPayload(const JournalMeta& meta) {
   std::string out;
-  out += "version ";
-  Num(out, meta.version);
-  Nl(out);
+  Field(out, "version", meta.version);
   out += "dataset ";
   EncodeString(out, meta.dataset_id);
   Nl(out);
-  out += "obs_dim ";
-  Num(out, meta.observation_dim);
-  Nl(out);
-  out += "episode_length ";
-  Num(out, meta.episode_length);
-  Nl(out);
-  out += "term_bins ";
-  Num(out, meta.num_term_bins);
-  Nl(out);
+  Field(out, "obs_dim", meta.observation_dim);
+  Field(out, "episode_length", meta.episode_length);
+  Field(out, "term_bins", meta.num_term_bins);
   return out;
 }
 
@@ -287,15 +168,9 @@ std::string EncodeStopPayload(const std::vector<uint64_t>& ids) {
 std::string EncodeSnapPayload(const JournalSnapshot& snap) {
   std::string out;
   out.reserve(256 + snap.sessions.size() * 512);
-  out += "next_id ";
-  Num(out, snap.next_id);
-  Nl(out);
-  out += "steps_served ";
-  Num(out, snap.steps_served);
-  Nl(out);
-  out += "overloaded ";
-  Num(out, snap.overloaded ? 1 : 0);
-  Nl(out);
+  Field(out, "next_id", snap.next_id);
+  Field(out, "steps_served", snap.steps_served);
+  Field(out, "overloaded", snap.overloaded ? 1 : 0);
   out += "stats ";
   Num(out, snap.stats.size());
   for (int64_t v : snap.stats) {
@@ -303,22 +178,14 @@ std::string EncodeSnapPayload(const JournalSnapshot& snap) {
     Num(out, v);
   }
   Nl(out);
-  out += "gens ";
-  Num(out, snap.generation_paths.size());
-  Nl(out);
+  Field(out, "gens", snap.generation_paths.size());
   for (const std::string& path : snap.generation_paths) {
     EncodeString(out, path);
     Nl(out);
   }
-  out += "current_gen ";
-  Num(out, snap.current_gen);
-  Nl(out);
-  out += "notebook_seq ";
-  Num(out, snap.notebook_seq);
-  Nl(out);
-  out += "sessions ";
-  Num(out, snap.sessions.size());
-  Nl(out);
+  Field(out, "current_gen", snap.current_gen);
+  Field(out, "notebook_seq", snap.notebook_seq);
+  Field(out, "sessions", snap.sessions.size());
   for (const JournalSessionState& s : snap.sessions) {
     out += "session ";
     Num(out, s.id);
@@ -347,9 +214,7 @@ std::string EncodeSnapPayload(const JournalSnapshot& snap) {
     out += "act_rng ";
     EncodeRng(out, s.act_rng);
     Nl(out);
-    out += "trace ";
-    Num(out, s.trace.size());
-    Nl(out);
+    Field(out, "trace", s.trace.size());
     for (const ServedStep& step : s.trace) {
       EncodeStep(out, step);
       Nl(out);
@@ -360,210 +225,54 @@ std::string EncodeSnapPayload(const JournalSnapshot& snap) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload decoding. Every read is checked; any surprise aborts the record's
-// parse with a Status, which the journal reader maps to prefix semantics
-// (drop this record and everything after it).
+// Payload decoding through the record codec's PayloadReader. Any surprise
+// aborts the record's parse with a Status, which the journal reader maps to
+// prefix semantics (drop this record and everything after it).
 
-class PayloadReader {
- public:
-  PayloadReader(std::istream& in, size_t limit) : in_(in), limit_(limit) {}
-
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("journal record: " + what);
+Status ReadJournalRng(PayloadReader& reader, JournalRng* rng) {
+  std::string tag;
+  if (!(reader.stream() >> tag)) return reader.Fail("truncated rng");
+  if (tag == "F") {
+    rng->full = true;
+    return reader.ReadRng(&rng->state);
   }
-
-  Status ExpectKeyword(const char* keyword) {
-    std::string token;
-    in_ >> token;
-    if (!in_ || token != keyword) {
-      return Fail("expected section '" + std::string(keyword) + "', got '" +
-                  token + "'");
-    }
-    return Status::OK();
+  if (tag != "d") return reader.Fail("unknown rng tag '" + tag + "'");
+  rng->full = false;
+  ATENA_RETURN_IF_ERROR(reader.Read(&rng->draws, "rng draw delta"));
+  if (rng->draws > kMaxJournalRngDelta) {
+    return reader.Fail("rng draw delta " + std::to_string(rng->draws) +
+                       " out of range");
   }
-
-  template <typename T>
-  Status Read(T* value, const char* what) {
-    in_ >> *value;
-    if (!in_) return Fail(std::string("truncated or malformed ") + what);
-    return Status::OK();
+  ATENA_RETURN_IF_ERROR(reader.ReadBool(&rng->has_spare, "rng spare flag"));
+  rng->spare = 0.0;
+  if (rng->has_spare) {
+    ATENA_RETURN_IF_ERROR(reader.ReadF64(&rng->spare, "rng spare value"));
   }
+  return Status::OK();
+}
 
-  Status ReadBool(bool* value, const char* what) {
-    int flag = 0;
-    ATENA_RETURN_IF_ERROR(Read(&flag, what));
-    if (flag != 0 && flag != 1) return Fail(std::string("non-boolean ") + what);
-    *value = flag == 1;
-    return Status::OK();
-  }
+Status ReadStep(PayloadReader& reader, ServedStep* step) {
+  ATENA_RETURN_IF_ERROR(reader.ReadBool(&step->valid, "step valid flag"));
+  ATENA_RETURN_IF_ERROR(reader.ReadF64(&step->reward, "step reward"));
+  ATENA_RETURN_IF_ERROR(
+      reader.Read(&step->display_signature, "step signature"));
+  return reader.ReadOp(&step->op);
+}
 
-  Status ReadCount(int64_t* count, const char* what) {
-    ATENA_RETURN_IF_ERROR(Read(count, what));
-    if (*count < 0 || static_cast<uint64_t>(*count) > limit_) {
-      return Fail(std::string("implausible ") + what + " count " +
-                  std::to_string(*count));
-    }
-    return Status::OK();
-  }
-
-  /// Doubles travel as the 16-hex-digit IEEE-754 bit pattern (see F64).
-  Status ReadF64(double* value, const char* what) {
-    std::string token;
-    in_ >> token;
-    if (!in_ || token.size() != 16) {
-      return Fail(std::string("truncated or malformed ") + what);
-    }
-    uint64_t bits = 0;
-    const auto result =
-        std::from_chars(token.data(), token.data() + token.size(), bits, 16);
-    if (result.ec != std::errc() || result.ptr != token.data() + token.size()) {
-      return Fail(std::string("truncated or malformed ") + what);
-    }
-    std::memcpy(value, &bits, sizeof(bits));
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out, const char* what) {
-    int64_t len = 0;
-    ATENA_RETURN_IF_ERROR(ReadCount(&len, what));
-    in_.get();  // the single separator after the length
-    std::string s(static_cast<size_t>(len), '\0');
-    in_.read(s.data(), len);
-    if (!in_) return Fail(std::string("truncated ") + what);
-    *out = std::move(s);
-    return Status::OK();
-  }
-
-  Status ReadRng(RngState* rng) {
-    for (auto& word : rng->words) {
-      ATENA_RETURN_IF_ERROR(Read(&word, "rng word"));
-    }
-    int has_spare = 0;
-    ATENA_RETURN_IF_ERROR(Read(&has_spare, "rng spare flag"));
-    if (has_spare != 0 && has_spare != 1) return Fail("rng spare flag");
-    rng->has_spare_gaussian = has_spare == 1;
-    ATENA_RETURN_IF_ERROR(ReadF64(&rng->spare_gaussian, "rng spare value"));
-    return Status::OK();
-  }
-
-  Status ReadJournalRng(JournalRng* rng) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated rng");
-    if (tag == "F") {
-      rng->full = true;
-      return ReadRng(&rng->state);
-    }
-    if (tag != "d") return Fail("unknown rng tag '" + tag + "'");
-    rng->full = false;
-    ATENA_RETURN_IF_ERROR(Read(&rng->draws, "rng draw delta"));
-    if (rng->draws > kMaxJournalRngDelta) {
-      return Fail("rng draw delta " + std::to_string(rng->draws) +
-                  " out of range");
-    }
-    int has_spare = 0;
-    ATENA_RETURN_IF_ERROR(Read(&has_spare, "rng spare flag"));
-    if (has_spare != 0 && has_spare != 1) return Fail("rng spare flag");
-    rng->has_spare = has_spare == 1;
-    rng->spare = 0.0;
-    if (rng->has_spare) {
-      ATENA_RETURN_IF_ERROR(ReadF64(&rng->spare, "rng spare value"));
-    }
-    return Status::OK();
-  }
-
-  Status ReadValue(Value* value) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated value");
-    if (tag == "N") {
-      *value = Value::Null();
-    } else if (tag == "I") {
-      int64_t v = 0;
-      ATENA_RETURN_IF_ERROR(Read(&v, "int value"));
-      *value = Value(v);
-    } else if (tag == "D") {
-      double v = 0.0;
-      ATENA_RETURN_IF_ERROR(ReadF64(&v, "double value"));
-      *value = Value(v);
-    } else if (tag == "S") {
-      std::string s;
-      ATENA_RETURN_IF_ERROR(ReadString(&s, "string value"));
-      *value = Value(std::move(s));
-    } else {
-      return Fail("unknown value tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadOp(EdaOperation* op) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated operation");
-    if (tag == "B") {
-      *op = EdaOperation::Back();
-    } else if (tag == "G") {
-      int group_column = 0, agg = 0, agg_column = 0;
-      ATENA_RETURN_IF_ERROR(Read(&group_column, "group column"));
-      ATENA_RETURN_IF_ERROR(Read(&agg, "agg function"));
-      ATENA_RETURN_IF_ERROR(Read(&agg_column, "agg column"));
-      if (agg < 0 || agg >= kNumAggFuncs) {
-        return Fail("agg function " + std::to_string(agg) + " out of range");
-      }
-      *op = EdaOperation::Group(group_column, static_cast<AggFunc>(agg),
-                                agg_column);
-    } else if (tag == "F") {
-      int column = 0, cmp = 0, term_bin = 0;
-      ATENA_RETURN_IF_ERROR(Read(&column, "filter column"));
-      ATENA_RETURN_IF_ERROR(Read(&cmp, "filter operator"));
-      ATENA_RETURN_IF_ERROR(Read(&term_bin, "filter term bin"));
-      if (cmp < 0 || cmp >= kNumCompareOps) {
-        return Fail("filter operator " + std::to_string(cmp) +
-                    " out of range");
-      }
-      Value term;
-      ATENA_RETURN_IF_ERROR(ReadValue(&term));
-      *op = EdaOperation::Filter(column, static_cast<CompareOp>(cmp),
-                                 std::move(term), term_bin);
-    } else {
-      return Fail("unknown operation tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadStep(ServedStep* step) {
-    ATENA_RETURN_IF_ERROR(ReadBool(&step->valid, "step valid flag"));
-    ATENA_RETURN_IF_ERROR(ReadF64(&step->reward, "step reward"));
-    ATENA_RETURN_IF_ERROR(Read(&step->display_signature, "step signature"));
-    return ReadOp(&step->op);
-  }
-
- private:
-  std::istream& in_;
-  size_t limit_;
-};
-
-Status DecodeMetaPayload(const std::string& payload, JournalMeta* meta) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+Status DecodeMetaPayload(PayloadReader& reader, JournalMeta* meta) {
   JournalMeta out;
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("version"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.version, "version"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("version", &out.version));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("dataset"));
   ATENA_RETURN_IF_ERROR(reader.ReadString(&out.dataset_id, "dataset id"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("obs_dim"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.observation_dim, "obs_dim"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("episode_length"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.episode_length, "episode_length"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("term_bins"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.num_term_bins, "term_bins"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("obs_dim", &out.observation_dim));
+  ATENA_RETURN_IF_ERROR(
+      reader.ReadField("episode_length", &out.episode_length));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("term_bins", &out.num_term_bins));
   *meta = std::move(out);
   return Status::OK();
 }
 
-Status DecodeAdmitPayload(const std::string& payload, JournalAdmit* admit) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+Status DecodeAdmitPayload(PayloadReader& reader, JournalAdmit* admit) {
   JournalAdmit out;
   ATENA_RETURN_IF_ERROR(reader.Read(&out.id, "admit id"));
   ATENA_RETURN_IF_ERROR(reader.Read(&out.seed, "admit seed"));
@@ -574,9 +283,7 @@ Status DecodeAdmitPayload(const std::string& payload, JournalAdmit* admit) {
   return Status::OK();
 }
 
-Status DecodeReloadPayload(const std::string& payload, JournalReload* reload) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+Status DecodeReloadPayload(PayloadReader& reader, JournalReload* reload) {
   JournalReload out;
   ATENA_RETURN_IF_ERROR(reader.Read(&out.gen, "reload generation"));
   ATENA_RETURN_IF_ERROR(reader.ReadString(&out.path, "reload path"));
@@ -584,9 +291,7 @@ Status DecodeReloadPayload(const std::string& payload, JournalReload* reload) {
   return Status::OK();
 }
 
-Status DecodeTickPayload(const std::string& payload, JournalTick* tick) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+Status DecodeTickPayload(PayloadReader& reader, JournalTick* tick) {
   JournalTick out;
   ATENA_RETURN_IF_ERROR(reader.ReadBool(&out.overloaded, "tick overloaded"));
   int64_t count = 0;
@@ -594,7 +299,7 @@ Status DecodeTickPayload(const std::string& payload, JournalTick* tick) {
   out.entries.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     std::string tag;
-    if (!(in >> tag)) return reader.Fail("truncated tick entry");
+    if (!(reader.stream() >> tag)) return reader.Fail("truncated tick entry");
     JournalTickEntry entry;
     if (tag == "q") {
       entry.kind = JournalTickEntry::Kind::kQuarantine;
@@ -609,9 +314,9 @@ Status DecodeTickPayload(const std::string& payload, JournalTick* tick) {
                            " out of range");
       }
       ATENA_RETURN_IF_ERROR(reader.Read(&entry.stage_after, "step stage"));
-      ATENA_RETURN_IF_ERROR(reader.ReadJournalRng(&entry.env_rng));
-      ATENA_RETURN_IF_ERROR(reader.ReadJournalRng(&entry.act_rng));
-      ATENA_RETURN_IF_ERROR(reader.ReadStep(&entry.step));
+      ATENA_RETURN_IF_ERROR(ReadJournalRng(reader, &entry.env_rng));
+      ATENA_RETURN_IF_ERROR(ReadJournalRng(reader, &entry.act_rng));
+      ATENA_RETURN_IF_ERROR(ReadStep(reader, &entry.step));
     } else {
       return reader.Fail("unknown tick entry tag '" + tag + "'");
     }
@@ -621,10 +326,7 @@ Status DecodeTickPayload(const std::string& payload, JournalTick* tick) {
   return Status::OK();
 }
 
-Status DecodeStopPayload(const std::string& payload,
-                         std::vector<uint64_t>* ids) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+Status DecodeStopPayload(PayloadReader& reader, std::vector<uint64_t>* ids) {
   int64_t count = 0;
   ATENA_RETURN_IF_ERROR(reader.ReadCount(&count, "stop id"));
   std::vector<uint64_t> out;
@@ -638,14 +340,10 @@ Status DecodeStopPayload(const std::string& payload,
   return Status::OK();
 }
 
-Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+Status DecodeSnapPayload(PayloadReader& reader, JournalSnapshot* snap) {
   JournalSnapshot out;
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("next_id"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.next_id, "next_id"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("steps_served"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.steps_served, "steps_served"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("next_id", &out.next_id));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("steps_served", &out.steps_served));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("overloaded"));
   ATENA_RETURN_IF_ERROR(reader.ReadBool(&out.overloaded, "overloaded"));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("stats"));
@@ -663,13 +361,11 @@ Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
   for (std::string& path : out.generation_paths) {
     ATENA_RETURN_IF_ERROR(reader.ReadString(&path, "generation path"));
   }
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("current_gen"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.current_gen, "current_gen"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("current_gen", &out.current_gen));
   if (out.current_gen >= out.generation_paths.size()) {
     return reader.Fail("current_gen out of range");
   }
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("notebook_seq"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.notebook_seq, "notebook_seq"));
+  ATENA_RETURN_IF_ERROR(reader.ReadField("notebook_seq", &out.notebook_seq));
   ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("sessions"));
   int64_t session_count = 0;
   ATENA_RETURN_IF_ERROR(reader.ReadCount(&session_count, "session"));
@@ -706,7 +402,7 @@ Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
     s.trace.reserve(static_cast<size_t>(trace_count));
     for (int64_t t = 0; t < trace_count; ++t) {
       ServedStep step;
-      ATENA_RETURN_IF_ERROR(reader.ReadStep(&step));
+      ATENA_RETURN_IF_ERROR(ReadStep(reader, &step));
       s.trace.push_back(std::move(step));
     }
     out.sessions.push_back(std::move(s));
@@ -757,12 +453,13 @@ bool ParseFrameHeader(std::string_view line, std::string* type,
 /// snapshot, everything after is the append stream.
 Status DecodeRecord(const std::string& type, const std::string& payload,
                     int index, JournalContents* out) {
+  PayloadReader reader(payload, "journal record");
   if (index == 0) {
     if (type != "meta") {
       return Status::InvalidArgument("first journal record is '" + type +
                                      "', expected 'meta'");
     }
-    ATENA_RETURN_IF_ERROR(DecodeMetaPayload(payload, &out->meta));
+    ATENA_RETURN_IF_ERROR(DecodeMetaPayload(reader, &out->meta));
     out->has_meta = true;
     return Status::OK();
   }
@@ -771,7 +468,7 @@ Status DecodeRecord(const std::string& type, const std::string& payload,
       return Status::InvalidArgument("second journal record is '" + type +
                                      "', expected 'snap'");
     }
-    ATENA_RETURN_IF_ERROR(DecodeSnapPayload(payload, &out->snapshot));
+    ATENA_RETURN_IF_ERROR(DecodeSnapPayload(reader, &out->snapshot));
     out->has_snapshot = true;
     out->snapshot_valid = true;
     return Status::OK();
@@ -779,16 +476,16 @@ Status DecodeRecord(const std::string& type, const std::string& payload,
   JournalRecord record;
   if (type == "admit") {
     record.kind = JournalRecord::Kind::kAdmit;
-    ATENA_RETURN_IF_ERROR(DecodeAdmitPayload(payload, &record.admit));
+    ATENA_RETURN_IF_ERROR(DecodeAdmitPayload(reader, &record.admit));
   } else if (type == "reload") {
     record.kind = JournalRecord::Kind::kReload;
-    ATENA_RETURN_IF_ERROR(DecodeReloadPayload(payload, &record.reload));
+    ATENA_RETURN_IF_ERROR(DecodeReloadPayload(reader, &record.reload));
   } else if (type == "tick") {
     record.kind = JournalRecord::Kind::kTick;
-    ATENA_RETURN_IF_ERROR(DecodeTickPayload(payload, &record.tick));
+    ATENA_RETURN_IF_ERROR(DecodeTickPayload(reader, &record.tick));
   } else if (type == "stop") {
     record.kind = JournalRecord::Kind::kStop;
-    ATENA_RETURN_IF_ERROR(DecodeStopPayload(payload, &record.stop_ids));
+    ATENA_RETURN_IF_ERROR(DecodeStopPayload(reader, &record.stop_ids));
   } else {
     return Status::InvalidArgument("unknown journal record type '" + type +
                                    "'");

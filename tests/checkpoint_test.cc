@@ -1,4 +1,4 @@
-// Crash-safety tests for the ATENA-CKPT v1 training checkpoint subsystem:
+// Crash-safety tests for the ATENA-CKPT v2 training checkpoint subsystem:
 // resume bit-identity (an interrupted-and-resumed run must be
 // indistinguishable from an uninterrupted one), rotation, fault injection
 // on the save path, and truncation recovery on the load path.
@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -400,7 +402,7 @@ TEST_F(CheckpointContainerTest, RotationKeepsPreviousSnapshot) {
   ASSERT_TRUE(LoadTrainingCheckpoint(path_, Params(), &head).ok());
   // Loading the .prev file directly (as the fallback would).
   std::string prev_payload;
-  ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v1",
+  ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v2",
                                   &prev_payload)
                   .ok());
   ASSERT_TRUE(DecodeCheckpointPayload(prev_payload, Params(),
@@ -468,7 +470,7 @@ TEST_F(CheckpointContainerTest, TruncationAtEveryOffsetRecoversOrFailsClean) {
   TrainingCheckpoint prev_image;
   {
     std::string prev_payload;
-    ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v1",
+    ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v2",
                                     &prev_payload)
                     .ok());
     ASSERT_TRUE(DecodeCheckpointPayload(prev_payload, Params(),
@@ -511,6 +513,149 @@ TEST_F(CheckpointContainerTest, TruncationAtEveryOffsetRecoversOrFailsClean) {
   // Restore the family for TearDown symmetry.
   ASSERT_TRUE(AtomicWriteFile(path_, full).ok());
   ASSERT_TRUE(AtomicWriteFile(path_ + ".prev", prev_file).ok());
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Expects every double field the payload carries to hold `value`'s exact
+/// bit pattern (see ExactDoubleCheckpoint).
+void ExpectExactDoubles(const TrainingCheckpoint& ckpt, double value,
+                        const std::string& context) {
+  SCOPED_TRACE(context);
+  EXPECT_TRUE(SameBits(ckpt.best_episode_reward, value));
+  ASSERT_EQ(ckpt.curve.size(), 1u);
+  EXPECT_TRUE(SameBits(ckpt.curve[0].mean_episode_reward, value));
+  ASSERT_EQ(ckpt.recent_episode_rewards.size(), 2u);
+  EXPECT_TRUE(SameBits(ckpt.recent_episode_rewards[1], value));
+  ASSERT_EQ(ckpt.actors.size(), 1u);
+  EXPECT_TRUE(SameBits(ckpt.actors[0].episode_reward, value));
+  ASSERT_EQ(ckpt.actors[0].episode_ops.size(), 1u);
+  EXPECT_TRUE(
+      SameBits(ckpt.actors[0].episode_ops[0].filter.term.as_double(), value));
+  ASSERT_EQ(ckpt.adam_m.size(), 1u);
+  EXPECT_TRUE(SameBits(ckpt.adam_m[0].data()[4], value));
+  EXPECT_TRUE(SameBits(ckpt.adam_v[0].data()[0], 0.5));
+  EXPECT_TRUE(ckpt.trainer_rng.has_spare_gaussian);
+  EXPECT_TRUE(SameBits(ckpt.trainer_rng.spare_gaussian, value));
+}
+
+/// A checkpoint holding `value` in each reward field, a filter term, an
+/// Adam moment entry and the trainer Rng's spare (the guard's lr_scale is
+/// excluded: the decoder requires it finite and positive).
+TrainingCheckpoint ExactDoubleCheckpoint(double value) {
+  TrainingCheckpoint ckpt;
+  ckpt.steps_done = 40;
+  ckpt.updates_done = 1;
+  ckpt.trainer_rng = Rng(3).state();
+  ckpt.trainer_rng.has_spare_gaussian = true;
+  ckpt.trainer_rng.spare_gaussian = value;
+  ckpt.episodes = 2;
+  ckpt.best_episode_reward = value;
+  ckpt.curve.push_back({40, value});
+  ckpt.recent_episode_rewards = {1.5, value};
+  ActorCheckpoint actor;
+  actor.env_seed = 100;
+  actor.env_rng = Rng(4).state();
+  actor.episode_reward = value;
+  actor.episode_ops.push_back(
+      EdaOperation::Filter(1, CompareOp::kEq, Value(value), 2));
+  ckpt.actors.push_back(actor);
+  ckpt.adam_step = 1;
+  ckpt.adam_m.emplace_back(2, 3, 0.25);
+  ckpt.adam_m[0].data()[4] = value;
+  ckpt.adam_v.emplace_back(2, 3, 0.5);
+  return ckpt;
+}
+
+// Non-finite rewards, signed zeros and subnormals must survive a
+// checkpoint bit for bit: a run whose rewards ever went NaN or infinite
+// would otherwise write snapshots it cannot read back, and resume would
+// silently start over.
+TEST(CheckpointPayloadTest, EveryDoubleRoundTripsBitExactly) {
+  ParameterStore store;
+  std::vector<Parameter*> params = {store.Create("w", 2, 3)};
+  const std::string path = TempPath("exact_doubles.ckpt");
+  constexpr struct {
+    const char* label;
+    double value;
+  } kValues[] = {
+      {"NaN", std::numeric_limits<double>::quiet_NaN()},
+      {"+inf", std::numeric_limits<double>::infinity()},
+      {"-inf", -std::numeric_limits<double>::infinity()},
+      {"-0.0", -0.0},
+      {"denorm_min", std::numeric_limits<double>::denorm_min()},
+  };
+  for (const auto& [label, value] : kValues) {
+    const TrainingCheckpoint ckpt = ExactDoubleCheckpoint(value);
+
+    TrainingCheckpoint decoded;
+    const Status status = DecodeCheckpointPayload(
+        EncodeCheckpointPayload(params, ckpt), params, "probe", &decoded);
+    ASSERT_TRUE(status.ok()) << label << ": " << status;
+    ExpectExactDoubles(decoded, value, std::string(label) + " (payload)");
+
+    RemoveCheckpointFamily(path);
+    ASSERT_TRUE(SaveTrainingCheckpoint(path, params, ckpt).ok()) << label;
+    TrainingCheckpoint loaded;
+    const Status load = LoadTrainingCheckpoint(path, params, &loaded);
+    ASSERT_TRUE(load.ok()) << label << ": " << load;
+    ExpectExactDoubles(loaded, value, std::string(label) + " (file)");
+  }
+  RemoveCheckpointFamily(path);
+}
+
+// A container of the retired v1 spelling is refused by its magic line
+// (there is no v1 reader), so weight loads fail with a Status naming the
+// format that is read, and a resuming trainer starts over.
+TEST(CheckpointPayloadTest, V1ContainerIsRefusedAndResumeStartsFresh) {
+  const std::string path = TempPath("v1_container.ckpt");
+  RemoveCheckpointFamily(path);
+
+  // A real mid-run snapshot from a differently-seeded trainer: resuming
+  // from it would continue that run, not reproduce a fresh seed-17 run.
+  TrainSetup other = MakeSetup(1);
+  TrainerOptions other_options = BaseOptions();
+  other_options.seed = 99;
+  other_options.total_steps = 80;
+  other_options.checkpoint_path = path;
+  other_options.checkpoint_every_updates = 1;
+  ParallelPpoTrainer(other.envs, other.policy.get(), other_options).Train();
+  std::string payload;
+  ASSERT_TRUE(ReadChecksummedFile(path, "ATENA-CKPT v2", &payload).ok());
+  RemoveCheckpointFamily(path);
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-CKPT v1", payload).ok());
+
+  TrainSetup setup = MakeSetup(1);
+  const std::vector<Parameter*> params = setup.policy->Parameters();
+  std::vector<std::vector<double>> weights_before;
+  for (const Parameter* p : params) weights_before.push_back(p->value.data());
+  TrainingCheckpoint ckpt;
+  const Status loaded = LoadTrainingCheckpoint(path, params, &ckpt);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("ATENA-CKPT v2"), std::string::npos)
+      << loaded;
+  const Status weights = LoadPolicyParameters(path, params);
+  EXPECT_FALSE(weights.ok());
+  EXPECT_NE(weights.message().find("ATENA-CKPT v2"), std::string::npos)
+      << weights;
+  for (size_t k = 0; k < params.size(); ++k) {
+    EXPECT_EQ(params[k]->value.data(), weights_before[k]) << "parameter " << k;
+  }
+
+  TrainSetup plain = MakeSetup(1);
+  const TrainingResult fresh =
+      ParallelPpoTrainer(plain.envs, plain.policy.get(), BaseOptions())
+          .Train();
+  TrainerOptions options = BaseOptions();
+  options.checkpoint_path = path;
+  options.checkpoint_every_updates = 1;
+  options.resume = true;
+  const TrainingResult resumed =
+      ParallelPpoTrainer(setup.envs, setup.policy.get(), options).Train();
+  ExpectResultsIdentical(fresh, resumed);
+  RemoveCheckpointFamily(path);
 }
 
 TEST_F(CheckpointContainerTest, AdamStateRoundTripProducesIdenticalSteps) {

@@ -11,6 +11,8 @@
 //    at 1 and 4 stepping threads, and one FlatPolicy run) digest their
 //    learning curve, best-episode operations and every final parameter
 //    value, which pins the network kernels, the optimizer and the trainer;
+//    the RunAtena fixtures also digest the bytes of the ATENA-CKPT file
+//    they write, which pins the checkpoint container;
 //  - a journaled serving run with the compound reward and forced journal
 //    compaction digests its delivered traces, its journal bytes, and a
 //    recovery from a mid-run copy of the journal, at 1 and 4 threads;
@@ -97,6 +99,12 @@ std::string DigestString(uint32_t digest) {
   char text[16];
   std::snprintf(text, sizeof(text), "0x%08Xu", digest);
   return text;
+}
+
+uint32_t FileCrc(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(path, &bytes).ok()) << path;
+  return Crc32(bytes);
 }
 
 /// Runs the fixed script on (id, scale) and digests what it observed.
@@ -290,21 +298,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------- training
 
-// Thread count never changes training output, so both 4-actor fixtures
-// share one digest.
+// Thread count never changes training output or the checkpoint written,
+// so both 4-actor fixtures share each digest.
 constexpr uint32_t kFourActorDigest = 0x3A746D5Bu;
+constexpr uint32_t kFourActorCheckpointDigest = 0xD69319BAu;
 
 struct TrainingFixture {
   const char* name;
   int num_actors;
   int num_threads;
   uint32_t digest;
+  /// The bytes of the ATENA-CKPT file the run leaves behind.
+  uint32_t checkpoint_digest;
 };
 
 constexpr TrainingFixture kTrainingFixtures[] = {
-    {"OneActor", 1, 1, 0x102FB490u},
-    {"FourActorsOneThread", 4, 1, kFourActorDigest},
-    {"FourActorsFourThreads", 4, 4, kFourActorDigest},
+    {"OneActor", 1, 1, 0x102FB490u, 0xC9244ED1u},
+    {"FourActorsOneThread", 4, 1, kFourActorDigest,
+     kFourActorCheckpointDigest},
+    {"FourActorsFourThreads", 4, 4, kFourActorDigest,
+     kFourActorCheckpointDigest},
 };
 
 void PrintTo(const TrainingFixture& fixture, std::ostream* os) {
@@ -334,8 +347,10 @@ uint32_t TrainingDigest(const TrainingResult& training, const Table& table,
 }
 
 /// RunAtena on cyber1 at a small budget. The trainer checkpoints after its
-/// last update, and the checkpoint's parameters are the final weights.
-uint32_t AtenaTrainingDigest(const TrainingFixture& fixture) {
+/// last update, and the checkpoint's parameters are the final weights;
+/// `checkpoint_digest` receives the digest of the checkpoint file's bytes.
+uint32_t AtenaTrainingDigest(const TrainingFixture& fixture,
+                             uint32_t* checkpoint_digest) {
   const Dataset dataset = MakeDataset("cyber1").value();
   AtenaOptions options;
   options.num_actors = fixture.num_actors;
@@ -358,6 +373,7 @@ uint32_t AtenaTrainingDigest(const TrainingFixture& fixture) {
   TwofoldPolicy policy(env.observation_dim(), env.action_space(),
                        options.policy);
   const Status loaded = LoadPolicyParameters(checkpoint, policy.Parameters());
+  *checkpoint_digest = FileCrc(checkpoint);
   std::remove(checkpoint.c_str());
   std::remove((checkpoint + ".prev").c_str());
   EXPECT_TRUE(loaded.ok()) << loaded;
@@ -369,11 +385,14 @@ class GoldenTrainingTest : public ::testing::TestWithParam<TrainingFixture> {};
 
 TEST_P(GoldenTrainingTest, RunAtenaMatchesRecordedDigest) {
   const TrainingFixture& fixture = GetParam();
-  const uint32_t digest = AtenaTrainingDigest(fixture);
+  uint32_t checkpoint = 0;
+  const uint32_t digest = AtenaTrainingDigest(fixture, &checkpoint);
   EXPECT_EQ(digest, fixture.digest)
       << fixture.name << ": digest " << DigestString(digest)
       << " (recorded with GCC " << kRecordedCompiler << ", this build "
       << __VERSION__ << ")";
+  EXPECT_EQ(checkpoint, fixture.checkpoint_digest)
+      << fixture.name << ": checkpoint digest " << DigestString(checkpoint);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -451,12 +470,6 @@ SessionConfig ServeSessionAt(int index) {
   config.max_steps = kServeSteps;
   config.greedy = index % 2 == 0;
   return config;
-}
-
-uint32_t FileCrc(const std::string& path) {
-  std::string bytes;
-  EXPECT_TRUE(ReadFileToString(path, &bytes).ok()) << path;
-  return Crc32(bytes);
 }
 
 /// Removes a journal plus the `.prev` and notebook sidecars next to it.

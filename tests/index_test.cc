@@ -270,45 +270,6 @@ TEST(VectorIndexTest, AllDuplicateVectorsStayCorrectPastLeafCapacity) {
   EXPECT_EQ(index.MinSquaredDistance(v), 0.0);
 }
 
-TEST(VectorIndexTest, SaveLoadRoundTripAnswersIdentically) {
-  Rng rng(31);
-  const auto vectors = RandomHistory(&rng, 300, 5);
-  VectorIndex::Options options;
-  options.branching = 5;
-  options.leaf_capacity = 6;
-  VectorIndex index(options);
-  for (const auto& v : vectors) index.Insert(v);
-
-  const std::string path = TempPath("vector_index_roundtrip.bin");
-  ASSERT_TRUE(index.Save(path).ok());
-  Result<VectorIndex> loaded = VectorIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().size(), index.size());
-  EXPECT_EQ(loaded.value().options().branching, options.branching);
-  for (int q = 0; q < 20; ++q) {
-    const std::vector<double> query = RandomHistory(&rng, 1, 5)[0];
-    EXPECT_EQ(loaded.value().MinSquaredDistance(query),
-              index.MinSquaredDistance(query));
-    ExpectSameNeighbors(loaded.value().TopK(query, 9), index.TopK(query, 9),
-                        "roundtrip query " + std::to_string(q));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(VectorIndexTest, LoadRejectsCorruptContainers) {
-  const std::string path = TempPath("vector_index_corrupt.bin");
-  VectorIndex index;
-  index.Insert({1.0, 2.0});
-  ASSERT_TRUE(index.Save(path).ok());
-  // Flip one payload byte: the CRC frame must catch it.
-  std::string blob;
-  ASSERT_TRUE(ReadFileToString(path, &blob).ok());
-  blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x40);
-  ASSERT_TRUE(AtomicWriteFile(path, blob).ok());
-  EXPECT_FALSE(VectorIndex::Load(path).ok());
-  std::remove(path.c_str());
-}
-
 // -------------------------------------------------- reward / environment
 
 /// Reward signal scoring only diversity — the component the index
