@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "core/twofold_policy.h"
 #include "reward/compound.h"
+#include "rl/parallel_trainer.h"
 
 namespace atena {
 namespace {
@@ -36,7 +37,7 @@ Result<TrainingResult> TrainArchitecture(const Dataset& dataset,
     flat.seed = options.policy.seed;
     policy = std::make_unique<FlatPolicy>(env, flat);
   }
-  PpoTrainer trainer(&env, policy.get(), options.trainer);
+  ParallelPpoTrainer trainer({&env}, policy.get(), options.trainer);
   return trainer.Train();
 }
 

@@ -3,6 +3,7 @@
 #include "baselines/flat_policy.h"
 #include "baselines/greedy.h"
 #include "common/logging.h"
+#include "rl/parallel_trainer.h"
 
 namespace atena {
 
@@ -44,7 +45,7 @@ CompoundReward::Options InterestingnessOnly(CompoundReward::Options base) {
 Result<BaselineRun> TrainAndExtract(BaselineKind kind, EdaEnvironment* env,
                                     Policy* policy,
                                     const TrainerOptions& trainer_options) {
-  PpoTrainer trainer(env, policy, trainer_options);
+  ParallelPpoTrainer trainer({env}, policy, trainer_options);
   BaselineRun run;
   run.kind = kind;
   run.training = trainer.Train();

@@ -5,12 +5,13 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "common/record_codec.h"
 
 namespace atena {
 
@@ -48,6 +49,28 @@ std::string DirectoryOf(const std::string& path) {
   if (slash == std::string::npos) return ".";
   if (slash == 0) return "/";
   return path.substr(0, slash);
+}
+
+/// A magic line that differs from `magic` only in its version token (the
+/// text after the last space) names that version, so a file in a retired
+/// format says why it is refused.
+Status MagicMismatch(const std::string& path, std::string_view magic,
+                     std::string_view found) {
+  const size_t space = magic.rfind(' ');
+  if (space != std::string_view::npos &&
+      found.substr(0, space + 1) == magic.substr(0, space + 1)) {
+    const std::string_view version = found.substr(space + 1);
+    if (!version.empty() && version.size() <= 16 &&
+        version.find(' ') == std::string_view::npos) {
+      return Status::InvalidArgument(
+          "'" + path + "' is " + std::string(magic.substr(0, space)) +
+          " version '" + std::string(version) +
+          "', which is not supported; only " + std::string(magic) +
+          " can be read");
+    }
+  }
+  return Status::InvalidArgument("'" + path + "' is not a " +
+                                 std::string(magic) + " file");
 }
 
 }  // namespace
@@ -119,53 +142,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
   return Status::OK();
 }
 
-Status AppendDurableFile(const std::string& path, std::string_view data) {
-  const bool existed = FileExists(path);
-  int fd = -1;
-  if (InjectFailure("append-open", path) ||
-      (fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)) < 0) {
-    return StepError("append-open", path);
-  }
-  const char* bytes = data.data();
-  size_t remaining = data.size();
-  while (remaining > 0) {
-    ssize_t n;
-    if (InjectFailure("append-write", path) ||
-        (n = ::write(fd, bytes, remaining)) < 0) {
-      // A short prefix of `data` may already be in the file — the torn
-      // suffix readers of append-only files are required to tolerate.
-      Status error = StepError("append-write", path);
-      ::close(fd);
-      return error;
-    }
-    bytes += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  if (InjectFailure("append-fsync", path) || ::fsync(fd) != 0) {
-    Status error = StepError("append-fsync", path);
-    ::close(fd);
-    return error;
-  }
-  if (::close(fd) != 0) return StepError("append-close", path);
-  if (!existed) {
-    // First append created the file: fsync the directory so the new entry
-    // itself survives a crash, like AtomicWriteFile does for its rename.
-    const std::string dir = DirectoryOf(path);
-    int dir_fd;
-    if (InjectFailure("append-dirsync", path) ||
-        (dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY)) < 0) {
-      return StepError("append-dirsync-open", dir);
-    }
-    if (::fsync(dir_fd) != 0) {
-      Status error = StepError("append-dirsync", dir);
-      ::close(dir_fd);
-      return error;
-    }
-    ::close(dir_fd);
-  }
-  return Status::OK();
-}
-
 Status ReadFileToString(const std::string& path, std::string* out) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return StepError("open", path);
@@ -184,17 +160,6 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   ::close(fd);
   *out = std::move(buffer);
   return Status::OK();
-}
-
-Status TrimTornFinalLine(const std::string& path, int64_t* complete_lines) {
-  std::string raw;
-  ATENA_RETURN_IF_ERROR(ReadFileToString(path, &raw));
-  const size_t last_newline = raw.find_last_of('\n');
-  const size_t complete =
-      last_newline == std::string::npos ? 0 : last_newline + 1;
-  *complete_lines = std::count(raw.begin(), raw.begin() + complete, '\n');
-  if (complete == raw.size()) return Status::OK();
-  return AtomicWriteFile(path, std::string_view(raw).substr(0, complete));
 }
 
 DurableAppender::~DurableAppender() { Close(); }
@@ -355,13 +320,15 @@ uint32_t Crc32(std::string_view data) { return Crc32Extend(0, data); }
 
 Status WriteChecksummedFile(const std::string& path, std::string_view magic,
                             std::string_view payload) {
-  std::ostringstream framed;
-  framed << magic << "\n";
-  char crc_hex[9];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  framed << "crc32 " << crc_hex << " size " << payload.size() << "\n";
-  framed << payload;
-  return AtomicWriteFile(path, framed.str());
+  std::string framed(magic);
+  framed += "\ncrc32 ";
+  char crc[8];
+  framed.append(crc, PutHex(crc, Crc32(payload), 8));
+  framed += " size ";
+  Num(framed, payload.size());
+  framed += '\n';
+  framed += payload;
+  return AtomicWriteFile(path, framed);
 }
 
 Status ReadChecksummedFile(const std::string& path, std::string_view magic,
@@ -370,11 +337,13 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
   ATENA_RETURN_IF_ERROR(ReadFileToString(path, &raw));
 
   // Magic line.
-  size_t magic_end = raw.find('\n');
-  if (magic_end == std::string::npos ||
-      std::string_view(raw).substr(0, magic_end) != magic) {
-    return Status::InvalidArgument("'" + path + "' is not a " +
-                                   std::string(magic) + " file");
+  const size_t magic_end = raw.find('\n');
+  const std::string_view found =
+      magic_end == std::string::npos
+          ? std::string_view()
+          : std::string_view(raw).substr(0, magic_end);
+  if (magic_end == std::string::npos || found != magic) {
+    return MagicMismatch(path, magic, found);
   }
   // Header line: "crc32 <hex> size <n>".
   size_t header_end = raw.find('\n', magic_end + 1);
@@ -387,22 +356,9 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
   std::string crc_hex;
   uint64_t declared_size = 0;
   header >> crc_key >> crc_hex >> size_key >> declared_size;
-  // The checksum is written as exactly 8 lowercase hex digits; parse it
-  // strictly so any byte flip inside the digits is itself detected.
   uint32_t declared_crc = 0;
-  bool crc_ok = header && crc_key == "crc32" && size_key == "size" &&
-                crc_hex.size() == 8;
-  for (char c : crc_hex) {
-    if (c >= '0' && c <= '9') {
-      declared_crc = declared_crc * 16 + static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      declared_crc = declared_crc * 16 + static_cast<uint32_t>(c - 'a' + 10);
-    } else {
-      crc_ok = false;
-      break;
-    }
-  }
-  if (!crc_ok) {
+  if (!header || crc_key != "crc32" || size_key != "size" ||
+      !ParseCrc32(crc_hex, &declared_crc)) {
     return Status::IOError("'" + path + "' has a malformed checksum header");
   }
   const size_t body_start = header_end + 1;
@@ -415,10 +371,10 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
   std::string body = raw.substr(body_start);
   const uint32_t actual_crc = Crc32(body);
   if (actual_crc != declared_crc) {
-    char actual_hex[9];
-    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
+    char actual[8];
     return Status::IOError("'" + path + "' checksum mismatch: header " +
-                           crc_hex + ", payload " + actual_hex);
+                           crc_hex + ", payload " +
+                           std::string(actual, PutHex(actual, actual_crc, 8)));
   }
   *payload = std::move(body);
   return Status::OK();

@@ -35,34 +35,18 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents);
 /// carry strerror(errno) detail; `*out` is only modified on success.
 Status ReadFileToString(const std::string& path, std::string* out);
 
-/// Reopens an append-only line log (the JSONL health logs). A crash during
-/// AppendDurableFile can leave a torn final line; this atomically rewrites
-/// `path` without the bytes after its last '\n', so readers see only
-/// complete lines and the next append starts on a line boundary.
-/// `*complete_lines` is set to the number of complete lines whenever the
-/// file could be read, even if the rewrite then fails.
-Status TrimTornFinalLine(const std::string& path, int64_t* complete_lines);
-
-/// Durably appends `data` to `path` (creating it when absent): open with
-/// O_APPEND, write the whole buffer, fsync. When the call creates the file
-/// its directory entry is fsynced too. This is the log-structured sibling
-/// of AtomicWriteFile — it never rewrites existing bytes, so a crash can
-/// only leave a *torn suffix*, never damage what earlier appends made
-/// durable. Readers of append-only files (the serving journal and health
-/// log) must therefore tolerate an incomplete final record.
-/// Consults the same failure hook as AtomicWriteFile with ops
-/// "append-open", "append-write", "append-fsync" and "append-dirsync".
-Status AppendDurableFile(const std::string& path, std::string_view data);
-
-/// The hot-path variant of AppendDurableFile for high-frequency appenders
-/// (the serving journal's group commit): the file descriptor is held open
-/// across appends, and writing is decoupled from flushing — AppendParts
-/// pushes bytes into the kernel (cheap), Sync makes everything appended so
-/// far durable with one fdatasync (the expensive part, paid only at commit
-/// barriers). fdatasync persists the data and the file-size metadata
-/// needed to read it back; a crash can only leave a torn suffix.
-/// Consults the same failure hook with the same "append-*" ops as
-/// AppendDurableFile, so fault matrices cover both. Not thread-safe.
+/// Durable appends to a log-structured file (the serving journal and the
+/// event log): the file descriptor is held open across appends, and
+/// writing is decoupled from flushing — AppendParts pushes bytes into the
+/// kernel (cheap), Sync makes everything appended so far durable with one
+/// fdatasync (the expensive part, paid only at commit barriers).
+/// fdatasync persists the data and the file-size metadata needed to read
+/// it back. This is the log-structured sibling of AtomicWriteFile — it
+/// never rewrites existing bytes, so a crash can only leave a *torn
+/// suffix*, never damage what earlier appends made durable; readers of
+/// append-only files must therefore tolerate an incomplete final record.
+/// Consults the failure hook with ops "append-open", "append-dirsync",
+/// "append-write" and "append-fsync". Not thread-safe.
 class DurableAppender {
  public:
   DurableAppender() = default;
@@ -122,7 +106,9 @@ Status WriteChecksummedFile(const std::string& path, std::string_view magic,
                             std::string_view payload);
 
 /// Reads a container written by WriteChecksummedFile and verifies it end to
-/// end: magic mismatch -> InvalidArgument; short/overlong file or size
+/// end: magic mismatch -> InvalidArgument (naming the file's version when
+/// only the version differs, e.g. a retired "ATENA-NN v2" read as
+/// "ATENA-NN v3"); short/overlong file or size
 /// mismatch -> IOError("... truncated ..."); checksum mismatch ->
 /// IOError("... checksum mismatch ..."). `*payload` is only modified when
 /// every check passes.
@@ -131,8 +117,8 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
 
 /// Fault-injection hook for tests. When set, it is consulted before each
 /// low-level step of AtomicWriteFile — `op` is one of "open", "write",
-/// "fsync", "rename", "dirsync" — and of AppendDurableFile ("append-open",
-/// "append-write", "append-fsync", "append-dirsync") — and returning true
+/// "fsync", "rename", "dirsync" — and of DurableAppender ("append-open",
+/// "append-dirsync", "append-write", "append-fsync") — and returning true
 /// makes that step fail
 /// as if the kernel had returned EIO (temp-file cleanup still runs, so the
 /// atomicity contract can be asserted under every failure point). Pass an

@@ -38,10 +38,11 @@ std::string FormatDouble(double value, int precision = 3);
 /// Pads/truncates `text` to exactly `width` columns (left-aligned).
 std::string PadRight(std::string_view text, size_t width);
 
-/// JSON-safe number for the JSONL health logs: finite doubles round-trip
-/// via %.17g; non-finite ones — which JSON cannot represent — become the
-/// quoted strings "nan"/"inf"/"-inf", so a NaN loss or a ratio over zero
-/// steps can be logged without producing an unparseable line.
+/// JSON-safe number for the JSONL event log (common/event_log.h): finite
+/// doubles round-trip via %.17g; non-finite ones — which JSON cannot
+/// represent — become the quoted strings "nan"/"inf"/"-inf", so a NaN loss
+/// or a ratio over zero steps can be logged without producing an
+/// unparseable line.
 std::string JsonNumber(double value);
 
 /// `"..."` with backslash, quote and control characters escaped — safe to

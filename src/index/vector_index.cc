@@ -226,61 +226,6 @@ void VectorIndex::SplitLeaf(int32_t node_id) {
   PackChildCentroids(&node);
 }
 
-void VectorIndex::BuildNode(int32_t node_id, std::vector<int32_t> ids) {
-  if (ids.size() <= static_cast<size_t>(options_.leaf_capacity)) {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    SetCentroidAndRadius(&node, ids);
-    node.ids = std::move(ids);
-    for (int32_t member : node.ids) PackMember(&node, member);
-    return;
-  }
-  std::vector<int> assignment;
-  const int clusters = KMeans(ids, &assignment);
-  if (clusters < 2) {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    SetCentroidAndRadius(&node, ids);
-    node.ids = std::move(ids);
-    for (int32_t member : node.ids) PackMember(&node, member);
-    node.retry_split_at = node.ids.size() * 2;
-    return;
-  }
-  SetCentroidAndRadius(&nodes_[static_cast<size_t>(node_id)], ids);
-  std::vector<std::vector<int32_t>> members(static_cast<size_t>(clusters));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    members[static_cast<size_t>(assignment[i])].push_back(ids[i]);
-  }
-  std::vector<int32_t> children;
-  children.reserve(static_cast<size_t>(clusters));
-  for (int c = 0; c < clusters; ++c) children.push_back(NewNode());
-  {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    node.leaf = false;
-    node.children = children;
-  }
-  for (int c = 0; c < clusters; ++c) {
-    BuildNode(children[static_cast<size_t>(c)],
-              std::move(members[static_cast<size_t>(c)]));
-  }
-  // Children's centroids are final once their subtrees are built.
-  PackChildCentroids(&nodes_[static_cast<size_t>(node_id)]);
-}
-
-VectorIndex VectorIndex::Build(std::vector<std::vector<double>> vectors) {
-  return Build(std::move(vectors), Options());
-}
-
-VectorIndex VectorIndex::Build(std::vector<std::vector<double>> vectors,
-                               Options options) {
-  VectorIndex index(options);
-  index.vectors_ = std::move(vectors);
-  if (index.vectors_.empty()) return index;
-  std::vector<int32_t> ids(index.vectors_.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-  const int32_t root = index.NewNode();
-  index.BuildNode(root, std::move(ids));
-  return index;
-}
-
 int32_t VectorIndex::Insert(std::vector<double> vector) {
   const int32_t id = static_cast<int32_t>(vectors_.size());
   vectors_.push_back(std::move(vector));

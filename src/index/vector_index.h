@@ -24,9 +24,9 @@ namespace atena {
 /// tests/index_test.cc; exactness argument in DESIGN.md §14).
 ///
 /// Vectors are identified by their insertion order (0, 1, 2, ...). The
-/// tree shape depends on how the index was grown (batch build vs
-/// incremental inserts), but query *results* never do — both paths scan
-/// an unpruned candidate set that provably contains the optimum.
+/// index grows by Insert; the tree shape decides only the pruning rate,
+/// never a query *result* — every query scans an unpruned candidate set
+/// that provably contains the optimum.
 ///
 /// Vectors of different lengths are allowed: distances follow
 /// EuclideanDistance's documented tails-count-as-distance-from-zero
@@ -69,13 +69,6 @@ class VectorIndex {
 
   VectorIndex();
   explicit VectorIndex(Options options);
-
-  /// Batch-builds by recursive top-down k-means over all of `vectors`
-  /// (ids follow the input order). Equivalent to inserting one by one in
-  /// every observable way except tree shape / pruning rate.
-  static VectorIndex Build(std::vector<std::vector<double>> vectors);
-  static VectorIndex Build(std::vector<std::vector<double>> vectors,
-                           Options options);
 
   /// Appends `vector` and threads it into the tree (descend to the
   /// nearest child at each level, growing each visited ball; split
@@ -151,8 +144,6 @@ class VectorIndex {
   /// Rebuilds a node's packed child-centroid arena from its children.
   void PackChildCentroids(Node* node);
   void SplitLeaf(int32_t node_id);
-  /// Recursive top-down batch build of `ids` under `node_id`.
-  void BuildNode(int32_t node_id, std::vector<int32_t> ids);
   /// Deterministic k-means over the member set; returns per-member
   /// cluster assignments and the cluster count (1 = unseparable).
   int KMeans(const std::vector<int32_t>& ids,

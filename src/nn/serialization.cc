@@ -1,103 +1,99 @@
 #include "nn/serialization.h"
 
-#include <iomanip>
-#include <limits>
-#include <sstream>
-
 #include "common/file_io.h"
 
 namespace atena {
 
 namespace {
-constexpr char kMagicPrefix[] = "ATENA-NN";
-constexpr char kVersion[] = "v2";
+constexpr char kMagic[] = "ATENA-NN v3";
 }  // namespace
 
-std::string SerializeParameters(const std::vector<Parameter*>& params) {
-  std::ostringstream out;
-  out << kMagicPrefix << " " << kVersion << "\n" << params.size() << "\n";
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
+void EncodeMatrix(std::string& out, const Matrix& m) {
+  Num(out, m.rows());
+  out += ' ';
+  Num(out, m.cols());
+  out += '\n';
+  const auto& data = m.data();
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (i > 0) out += ' ';
+    F64(out, data[i]);
+  }
+  out += '\n';
+}
+
+Status ReadMatrixLike(PayloadReader& reader, const Matrix& expected,
+                      const std::string& what, Matrix* out) {
+  int rows = 0, cols = 0;
+  ATENA_RETURN_IF_ERROR(reader.Read(&rows, "matrix rows"));
+  ATENA_RETURN_IF_ERROR(reader.Read(&cols, "matrix cols"));
+  if (rows != expected.rows() || cols != expected.cols()) {
+    return Status::FailedPrecondition(
+        what + " shape mismatch: file " + std::to_string(rows) + "x" +
+        std::to_string(cols) + ", network " + expected.ShapeString());
+  }
+  Matrix m(rows, cols);
+  for (double& v : m.data()) {
+    ATENA_RETURN_IF_ERROR(reader.ReadF64(&v, "matrix value"));
+  }
+  *out = std::move(m);
+  return Status::OK();
+}
+
+void EncodeParameters(std::string& out,
+                      const std::vector<Parameter*>& params) {
+  Field(out, "params", params.size());
   for (const Parameter* p : params) {
-    out << (p->name.empty() ? "_" : p->name) << " " << p->value.rows() << " "
-        << p->value.cols() << "\n";
-    const auto& data = p->value.data();
-    for (size_t i = 0; i < data.size(); ++i) {
-      out << data[i] << (i + 1 == data.size() ? "" : " ");
-    }
-    out << "\n";
+    EncodeString(out, p->name.empty() ? "_" : p->name);
+    out += ' ';
+    EncodeMatrix(out, p->value);
   }
-  return out.str();
 }
 
-Status SaveParameters(const std::vector<Parameter*>& params,
-                      const std::string& path) {
-  return AtomicWriteFile(path, SerializeParameters(params));
-}
-
-Status ParseParametersInto(const std::vector<Parameter*>& params,
-                           std::istream& in, const std::string& source,
-                           std::vector<Matrix>* staged) {
-  std::string prefix, version;
-  in >> prefix >> version;
-  if (!in || prefix != kMagicPrefix) {
-    return Status::InvalidArgument("'" + source +
-                                   "' is not an ATENA-NN block");
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument(
-        "'" + source + "' is ATENA-NN version '" + version +
-        "', which is not supported; only " + kVersion + " can be read");
-  }
-  size_t count = 0;
-  in >> count;
-  if (!in) return Status::InvalidArgument("'" + source + "' truncated");
-  if (count != params.size()) {
+Status ReadParameters(PayloadReader& reader,
+                      const std::vector<Parameter*>& params,
+                      std::vector<Matrix>* staged) {
+  int64_t count = 0;
+  ATENA_RETURN_IF_ERROR(reader.ReadField("params", &count));
+  if (count != static_cast<int64_t>(params.size())) {
     return Status::FailedPrecondition(
         "parameter count mismatch: file has " + std::to_string(count) +
         ", network has " + std::to_string(params.size()));
   }
-  // Stage into a buffer first so a truncated block cannot leave the network
-  // half-loaded.
-  std::vector<Matrix> out;
-  out.reserve(count);
-  for (size_t k = 0; k < count; ++k) {
+  std::vector<Matrix> out(params.size());
+  for (size_t k = 0; k < params.size(); ++k) {
     std::string name;
-    in >> name;
-    if (!in) return Status::InvalidArgument("'" + source + "' truncated");
+    ATENA_RETURN_IF_ERROR(reader.ReadString(&name, "parameter name"));
     if (name != "_" && !params[k]->name.empty() && name != params[k]->name) {
       return Status::FailedPrecondition(
           "parameter name mismatch at index " + std::to_string(k) +
           ": file '" + name + "', network '" + params[k]->name + "'");
     }
-    int rows = 0, cols = 0;
-    in >> rows >> cols;
-    if (!in || rows != params[k]->value.rows() ||
-        cols != params[k]->value.cols()) {
-      return Status::FailedPrecondition(
-          "shape mismatch at parameter " + std::to_string(k) + ": file " +
-          std::to_string(rows) + "x" + std::to_string(cols) + ", network " +
-          params[k]->value.ShapeString());
-    }
-    Matrix m(rows, cols);
-    for (double& v : m.data()) {
-      in >> v;
-      if (!in) {
-        return Status::InvalidArgument("'" + source + "' truncated");
-      }
-    }
-    out.push_back(std::move(m));
+    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, params[k]->value,
+                                         "parameter " + std::to_string(k),
+                                         &out[k]));
   }
   *staged = std::move(out);
   return Status::OK();
 }
 
+std::string SerializeParameters(const std::vector<Parameter*>& params) {
+  std::string out;
+  EncodeParameters(out, params);
+  return out;
+}
+
+Status SaveParameters(const std::vector<Parameter*>& params,
+                      const std::string& path) {
+  return WriteChecksummedFile(path, kMagic, SerializeParameters(params));
+}
+
 Status LoadParameters(const std::vector<Parameter*>& params,
                       const std::string& path) {
-  std::string text;
-  ATENA_RETURN_IF_ERROR(ReadFileToString(path, &text));
-  std::istringstream in(text);
+  std::string payload;
+  ATENA_RETURN_IF_ERROR(ReadChecksummedFile(path, kMagic, &payload));
+  PayloadReader reader(payload, "'" + path + "'");
   std::vector<Matrix> staged;
-  ATENA_RETURN_IF_ERROR(ParseParametersInto(params, in, path, &staged));
+  ATENA_RETURN_IF_ERROR(ReadParameters(reader, params, &staged));
   for (size_t k = 0; k < staged.size(); ++k) {
     params[k]->value = std::move(staged[k]);
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "common/file_io.h"
 #include "eda/record_codec.h"
@@ -14,7 +13,7 @@ namespace atena {
 
 namespace {
 
-constexpr char kCkptMagic[] = "ATENA-CKPT v2";
+constexpr char kCkptMagic[] = "ATENA-CKPT v3";
 
 std::string RenameError(const std::string& from, const std::string& to) {
   return "rename '" + from + "' -> '" + to + "' failed: " +
@@ -22,10 +21,12 @@ std::string RenameError(const std::string& from, const std::string& to) {
 }
 
 // The payload is written and read through the record codec
-// (eda/record_codec.h), so every double travels as its exact bit pattern;
-// only the checkpoint's own shapes — operation lists and Adam moment
-// matrices — live here. Nothing is committed to the caller's network or
-// optimizer until the whole payload has been validated.
+// (common/record_codec.h), so every double travels as its exact bit
+// pattern; the weights and Adam moments use the parameter codec
+// (nn/serialization.h) and the operations the session-state codec
+// (eda/record_codec.h). Only the checkpoint's own operation lists live
+// here. Nothing is committed to the caller's network or optimizer until
+// the whole payload has been validated.
 
 void EncodeOpList(std::string& out, const char* keyword,
                   const std::vector<EdaOperation>& ops) {
@@ -44,41 +45,9 @@ Status ReadOpList(PayloadReader& reader, const char* keyword,
   ops->clear();
   for (int64_t i = 0; i < count; ++i) {
     EdaOperation op;
-    ATENA_RETURN_IF_ERROR(reader.ReadOp(&op));
+    ATENA_RETURN_IF_ERROR(ReadOp(reader, &op));
     ops->push_back(std::move(op));
   }
-  return Status::OK();
-}
-
-void EncodeMatrix(std::string& out, const Matrix& m) {
-  Num(out, m.rows());
-  out += ' ';
-  Num(out, m.cols());
-  out += '\n';
-  const auto& data = m.data();
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (i > 0) out += ' ';
-    F64(out, data[i]);
-  }
-  out += '\n';
-}
-
-/// Reads a matrix whose shape must equal `expected`'s.
-Status ReadMatrixLike(PayloadReader& reader, const Matrix& expected,
-                      const char* what, Matrix* out) {
-  int rows = 0, cols = 0;
-  ATENA_RETURN_IF_ERROR(reader.Read(&rows, what));
-  ATENA_RETURN_IF_ERROR(reader.Read(&cols, what));
-  if (rows != expected.rows() || cols != expected.cols()) {
-    return reader.Fail(std::string(what) + " shape " + std::to_string(rows) +
-                       "x" + std::to_string(cols) + " does not match network " +
-                       expected.ShapeString());
-  }
-  Matrix m(rows, cols);
-  for (double& v : m.data()) {
-    ATENA_RETURN_IF_ERROR(reader.ReadF64(&v, what));
-  }
-  *out = std::move(m);
   return Status::OK();
 }
 
@@ -131,6 +100,9 @@ std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
     EncodeMatrix(out, ckpt.adam_v[k]);
   }
 
+  // The network weights: the parameter section of the weight file.
+  EncodeParameters(out, params);
+
   // Guard recovery state travels only once an anomaly has occurred (see
   // TrainingCheckpoint::guard).
   if (!ckpt.guard.IsDefault()) {
@@ -144,10 +116,6 @@ std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
     Num(out, ckpt.guard.events_logged);
     out += '\n';
   }
-
-  // The network weights, embedded as a verbatim ATENA-NN v2 block.
-  out += "params\n";
-  out += SerializeParameters(params);
   out += "end\n";
   return out;
 }
@@ -218,14 +186,17 @@ Status DecodeCheckpointPayload(const std::string& payload,
   for (int64_t k = 0; k < moment_count; ++k) {
     Matrix m, v;
     const Matrix& expected = params[static_cast<size_t>(k)]->value;
-    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, expected, "adam m", &m));
-    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, expected, "adam v", &v));
+    const std::string what = "adam moment " + std::to_string(k);
+    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, expected, what, &m));
+    ATENA_RETURN_IF_ERROR(ReadMatrixLike(reader, expected, what, &v));
     ckpt.adam_m.push_back(std::move(m));
     ckpt.adam_v.push_back(std::move(v));
   }
 
-  // The optional guard section sits between the Adam moments and the
-  // parameter block; its absence means "no guard event ever happened".
+  ATENA_RETURN_IF_ERROR(ReadParameters(reader, params, &ckpt.param_values));
+
+  // The optional guard section sits between the weights and the end
+  // marker; its absence means "no guard event ever happened".
   std::string section;
   ATENA_RETURN_IF_ERROR(reader.Read(&section, "section keyword"));
   if (section == "guard") {
@@ -244,13 +215,9 @@ Status DecodeCheckpointPayload(const std::string& payload,
     }
     ATENA_RETURN_IF_ERROR(reader.Read(&section, "section keyword"));
   }
-  if (section != "params") {
-    return reader.Fail("expected section 'params', got '" + section + "'");
+  if (section != "end") {
+    return reader.Fail("expected section 'end', got '" + section + "'");
   }
-  ATENA_RETURN_IF_ERROR(
-      ParseParametersInto(params, reader.stream(), source,
-                          &ckpt.param_values));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("end"));
 
   *out = std::move(ckpt);
   return Status::OK();
@@ -330,30 +297,22 @@ Status LoadPolicyParameters(const std::string& path,
   std::string text;
   const Status read = ReadFileToString(path, &text);
   if (read.ok() && text.rfind("ATENA-NN", 0) == 0) {
-    std::istringstream in(text);
-    std::vector<Matrix> staged;
-    Status parsed = ParseParametersInto(params, in, path, &staged);
-    if (!parsed.ok()) {
-      if (parsed.code() == StatusCode::kFailedPrecondition) {
-        // Architecture mismatch: the container was trained with a network
-        // this policy was not constructed as. Keep the shape detail and
-        // say what to fix.
-        return Status::FailedPrecondition(
-            "'" + path + "': " + parsed.message() +
-            " — the policy must be constructed with the hidden sizes and "
-            "dataset schema the container was trained with");
-      }
-      return parsed;
+    Status loaded = LoadParameters(params, path);
+    if (loaded.code() == StatusCode::kFailedPrecondition) {
+      // Architecture mismatch: the container was trained with a network
+      // this policy was not constructed as. Keep the shape detail and say
+      // what to fix.
+      return Status::FailedPrecondition(
+          "'" + path + "': " + loaded.message() +
+          " — the policy must be constructed with the hidden sizes and "
+          "dataset schema the container was trained with");
     }
-    for (size_t k = 0; k < staged.size(); ++k) {
-      params[k]->value = std::move(staged[k]);
-    }
-    return Status::OK();
+    return loaded;
   }
 
   // Anything else is treated as an ATENA-CKPT container; the loader
   // recovers from `<path>.prev` when the primary is corrupt, and its
-  // decoder validates the embedded parameter block against `params`.
+  // decoder validates the embedded parameter section against `params`.
   const bool looks_like_ckpt =
       read.ok() && text.rfind("ATENA-CKPT", 0) == 0;
   TrainingCheckpoint ckpt;
@@ -367,8 +326,8 @@ Status LoadPolicyParameters(const std::string& path,
     }
     return loaded;
   }
-  // ParseParametersInto (inside the decoder) guarantees one staged matrix
-  // per network parameter, already shape-checked.
+  // ReadParameters (inside the decoder) guarantees one staged matrix per
+  // network parameter, already shape-checked.
   for (size_t k = 0; k < params.size(); ++k) {
     params[k]->value = std::move(ckpt.param_values[k]);
   }

@@ -13,11 +13,11 @@
 
 namespace atena {
 
-/// Durable training checkpoints — the `ATENA-CKPT v2` container.
+/// Durable training checkpoints — the `ATENA-CKPT v3` container.
 ///
 /// A checkpoint captures *everything* ParallelPpoTrainer::Train needs to
 /// continue a run bit-identically after a crash or interruption: the
-/// network weights (the existing ATENA-NN v2 block, embedded verbatim), the
+/// network weights (the weight file's parameter section), the
 /// Adam moments and step count that a bare weight file silently loses, the
 /// trainer's rollout position and Rng stream, the learning curve and
 /// best-episode record accumulated so far, and — per actor — the
@@ -26,12 +26,13 @@ namespace atena {
 /// stack deterministically without consuming any randomness).
 ///
 /// The payload is written and read through the record codec the serving
-/// journal uses (eda/record_codec.h), so every double is stored as its
-/// exact bit pattern. On disk it travels inside a CRC32-checksummed frame
-/// (common/file_io.h) and is written with atomic rotation: the previous
-/// good snapshot survives at `<path>.prev` until a new one is fully
-/// durable, so a crash at any byte offset of a save leaves at least one
-/// loadable checkpoint. See DESIGN.md §8 for the layout and failure model.
+/// journal and the weight file use (common/record_codec.h), so every
+/// double is stored as its exact bit pattern. On disk it travels inside a
+/// CRC32-checksummed frame (common/file_io.h) and is written with atomic
+/// rotation: the previous good snapshot survives at `<path>.prev` until a
+/// new one is fully durable, so a crash at any byte offset of a save
+/// leaves at least one loadable checkpoint. See DESIGN.md §8 for the
+/// layout and failure model.
 
 /// Snapshot of one actor's in-flight episode at an update boundary.
 struct ActorCheckpoint {
@@ -46,7 +47,7 @@ struct ActorCheckpoint {
   std::vector<EdaOperation> episode_ops;
 };
 
-/// In-memory image of one ATENA-CKPT v2 snapshot.
+/// In-memory image of one ATENA-CKPT v3 snapshot.
 struct TrainingCheckpoint {
   /// Rollout position: environment steps completed across all actors.
   int steps_done = 0;
@@ -89,7 +90,7 @@ std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
                                     const TrainingCheckpoint& ckpt);
 
 /// Parses a payload produced by EncodeCheckpointPayload, validating the
-/// embedded parameter block against `params` (count/names/shapes) and the
+/// parameter section against `params` (count/names/shapes) and the
 /// Adam moments against the same shapes. Everything is staged into `*out`;
 /// neither `params` nor any optimizer is touched, so a failed load can
 /// never leave a network half-restored.
@@ -138,11 +139,13 @@ Status LoadTrainingCheckpoint(const std::string& path,
 bool OpExecutableOn(const Table& table, const EdaOperation& op);
 
 /// Loads ONLY the network weights from `path` into `params`, accepting
-/// either container this project writes:
-///  - a bare ATENA-NN v2 parameter file (nn/serialization.h), or
-///  - a full ATENA-CKPT v2 training checkpoint, whose embedded parameter
-///    block is used (with the same `.prev` fallback as
-///    LoadTrainingCheckpoint when the primary is corrupt).
+/// either container this project writes, chosen by its magic line:
+///  - a bare ATENA-NN v3 weight file (nn/serialization.h, LoadParameters),
+///    or
+///  - a full ATENA-CKPT v3 training checkpoint, whose parameter section is
+///    used (with the same `.prev` fallback as LoadTrainingCheckpoint when
+///    the primary is corrupt).
+/// Both are CRC-framed, so a truncated or corrupted file is refused.
 /// The container's architecture is validated against the constructed
 /// network (parameter count, names, shapes): a policy built with different
 /// hidden sizes or over a different dataset schema fails with a

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/string_utils.h"
 
@@ -51,7 +50,7 @@ const char* GuardTriggerName(GuardTrigger trigger) {
 }
 
 TrainingGuard::TrainingGuard(GuardrailOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), log_(options_.health_log_path) {}
 
 GuardTrigger TrainingGuard::Check(int update_index, const UpdateStats& stats,
                                   double mean_episode_reward,
@@ -149,21 +148,7 @@ void TrainingGuard::RestoreCheckpointState(const GuardCheckpointState& state,
   grad_norms_.clear();
   rewards_.clear();
   reward_strikes_ = 0;
-  log_open_ = false;
-  if (state_.events_logged > 0 && !options_.health_log_path.empty() &&
-      FileExists(options_.health_log_path)) {
-    // Continue the interrupted run's log, minus any torn final line a
-    // crash mid-append left behind. A log that cannot be read is replaced
-    // by the next event; one that was read but not trimmed is kept.
-    int64_t lines = -1;
-    Status reopened = TrimTornFinalLine(options_.health_log_path, &lines);
-    if (!reopened.ok()) {
-      ATENA_LOG(kWarning) << "training guard: could not reload health log "
-                          << options_.health_log_path << ": "
-                          << reopened.ToString();
-    }
-    log_open_ = lines >= 0;
-  }
+  if (state_.events_logged > 0) log_.Continue();
 }
 
 GuardrailSummary TrainingGuard::summary() const {
@@ -179,43 +164,33 @@ void TrainingGuard::AppendEvent(GuardTrigger trigger, int update_index,
                                 double mean_episode_reward,
                                 const char* action) {
   ++state_.events_logged;
-  std::string line;
-  line += "{\"event\":";
-  line += std::to_string(state_.events_logged);
-  line += ",\"update\":";
-  line += std::to_string(update_index);
-  line += ",\"trigger\":\"";
-  line += GuardTriggerName(trigger);
-  line += "\",\"policy_loss\":";
-  line += JsonNumber(stats.policy_loss);
-  line += ",\"value_loss\":";
-  line += JsonNumber(stats.value_loss);
-  line += ",\"entropy\":";
-  line += JsonNumber(stats.entropy);
-  line += ",\"grad_norm_max\":";
-  line += JsonNumber(stats.grad_norm_max);
-  line += ",\"nonfinite_grad_values\":";
-  line += std::to_string(stats.nonfinite_grad_values);
-  line += ",\"mean_episode_reward\":";
-  line += JsonNumber(mean_episode_reward);
-  line += ",\"action\":\"";
-  line += action;
-  line += "\",\"last_good_update\":";
-  line += std::to_string(state_.last_good_update);
-  line += ",\"retries_used\":";
-  line += std::to_string(state_.retries_used);
-  line += ",\"lr_scale\":";
-  line += JsonNumber(state_.lr_scale);
-  line += "}\n";
-  if (options_.health_log_path.empty()) return;
-  Status write = log_open_ ? AppendDurableFile(options_.health_log_path, line)
-                           : AtomicWriteFile(options_.health_log_path, line);
-  log_open_ = log_open_ || write.ok();
-  if (!write.ok()) {
-    // Health logging must never take training down with it.
-    ATENA_LOG(kWarning) << "training guard: health log write failed: "
-                        << write.ToString();
-  }
+  if (!log_.enabled()) return;
+  std::string fields;
+  fields += "\"update\":";
+  fields += std::to_string(update_index);
+  fields += ",\"trigger\":\"";
+  fields += GuardTriggerName(trigger);
+  fields += "\",\"policy_loss\":";
+  fields += JsonNumber(stats.policy_loss);
+  fields += ",\"value_loss\":";
+  fields += JsonNumber(stats.value_loss);
+  fields += ",\"entropy\":";
+  fields += JsonNumber(stats.entropy);
+  fields += ",\"grad_norm_max\":";
+  fields += JsonNumber(stats.grad_norm_max);
+  fields += ",\"nonfinite_grad_values\":";
+  fields += std::to_string(stats.nonfinite_grad_values);
+  fields += ",\"mean_episode_reward\":";
+  fields += JsonNumber(mean_episode_reward);
+  fields += ",\"action\":\"";
+  fields += action;
+  fields += "\",\"last_good_update\":";
+  fields += std::to_string(state_.last_good_update);
+  fields += ",\"retries_used\":";
+  fields += std::to_string(state_.retries_used);
+  fields += ",\"lr_scale\":";
+  fields += JsonNumber(state_.lr_scale);
+  log_.Append("guard", fields);
 }
 
 }  // namespace atena

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_log.h"
 #include "common/status.h"
 
 namespace atena {
@@ -62,9 +63,9 @@ struct GuardrailOptions {
   int max_retries = 3;
   double lr_backoff = 0.5;
 
-  /// JSONL health log (one object per guard event, see DESIGN.md §10 for
-  /// the schema), written whole-file through the atomic file_io path so a
-  /// crash can never leave a torn log. Empty disables logging.
+  /// JSONL health log (common/event_log.h; one "guard" event per anomaly,
+  /// see DESIGN.md §10 for the fields). A fresh run replaces an older log at
+  /// its first event; a resumed run continues it. Empty disables logging.
   std::string health_log_path;
 };
 
@@ -174,19 +175,16 @@ class TrainingGuard {
 
   /// Restores state captured by checkpoint_state(). `resumed_update` is
   /// the checkpoint's update index, used as the last-good boundary when
-  /// the persisted state predates any guard event. Reopens the existing
-  /// health log (if any, trimming a torn final line) so post-resume events
-  /// append rather than clobber.
+  /// the persisted state predates any guard event. Once the run had logged
+  /// events, continues the existing health log (trimming a torn final
+  /// line) so post-resume events append rather than clobber.
   void RestoreCheckpointState(const GuardCheckpointState& state,
                               int resumed_update);
 
   GuardrailSummary summary() const;
 
  private:
-  /// Writes one JSONL record to health_log_path (when configured). The
-  /// first event of a fresh run replaces any older file there; every later
-  /// event, and every event of a run resumed over its existing log, is one
-  /// durable append (AppendDurableFile), so N events cost O(N) bytes.
+  /// Counts the event and writes it to the health log (when configured).
   void AppendEvent(GuardTrigger trigger, int update_index,
                    const UpdateStats& stats, double mean_episode_reward,
                    const char* action);
@@ -200,9 +198,7 @@ class TrainingGuard {
   std::vector<double> rewards_;
   int reward_strikes_ = 0;
 
-  /// True once the health log at health_log_path belongs to this run:
-  /// its first event was written, or a resume reopened the existing log.
-  bool log_open_ = false;
+  EventLog log_;
 };
 
 }  // namespace atena

@@ -41,8 +41,8 @@ ParallelPpoTrainer::ParallelPpoTrainer(std::vector<EdaEnvironment*> envs,
       options_(options),
       // Multi-actor runs decorrelate their exploration stream from the
       // single-env trainer's; the 1-actor instance keeps the plain seed
-      // because it IS the single-env trainer (PpoTrainer delegates here and
-      // must reproduce its historical output bit for bit).
+      // because it IS the single-env trainer and must reproduce its
+      // historical output bit for bit.
       rng_(envs_.size() > 1 ? options.seed ^ 0x5151 : options.seed),
       buffer_(envs_.size()),
       updater_(policy, UpdaterOptions(options)) {

@@ -1,6 +1,7 @@
 #ifndef ATENA_RL_PARALLEL_TRAINER_H_
 #define ATENA_RL_PARALLEL_TRAINER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,12 +12,15 @@
 
 namespace atena {
 
-/// Synchronous multi-actor variant of PpoTrainer — the substrate's
-/// equivalent of the paper's A3C training (§6.1): several environment
-/// instances over the same dataset (different exploration seeds) advance
-/// in lockstep, and every policy update learns from the interleaved
-/// experience of all actors. Unlike true A3C the updates are synchronous
-/// (DESIGN.md substitution #2), which keeps runs deterministic.
+/// The PPO/A2C trainer — the substrate's equivalent of the paper's A3C
+/// training (§6.1): it collects fixed-length rollouts, computes GAE(λ)
+/// advantages and runs several clipped-surrogate epochs per rollout over
+/// the shared RolloutBuffer/PpoUpdater machinery (rl/rollout.h). Several
+/// environment instances over the same dataset (different exploration
+/// seeds) advance in lockstep, and every policy update learns from the
+/// interleaved experience of all actors. Unlike true A3C the updates are
+/// synchronous (DESIGN.md substitution #2), which keeps runs
+/// deterministic.
 ///
 /// Each lockstep tick issues exactly one batched Policy::ActBatch over all
 /// actors' observations — one network forward per tick regardless of the
@@ -27,9 +31,9 @@ namespace atena {
 /// its environment and Rng stream, step outcomes land in index-addressed
 /// slots, and the commit into the RolloutBuffer — with every floating-point
 /// reduction (episode rewards, best-episode tracking, reward windows) —
-/// runs serially in fixed actor order. The 1-actor instance IS the
-/// single-env trainer: PpoTrainer delegates here, and its training output
-/// is bit-identical to the historical per-step implementation.
+/// runs serially in fixed actor order. A 1-actor instance is the
+/// single-env trainer; its training output is bit-identical to the
+/// historical per-step implementation.
 ///
 /// All environments must expose identical observation and action spaces
 /// (same dataset/config); each should carry its own seed, and each must
@@ -59,7 +63,7 @@ class ParallelPpoTrainer {
     std::vector<EdaOperation> episode_ops;
   };
 
-  /// Builds the full ATENA-CKPT v2 snapshot of the current trainer state.
+  /// Builds the full ATENA-CKPT v3 snapshot of the current trainer state.
   /// Valid only at update boundaries (the rollout buffer must be empty).
   TrainingCheckpoint BuildCheckpoint(const std::vector<ActorState>& actors,
                                      int steps_done, int updates_done) const;

@@ -2,8 +2,6 @@
 
 #include <csignal>
 
-#include "rl/parallel_trainer.h"
-
 namespace atena {
 
 namespace {
@@ -15,19 +13,5 @@ volatile std::sig_atomic_t g_training_stop_requested = 0;
 void RequestTrainingStop() { g_training_stop_requested = 1; }
 bool TrainingStopRequested() { return g_training_stop_requested != 0; }
 void ClearTrainingStopRequest() { g_training_stop_requested = 0; }
-
-PpoTrainer::PpoTrainer(EdaEnvironment* env, Policy* policy,
-                       TrainerOptions options)
-    : env_(env), policy_(policy), options_(options) {}
-
-TrainingResult PpoTrainer::Train() {
-  // The single-env trainer is the 1-actor special case of the parallel
-  // trainer: same rollout buffer, GAE, and PPO epochs (rl/rollout.h), same
-  // rng stream (the parallel trainer keeps the plain seed for one actor),
-  // so the output is bit-identical to the historical implementation.
-  ParallelPpoTrainer inner({env_}, policy_, options_);
-  if (progress_) inner.SetProgressCallback(progress_);
-  return inner.Train();
-}
 
 }  // namespace atena

@@ -1,7 +1,6 @@
 #ifndef ATENA_RL_TRAINER_H_
 #define ATENA_RL_TRAINER_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,7 @@ struct TrainerOptions {
 
   /// Durable crash-safe checkpointing (rl/checkpoint.h, DESIGN.md §8).
   /// Empty disables. When set, Train() writes rotating `<path>` +
-  /// `<path>.prev` ATENA-CKPT v2 snapshots at update boundaries and on
+  /// `<path>.prev` ATENA-CKPT v3 snapshots at update boundaries and on
   /// cooperative interruption (RequestTrainingStop), so a crash, OOM-kill
   /// or Ctrl-C loses at most `checkpoint_every_updates` updates of work.
   std::string checkpoint_path;
@@ -112,32 +111,6 @@ struct TrainingResult {
   Status guard_status;
   /// Guardrail accounting for the run (zeroes when guardrails are off).
   GuardrailSummary guard;
-};
-
-/// Synchronous PPO/A2C trainer over one EDA environment. Collects
-/// fixed-length rollouts, computes GAE(λ) advantages, and runs several
-/// clipped-surrogate epochs per rollout.
-///
-/// Since the trainer-core unification this is a thin facade: Train() runs a
-/// 1-actor ParallelPpoTrainer (rl/parallel_trainer.h) over the shared
-/// RolloutBuffer/PpoUpdater machinery in rl/rollout.h, and produces output
-/// bit-identical to the historical standalone implementation.
-class PpoTrainer {
- public:
-  PpoTrainer(EdaEnvironment* env, Policy* policy, TrainerOptions options);
-
-  /// Optional progress callback, invoked once per rollout.
-  void SetProgressCallback(std::function<void(const CurvePoint&)> callback) {
-    progress_ = std::move(callback);
-  }
-
-  TrainingResult Train();
-
- private:
-  EdaEnvironment* env_;
-  Policy* policy_;
-  TrainerOptions options_;
-  std::function<void(const CurvePoint&)> progress_;
 };
 
 }  // namespace atena

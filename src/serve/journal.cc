@@ -1,6 +1,5 @@
 #include "serve/journal.h"
 
-#include <cstdio>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -62,8 +61,9 @@ RngState MaterializeJournalRng(const JournalRng& rng,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Payload encoding through the record codec (eda/record_codec.h); only the
-// journal's own forms live here.
+// Payload encoding through the record codec (common/record_codec.h, with
+// the operation shapes of eda/record_codec.h); only the journal's own forms
+// live here.
 
 // Tick entries carry the delta form when possible ("d <draws> <spare>"),
 // the full state ("F <state>") otherwise — the dominant byte saving of
@@ -231,7 +231,7 @@ std::string EncodeSnapPayload(const JournalSnapshot& snap) {
 
 Status ReadJournalRng(PayloadReader& reader, JournalRng* rng) {
   std::string tag;
-  if (!(reader.stream() >> tag)) return reader.Fail("truncated rng");
+  ATENA_RETURN_IF_ERROR(reader.Read(&tag, "rng"));
   if (tag == "F") {
     rng->full = true;
     return reader.ReadRng(&rng->state);
@@ -256,7 +256,7 @@ Status ReadStep(PayloadReader& reader, ServedStep* step) {
   ATENA_RETURN_IF_ERROR(reader.ReadF64(&step->reward, "step reward"));
   ATENA_RETURN_IF_ERROR(
       reader.Read(&step->display_signature, "step signature"));
-  return reader.ReadOp(&step->op);
+  return ReadOp(reader, &step->op);
 }
 
 Status DecodeMetaPayload(PayloadReader& reader, JournalMeta* meta) {
@@ -299,7 +299,7 @@ Status DecodeTickPayload(PayloadReader& reader, JournalTick* tick) {
   out.entries.reserve(static_cast<size_t>(count));
   for (int64_t i = 0; i < count; ++i) {
     std::string tag;
-    if (!(reader.stream() >> tag)) return reader.Fail("truncated tick entry");
+    ATENA_RETURN_IF_ERROR(reader.Read(&tag, "tick entry"));
     JournalTickEntry entry;
     if (tag == "q") {
       entry.kind = JournalTickEntry::Kind::kQuarantine;
@@ -418,10 +418,15 @@ Status DecodeSnapPayload(PayloadReader& reader, JournalSnapshot* snap) {
 /// "ATJ <type> <crc32-8hex> <payload-bytes>\n": the frame line of every
 /// record, appended or written by a compaction.
 std::string FrameLine(const char* type, uint32_t crc, size_t payload_bytes) {
-  char line[64];
-  const int len = std::snprintf(line, sizeof(line), "ATJ %s %08x %zu\n", type,
-                                crc, payload_bytes);
-  return std::string(line, static_cast<size_t>(len));
+  std::string line = "ATJ ";
+  line += type;
+  line += ' ';
+  char hex[8];
+  line.append(hex, PutHex(hex, crc, 8));
+  line += ' ';
+  Num(line, payload_bytes);
+  line += '\n';
+  return line;
 }
 
 /// Parses one "ATJ <type> <crc> <size>" frame-header line. Strict: exactly
@@ -433,19 +438,7 @@ bool ParseFrameHeader(std::string_view line, std::string* type,
   std::string magic, crc_hex, extra;
   if (!(in >> magic >> *type >> crc_hex >> *size)) return false;
   if (in >> extra) return false;
-  if (magic != "ATJ" || crc_hex.size() != 8) return false;
-  uint32_t declared = 0;
-  for (char c : crc_hex) {
-    if (c >= '0' && c <= '9') {
-      declared = declared * 16 + static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      declared = declared * 16 + static_cast<uint32_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  *crc = declared;
-  return true;
+  return magic == "ATJ" && ParseCrc32(crc_hex, crc);
 }
 
 /// Decodes one verified record payload into `out`. `index` is the record's

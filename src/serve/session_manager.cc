@@ -105,6 +105,7 @@ SessionManager::SessionManager(std::shared_ptr<const PolicySnapshot> snapshot,
     : snapshot_(std::move(snapshot)),
       options_(std::move(options)),
       health_log_(options_.health_log_path) {
+  health_log_.Continue();
   // The shared cache is configured exactly like a training environment's.
   const EnvConfig& env = snapshot_->options().env;
   if (env.display_cache_enabled && env.display_cache_capacity > 0) {
@@ -146,10 +147,10 @@ Result<uint64_t> SessionManager::Admit(const SessionConfig& config) {
     if (live >= options_.max_sessions) {
       ++stats_.shed;
       if (health_log_.enabled()) {
-        health_log_.Append("\"type\":\"shed\",\"seed\":" +
-                           std::to_string(config.seed) +
-                           ",\"live\":" + std::to_string(live) +
-                           ",\"detail\":\"at max_sessions\"");
+        health_log_.Append("shed", "\"seed\":" +
+                                       std::to_string(config.seed) +
+                                       ",\"live\":" + std::to_string(live) +
+                                       ",\"detail\":\"at max_sessions\"");
       }
       return Status::ResourceExhausted(
           "admission refused: " + std::to_string(live) +
@@ -163,10 +164,10 @@ Result<uint64_t> SessionManager::Admit(const SessionConfig& config) {
         overloaded_ && live >= watermark) {
       ++stats_.shed;
       if (health_log_.enabled()) {
-        health_log_.Append("\"type\":\"shed\",\"seed\":" +
-                           std::to_string(config.seed) +
-                           ",\"live\":" + std::to_string(live) +
-                           ",\"detail\":\"overloaded past watermark\"");
+        health_log_.Append(
+            "shed", "\"seed\":" + std::to_string(config.seed) +
+                        ",\"live\":" + std::to_string(live) +
+                        ",\"detail\":\"overloaded past watermark\"");
       }
       return Status::ResourceExhausted(
           "load shed: " + std::to_string(live) +
@@ -329,15 +330,14 @@ void SessionManager::CommitStep(size_t index, ServedStep step,
 void SessionManager::LogSessionEvent(const char* type, const Session& session,
                                      const std::string& extra) {
   if (!health_log_.enabled() || recovering_) return;
-  std::string body = "\"type\":" + JsonString(type) +
-                     ",\"session\":" + std::to_string(session.id) +
+  std::string body = "\"session\":" + std::to_string(session.id) +
                      ",\"seed\":" + std::to_string(session.config.seed) +
                      ",\"step\":" + std::to_string(session.steps_done);
   if (!extra.empty()) {
     body += ",";
     body += extra;
   }
-  health_log_.Append(body);
+  health_log_.Append(type, body);
 }
 
 int SessionManager::Tick() {
@@ -581,9 +581,9 @@ Status SessionManager::ReloadSnapshot(const std::string& path) {
       current_gen_ = static_cast<uint32_t>(generation_paths_.size() - 1);
       ++stats_.reload_successes;
       if (health_log_.enabled()) {
-        health_log_.Append("\"type\":\"reload_ok\",\"path\":" +
-                           JsonString(path) +
-                           ",\"attempt\":" + std::to_string(attempt));
+        health_log_.Append("reload_ok", "\"path\":" + JsonString(path) +
+                                            ",\"attempt\":" +
+                                            std::to_string(attempt));
       }
       if (journal_) {
         const int64_t before = journal_->appended_bytes();
@@ -596,17 +596,18 @@ Status SessionManager::ReloadSnapshot(const std::string& path) {
     last = loaded.status();
     if (health_log_.enabled()) {
       health_log_.Append(
-          "\"type\":\"reload_fail\",\"path\":" + JsonString(path) +
-          ",\"attempt\":" + std::to_string(attempt) +
-          ",\"code\":" + JsonString(StatusCodeName(last.code())) +
-          ",\"detail\":" + JsonString(last.message()));
+          "reload_fail",
+          "\"path\":" + JsonString(path) +
+              ",\"attempt\":" + std::to_string(attempt) +
+              ",\"code\":" + JsonString(StatusCodeName(last.code())) +
+              ",\"detail\":" + JsonString(last.message()));
     }
   }
   ++stats_.reload_failures;
   if (health_log_.enabled()) {
-    health_log_.Append("\"type\":\"reload_giveup\",\"path\":" +
-                       JsonString(path) + ",\"attempts\":" +
-                       std::to_string(options_.reload_retries + 1));
+    health_log_.Append("reload_giveup",
+                       "\"path\":" + JsonString(path) + ",\"attempts\":" +
+                           std::to_string(options_.reload_retries + 1));
   }
   return last;
 }
@@ -696,8 +697,8 @@ void SessionManager::MarkJournalBroken(Status status) {
   ++stats_.journal_failures;
   ATENA_LOG(kWarning) << "serving journal disabled: " << status;
   if (health_log_.enabled()) {
-    health_log_.Append("\"type\":\"journal_fail\",\"detail\":" +
-                       JsonString(status.message()));
+    health_log_.Append("journal_fail",
+                       "\"detail\":" + JsonString(status.message()));
   }
   // Durability degrades, availability does not: the prefix already on disk
   // stays recoverable, and serving continues unjournaled.
@@ -784,9 +785,10 @@ Status SessionManager::CompactJournal() {
   }
   ++stats_.journal_compactions;
   if (health_log_.enabled()) {
-    health_log_.Append(
-        "\"type\":\"journal_compact\",\"seq\":" + std::to_string(sidecar_seq) +
-        ",\"sessions\":" + std::to_string(active_sessions()));
+    health_log_.Append("journal_compact",
+                       "\"seq\":" + std::to_string(sidecar_seq) +
+                           ",\"sessions\":" +
+                           std::to_string(active_sessions()));
   }
   return Status::OK();
 }
@@ -1118,10 +1120,10 @@ Status SessionManager::RecoverFromJournal(const std::string& path,
       based = true;
       if (health_log_.enabled()) {
         health_log_.Append(
-            "\"type\":\"recover_fallback\",\"path\":" + JsonString(path) +
-            ",\"detail\":" +
-            JsonString(base_error.ok() ? "snapshot unreadable"
-                                       : base_error.message()));
+            "recover_fallback",
+            "\"path\":" + JsonString(path) + ",\"detail\":" +
+                JsonString(base_error.ok() ? "snapshot unreadable"
+                                           : base_error.message()));
       }
     } else if (have_main && (main_contents.header_torn ||
                              !main_contents.has_meta)) {
@@ -1155,13 +1157,13 @@ Status SessionManager::RecoverFromJournal(const std::string& path,
     const double degraded_frac = static_cast<double>(stats_.degraded_steps) /
                                  static_cast<double>(steps_served_);
     health_log_.Append(
-        "\"type\":\"recover_ok\",\"sessions\":" +
-        std::to_string(out->sessions_restored) +
-        ",\"ticks\":" + std::to_string(out->ticks_replayed) +
-        ",\"steps\":" + std::to_string(out->steps_replayed) +
-        ",\"fallback\":" + (out->used_prev_fallback ? "true" : "false") +
-        ",\"torn_tail\":" + (out->torn_tail ? "true" : "false") +
-        ",\"degraded_frac\":" + JsonNumber(degraded_frac));
+        "recover_ok",
+        "\"sessions\":" + std::to_string(out->sessions_restored) +
+            ",\"ticks\":" + std::to_string(out->ticks_replayed) +
+            ",\"steps\":" + std::to_string(out->steps_replayed) +
+            ",\"fallback\":" + (out->used_prev_fallback ? "true" : "false") +
+            ",\"torn_tail\":" + (out->torn_tail ? "true" : "false") +
+            ",\"degraded_frac\":" + JsonNumber(degraded_frac));
   }
   // Close recovery with a compaction: the next crash replays from here,
   // not from the pre-crash snapshot again.

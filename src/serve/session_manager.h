@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_log.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -14,7 +15,6 @@
 #include "eda/environment.h"
 #include "index/notebook_store.h"
 #include "nn/matrix.h"
-#include "serve/health_log.h"
 #include "serve/journal.h"
 #include "serve/snapshot.h"
 
@@ -156,7 +156,8 @@ struct ServeOptions {
   /// Null disables registration and retrieval.
   std::shared_ptr<NotebookStore> notebook_store;
 
-  /// JSONL serving-health log path (see ServingHealthLog); empty disables.
+  /// JSONL serving-health log path (common/event_log.h); empty disables.
+  /// An existing log is continued after its last complete line.
   std::string health_log_path;
 
   /// Write-ahead session journal path (DESIGN.md §15); empty disables
@@ -478,7 +479,7 @@ class SessionManager {
   ServeOptions options_;
   std::shared_ptr<DisplayCache> cache_;
   std::unique_ptr<ThreadPool> pool_;
-  ServingHealthLog health_log_;
+  EventLog health_log_;
 
   std::vector<std::unique_ptr<Session>> sessions_;  // admission order
   std::vector<SessionOutcome> completed_;

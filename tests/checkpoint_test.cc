@@ -1,4 +1,4 @@
-// Crash-safety tests for the ATENA-CKPT v2 training checkpoint subsystem:
+// Crash-safety tests for the ATENA-CKPT v3 training checkpoint subsystem:
 // resume bit-identity (an interrupted-and-resumed run must be
 // indistinguishable from an uninterrupted one), rotation, fault injection
 // on the save path, and truncation recovery on the load path.
@@ -402,7 +402,7 @@ TEST_F(CheckpointContainerTest, RotationKeepsPreviousSnapshot) {
   ASSERT_TRUE(LoadTrainingCheckpoint(path_, Params(), &head).ok());
   // Loading the .prev file directly (as the fallback would).
   std::string prev_payload;
-  ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v2",
+  ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v3",
                                   &prev_payload)
                   .ok());
   ASSERT_TRUE(DecodeCheckpointPayload(prev_payload, Params(),
@@ -470,7 +470,7 @@ TEST_F(CheckpointContainerTest, TruncationAtEveryOffsetRecoversOrFailsClean) {
   TrainingCheckpoint prev_image;
   {
     std::string prev_payload;
-    ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v2",
+    ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v3",
                                     &prev_payload)
                     .ok());
     ASSERT_TRUE(DecodeCheckpointPayload(prev_payload, Params(),
@@ -606,11 +606,11 @@ TEST(CheckpointPayloadTest, EveryDoubleRoundTripsBitExactly) {
   RemoveCheckpointFamily(path);
 }
 
-// A container of the retired v1 spelling is refused by its magic line
-// (there is no v1 reader), so weight loads fail with a Status naming the
+// A container of the retired v2 spelling is refused by its magic line
+// (there is no v2 reader), so weight loads fail with a Status naming the
 // format that is read, and a resuming trainer starts over.
 TEST(CheckpointPayloadTest, V1ContainerIsRefusedAndResumeStartsFresh) {
-  const std::string path = TempPath("v1_container.ckpt");
+  const std::string path = TempPath("v2_container.ckpt");
   RemoveCheckpointFamily(path);
 
   // A real mid-run snapshot from a differently-seeded trainer: resuming
@@ -623,9 +623,9 @@ TEST(CheckpointPayloadTest, V1ContainerIsRefusedAndResumeStartsFresh) {
   other_options.checkpoint_every_updates = 1;
   ParallelPpoTrainer(other.envs, other.policy.get(), other_options).Train();
   std::string payload;
-  ASSERT_TRUE(ReadChecksummedFile(path, "ATENA-CKPT v2", &payload).ok());
+  ASSERT_TRUE(ReadChecksummedFile(path, "ATENA-CKPT v3", &payload).ok());
   RemoveCheckpointFamily(path);
-  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-CKPT v1", payload).ok());
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-CKPT v2", payload).ok());
 
   TrainSetup setup = MakeSetup(1);
   const std::vector<Parameter*> params = setup.policy->Parameters();
@@ -634,11 +634,11 @@ TEST(CheckpointPayloadTest, V1ContainerIsRefusedAndResumeStartsFresh) {
   TrainingCheckpoint ckpt;
   const Status loaded = LoadTrainingCheckpoint(path, params, &ckpt);
   EXPECT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.message().find("ATENA-CKPT v2"), std::string::npos)
+  EXPECT_NE(loaded.message().find("ATENA-CKPT v3"), std::string::npos)
       << loaded;
   const Status weights = LoadPolicyParameters(path, params);
   EXPECT_FALSE(weights.ok());
-  EXPECT_NE(weights.message().find("ATENA-CKPT v2"), std::string::npos)
+  EXPECT_NE(weights.message().find("ATENA-CKPT v3"), std::string::npos)
       << weights;
   for (size_t k = 0; k < params.size(); ++k) {
     EXPECT_EQ(params[k]->value.data(), weights_before[k]) << "parameter " << k;

@@ -6,6 +6,7 @@
 #include "core/twofold_policy.h"
 #include "data/registry.h"
 #include "nn/optimizer.h"
+#include "rl/parallel_trainer.h"
 
 namespace atena {
 namespace {
@@ -199,7 +200,7 @@ TEST(TrainerTest, LearnsToAvoidInvalidActions) {
   trainer_options.total_steps = 2500;
   trainer_options.rollout_length = 96;
   trainer_options.seed = 9;
-  PpoTrainer trainer(&env, &policy, trainer_options);
+  ParallelPpoTrainer trainer({&env}, &policy, trainer_options);
   TrainingResult result = trainer.Train();
 
   ASSERT_FALSE(result.curve.empty());
@@ -220,7 +221,7 @@ TEST(TrainerTest, CurveIsMonotoneInSteps) {
   TrainerOptions options;
   options.total_steps = 600;
   options.rollout_length = 64;
-  PpoTrainer trainer(&env, &policy, options);
+  ParallelPpoTrainer trainer({&env}, &policy, options);
   TrainingResult result = trainer.Train();
   for (size_t i = 1; i < result.curve.size(); ++i) {
     EXPECT_GT(result.curve[i].step, result.curve[i - 1].step);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+
+#include "common/event_log.h"
+#include "common/string_utils.h"
 
 namespace atena {
 namespace {
@@ -19,10 +23,25 @@ std::string MustRead(const std::string& path) {
   return out;
 }
 
+void RemoveIfExists(const std::string& path) {
+  if (FileExists(path)) std::remove(path.c_str());
+}
+
+/// Makes every file-io step named `failing_op` fail until cleared.
+void FailStep(const char* failing_op) {
+  SetFileIoFailureHookForTesting(
+      [failing_op](const char* op, const std::string&) {
+        return std::string(op) == failing_op;
+      });
+}
+
 class FileIoTest : public ::testing::Test {
  protected:
   void TearDown() override { SetFileIoFailureHookForTesting({}); }
 };
+
+using DurableAppenderTest = FileIoTest;
+using EventLogTest = FileIoTest;
 
 TEST_F(FileIoTest, AtomicWriteRoundTrip) {
   const std::string path = TempPath("atomic_roundtrip.txt");
@@ -120,6 +139,158 @@ TEST_F(FileIoTest, ChecksummedDetectsEverySingleByteCorruption) {
     Status status = ReadChecksummedFile(bad_path, "TEST-MAGIC v1", &decoded);
     EXPECT_FALSE(status.ok()) << "byte flip at offset " << i << " accepted";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Durable appends: the serving journal's and the event log's primitive.
+
+TEST_F(DurableAppenderTest, AppendsAccumulateAcrossOpens) {
+  const std::string path = TempPath("appender_basic.txt");
+  RemoveIfExists(path);
+  {
+    DurableAppender file;
+    ASSERT_TRUE(file.Open(path).ok());
+    ASSERT_TRUE(file.AppendParts({"on", "", "e\n"}).ok());
+    EXPECT_TRUE(file.dirty());
+    ASSERT_TRUE(file.Sync().ok());
+    EXPECT_FALSE(file.dirty());
+  }
+  DurableAppender again;
+  ASSERT_TRUE(again.Open(path).ok());
+  ASSERT_TRUE(again.AppendParts({"two\n"}).ok());
+  ASSERT_TRUE(again.Sync().ok());
+  EXPECT_EQ(MustRead(path), "one\ntwo\n");
+  again.Close();
+  EXPECT_EQ(again.AppendParts({"three\n"}).code(),
+            StatusCode::kFailedPrecondition);
+  RemoveIfExists(path);
+}
+
+TEST_F(DurableAppenderTest, InjectedFailuresSurfaceAsErrors) {
+  const std::string path = TempPath("appender_faulty.txt");
+  for (const char* op : {"append-open", "append-write", "append-fsync"}) {
+    RemoveIfExists(path);
+    FailStep(op);
+    DurableAppender file;
+    Status status = file.Open(path);
+    if (status.ok()) status = file.AppendParts({"payload"});
+    if (status.ok()) status = file.Sync();
+    SetFileIoFailureHookForTesting({});
+    ASSERT_EQ(status.code(), StatusCode::kIOError) << op;
+    EXPECT_NE(status.message().find(op), std::string::npos) << status;
+    if (std::string(op) == "append-open") {
+      EXPECT_FALSE(file.is_open());
+      EXPECT_FALSE(FileExists(path)) << "failed open must not create " << path;
+    }
+    if (std::string(op) == "append-fsync") {
+      // The bytes are written but not durable: a later Sync retries.
+      EXPECT_TRUE(file.dirty());
+      EXPECT_TRUE(file.Sync().ok());
+      EXPECT_EQ(MustRead(path), "payload");
+    }
+  }
+  RemoveIfExists(path);
+}
+
+// ---------------------------------------------------------------------------
+// Event log: one durable line per event, torn-line trim, JSON numbers
+
+TEST_F(EventLogTest, AppendsOneDurableLinePerEvent) {
+  const std::string path = TempPath("event_log_per_event.jsonl");
+  RemoveIfExists(path);
+  {
+    EventLog log(path);
+    log.Continue();
+    log.Append("a", "");
+    log.Append("b", "\"x\":1");
+    EXPECT_EQ(log.events(), 2);
+  }
+  EXPECT_EQ(MustRead(path),
+            "{\"event\":1,\"type\":\"a\"}\n"
+            "{\"event\":2,\"type\":\"b\",\"x\":1}\n");
+  // Continuing resumes numbering after the last complete line.
+  EventLog reopened(path);
+  reopened.Continue();
+  EXPECT_EQ(reopened.events(), 2);
+  reopened.Append("c", "");
+  EXPECT_NE(MustRead(path).find("{\"event\":3,\"type\":\"c\"}\n"),
+            std::string::npos);
+  RemoveIfExists(path);
+}
+
+TEST_F(EventLogTest, TornFinalLineIsTrimmedOnContinue) {
+  const std::string path = TempPath("event_log_torn.jsonl");
+  RemoveIfExists(path);
+  {
+    EventLog log(path);
+    log.Append("kept", "");
+  }
+  const std::string complete = MustRead(path);
+  // A crash mid-append can only tear the FINAL line (O_APPEND writes).
+  ASSERT_TRUE(
+      AtomicWriteFile(path, complete + "{\"event\":2,\"type\":\"to").ok());
+  EventLog reopened(path);
+  reopened.Continue();
+  EXPECT_EQ(reopened.events(), 1);
+  EXPECT_EQ(MustRead(path), complete);
+  reopened.Append("next", "");
+  EXPECT_EQ(MustRead(path),
+            complete + "{\"event\":2,\"type\":\"next\"}\n");
+  RemoveIfExists(path);
+}
+
+TEST_F(EventLogTest, FirstEventReplacesAnOlderLogUnlessContinued) {
+  const std::string path = TempPath("event_log_fresh.jsonl");
+  ASSERT_TRUE(AtomicWriteFile(path, "{\"stale\":1}\n").ok());
+  EventLog fresh(path);
+  // Nothing is touched before the first event.
+  EXPECT_EQ(MustRead(path), "{\"stale\":1}\n");
+  fresh.Append("first", "");
+  fresh.Append("second", "");
+  EXPECT_EQ(MustRead(path),
+            "{\"event\":1,\"type\":\"first\"}\n"
+            "{\"event\":2,\"type\":\"second\"}\n");
+
+  // A disabled log writes nothing and counts nothing.
+  EventLog disabled("");
+  disabled.Continue();
+  disabled.Append("ignored", "");
+  EXPECT_FALSE(disabled.enabled());
+  EXPECT_EQ(disabled.events(), 0);
+  RemoveIfExists(path);
+}
+
+TEST_F(EventLogTest, WriteFailureWarnsAndLeavesTheCallerUnaffected) {
+  const std::string path = TempPath("event_log_faulty.jsonl");
+  RemoveIfExists(path);
+  EventLog log(path);
+  for (const char* op : {"append-open", "append-write", "append-fsync"}) {
+    FailStep(op);
+    ::testing::internal::CaptureStderr();
+    log.Append("faulty", "");  // returns normally: nothing to handle
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    SetFileIoFailureHookForTesting({});
+    EXPECT_NE(warning.find("write failed"), std::string::npos) << op;
+    EXPECT_NE(warning.find(op), std::string::npos) << warning;
+  }
+  // The log keeps working, and its numbering counts every event.
+  log.Append("after", "");
+  EXPECT_EQ(log.events(), 4);
+  const std::string bytes = MustRead(path);
+  EXPECT_EQ(bytes.substr(bytes.rfind('{')),
+            "{\"event\":4,\"type\":\"after\"}\n");
+  RemoveIfExists(path);
+}
+
+TEST_F(EventLogTest, JsonNumberPinsNonFiniteConvention) {
+  // JSON cannot carry non-finite doubles, so they become quoted strings —
+  // e.g. a degraded-step ratio over zero recovered steps (0/0 = NaN) must
+  // still produce a parseable line.
+  EXPECT_EQ(JsonNumber(std::nan("")), "\"nan\"");
+  EXPECT_EQ(JsonNumber(HUGE_VAL), "\"inf\"");
+  EXPECT_EQ(JsonNumber(-HUGE_VAL), "\"-inf\"");
+  EXPECT_EQ(JsonNumber(0.5), "0.5");
+  EXPECT_EQ(JsonNumber(0.0), "0");
 }
 
 }  // namespace

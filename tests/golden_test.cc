@@ -52,6 +52,7 @@
 #include "notebook/render.h"
 #include "reward/compound.h"
 #include "rl/checkpoint.h"
+#include "rl/parallel_trainer.h"
 #include "rl/trainer.h"
 #include "serve/journal.h"
 #include "serve/session_manager.h"
@@ -301,7 +302,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Thread count never changes training output or the checkpoint written,
 // so both 4-actor fixtures share each digest.
 constexpr uint32_t kFourActorDigest = 0x3A746D5Bu;
-constexpr uint32_t kFourActorCheckpointDigest = 0xD69319BAu;
+constexpr uint32_t kFourActorCheckpointDigest = 0x7E1E337Eu;
 
 struct TrainingFixture {
   const char* name;
@@ -313,7 +314,7 @@ struct TrainingFixture {
 };
 
 constexpr TrainingFixture kTrainingFixtures[] = {
-    {"OneActor", 1, 1, 0x102FB490u, 0xC9244ED1u},
+    {"OneActor", 1, 1, 0x102FB490u, 0xAD520598u},
     {"FourActorsOneThread", 4, 1, kFourActorDigest,
      kFourActorCheckpointDigest},
     {"FourActorsFourThreads", 4, 4, kFourActorDigest,
@@ -417,7 +418,7 @@ TEST(GoldenFlatPolicyTest, PpoMatchesRecordedDigest) {
   TrainerOptions options;
   options.total_steps = kTrainingSteps / 2;
   options.final_eval_episodes = kFinalEvalEpisodes;
-  PpoTrainer trainer(&env, &policy, options);
+  ParallelPpoTrainer trainer({&env}, &policy, options);
   const TrainingResult training = trainer.Train();
   const uint32_t digest =
       TrainingDigest(training, *dataset.table, policy.Parameters());

@@ -244,7 +244,9 @@ TEST(TrainingGuardTest, HealthLogStartsFreshOrContinuesAfterTornLine) {
   const std::string log = ReadWholeFile(log_path);
   ASSERT_EQ(log.substr(0, two_events.size()), two_events) << log;
   const std::string appended = log.substr(two_events.size());
-  EXPECT_EQ(appended.rfind("{\"event\":3,\"update\":5,", 0), 0u) << log;
+  EXPECT_EQ(appended.rfind("{\"event\":3,\"type\":\"guard\",\"update\":5,", 0),
+            0u)
+      << log;
   EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 3);
   RemoveIfExists(log_path);
 }

@@ -154,7 +154,8 @@ TEST(VectorIndexTest, MinDistanceBitIdenticalToScalarScanRandomHistories) {
 TEST(VectorIndexTest, MinDistanceBitIdenticalAtTenThousandVectors) {
   Rng rng(7);
   const auto vectors = RandomHistory(&rng, 10000, 6);
-  VectorIndex index = VectorIndex::Build(vectors);
+  VectorIndex index;
+  for (const auto& v : vectors) index.Insert(v);
   VectorIndex::QueryStats stats;
   for (int q = 0; q < 10; ++q) {
     const std::vector<double> query =
@@ -191,33 +192,6 @@ TEST(VectorIndexTest, TopKMatchesBruteForceUnderTotalOrder) {
                           ScalarTopK(vectors, query, k, id_limit),
                           "k=" + std::to_string(k) +
                               " limit=" + std::to_string(id_limit));
-    }
-  }
-}
-
-TEST(VectorIndexTest, BatchBuildAndIncrementalInsertAnswerIdentically) {
-  Rng rng(4242);
-  VectorIndex::Options options;
-  options.branching = 3;
-  options.leaf_capacity = 4;
-  for (const size_t size : {1u, 9u, 64u, 500u}) {
-    const auto vectors = RandomHistory(&rng, size, 4);
-    const VectorIndex batch = VectorIndex::Build(vectors, options);
-    VectorIndex incremental(options);
-    for (const auto& v : vectors) incremental.Insert(v);
-    ASSERT_EQ(batch.size(), incremental.size());
-    for (int q = 0; q < 20; ++q) {
-      const std::vector<double> query =
-          (q % 2 == 0)
-              ? vectors[static_cast<size_t>(rng.NextBounded(vectors.size()))]
-              : RandomHistory(&rng, 1, 4)[0];
-      const std::string context =
-          "size=" + std::to_string(size) + " query=" + std::to_string(q);
-      EXPECT_EQ(batch.MinSquaredDistance(query),
-                incremental.MinSquaredDistance(query))
-          << context;
-      ExpectSameNeighbors(batch.TopK(query, 7), incremental.TopK(query, 7),
-                          context);
     }
   }
 }

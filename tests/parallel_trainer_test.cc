@@ -157,63 +157,6 @@ TEST(ActBatchTest, MatchesPerSampleActOnSharedRngStream) {
   }
 }
 
-// The trainer-core unification contract: a 1-actor ParallelPpoTrainer IS
-// the single-env PpoTrainer — identical rng stream (plain seed), identical
-// rollout/GAE/update machinery, so training output matches bit for bit.
-TEST(ParallelTrainerTest, SingleActorMatchesPpoTrainerBitForBit) {
-  auto dataset = MakeDataset("cyber2");
-  ASSERT_TRUE(dataset.ok());
-  EdaEnvironment env_a(dataset.value(), ConfigWithSeed(7));
-  EdaEnvironment env_b(dataset.value(), ConfigWithSeed(7));
-
-  TwofoldPolicy::Options policy_options;
-  policy_options.hidden = {10};
-  TwofoldPolicy policy_a(env_a.observation_dim(), env_a.action_space(),
-                         policy_options);
-  TwofoldPolicy policy_b(env_b.observation_dim(), env_b.action_space(),
-                         policy_options);
-
-  TrainerOptions options;
-  options.total_steps = 300;
-  options.rollout_length = 60;
-  options.final_eval_episodes = 2;
-  options.seed = 1234;
-
-  PpoTrainer single(&env_a, &policy_a, options);
-  TrainingResult result_single = single.Train();
-  ParallelPpoTrainer parallel({&env_b}, &policy_b, options);
-  TrainingResult result_parallel = parallel.Train();
-
-  EXPECT_EQ(result_single.episodes, result_parallel.episodes);
-  EXPECT_EQ(result_single.best_episode_reward,
-            result_parallel.best_episode_reward);
-  EXPECT_EQ(result_single.final_mean_reward,
-            result_parallel.final_mean_reward);
-  ASSERT_EQ(result_single.curve.size(), result_parallel.curve.size());
-  for (size_t i = 0; i < result_single.curve.size(); ++i) {
-    EXPECT_EQ(result_single.curve[i].step, result_parallel.curve[i].step);
-    EXPECT_EQ(result_single.curve[i].mean_episode_reward,
-              result_parallel.curve[i].mean_episode_reward);
-  }
-  ASSERT_EQ(result_single.best_episode_ops.size(),
-            result_parallel.best_episode_ops.size());
-  for (size_t i = 0; i < result_single.best_episode_ops.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(result_single.best_episode_ops[i].type),
-              static_cast<int>(result_parallel.best_episode_ops[i].type));
-  }
-  // The networks ended up with identical weights.
-  auto params_a = policy_a.Parameters();
-  auto params_b = policy_b.Parameters();
-  ASSERT_EQ(params_a.size(), params_b.size());
-  for (size_t k = 0; k < params_a.size(); ++k) {
-    ASSERT_EQ(params_a[k]->value.size(), params_b[k]->value.size());
-    for (size_t i = 0; i < params_a[k]->value.size(); ++i) {
-      EXPECT_EQ(params_a[k]->value.data()[i], params_b[k]->value.data()[i])
-          << params_a[k]->name << " element " << i;
-    }
-  }
-}
-
 void ExpectResultsBitIdentical(const TrainingResult& a,
                                const TrainingResult& b) {
   EXPECT_EQ(a.episodes, b.episodes);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "data/registry.h"
+#include "rl/parallel_trainer.h"
 #include "rl/policy.h"
 #include "rl/trainer.h"
 
@@ -109,7 +110,7 @@ TEST(TrainerBookkeepingTest, CountsEpisodesAndTracksBest) {
   options.rollout_length = 25;
   options.minibatch_size = 25;
   options.epochs_per_update = 1;
-  PpoTrainer trainer(&env, &policy, options);
+  ParallelPpoTrainer trainer({&env}, &policy, options);
   TrainingResult result = trainer.Train();
 
   EXPECT_EQ(result.episodes, 20);
@@ -134,7 +135,7 @@ TEST(TrainerBookkeepingTest, BestEpisodeRewardIsMaxOverEpisodes) {
   options.rollout_length = 25;
   options.minibatch_size = 25;
   options.epochs_per_update = 1;
-  PpoTrainer trainer(&env, &policy, options);
+  ParallelPpoTrainer trainer({&env}, &policy, options);
   TrainingResult result = trainer.Train();
   EXPECT_DOUBLE_EQ(result.best_episode_reward, -5.0);
   EXPECT_DOUBLE_EQ(result.final_mean_reward, -5.0);

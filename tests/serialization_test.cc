@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 
 #include "common/random.h"
 #include "nn/layers.h"
 #include "nn/serialization.h"
+#include "rl/checkpoint.h"
 
 namespace atena {
 namespace {
@@ -20,13 +25,19 @@ TEST(SerializationTest, RoundTripsExactly) {
   const std::string path = TempPath("roundtrip.nn");
   ASSERT_TRUE(SaveParameters(store, path).ok());
   {
-    // The v2 header, then each parameter under its own name.
+    // The v3 frame, then the parameter section: each parameter under its
+    // own length-prefixed name.
     std::ifstream in(path);
-    std::string magic, count_line, first_name;
+    std::string magic, crc_line, section, first_name;
+    size_t name_bytes = 0;
     std::getline(in, magic);
-    std::getline(in, count_line);
-    in >> first_name;
-    EXPECT_EQ(magic, "ATENA-NN v2");
+    std::getline(in, crc_line);
+    std::getline(in, section);
+    in >> name_bytes >> first_name;
+    EXPECT_EQ(magic, "ATENA-NN v3");
+    EXPECT_EQ(crc_line.rfind("crc32 ", 0), 0u) << crc_line;
+    EXPECT_EQ(section, "params 4");
+    EXPECT_EQ(name_bytes, 12u);
     EXPECT_EQ(first_name, "mlp.0.weight");
   }
 
@@ -70,6 +81,58 @@ TEST(SerializationTest, LoadedNetworkComputesIdenticalOutputs) {
   }
 }
 
+void ExpectBitIdentical(const std::vector<Matrix>& got,
+                        const std::vector<Parameter*>& want,
+                        const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t k = 0; k < want.size(); ++k) {
+    const std::vector<double>& a = got[k].data();
+    const std::vector<double>& b = want[k]->value.data();
+    ASSERT_EQ(a.size(), b.size()) << context << " parameter " << k;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << context << " parameter " << k;
+  }
+}
+
+// Every double a weight can hold — NaN, the infinities, -0.0 and
+// subnormals — survives the weight file and the checkpoint's parameter
+// section bit for bit: a network that ever went non-finite must save a
+// file it can load back, or serving loses its snapshot.
+TEST(SerializationTest, SpecialValuesRoundTripBitExactly) {
+  ParameterStore store;
+  Rng rng(21);
+  auto net = MakeMlp(3, {4}, 2, &store, "mlp", &rng);
+  (void)net;
+  const std::vector<Parameter*> params = store.All();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), -0.0,
+                            std::numeric_limits<double>::denorm_min()};
+  std::copy(std::begin(special), std::end(special),
+            params[0]->value.data().begin());
+
+  const std::string path = TempPath("special_values.nn");
+  ASSERT_TRUE(SaveParameters(store, path).ok());
+  ParameterStore loaded_store;
+  Rng rng2(22);
+  auto loaded = MakeMlp(3, {4}, 2, &loaded_store, "mlp", &rng2);
+  (void)loaded;
+  const Status load = LoadParameters(&loaded_store, path);
+  ASSERT_TRUE(load.ok()) << load;
+  std::vector<Matrix> loaded_values;
+  for (const Parameter* p : loaded_store.All()) {
+    loaded_values.push_back(p->value);
+  }
+  ExpectBitIdentical(loaded_values, params, "weight file");
+
+  TrainingCheckpoint decoded;
+  const Status decode = DecodeCheckpointPayload(
+      EncodeCheckpointPayload(params, TrainingCheckpoint{}), params, "probe",
+      &decoded);
+  ASSERT_TRUE(decode.ok()) << decode;
+  ExpectBitIdentical(decoded.param_values, params, "checkpoint payload");
+}
+
 TEST(SerializationTest, RejectsRetiredV1FormatNamingTheVersion) {
   // A checkpoint in the retired positional (nameless) v1 format for a
   // 2->2->1 MLP. It must be refused with a message naming the version, and
@@ -96,6 +159,26 @@ TEST(SerializationTest, RejectsRetiredV1FormatNamingTheVersion) {
   EXPECT_NE(status.message().find("version 'v1'"), std::string::npos)
       << status;
   EXPECT_EQ(store.All()[0]->value.data(), before);
+
+  // The retired decimal v2 format (named parameters, max_digits10 values)
+  // is refused the same way, although the file is a well-formed v2 file
+  // for this very network.
+  const std::string v2_path = TempPath("legacy_v2.nn");
+  std::ofstream(v2_path) << "ATENA-NN v2\n"
+                            "4\n"
+                            "mlp.0.weight 2 2\n"
+                            "0.5 -0.25 1.5 2\n"
+                            "mlp.0.bias 1 2\n"
+                            "0.125 -1\n"
+                            "mlp.1.weight 1 2\n"
+                            "3 -0.75\n"
+                            "mlp.1.bias 1 1\n"
+                            "0.0625\n";
+  status = LoadParameters(&store, v2_path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version 'v2'"), std::string::npos)
+      << status;
+  EXPECT_EQ(store.All()[0]->value.data(), before);
 }
 
 TEST(SerializationTest, NameMismatchIsRejected) {
@@ -106,7 +189,7 @@ TEST(SerializationTest, NameMismatchIsRejected) {
   const std::string path = TempPath("named.nn");
   ASSERT_TRUE(SaveParameters(store, path).ok());
 
-  // Same shapes, different parameter names: a v2 checkpoint must not load
+  // Same shapes, different parameter names: a weight file must not load
   // into a differently-named network.
   ParameterStore other;
   Rng rng2(18);

@@ -20,6 +20,7 @@
 #include "common/file_io.h"
 #include "core/twofold_policy.h"
 #include "data/registry.h"
+#include "nn/serialization.h"
 #include "reward/compound.h"
 #include "rl/checkpoint.h"
 #include "rl/policy.h"
@@ -463,11 +464,15 @@ SessionTrace ServeOne(SessionManager& manager, uint64_t seed) {
 }
 
 TEST(ServeReloadTest, CorruptReloadAtEveryByteKeepsLastGood) {
-  const std::string good_path = TempPath("serve_reload_good.bin");
+  // Both containers the loader reads: a training checkpoint and a bare
+  // weight file.
+  const std::string ckpt_path = TempPath("serve_reload_good.bin");
+  const std::string weights_path = TempPath("serve_reload_good.nn");
   const std::string corrupt_path = TempPath("serve_reload_corrupt.bin");
   for (const char* suffix : {"", ".prev", ".new"}) {
-    RemoveIfExists(good_path + suffix);
+    RemoveIfExists(ckpt_path + suffix);
   }
+  RemoveIfExists(weights_path);
 
   Dataset dataset = MakeDataset("cyber2").value();
   const SnapshotOptions options = TinyOptions();
@@ -477,12 +482,12 @@ TEST(ServeReloadTest, CorruptReloadAtEveryByteKeepsLastGood) {
   retrained_options.policy.seed = 555;
   auto retrained =
       std::make_shared<PolicySnapshot>(dataset, retrained_options);
-  ASSERT_TRUE(SaveTrainingCheckpoint(good_path,
+  ASSERT_TRUE(SaveTrainingCheckpoint(ckpt_path,
                                      retrained->policy()->Parameters(),
                                      TrainingCheckpoint{})
                   .ok());
-  std::string good_bytes;
-  ASSERT_TRUE(ReadFileToString(good_path, &good_bytes).ok());
+  ASSERT_TRUE(
+      SaveParameters(retrained->policy()->Parameters(), weights_path).ok());
 
   ServeOptions serve_options;
   serve_options.reload_retries = 0;  // The matrix needs no backoff.
@@ -490,48 +495,54 @@ TEST(ServeReloadTest, CorruptReloadAtEveryByteKeepsLastGood) {
   const SessionTrace before = ServeOne(manager, 300);
   const PolicySnapshot* last_good = manager.snapshot().get();
 
-  // Loader-level matrix: a single flipped byte at EVERY offset of the
-  // CRC-framed container must be rejected (into scratch parameters, so
-  // each probe costs a read + CRC, not a snapshot construction).
   auto scratch = std::make_shared<PolicySnapshot>(dataset, options);
-  for (size_t offset = 0; offset < good_bytes.size(); ++offset) {
-    std::string corrupt = good_bytes;
-    corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0xFF);
-    WriteBytes(corrupt_path, corrupt);
-    Status loaded =
-        LoadPolicyParameters(corrupt_path, scratch->policy()->Parameters());
-    ASSERT_FALSE(loaded.ok()) << "flipped byte at offset " << offset
-                              << " was accepted";
-  }
-
-  // Runtime-level matrix: ReloadSnapshot keeps the last-good snapshot on
-  // corruption (sampled across the file) and on truncation.
-  std::vector<size_t> probe_offsets = {0, 1, good_bytes.size() / 2,
-                                       good_bytes.size() - 1};
-  for (size_t offset = 7; offset < good_bytes.size();
-       offset += good_bytes.size() / 16 + 1) {
-    probe_offsets.push_back(offset);
-  }
   int failed_reloads = 0;
-  for (size_t offset : probe_offsets) {
-    std::string corrupt = good_bytes;
-    corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0xFF);
-    WriteBytes(corrupt_path, corrupt);
-    Status reloaded = manager.ReloadSnapshot(corrupt_path);
-    EXPECT_FALSE(reloaded.ok()) << "offset " << offset;
-    EXPECT_NE(reloaded.message().find(corrupt_path), std::string::npos)
-        << reloaded.message();
-    EXPECT_EQ(manager.snapshot().get(), last_good) << "offset " << offset;
-    ++failed_reloads;
-  }
-  for (size_t length : {size_t{0}, size_t{1}, good_bytes.size() / 2,
-                        good_bytes.size() - 1}) {
-    WriteBytes(corrupt_path, good_bytes.substr(0, length));
-    EXPECT_FALSE(manager.ReloadSnapshot(corrupt_path).ok())
-        << "truncated to " << length;
-    EXPECT_EQ(manager.snapshot().get(), last_good)
-        << "truncated to " << length;
-    ++failed_reloads;
+  for (const std::string& good_path : {ckpt_path, weights_path}) {
+    SCOPED_TRACE(good_path);
+    std::string good_bytes;
+    ASSERT_TRUE(ReadFileToString(good_path, &good_bytes).ok());
+
+    // Loader-level matrix: a single flipped byte at EVERY offset of the
+    // CRC-framed container must be rejected (into scratch parameters, so
+    // each probe costs a read + CRC, not a snapshot construction).
+    for (size_t offset = 0; offset < good_bytes.size(); ++offset) {
+      std::string corrupt = good_bytes;
+      corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0xFF);
+      WriteBytes(corrupt_path, corrupt);
+      Status loaded =
+          LoadPolicyParameters(corrupt_path, scratch->policy()->Parameters());
+      ASSERT_FALSE(loaded.ok()) << "flipped byte at offset " << offset
+                                << " was accepted";
+    }
+
+    // Runtime-level matrix: ReloadSnapshot keeps the last-good snapshot on
+    // corruption (sampled across the file) and on truncation.
+    std::vector<size_t> probe_offsets = {0, 1, good_bytes.size() / 2,
+                                         good_bytes.size() - 1};
+    for (size_t offset = 7; offset < good_bytes.size();
+         offset += good_bytes.size() / 16 + 1) {
+      probe_offsets.push_back(offset);
+    }
+    for (size_t offset : probe_offsets) {
+      std::string corrupt = good_bytes;
+      corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0xFF);
+      WriteBytes(corrupt_path, corrupt);
+      Status reloaded = manager.ReloadSnapshot(corrupt_path);
+      EXPECT_FALSE(reloaded.ok()) << "offset " << offset;
+      EXPECT_NE(reloaded.message().find(corrupt_path), std::string::npos)
+          << reloaded.message();
+      EXPECT_EQ(manager.snapshot().get(), last_good) << "offset " << offset;
+      ++failed_reloads;
+    }
+    for (size_t length : {size_t{0}, size_t{1}, good_bytes.size() / 2,
+                          good_bytes.size() - 1}) {
+      WriteBytes(corrupt_path, good_bytes.substr(0, length));
+      EXPECT_FALSE(manager.ReloadSnapshot(corrupt_path).ok())
+          << "truncated to " << length;
+      EXPECT_EQ(manager.snapshot().get(), last_good)
+          << "truncated to " << length;
+      ++failed_reloads;
+    }
   }
   EXPECT_EQ(manager.stats().reload_failures, failed_reloads);
 
@@ -539,19 +550,25 @@ TEST(ServeReloadTest, CorruptReloadAtEveryByteKeepsLastGood) {
   ExpectTracesEqual(ServeOne(manager, 300), before,
                     *serving->dataset().table, "after corrupt reloads");
 
-  // And an intact file swaps over: new sessions serve the new weights.
-  ASSERT_TRUE(manager.ReloadSnapshot(good_path).ok());
-  EXPECT_EQ(manager.stats().reload_successes, 1);
+  // And an intact file of either kind swaps over: new sessions serve the
+  // new weights.
   SessionConfig config;
   config.seed = 300;
   config.max_steps = 4;
-  ExpectTracesEqual(ServeOne(manager, 300),
-                    ServeSingleSessionSerial(*retrained, config, nullptr),
-                    *serving->dataset().table, "after good reload");
+  const SessionTrace want =
+      ServeSingleSessionSerial(*retrained, config, nullptr);
+  int successes = 0;
+  for (const std::string& good_path : {ckpt_path, weights_path}) {
+    ASSERT_TRUE(manager.ReloadSnapshot(good_path).ok()) << good_path;
+    EXPECT_EQ(manager.stats().reload_successes, ++successes);
+    ExpectTracesEqual(ServeOne(manager, 300), want, *serving->dataset().table,
+                      "after good reload of " + good_path);
+  }
 
   RemoveIfExists(corrupt_path);
+  RemoveIfExists(weights_path);
   for (const char* suffix : {"", ".prev", ".new"}) {
-    RemoveIfExists(good_path + suffix);
+    RemoveIfExists(ckpt_path + suffix);
   }
 }
 

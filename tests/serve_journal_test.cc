@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -21,12 +20,10 @@
 #include <vector>
 
 #include "common/file_io.h"
-#include "common/string_utils.h"
 #include "data/registry.h"
 #include "index/notebook_store.h"
 #include "reward/compound.h"
 #include "rl/checkpoint.h"
-#include "serve/health_log.h"
 #include "serve/journal.h"
 #include "serve/session_manager.h"
 #include "serve/snapshot.h"
@@ -158,92 +155,6 @@ void ExpectMergedMatchesReference(
     ExpectTracesEqual(outcome.trace, it->second, table,
                       context + " seed " + std::to_string(outcome.trace.seed));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Durable append primitive (common/file_io)
-
-TEST(AppendDurableFileTest, AppendsAccumulateAcrossCalls) {
-  const std::string path = TempPath("append_durable_basic.txt");
-  RemoveIfExists(path);
-  ASSERT_TRUE(AppendDurableFile(path, "one\n").ok());
-  ASSERT_TRUE(AppendDurableFile(path, "two\n").ok());
-  EXPECT_EQ(ReadRaw(path), "one\ntwo\n");
-  RemoveIfExists(path);
-}
-
-TEST(AppendDurableFileTest, InjectedFailuresSurfaceAsErrors) {
-  const std::string path = TempPath("append_durable_faulty.txt");
-  for (const char* op : {"append-open", "append-write", "append-fsync"}) {
-    RemoveIfExists(path);
-    SetFileIoFailureHookForTesting(
-        [op](const char* hook_op, const std::string&) {
-          return std::string(hook_op) == op;
-        });
-    Status status = AppendDurableFile(path, "payload");
-    SetFileIoFailureHookForTesting({});
-    EXPECT_FALSE(status.ok()) << op;
-    if (std::string(op) == "append-open") {
-      EXPECT_FALSE(FileExists(path)) << "failed open must not create " << path;
-    }
-  }
-  RemoveIfExists(path);
-}
-
-// ---------------------------------------------------------------------------
-// Health log: per-event durable appends, torn-line trim, JSON numbers
-
-TEST(HealthLogTest, AppendsOneDurableLinePerEvent) {
-  const std::string path = TempPath("health_per_event.jsonl");
-  RemoveIfExists(path);
-  {
-    ServingHealthLog log(path);
-    log.Append("\"type\":\"a\"");
-    log.Append("\"type\":\"b\"");
-    EXPECT_EQ(log.events(), 2);
-  }
-  const std::string bytes = ReadRaw(path);
-  EXPECT_NE(bytes.find("{\"event\":1,\"type\":\"a\"}\n"), std::string::npos)
-      << bytes;
-  EXPECT_NE(bytes.find("{\"event\":2,\"type\":\"b\"}\n"), std::string::npos)
-      << bytes;
-  // Reopening resumes numbering after the last complete line.
-  ServingHealthLog reopened(path);
-  EXPECT_EQ(reopened.events(), 2);
-  reopened.Append("\"type\":\"c\"");
-  EXPECT_NE(ReadRaw(path).find("{\"event\":3,\"type\":\"c\"}"),
-            std::string::npos);
-  RemoveIfExists(path);
-}
-
-TEST(HealthLogTest, TornFinalLineIsTrimmedOnReopen) {
-  const std::string path = TempPath("health_torn.jsonl");
-  RemoveIfExists(path);
-  {
-    ServingHealthLog log(path);
-    log.Append("\"type\":\"kept\"");
-  }
-  const std::string complete = ReadRaw(path);
-  // A crash mid-append can only tear the FINAL line (O_APPEND + one write).
-  WriteRaw(path, complete + "{\"event\":2,\"type\":\"to");
-  ServingHealthLog reopened(path);
-  EXPECT_EQ(reopened.events(), 1);
-  EXPECT_EQ(ReadRaw(path), complete);
-  reopened.Append("\"type\":\"next\"");
-  EXPECT_NE(ReadRaw(path).find("{\"event\":2,\"type\":\"next\"}"),
-            std::string::npos);
-  RemoveIfExists(path);
-}
-
-TEST(HealthLogTest, JsonNumberPinsNonFiniteConvention) {
-  // The rl/guardrails convention: JSON cannot carry non-finite doubles, so
-  // they become quoted strings — e.g. a degraded-step ratio over zero
-  // recovered steps (0/0 = NaN) must still produce a parseable line.
-  EXPECT_EQ(JsonNumber(std::nan("")), "\"nan\"");
-  EXPECT_EQ(JsonNumber(HUGE_VAL), "\"inf\"");
-  EXPECT_EQ(JsonNumber(-HUGE_VAL), "\"-inf\"");
-  EXPECT_EQ(JsonNumber(0.5), "0.5");
-  EXPECT_EQ(JsonNumber(0.0), "0");
 }
 
 // ---------------------------------------------------------------------------
