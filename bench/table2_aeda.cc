@@ -37,12 +37,6 @@ int Run() {
     return 1;
   }
 
-  // Paper row order.
-  const std::vector<BaselineKind> kinds = {
-      BaselineKind::kAtnIO,    BaselineKind::kGreedyIO,
-      BaselineKind::kOtsDrl,   BaselineKind::kGreedyCR,
-      BaselineKind::kOtsDrlB,  BaselineKind::kAtena};
-
   std::map<std::string, Accumulator> rows;
   for (const auto& dataset : datasets.value()) {
     auto gold = bench::GoldViews(dataset, options.env);
@@ -52,7 +46,7 @@ int Run() {
       return 1;
     }
 
-    for (BaselineKind kind : kinds) {
+    for (BaselineKind kind : AllBaselines()) {
       auto run = RunBaseline(kind, dataset, options);
       if (!run.ok()) {
         std::fprintf(stderr, "baseline %s failed on %s: %s\n",
@@ -80,11 +74,12 @@ int Run() {
       "Table 2: Overall A-EDA Benchmark Results (mean over 8 datasets)\n");
   bench::PrintHeader("Baseline", {"Precision", "T-BLEU-1", "T-BLEU-2",
                                   "T-BLEU-3", "EDA-Sim"});
-  const std::vector<std::string> order = {"ATN-IO",    "Greedy-IO", "OTS-DRL",
-                                          "Greedy-CR", "OTS-DRL-B",
-                                          "EDA-Traces", "ATENA"};
-  for (const auto& name : order) {
-    bench::PrintRow(name, rows[name].Mean());
+  // Paper row order: the generators, with the human traces before ATENA.
+  for (BaselineKind kind : AllBaselines()) {
+    if (kind == BaselineKind::kAtena) {
+      bench::PrintRow("EDA-Traces", rows["EDA-Traces"].Mean());
+    }
+    bench::PrintRow(BaselineName(kind), rows[BaselineName(kind)].Mean());
   }
   return 0;
 }

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 build + test cycle, one short run of
-# every bench binary (which must leave the committed BENCH_*.json files
-# untouched) and the product-path benchmark's smoke test, then the same
-# suite again under AddressSanitizer (ATENA_SANITIZE=address) and
-# UndefinedBehaviorSanitizer (ATENA_SANITIZE=undefined, built with
-# -D_GLIBCXX_ASSERTIONS, which also bounds-checks std::vector operator[]
-# and the other libstdc++ preconditions), and finally the
-# concurrency-sensitive test binaries under ThreadSanitizer
-# (ATENA_SANITIZE=thread) — all in separate build trees. Run from
-# anywhere; builds land in <repo>/build, <repo>/build-asan,
-# <repo>/build-ubsan and <repo>/build-tsan. Every ctest invocation
-# carries a per-test timeout so a hung test fails the sweep instead of
-# wedging it.
+# Full verification sweep: the tier-1 build + test cycle, the golden
+# digests once more from a build for the host's full ISA
+# (-DCMAKE_CXX_FLAGS=-march=native), one short run of every bench binary
+# (which must leave the committed BENCH_*.json files untouched) and the
+# product-path benchmark's smoke test, then the same suite again under
+# AddressSanitizer (ATENA_SANITIZE=address) and UndefinedBehaviorSanitizer
+# (ATENA_SANITIZE=undefined, built with -D_GLIBCXX_ASSERTIONS, which also
+# bounds-checks std::vector operator[] and the other libstdc++
+# preconditions), and finally the concurrency-sensitive test binaries
+# under ThreadSanitizer (ATENA_SANITIZE=thread) — all in separate build
+# trees. Run from anywhere; builds land in <repo>/build,
+# <repo>/build-native, <repo>/build-asan, <repo>/build-ubsan and
+# <repo>/build-tsan. Every ctest invocation carries a per-test timeout so
+# a hung test fails the sweep instead of wedging it.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -25,6 +26,15 @@ cmake -B "$repo/build" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
   --timeout "$test_timeout"
+
+echo "== golden digests under -march=native =="
+# The digests hold across targets only if no compiler contracts a * b + c
+# into an FMA, which -march=native allows on a host with FMA unless every
+# target passes -ffp-contract=off (src/CMakeLists.txt, tests/CMakeLists.txt).
+cmake -B "$repo/build-native" -S "$repo" -DCMAKE_CXX_FLAGS=-march=native
+cmake --build "$repo/build-native" -j "$jobs" --target golden_test
+ctest --test-dir "$repo/build-native" --output-on-failure \
+  --timeout "$test_timeout" -R '^golden_test$'
 
 echo "== bench binaries: one short run each, committed results untouched =="
 # Every tier-1 bench binary runs once from the repository root at a minimal

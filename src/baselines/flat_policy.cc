@@ -12,29 +12,11 @@ namespace {
 
 double SafeLog(double p) { return std::log(std::max(p, 1e-12)); }
 
-}  // namespace
-
-FlatPolicy::FlatPolicy(const EdaEnvironment& env, Options options)
-    : options_(std::move(options)) {
-  BuildActionTable(env);
-
-  Rng rng(options_.seed);
-  trunk_ = std::make_unique<Sequential>();
-  int prev = env.observation_dim();
-  int idx = 0;
-  for (int h : options_.hidden) {
-    trunk_->Add(std::make_unique<Dense>(prev, h, &store_,
-                                        "trunk." + std::to_string(idx++),
-                                        &rng));
-    trunk_->Add(std::make_unique<Relu>());
-    prev = h;
-  }
-  policy_head_ = std::make_unique<Dense>(prev, num_actions(), &store_,
-                                         "policy_head", &rng);
-  value_head_ = std::make_unique<Dense>(prev, 1, &store_, "value_head", &rng);
-}
-
-void FlatPolicy::BuildActionTable(const EdaEnvironment& env) {
+/// The flat action table: every FILTER (column × operator × token or
+/// frequency bin), every GROUP (key × aggregation × target) and BACK.
+std::vector<ActionRecord> BuildActionTable(const EdaEnvironment& env,
+                                           const FlatPolicy::Options& options) {
+  std::vector<ActionRecord> actions;
   const Table& table = env.table();
   const ActionSpace& space = env.action_space();
   auto all_rows = AllRows(table).value();
@@ -56,16 +38,16 @@ void FlatPolicy::BuildActionTable(const EdaEnvironment& env) {
       if ((string_col && ordering) || (!string_col && substring)) {
         op = CompareOp::kEq;
       }
-      if (options_.term_mode == TermMode::kExplicitTokens) {
+      if (options.term_mode == FlatPolicy::TermMode::kExplicitTokens) {
         auto tokens = TokenFrequencies(col, all_rows);
-        const int limit = std::min<int>(options_.tokens_per_column,
+        const int limit = std::min<int>(options.tokens_per_column,
                                         static_cast<int>(tokens.size()));
         for (int t = 0; t < limit; ++t) {
           ActionRecord record;
           record.is_concrete = true;
           record.concrete =
               EdaOperation::Filter(c, op, col.KeyValue(tokens[t].key));
-          actions_.push_back(std::move(record));
+          actions.push_back(std::move(record));
         }
       } else {
         for (int bin = 0; bin < space.num_term_bins; ++bin) {
@@ -74,7 +56,7 @@ void FlatPolicy::BuildActionTable(const EdaEnvironment& env) {
           record.structured.filter_column = c;
           record.structured.filter_op = static_cast<int>(op);
           record.structured.filter_bin = bin;
-          actions_.push_back(std::move(record));
+          actions.push_back(std::move(record));
         }
       }
     }
@@ -88,7 +70,7 @@ void FlatPolicy::BuildActionTable(const EdaEnvironment& env) {
         record.structured.group_column = g;
         record.structured.agg_func = f;
         record.structured.agg_column = a;
-        actions_.push_back(std::move(record));
+        actions.push_back(std::move(record));
       }
     }
   }
@@ -96,23 +78,28 @@ void FlatPolicy::BuildActionTable(const EdaEnvironment& env) {
   {
     ActionRecord record;
     record.structured.type = OpType::kBack;
-    actions_.push_back(std::move(record));
+    actions.push_back(std::move(record));
   }
-  for (size_t i = 0; i < actions_.size(); ++i) {
-    actions_[i].flat_index = static_cast<int>(i);
+  for (size_t i = 0; i < actions.size(); ++i) {
+    actions[i].flat_index = static_cast<int>(i);
   }
-  ATENA_LOG(kInfo) << "flat policy: " << actions_.size()
+  ATENA_LOG(kInfo) << "flat policy: " << actions.size()
                    << " output nodes (" << env.dataset().info.id << ")";
+  return actions;
 }
 
-const Matrix* FlatPolicy::ForwardGraph(const Matrix& observations) {
-  const Matrix& h = trunk_->Forward(observations, &ws_);
-  const Matrix& logits = policy_head_->Forward(h, &ws_);
-  const Matrix& values = value_head_->Forward(h, &ws_);
-  probs_buf_ = logits;
+}  // namespace
+
+FlatPolicy::FlatPolicy(const EdaEnvironment& env, Options options)
+    : actions_(BuildActionTable(env, options)),
+      net_(env.observation_dim(), options.hidden, num_actions(),
+           options.seed) {}
+
+const Matrix& FlatPolicy::ForwardGraph(const Matrix& observations) {
+  const ActorCriticNet::Outputs out = net_.Forward(observations);
+  probs_buf_ = out.logits;
   SoftmaxRangeInPlace(&probs_buf_, 0, num_actions());
-  ++forward_passes_;
-  return &values;
+  return out.values;
 }
 
 PolicyStep FlatPolicy::StepFromRow(const double* probs, double value,
@@ -136,45 +123,11 @@ PolicyStep FlatPolicy::StepFromRow(const double* probs, double value,
     }
   }
 
-  double entropy = 0.0;
-  for (int i = 0; i < n; ++i) {
-    if (probs[i] > 0.0) entropy -= probs[i] * SafeLog(probs[i]);
-  }
-
   PolicyStep step;
   step.action = actions_[static_cast<size_t>(index)];
   step.log_prob = SafeLog(probs[index]);
-  step.entropy = entropy;
   step.value = value;
   return step;
-}
-
-PolicyStep FlatPolicy::MakeStep(const std::vector<double>& observation,
-                                Rng* rng) {
-  Matrix obs = Matrix::FromRow(observation);
-  const Matrix* values = ForwardGraph(obs);
-  return StepFromRow(probs_buf_.RowPtr(0), (*values)(0, 0), rng);
-}
-
-PolicyStep FlatPolicy::Act(const std::vector<double>& observation, Rng* rng) {
-  return MakeStep(observation, rng);
-}
-
-PolicyStep FlatPolicy::ActGreedy(const std::vector<double>& observation) {
-  return MakeStep(observation, /*rng=*/nullptr);
-}
-
-std::vector<PolicyStep> FlatPolicy::ActBatch(const Matrix& observations,
-                                             Rng* rng) {
-  // One forward pass for every actor; rows are sampled in order, each
-  // consuming `rng` exactly as a per-sample Act would (bit-identical).
-  const Matrix* values = ForwardGraph(observations);
-  std::vector<PolicyStep> steps;
-  steps.reserve(static_cast<size_t>(observations.rows()));
-  for (int r = 0; r < observations.rows(); ++r) {
-    steps.push_back(StepFromRow(probs_buf_.RowPtr(r), (*values)(r, 0), rng));
-  }
-  return steps;
 }
 
 std::vector<PolicyStep> FlatPolicy::ActBatch(const Matrix& observations,
@@ -182,16 +135,12 @@ std::vector<PolicyStep> FlatPolicy::ActBatch(const Matrix& observations,
   ATENA_CHECK(static_cast<int>(rngs.size()) == observations.rows())
       << "ActBatch needs one Rng slot per observation row ("
       << rngs.size() << " vs " << observations.rows() << ")";
-  // One forward pass; each row samples from its own stream (null = greedy),
-  // so a row's step is independent of the batch composition (src/serve/).
-  const Matrix* values = ForwardGraph(observations);
+  const Matrix& values = ForwardGraph(observations);
   std::vector<PolicyStep> steps;
-  steps.reserve(static_cast<size_t>(observations.rows()));
+  steps.reserve(rngs.size());
   for (int r = 0; r < observations.rows(); ++r) {
-    steps.push_back(StepFromRow(probs_buf_.RowPtr(r), (*values)(r, 0),
+    steps.push_back(StepFromRow(probs_buf_.RowPtr(r), values(r, 0),
                                 rngs[static_cast<size_t>(r)]));
-    // Per the overload's contract, entropy is not part of the result.
-    steps.back().entropy = 0.0;
   }
   return steps;
 }
@@ -199,7 +148,7 @@ std::vector<PolicyStep> FlatPolicy::ActBatch(const Matrix& observations,
 BatchEvaluation FlatPolicy::ForwardBatch(
     const Matrix& observations, const std::vector<ActionRecord>& actions) {
   const int batch = observations.rows();
-  const Matrix* values = ForwardGraph(observations);
+  const Matrix& values = ForwardGraph(observations);
 
   batch_probs_.clear();
   batch_probs_.reserve(static_cast<size_t>(batch));
@@ -222,7 +171,7 @@ BatchEvaluation FlatPolicy::ForwardBatch(
     }
     eval.log_probs[static_cast<size_t>(b)] = SafeLog(probs[index]);
     eval.entropies[static_cast<size_t>(b)] = entropy;
-    eval.values[static_cast<size_t>(b)] = (*values)(b, 0);
+    eval.values[static_cast<size_t>(b)] = values(b, 0);
     batch_probs_.emplace_back(probs, probs + num_actions());
     batch_indices_.push_back(index);
   }
@@ -256,18 +205,7 @@ void FlatPolicy::BackwardBatch(const std::vector<SampleGrad>& grads) {
       }
     }
   }
-  Matrix grad_h = policy_head_->Backward(dlogits, &ws_);
-  AxpyInPlace(&grad_h, value_head_->Backward(dvalues, &ws_), 1.0);
-  // Nothing uses the observation's gradient; BackwardParameters skips it.
-  trunk_->BackwardParameters(grad_h, &ws_);
-}
-
-std::vector<Parameter*> FlatPolicy::Parameters() { return store_.All(); }
-
-void FlatPolicy::PrepareForServing() {
-  trunk_->PrepareForServing();
-  policy_head_->PrepareForServing();
-  value_head_->PrepareForServing();
+  net_.Backward(dlogits, dvalues);
 }
 
 }  // namespace atena

@@ -1,7 +1,6 @@
 #ifndef ATENA_BASELINES_FLAT_POLICY_H_
 #define ATENA_BASELINES_FLAT_POLICY_H_
 
-#include <memory>
 #include <vector>
 
 #include "rl/policy.h"
@@ -17,11 +16,10 @@ namespace atena {
 ///  * TermMode::kFrequencyBins  — OTS-DRL-B: the same flat layout but the
 ///    term dimension uses ATENA's frequency bins instead of tokens.
 ///
-/// Shares the trunk/value-head structure with TwofoldPolicy; only the
-/// output layer differs — which is exactly the paper's ablation of the
-/// twofold architecture. Like TwofoldPolicy, all learnable tensors live in
-/// a ParameterStore, the layer graph is stateless, and ActBatch serves any
-/// number of actors with a single forward pass.
+/// Built on the ActorCriticNet TwofoldPolicy also uses, with a policy head
+/// one node per flat action wide; only the output layer differs — which is
+/// exactly the paper's ablation of the twofold architecture. ActBatch
+/// serves any number of actors with a single forward pass.
 class FlatPolicy final : public Policy {
  public:
   enum class TermMode { kExplicitTokens, kFrequencyBins };
@@ -40,49 +38,28 @@ class FlatPolicy final : public Policy {
 
   int num_actions() const { return static_cast<int>(actions_.size()); }
 
-  PolicyStep Act(const std::vector<double>& observation, Rng* rng) override;
-  PolicyStep ActGreedy(const std::vector<double>& observation) override;
-  std::vector<PolicyStep> ActBatch(const Matrix& observations,
-                                   Rng* rng) override;
+  using Policy::ActBatch;
   std::vector<PolicyStep> ActBatch(const Matrix& observations,
                                    const std::vector<Rng*>& rngs) override;
   BatchEvaluation ForwardBatch(
       const Matrix& observations,
       const std::vector<ActionRecord>& actions) override;
   void BackwardBatch(const std::vector<SampleGrad>& grads) override;
-  std::vector<Parameter*> Parameters() override;
-  void PrepareForServing() override;
-
-  /// All learnable tensors of the policy (for checkpointing).
-  const ParameterStore& parameter_store() const { return store_; }
-
-  /// Number of full network forward passes so far (a batched pass counts
-  /// once). See TwofoldPolicy::forward_passes.
-  int64_t forward_passes() const { return forward_passes_; }
+  std::vector<Parameter*> Parameters() override { return net_.Parameters(); }
+  void PrepareForServing() override { net_.PrepareForServing(); }
 
  private:
-  /// Runs trunk + both heads through the internal workspace and softmaxes
-  /// the logits into `probs_buf_` (workspace outputs are read-only, so the
-  /// softmax works on a copy). Returns the critic values (aliasing
-  /// workspace storage).
-  const Matrix* ForwardGraph(const Matrix& observations);
+  /// Runs the network and softmaxes the logits into `probs_buf_`
+  /// (workspace outputs are read-only, so the softmax works on a copy).
+  /// Returns the critic values (aliasing workspace storage).
+  const Matrix& ForwardGraph(const Matrix& observations);
 
   /// Samples (argmaxes when `rng` is null) one step from a probability row.
   PolicyStep StepFromRow(const double* probs, double value, Rng* rng) const;
 
-  PolicyStep MakeStep(const std::vector<double>& observation, Rng* rng);
-  void BuildActionTable(const EdaEnvironment& env);
-
-  Options options_;
   std::vector<ActionRecord> actions_;
-
-  ParameterStore store_;
-  std::unique_ptr<Sequential> trunk_;
-  std::unique_ptr<Dense> policy_head_;
-  std::unique_ptr<Dense> value_head_;
-  Workspace ws_;
+  ActorCriticNet net_;
   Matrix probs_buf_;
-  int64_t forward_passes_ = 0;
 
   // ForwardBatch caches for BackwardBatch.
   std::vector<std::vector<double>> batch_probs_;

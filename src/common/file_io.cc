@@ -335,13 +335,16 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
                            std::string* payload) {
   std::string raw;
   ATENA_RETURN_IF_ERROR(ReadFileToString(path, &raw));
+  return ParseChecksummedFile(raw, path, magic, payload);
+}
 
+Status ParseChecksummedFile(std::string_view raw, const std::string& path,
+                            std::string_view magic, std::string* payload) {
   // Magic line.
   const size_t magic_end = raw.find('\n');
   const std::string_view found =
-      magic_end == std::string::npos
-          ? std::string_view()
-          : std::string_view(raw).substr(0, magic_end);
+      magic_end == std::string::npos ? std::string_view()
+                                     : raw.substr(0, magic_end);
   if (magic_end == std::string::npos || found != magic) {
     return MagicMismatch(path, magic, found);
   }
@@ -350,8 +353,8 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
   if (header_end == std::string::npos) {
     return Status::IOError("'" + path + "' truncated: no checksum header");
   }
-  std::istringstream header(raw.substr(magic_end + 1,
-                                       header_end - magic_end - 1));
+  std::istringstream header(
+      std::string(raw.substr(magic_end + 1, header_end - magic_end - 1)));
   std::string crc_key, size_key;
   std::string crc_hex;
   uint64_t declared_size = 0;
@@ -368,7 +371,7 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
         std::to_string(raw.size() - body_start) + " bytes, header declares " +
         std::to_string(declared_size));
   }
-  std::string body = raw.substr(body_start);
+  std::string body(raw.substr(body_start));
   const uint32_t actual_crc = Crc32(body);
   if (actual_crc != declared_crc) {
     char actual[8];

@@ -114,6 +114,9 @@ Status WriteChecksummedFile(const std::string& path, std::string_view magic,
 /// every check passes.
 Status ReadChecksummedFile(const std::string& path, std::string_view magic,
                            std::string* payload);
+/// ReadChecksummedFile over the bytes `raw` already read from `path`.
+Status ParseChecksummedFile(std::string_view raw, const std::string& path,
+                            std::string_view magic, std::string* payload);
 
 /// Fault-injection hook for tests. When set, it is consulted before each
 /// low-level step of AtomicWriteFile — `op` is one of "open", "write",

@@ -32,31 +32,17 @@ int ArgmaxProbs(const double* probs, int count) {
 }  // namespace
 
 TwofoldPolicy::TwofoldPolicy(int observation_dim, const ActionSpace& space,
-                             Options options) {
-  segment_sizes_ = space.SegmentSizes();
+                             Options options)
+    : segment_sizes_(space.SegmentSizes()),
+      total_nodes_(space.TotalParameterNodes()),
+      net_(observation_dim, options.hidden, total_nodes_, options.seed) {
   ATENA_CHECK(static_cast<int>(segment_sizes_.size()) == kNumSegments)
       << "unexpected segment layout";
-  segment_offsets_.resize(segment_sizes_.size());
-  total_nodes_ = 0;
-  for (size_t s = 0; s < segment_sizes_.size(); ++s) {
-    segment_offsets_[s] = total_nodes_;
-    total_nodes_ += segment_sizes_[s];
+  int offset = 0;
+  for (int size : segment_sizes_) {
+    segment_offsets_.push_back(offset);
+    offset += size;
   }
-
-  Rng rng(options.seed);
-  trunk_ = std::make_unique<Sequential>();
-  int prev = observation_dim;
-  int idx = 0;
-  for (int h : options.hidden) {
-    trunk_->Add(std::make_unique<Dense>(prev, h, &store_,
-                                        "trunk." + std::to_string(idx++),
-                                        &rng));
-    trunk_->Add(std::make_unique<Relu>());
-    prev = h;
-  }
-  policy_head_ =
-      std::make_unique<Dense>(prev, total_nodes_, &store_, "policy_head", &rng);
-  value_head_ = std::make_unique<Dense>(prev, 1, &store_, "value_head", &rng);
 }
 
 std::span<const int> TwofoldPolicy::OpSegments(int op) {
@@ -98,25 +84,28 @@ int TwofoldPolicy::ChosenIndex(const EnvAction& action, int segment) {
   return 0;
 }
 
+void TwofoldPolicy::SoftmaxSegment(const double* logits, int segment,
+                                   double* probs) const {
+  const int begin = segment_offsets_[segment];
+  const int end = begin + segment_sizes_[segment];
+  double max_logit = logits[begin];
+  for (int j = begin; j < end; ++j) max_logit = std::max(max_logit, logits[j]);
+  double total = 0.0;
+  for (int j = begin; j < end; ++j) {
+    probs[j] = std::exp(logits[j] - max_logit);
+    total += probs[j];
+  }
+  for (int j = begin; j < end; ++j) probs[j] /= total;
+}
+
 void TwofoldPolicy::ComputeHead(const double* logits, HeadRow head) const {
   for (int s = 0; s < kNumSegments; ++s) {
+    SoftmaxSegment(logits, s, head.probs);
     const int begin = segment_offsets_[s];
-    const int end = begin + segment_sizes_[s];
-    double max_logit = logits[begin];
-    for (int j = begin; j < end; ++j) {
-      max_logit = std::max(max_logit, logits[j]);
-    }
-    double total = 0.0;
-    for (int j = begin; j < end; ++j) {
-      head.probs[j] = std::exp(logits[j] - max_logit);
-      total += head.probs[j];
-    }
     double h = 0.0;
-    for (int j = begin; j < end; ++j) {
-      const double p = head.probs[j] / total;
-      head.probs[j] = p;
-      head.logs[j] = SafeLog(p);
-      if (p > 0.0) h -= p * head.logs[j];
+    for (int j = begin; j < begin + segment_sizes_[s]; ++j) {
+      head.logs[j] = SafeLog(head.probs[j]);
+      if (head.probs[j] > 0.0) h -= head.probs[j] * head.logs[j];
     }
     head.entropies[s] = h;
   }
@@ -141,104 +130,26 @@ double TwofoldPolicy::ActionLogProb(const HeadRow& head,
   return logp;
 }
 
-TwofoldPolicy::GraphOutputs TwofoldPolicy::ForwardGraph(
-    const Matrix& observations) {
-  const Matrix& h = trunk_->Forward(observations, &ws_);
-  GraphOutputs out;
-  out.logits = &policy_head_->Forward(h, &ws_);
-  out.values = &value_head_->Forward(h, &ws_);
-  ++forward_passes_;
-  return out;
-}
-
 PolicyStep TwofoldPolicy::StepFromRow(const double* logits, double value,
                                       Rng* rng) const {
-  std::vector<double> buffer(2 * static_cast<size_t>(total_nodes_));
-  double entropies[kNumSegments];
-  const HeadRow head{buffer.data(), buffer.data() + total_nodes_, entropies};
-  ComputeHead(logits, head);
-
-  EnvAction action;
-  auto pick = [&](int segment) {
-    const double* p = head.probs + segment_offsets_[segment];
-    const int n = segment_sizes_[segment];
-    return rng == nullptr ? ArgmaxProbs(p, n) : SampleFromProbs(p, n, rng);
-  };
-  const int op = pick(0);
-  action.type = static_cast<OpType>(op);
-  // Sample only the chosen operation's parameter segments (the Multi-
-  // Softmax layer activates just those segments, paper §5); the rest stay 0
-  // and are ignored downstream.
-  for (int s : OpSegments(op)) {
-    const int k = pick(s);
-    switch (s) {
-      case 1:
-        action.filter_column = k;
-        break;
-      case 2:
-        action.filter_op = k;
-        break;
-      case 3:
-        action.filter_bin = k;
-        break;
-      case 4:
-        action.group_column = k;
-        break;
-      case 5:
-        action.agg_func = k;
-        break;
-      case 6:
-        action.agg_column = k;
-        break;
-      default:
-        break;
-    }
-  }
-
-  PolicyStep step;
-  step.action.structured = action;
-  step.action.is_concrete = false;
-  step.log_prob = ActionLogProb(head, action);
-  step.entropy = JointEntropy(head);
-  step.value = value;
-  return step;
-}
-
-PolicyStep TwofoldPolicy::ServeStepFromRow(const double* logits, double value,
-                                           Rng* rng) const {
   // Only the op segment and the chosen op's segments are filled and read.
   std::vector<double> probs(static_cast<size_t>(total_nodes_));
-  // Bit-identical to the matching slice of ComputeHead: same max shift,
-  // same exp/accumulate/divide order.
-  auto softmax_segment = [&](int segment) {
-    const int begin = segment_offsets_[segment];
-    const int end = begin + segment_sizes_[segment];
-    double max_logit = logits[begin];
-    for (int j = begin; j < end; ++j) {
-      max_logit = std::max(max_logit, logits[j]);
-    }
-    double total = 0.0;
-    for (int j = begin; j < end; ++j) {
-      probs[j] = std::exp(logits[j] - max_logit);
-      total += probs[j];
-    }
-    for (int j = begin; j < end; ++j) probs[j] /= total;
-  };
   auto pick = [&](int segment) {
+    SoftmaxSegment(logits, segment, probs.data());
     const double* p = probs.data() + segment_offsets_[segment];
     const int n = segment_sizes_[segment];
     return rng == nullptr ? ArgmaxProbs(p, n) : SampleFromProbs(p, n, rng);
   };
 
-  // The log-probability sums the chosen entries' logs in ActionLogProb's
-  // order: the op first, then its parameter segments.
+  // The operation type is sampled first, then only its parameter segments
+  // (the Multi-Softmax layer activates just those, paper §5); the other
+  // fields stay 0 and are ignored downstream. The log-probability sums the
+  // chosen entries' logs in ActionLogProb's order.
   EnvAction action;
-  softmax_segment(0);
   const int op = pick(0);
   action.type = static_cast<OpType>(op);
   double log_prob = SafeLog(probs[segment_offsets_[0] + op]);
   for (int s : OpSegments(op)) {
-    softmax_segment(s);
     const int k = pick(s);
     log_prob += SafeLog(probs[segment_offsets_[s] + k]);
     switch (s) {
@@ -267,41 +178,9 @@ PolicyStep TwofoldPolicy::ServeStepFromRow(const double* logits, double value,
 
   PolicyStep step;
   step.action.structured = action;
-  step.action.is_concrete = false;
   step.log_prob = log_prob;
-  step.entropy = 0.0;
   step.value = value;
   return step;
-}
-
-PolicyStep TwofoldPolicy::MakeStep(const std::vector<double>& observation,
-                                   Rng* rng) {
-  Matrix obs = Matrix::FromRow(observation);
-  GraphOutputs out = ForwardGraph(obs);
-  return StepFromRow(out.logits->RowPtr(0), (*out.values)(0, 0), rng);
-}
-
-PolicyStep TwofoldPolicy::Act(const std::vector<double>& observation,
-                              Rng* rng) {
-  return MakeStep(observation, rng);
-}
-
-PolicyStep TwofoldPolicy::ActGreedy(const std::vector<double>& observation) {
-  return MakeStep(observation, /*rng=*/nullptr);
-}
-
-std::vector<PolicyStep> TwofoldPolicy::ActBatch(const Matrix& observations,
-                                                Rng* rng) {
-  // One forward pass for every actor; rows are then sampled in order, each
-  // consuming `rng` exactly as a per-sample Act would (bit-identical).
-  GraphOutputs out = ForwardGraph(observations);
-  std::vector<PolicyStep> steps;
-  steps.reserve(static_cast<size_t>(observations.rows()));
-  for (int r = 0; r < observations.rows(); ++r) {
-    steps.push_back(
-        StepFromRow(out.logits->RowPtr(r), (*out.values)(r, 0), rng));
-  }
-  return steps;
 }
 
 std::vector<PolicyStep> TwofoldPolicy::ActBatch(const Matrix& observations,
@@ -309,18 +188,12 @@ std::vector<PolicyStep> TwofoldPolicy::ActBatch(const Matrix& observations,
   ATENA_CHECK(static_cast<int>(rngs.size()) == observations.rows())
       << "ActBatch needs one Rng slot per observation row ("
       << rngs.size() << " vs " << observations.rows() << ")";
-  // One forward pass for all sessions; each row is then sampled from its
-  // own private stream (null = greedy), so a row's action, log_prob and
-  // value are bit-identical to a per-sample Act regardless of which other
-  // rows share the batch — the cross-session batched-serving contract
-  // (src/serve/). Entropy is skipped per the overload's contract.
-  GraphOutputs out = ForwardGraph(observations);
+  const ActorCriticNet::Outputs out = net_.Forward(observations);
   std::vector<PolicyStep> steps;
-  steps.reserve(static_cast<size_t>(observations.rows()));
+  steps.reserve(rngs.size());
   for (int r = 0; r < observations.rows(); ++r) {
-    steps.push_back(ServeStepFromRow(out.logits->RowPtr(r),
-                                     (*out.values)(r, 0),
-                                     rngs[static_cast<size_t>(r)]));
+    steps.push_back(StepFromRow(out.logits.RowPtr(r), out.values(r, 0),
+                                rngs[static_cast<size_t>(r)]));
   }
   return steps;
 }
@@ -328,9 +201,7 @@ std::vector<PolicyStep> TwofoldPolicy::ActBatch(const Matrix& observations,
 BatchEvaluation TwofoldPolicy::ForwardBatch(
     const Matrix& observations, const std::vector<ActionRecord>& actions) {
   const int batch = observations.rows();
-  GraphOutputs out = ForwardGraph(observations);
-  const Matrix& logits = *out.logits;
-  const Matrix& values = *out.values;
+  const ActorCriticNet::Outputs out = net_.Forward(observations);
 
   batch_probs_.Resize(batch, total_nodes_);
   batch_logs_.Resize(batch, total_nodes_);
@@ -346,11 +217,11 @@ BatchEvaluation TwofoldPolicy::ForwardBatch(
   for (int b = 0; b < batch; ++b) {
     const HeadRow head{batch_probs_.RowPtr(b), batch_logs_.RowPtr(b),
                        batch_entropies_.RowPtr(b)};
-    ComputeHead(logits.RowPtr(b), head);
+    ComputeHead(out.logits.RowPtr(b), head);
     const EnvAction& action = actions[static_cast<size_t>(b)].structured;
     eval.log_probs[static_cast<size_t>(b)] = ActionLogProb(head, action);
     eval.entropies[static_cast<size_t>(b)] = JointEntropy(head);
-    eval.values[static_cast<size_t>(b)] = values(b, 0);
+    eval.values[static_cast<size_t>(b)] = out.values(b, 0);
     batch_actions_.push_back(action);
   }
   return eval;
@@ -423,19 +294,7 @@ void TwofoldPolicy::BackwardBatch(const std::vector<SampleGrad>& grads) {
     }
   }
 
-  // The trunk's first layer sees the observation, whose gradient nothing
-  // uses: BackwardParameters skips it.
-  grad_h_ = policy_head_->Backward(dlogits_, &ws_);
-  AxpyInPlace(&grad_h_, value_head_->Backward(dvalues_, &ws_), 1.0);
-  trunk_->BackwardParameters(grad_h_, &ws_);
-}
-
-std::vector<Parameter*> TwofoldPolicy::Parameters() { return store_.All(); }
-
-void TwofoldPolicy::PrepareForServing() {
-  trunk_->PrepareForServing();
-  policy_head_->PrepareForServing();
-  value_head_->PrepareForServing();
+  net_.Backward(dlogits_, dvalues_);
 }
 
 }  // namespace atena

@@ -1,7 +1,6 @@
 #ifndef ATENA_CORE_TWOFOLD_POLICY_H_
 #define ATENA_CORE_TWOFOLD_POLICY_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,10 +28,9 @@ namespace atena {
 /// A critic value head shares the dense trunk (Advantage Actor-Critic with
 /// PPO, paper §6.1).
 ///
-/// All learnable tensors live in one ParameterStore; the layer graph is
-/// stateless, and the policy's own acting/update passes run through an
-/// internal Workspace. ActBatch evaluates any number of actors' current
-/// observations in a single forward pass.
+/// The network is the ActorCriticNet FlatPolicy also uses, with a policy
+/// head |OP| + Σ_p |V(p)| wide. ActBatch evaluates any number of actors'
+/// or sessions' observations in a single forward pass.
 class TwofoldPolicy final : public Policy {
  public:
   struct Options {
@@ -45,29 +43,26 @@ class TwofoldPolicy final : public Policy {
   TwofoldPolicy(int observation_dim, const ActionSpace& space,
                 Options options);
 
-  PolicyStep Act(const std::vector<double>& observation, Rng* rng) override;
-  PolicyStep ActGreedy(const std::vector<double>& observation) override;
-  std::vector<PolicyStep> ActBatch(const Matrix& observations,
-                                   Rng* rng) override;
+  using Policy::ActBatch;
   std::vector<PolicyStep> ActBatch(const Matrix& observations,
                                    const std::vector<Rng*>& rngs) override;
   BatchEvaluation ForwardBatch(
       const Matrix& observations,
       const std::vector<ActionRecord>& actions) override;
   void BackwardBatch(const std::vector<SampleGrad>& grads) override;
-  std::vector<Parameter*> Parameters() override;
-  void PrepareForServing() override;
+  std::vector<Parameter*> Parameters() override { return net_.Parameters(); }
+  void PrepareForServing() override { net_.PrepareForServing(); }
 
   /// Width of the pre-output layer: |OP| + Σ_p |V(p)| (paper §5).
   int pre_output_width() const { return total_nodes_; }
 
   /// All learnable tensors of the policy (for checkpointing).
-  const ParameterStore& parameter_store() const { return store_; }
+  const ParameterStore& parameter_store() const { return net_.store(); }
 
   /// Number of full network forward passes executed so far, counting a
   /// batched pass once regardless of batch size. Lets tests assert that
   /// multi-actor acting really is one forward per lockstep tick.
-  int64_t forward_passes() const { return forward_passes_; }
+  int64_t forward_passes() const { return net_.forward_passes(); }
 
  private:
   /// Segment layout: 0 = op type; 1..3 = filter params; 4..6 = group params.
@@ -83,6 +78,9 @@ class TwofoldPolicy final : public Policy {
     double* entropies;
   };
 
+  /// Softmax of segment `segment` of one logits row into `probs` (laid out
+  /// like the logits row).
+  void SoftmaxSegment(const double* logits, int segment, double* probs) const;
   /// Per-segment softmax of one logits row, the SafeLog of every
   /// probability and every segment's entropy.
   void ComputeHead(const double* logits, HeadRow head) const;
@@ -98,40 +96,18 @@ class TwofoldPolicy final : public Policy {
   /// The chosen value index inside segment `segment` for `action`.
   static int ChosenIndex(const EnvAction& action, int segment);
 
-  /// Runs trunk + both heads over `observations` through the internal
-  /// workspace; the returned references alias workspace storage.
-  struct GraphOutputs {
-    const Matrix* logits;
-    const Matrix* values;
-  };
-  GraphOutputs ForwardGraph(const Matrix& observations);
-
   /// Samples (or argmaxes, when `rng` is null) one PolicyStep from a
-  /// logits row and its critic value.
-  PolicyStep StepFromRow(const double* logits, double value, Rng* rng) const;
-
-  /// Serving-lean StepFromRow: softmaxes only the op segment plus the
+  /// logits row and its critic value. Softmaxes only the op segment and the
   /// chosen operation's parameter segments (segments are independent, so
-  /// the values — and hence the action, log_prob and value — are
-  /// bit-identical to the full pass) and skips the joint entropy, the
-  /// training-only exploration diagnostic (reported as 0). Roughly halves
-  /// the exp count and drops ~60 log calls per action, which is most of
-  /// the per-row cost left after the batched forward.
-  PolicyStep ServeStepFromRow(const double* logits, double value,
-                              Rng* rng) const;
-
-  PolicyStep MakeStep(const std::vector<double>& observation, Rng* rng);
+  /// their values equal ComputeHead's bit for bit) and takes the SafeLog of
+  /// the chosen entries alone.
+  PolicyStep StepFromRow(const double* logits, double value, Rng* rng) const;
 
   std::vector<int> segment_sizes_;
   std::vector<int> segment_offsets_;
   int total_nodes_ = 0;
 
-  ParameterStore store_;
-  std::unique_ptr<Sequential> trunk_;
-  std::unique_ptr<Dense> policy_head_;
-  std::unique_ptr<Dense> value_head_;
-  Workspace ws_;
-  int64_t forward_passes_ = 0;
+  ActorCriticNet net_;
 
   // Caches from the last ForwardBatch for BackwardBatch: one row of head
   // statistics per sample (see HeadRow).
@@ -143,7 +119,6 @@ class TwofoldPolicy final : public Policy {
   // BackwardBatch buffers, reused across minibatches.
   Matrix dlogits_;
   Matrix dvalues_;
-  Matrix grad_h_;
 };
 
 }  // namespace atena

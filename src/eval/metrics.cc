@@ -118,22 +118,6 @@ double TBleu(const std::vector<ViewSignature>& candidate,
   return bp * geo;
 }
 
-double EdaSim(const std::vector<ViewSignature>& candidate,
-              const std::vector<ViewSignature>& reference) {
-  const size_t n = candidate.size(), m = reference.size();
-  if (n == 0 || m == 0) return (n == m) ? 1.0 : 0.0;
-  // Needleman-Wunsch with zero gap penalty = heaviest monotone alignment.
-  std::vector<std::vector<double>> dp(n + 1, std::vector<double>(m + 1, 0.0));
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      const double match =
-          dp[i - 1][j - 1] + ViewSimilarity(candidate[i - 1], reference[j - 1]);
-      dp[i][j] = std::max({match, dp[i - 1][j], dp[i][j - 1]});
-    }
-  }
-  return dp[n][m] / static_cast<double>(std::max(n, m));
-}
-
 namespace {
 
 /// Interning table over view signatures: each distinct ToKey gets one id,
@@ -172,8 +156,8 @@ class ViewSimTable {
   std::unordered_map<uint64_t, double> sims_;
 };
 
-/// EdaSim's alignment DP over interned ids (same recurrence, memoized
-/// similarities — bit-identical values in the same order).
+/// EDA-Sim's alignment DP over interned ids with memoized similarities:
+/// the heaviest monotone alignment, normalized by the longer sequence.
 double AlignedSim(const std::vector<int>& candidate,
                   const std::vector<int>& reference, ViewSimTable* sims) {
   const size_t n = candidate.size(), m = reference.size();
@@ -219,7 +203,8 @@ double MaxEdaSim(const std::vector<ViewSignature>& candidate,
   // Upper bound per reference: in any monotone alignment each candidate
   // view matches at most one reference view, so the matched-sim sum is at
   // most Σ_i max_j sim(c_i, r_j); divide by the same max(n, m) as the DP.
-  // Empty sequences take EdaSim's exact special-case value as their bound.
+  // Empty sequences take AlignedSim's exact special-case value as their
+  // bound.
   std::vector<double> bounds(refs.size(), 0.0);
   for (size_t r = 0; r < refs.size(); ++r) {
     const std::vector<int>& ref = refs[r];
@@ -248,7 +233,7 @@ double MaxEdaSim(const std::vector<ViewSignature>& candidate,
   double best = 0.0;
   for (const size_t r : order) {
     // A reference whose bound (plus the FP slack) cannot beat the running
-    // best cannot change the max: EdaSim(c, r) <= bound < best.
+    // best cannot change the max: AlignedSim(c, r) <= bound < best.
     if (bounds[r] + kEdaSimBoundSlack <= best) {
       if (stats != nullptr) ++stats->references_pruned;
       continue;

@@ -28,14 +28,6 @@ double ViewPrecision(const std::vector<ViewSignature>& candidate,
 double TBleu(const std::vector<ViewSignature>& candidate,
              const std::vector<std::vector<ViewSignature>>& gold, int max_n);
 
-/// EDA-Sim [29]: order-aware similarity with fine-grained per-view partial
-/// credit. Computed as the best global alignment (Needleman-Wunsch with
-/// zero gap penalty) of the two view sequences under ViewSimilarity,
-/// normalized by the longer sequence; the final score takes the max over
-/// the gold notebooks.
-double EdaSim(const std::vector<ViewSignature>& candidate,
-              const std::vector<ViewSignature>& reference);
-
 /// Pruning accounting of one MaxEdaSim call (tests/bench).
 struct EdaSimPruningStats {
   int references_total = 0;
@@ -46,8 +38,12 @@ struct EdaSimPruningStats {
   int references_pruned = 0;
 };
 
-/// Max over the gold notebooks — identical to looping EdaSim over all of
-/// them, but sub-linear in practice: view signatures are interned so
+/// EDA-Sim [29]: order-aware similarity with fine-grained per-view partial
+/// credit. Against one reference notebook it is the best global alignment
+/// (Needleman-Wunsch with zero gap penalty) of the two view sequences under
+/// ViewSimilarity, normalized by the longer sequence (1 when both are
+/// empty, 0 when one is); the score is the max over the gold notebooks.
+/// The max is sub-linear in practice: view signatures are interned so
 /// pairwise ViewSimilarity values are computed once across all
 /// references, each reference gets a cheap alignment upper bound
 /// (Σ_i max_j sim(c_i, r_j) / max(n, m) — every candidate view aligns to
@@ -55,7 +51,8 @@ struct EdaSimPruningStats {
 /// and references are evaluated best-bound-first, pruning any whose bound
 /// cannot exceed the best alignment found so far. Pruned references
 /// cannot change the max, so the returned score is identical to the
-/// unpruned loop (test-enforced in tests/eval_test.cc).
+/// unpruned loop over every reference (test-enforced in tests/eval_test.cc
+/// against the plain alignment in tests/support/reference_metrics.h).
 double MaxEdaSim(const std::vector<ViewSignature>& candidate,
                  const std::vector<std::vector<ViewSignature>>& gold);
 double MaxEdaSim(const std::vector<ViewSignature>& candidate,

@@ -95,27 +95,6 @@ const Matrix& Relu::Backward(const Matrix& grad_output, Workspace* ws) const {
   return slot.input_grad;
 }
 
-const Matrix& TanhLayer::Forward(const Matrix& input, Workspace* ws) const {
-  Workspace::Slot& slot = ws->For(this);
-  slot.output.Resize(input.rows(), input.cols());
-  const auto& in = input.data();
-  auto& out = slot.output.data();
-  for (size_t i = 0; i < in.size(); ++i) out[i] = std::tanh(in[i]);
-  return slot.output;
-}
-
-const Matrix& TanhLayer::Backward(const Matrix& grad_output,
-                                  Workspace* ws) const {
-  Workspace::Slot& slot = ws->For(this);
-  slot.input_grad = grad_output;
-  auto& grad = slot.input_grad.data();
-  for (size_t i = 0; i < grad.size(); ++i) {
-    const double y = slot.output.data()[i];
-    grad[i] *= (1.0 - y * y);
-  }
-  return slot.input_grad;
-}
-
 const Matrix& Sequential::Forward(const Matrix& input, Workspace* ws) const {
   const Matrix* x = &input;
   for (const auto& layer : layers_) x = &layer->Forward(*x, ws);
@@ -169,6 +148,40 @@ std::unique_ptr<Sequential> MakeMlp(int in_features,
   net->Add(std::make_unique<Dense>(
       prev, out_features, store, name + "." + std::to_string(index), rng));
   return net;
+}
+
+ActorCriticNet::ActorCriticNet(int in_features, const std::vector<int>& hidden,
+                               int policy_width, uint64_t seed) {
+  Rng rng(seed);
+  int prev = in_features;
+  for (size_t i = 0; i < hidden.size(); ++i) {
+    trunk_.Add(std::make_unique<Dense>(prev, hidden[i], &store_,
+                                       "trunk." + std::to_string(i), &rng));
+    trunk_.Add(std::make_unique<Relu>());
+    prev = hidden[i];
+  }
+  policy_head_ =
+      std::make_unique<Dense>(prev, policy_width, &store_, "policy_head", &rng);
+  value_head_ = std::make_unique<Dense>(prev, 1, &store_, "value_head", &rng);
+}
+
+ActorCriticNet::Outputs ActorCriticNet::Forward(const Matrix& observations) {
+  const Matrix& h = trunk_.Forward(observations, &ws_);
+  ++forward_passes_;
+  return {policy_head_->Forward(h, &ws_), value_head_->Forward(h, &ws_)};
+}
+
+void ActorCriticNet::Backward(const Matrix& dlogits, const Matrix& dvalues) {
+  grad_h_ = policy_head_->Backward(dlogits, &ws_);
+  AxpyInPlace(&grad_h_, value_head_->Backward(dvalues, &ws_), 1.0);
+  // Nothing uses the observation's gradient; BackwardParameters skips it.
+  trunk_.BackwardParameters(grad_h_, &ws_);
+}
+
+void ActorCriticNet::PrepareForServing() {
+  trunk_.PrepareForServing();
+  policy_head_->PrepareForServing();
+  value_head_->PrepareForServing();
 }
 
 void SoftmaxRangeInPlace(Matrix* m, int begin, int end) {

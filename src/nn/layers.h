@@ -138,14 +138,6 @@ class Relu final : public Layer {
                          Workspace* ws) const override;
 };
 
-/// Hyperbolic tangent.
-class TanhLayer final : public Layer {
- public:
-  const Matrix& Forward(const Matrix& input, Workspace* ws) const override;
-  const Matrix& Backward(const Matrix& grad_output,
-                         Workspace* ws) const override;
-};
-
 /// A plain sequential network.
 class Sequential final : public Layer {
  public:
@@ -176,6 +168,51 @@ std::unique_ptr<Sequential> MakeMlp(int in_features,
                                     const std::vector<int>& hidden,
                                     int out_features, ParameterStore* store,
                                     const std::string& name, Rng* rng);
+
+/// The actor-critic network both EDA policies are built on: ATENA's twofold
+/// network and the off-the-shelf baselines differ only in how they read the
+/// policy head (paper §5). A ReLU trunk of `hidden` widths feeds a linear
+/// policy head `policy_width` wide and a one-wide value head. Parameters
+/// are created in one ParameterStore in the order trunk.0, trunk.1, ...,
+/// policy_head, value_head, He-initialized from one Rng seeded with `seed`;
+/// weight files and checkpoints depend on both. Passes run through an
+/// internal Workspace, so Backward pairs with the last Forward.
+class ActorCriticNet {
+ public:
+  ActorCriticNet(int in_features, const std::vector<int>& hidden,
+                 int policy_width, uint64_t seed);
+
+  /// Both alias the workspace and stay valid until the next Forward.
+  struct Outputs {
+    const Matrix& logits;  // rows × policy_width
+    const Matrix& values;  // rows × 1
+  };
+  /// `observations` must stay alive and unmodified until a Backward that
+  /// consumes this pass.
+  Outputs Forward(const Matrix& observations);
+
+  /// Backpropagates the gradients w.r.t. the last Forward's logits and
+  /// values, accumulating parameter gradients.
+  void Backward(const Matrix& dlogits, const Matrix& dvalues);
+
+  /// Freezes every layer (Layer::PrepareForServing).
+  void PrepareForServing();
+
+  const ParameterStore& store() const { return store_; }
+  std::vector<Parameter*> Parameters() const { return store_.All(); }
+
+  /// Forward passes so far, a batched pass counting once.
+  int64_t forward_passes() const { return forward_passes_; }
+
+ private:
+  ParameterStore store_;
+  Sequential trunk_;
+  std::unique_ptr<Dense> policy_head_;
+  std::unique_ptr<Dense> value_head_;
+  Workspace ws_;
+  Matrix grad_h_;  // Backward's trunk-output gradient, reused.
+  int64_t forward_passes_ = 0;
+};
 
 /// In-place row-wise numerically-stable softmax over columns [begin, end).
 void SoftmaxRangeInPlace(Matrix* m, int begin, int end);

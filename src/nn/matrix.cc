@@ -277,12 +277,6 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   StridedMatMulInto(a.data().data(), a.rows(), a.cols(), a.cols(), 1, b, out);
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulInto(a, b, &out);
-  return out;
-}
-
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out) {
   ATENA_CHECK(a.rows() == b.rows())
       << "MatMulTransposeA shape mismatch " << a.ShapeString() << "^T * "
@@ -290,12 +284,6 @@ void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out) {
   // Output row i is column i of `a`; the k-loop walks the rows of `a` and
   // `b` (the batch) in ascending order, the lanes run along b's columns.
   StridedMatMulInto(a.data().data(), a.cols(), a.rows(), 1, a.cols(), b, out);
-}
-
-Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulTransposeAInto(a, b, &out);
-  return out;
 }
 
 void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -351,12 +339,6 @@ void TransposeInto(const Matrix& m, Matrix* out) {
   }
 }
 
-Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  MatMulTransposeBInto(a, b, &out);
-  return out;
-}
-
 void AddRowVectorInPlace(Matrix* m, const Matrix& bias) {
   ATENA_CHECK(bias.rows() == 1 && bias.cols() == m->cols())
       << "bias shape " << bias.ShapeString() << " vs " << m->ShapeString();
@@ -365,12 +347,6 @@ void AddRowVectorInPlace(Matrix* m, const Matrix& bias) {
     const double* b = bias.RowPtr(0);
     for (int j = 0; j < m->cols(); ++j) row[j] += b[j];
   }
-}
-
-Matrix ColumnSums(const Matrix& m) {
-  Matrix out;
-  ColumnSumsInto(m, &out);
-  return out;
 }
 
 void ColumnSumsInto(const Matrix& m, Matrix* out) {

@@ -51,20 +51,18 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// out = a (r×k) * b (k×c). Shapes are checked fatally (programmer error).
-Matrix MatMul(const Matrix& a, const Matrix& b);
+// The matrix products. Each resizes `out` and writes the product into it,
+// reusing its buffer; shapes are checked fatally (programmer error). For
+// finite inputs the results are bit-identical to a plain triple loop that
+// sums each output element from +0.0 in ascending inner-index order
+// (DESIGN.md §7).
+
+/// out = a (r×k) * b (k×c).
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a (r×k) * bᵀ where b is (c×k), yielding (r×c).
-Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
+void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = aᵀ * b where a is (r×k) and b is (r×c), yielding (k×c). Used for
 /// weight gradients: dW = grad_outputᵀ · input.
-Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
-
-/// Destination-passing variants: resize `out` and write the product into
-/// it, reusing its buffer. Results are bit-identical to the value-returning
-/// forms, and for finite inputs to a plain triple loop that sums each
-/// output element from +0.0 in ascending inner-index order (DESIGN.md §7).
-void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
-void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out);
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// True when the nn kernels (the matrix products above and Adam::Step) take
@@ -81,9 +79,7 @@ void TransposeInto(const Matrix& m, Matrix* out);
 
 /// Adds `bias` (1×c) to every row of `m` in place.
 void AddRowVectorInPlace(Matrix* m, const Matrix& bias);
-/// Column sums of `m` as a (1×c) matrix.
-Matrix ColumnSums(const Matrix& m);
-/// ColumnSums into `out`, reusing its buffer.
+/// Column sums of `m` into `out` as a (1×c) matrix, reusing its buffer.
 void ColumnSumsInto(const Matrix& m, Matrix* out);
 /// Element-wise a += scale * b.
 void AxpyInPlace(Matrix* a, const Matrix& b, double scale);

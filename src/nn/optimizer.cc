@@ -96,14 +96,6 @@ GradClipResult ClipGradientsByNorm(const std::vector<Parameter*>& params,
   return result;
 }
 
-void Sgd::Step(const std::vector<Parameter*>& params) {
-  for (Parameter* p : params) {
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      p->value.data()[i] -= learning_rate_ * p->grad.data()[i];
-    }
-  }
-}
-
 void Adam::SetState(int64_t step, std::vector<Matrix> m,
                     std::vector<Matrix> v) {
   ATENA_CHECK(step >= 0) << "Adam step count cannot be negative";

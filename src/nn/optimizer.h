@@ -30,16 +30,6 @@ struct GradClipResult {
 GradClipResult ClipGradientsByNorm(const std::vector<Parameter*>& params,
                                    double max_norm);
 
-/// Plain SGD: value -= lr * grad.
-class Sgd {
- public:
-  explicit Sgd(double learning_rate) : learning_rate_(learning_rate) {}
-  void Step(const std::vector<Parameter*>& params);
-
- private:
-  double learning_rate_;
-};
-
 /// Adam (Kingma & Ba). State is keyed by position in the parameter list, so
 /// call Step with the same parameter vector every time.
 class Adam {

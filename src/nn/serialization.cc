@@ -89,8 +89,15 @@ Status SaveParameters(const std::vector<Parameter*>& params,
 
 Status LoadParameters(const std::vector<Parameter*>& params,
                       const std::string& path) {
+  std::string raw;
+  ATENA_RETURN_IF_ERROR(ReadFileToString(path, &raw));
+  return LoadParametersFromBytes(raw, path, params);
+}
+
+Status LoadParametersFromBytes(std::string_view raw, const std::string& path,
+                               const std::vector<Parameter*>& params) {
   std::string payload;
-  ATENA_RETURN_IF_ERROR(ReadChecksummedFile(path, kMagic, &payload));
+  ATENA_RETURN_IF_ERROR(ParseChecksummedFile(raw, path, kMagic, &payload));
   PayloadReader reader(payload, "'" + path + "'");
   std::vector<Matrix> staged;
   ATENA_RETURN_IF_ERROR(ReadParameters(reader, params, &staged));

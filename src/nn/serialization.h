@@ -2,6 +2,7 @@
 #define ATENA_NN_SERIALIZATION_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/record_codec.h"
@@ -64,6 +65,9 @@ Status SaveParameters(const std::vector<Parameter*>& params,
 /// version. `params` is left unmodified on any error.
 Status LoadParameters(const std::vector<Parameter*>& params,
                       const std::string& path);
+/// LoadParameters over the bytes `raw` already read from `path`.
+Status LoadParametersFromBytes(std::string_view raw, const std::string& path,
+                               const std::vector<Parameter*>& params);
 
 /// Store-level conveniences: checkpoint every parameter of a network's
 /// ParameterStore in creation order.

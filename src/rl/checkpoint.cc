@@ -51,6 +51,50 @@ Status ReadOpList(PayloadReader& reader, const char* keyword,
   return Status::OK();
 }
 
+// Verifies the CRC frame of checkpoint bytes read from `source` and decodes
+// the payload.
+Status DecodeCheckpointFile(std::string_view raw, const std::string& source,
+                            const std::vector<Parameter*>& params,
+                            TrainingCheckpoint* out) {
+  std::string payload;
+  ATENA_RETURN_IF_ERROR(
+      ParseChecksummedFile(raw, source, kCkptMagic, &payload));
+  return DecodeCheckpointPayload(payload, params, source, out);
+}
+
+// LoadTrainingCheckpoint once `path` has been read: `raw` holds its bytes
+// when `read` is OK. Only a failed primary reads `<path>.prev`.
+Status LoadCheckpointOrPrev(const std::string& path, const Status& read,
+                            std::string_view raw,
+                            const std::vector<Parameter*>& params,
+                            TrainingCheckpoint* out, CheckpointLoadInfo* info) {
+  TrainingCheckpoint staged;
+  const Status primary =
+      read.ok() ? DecodeCheckpointFile(raw, path, params, &staged) : read;
+  if (primary.ok()) {
+    if (info) *info = CheckpointLoadInfo{};
+    *out = std::move(staged);
+    return Status::OK();
+  }
+  const std::string prev = path + ".prev";
+  std::string prev_raw;
+  Status fallback = ReadFileToString(prev, &prev_raw);
+  if (fallback.ok()) {
+    fallback = DecodeCheckpointFile(prev_raw, prev, params, &staged);
+  }
+  if (fallback.ok()) {
+    if (info) {
+      info->recovered_from_prev = true;
+      info->primary_error = primary.ToString();
+    }
+    *out = std::move(staged);
+    return Status::OK();
+  }
+  return Status::IOError("no loadable checkpoint: '" + path + "' (" +
+                         primary.ToString() + "); '" + prev + "' (" +
+                         fallback.ToString() + ")");
+}
+
 }  // namespace
 
 std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
@@ -249,33 +293,9 @@ Status LoadTrainingCheckpoint(const std::string& path,
                               const std::vector<Parameter*>& params,
                               TrainingCheckpoint* out,
                               CheckpointLoadInfo* info) {
-  auto try_load = [&](const std::string& p,
-                      TrainingCheckpoint* ckpt) -> Status {
-    std::string payload;
-    ATENA_RETURN_IF_ERROR(ReadChecksummedFile(p, kCkptMagic, &payload));
-    return DecodeCheckpointPayload(payload, params, p, ckpt);
-  };
-
-  TrainingCheckpoint staged;
-  Status primary = try_load(path, &staged);
-  if (primary.ok()) {
-    if (info) *info = CheckpointLoadInfo{};
-    *out = std::move(staged);
-    return Status::OK();
-  }
-  const std::string prev = path + ".prev";
-  Status fallback = try_load(prev, &staged);
-  if (fallback.ok()) {
-    if (info) {
-      info->recovered_from_prev = true;
-      info->primary_error = primary.ToString();
-    }
-    *out = std::move(staged);
-    return Status::OK();
-  }
-  return Status::IOError("no loadable checkpoint: '" + path + "' (" +
-                         primary.ToString() + "); '" + prev + "' (" +
-                         fallback.ToString() + ")");
+  std::string raw;
+  const Status read = ReadFileToString(path, &raw);
+  return LoadCheckpointOrPrev(path, read, raw, params, out, info);
 }
 
 bool OpExecutableOn(const Table& table, const EdaOperation& op) {
@@ -294,10 +314,11 @@ bool OpExecutableOn(const Table& table, const EdaOperation& op) {
 
 Status LoadPolicyParameters(const std::string& path,
                             const std::vector<Parameter*>& params) {
-  std::string text;
-  const Status read = ReadFileToString(path, &text);
-  if (read.ok() && text.rfind("ATENA-NN", 0) == 0) {
-    Status loaded = LoadParameters(params, path);
+  // The file is read once; its magic line picks the decoder.
+  std::string raw;
+  const Status read = ReadFileToString(path, &raw);
+  if (read.ok() && raw.starts_with("ATENA-NN")) {
+    Status loaded = LoadParametersFromBytes(raw, path, params);
     if (loaded.code() == StatusCode::kFailedPrecondition) {
       // Architecture mismatch: the container was trained with a network
       // this policy was not constructed as. Keep the shape detail and say
@@ -310,15 +331,14 @@ Status LoadPolicyParameters(const std::string& path,
     return loaded;
   }
 
-  // Anything else is treated as an ATENA-CKPT container; the loader
-  // recovers from `<path>.prev` when the primary is corrupt, and its
-  // decoder validates the embedded parameter section against `params`.
-  const bool looks_like_ckpt =
-      read.ok() && text.rfind("ATENA-CKPT", 0) == 0;
+  // Anything else is treated as an ATENA-CKPT container; a primary that
+  // fails to load falls back to `<path>.prev`, and the decoder validates
+  // the embedded parameter section against `params`.
   TrainingCheckpoint ckpt;
-  Status loaded = LoadTrainingCheckpoint(path, params, &ckpt);
+  Status loaded = LoadCheckpointOrPrev(path, read, raw, params, &ckpt,
+                                       /*info=*/nullptr);
   if (!loaded.ok()) {
-    if (!looks_like_ckpt) {
+    if (!(read.ok() && raw.starts_with("ATENA-CKPT"))) {
       return Status::InvalidArgument(
           "'" + path + "' is neither an ATENA-NN parameter file nor an "
           "ATENA-CKPT training checkpoint: " +

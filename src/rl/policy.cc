@@ -1,39 +1,20 @@
 #include "rl/policy.h"
 
-#include "common/logging.h"
-
 namespace atena {
 
-std::vector<PolicyStep> Policy::ActBatch(const Matrix& observations,
-                                         Rng* rng) {
-  std::vector<PolicyStep> steps;
-  steps.reserve(static_cast<size_t>(observations.rows()));
-  std::vector<double> row(static_cast<size_t>(observations.cols()));
-  for (int r = 0; r < observations.rows(); ++r) {
-    const double* src = observations.RowPtr(r);
-    row.assign(src, src + observations.cols());
-    steps.push_back(rng != nullptr ? Act(row, rng) : ActGreedy(row));
-  }
-  return steps;
+PolicyStep Policy::Act(const std::vector<double>& observation, Rng* rng) {
+  return ActBatch(Matrix::FromRow(observation), std::vector<Rng*>(1, rng))[0];
+}
+
+PolicyStep Policy::ActGreedy(const std::vector<double>& observation) {
+  return Act(observation, /*rng=*/nullptr);
 }
 
 std::vector<PolicyStep> Policy::ActBatch(const Matrix& observations,
-                                         const std::vector<Rng*>& rngs) {
-  ATENA_CHECK(static_cast<int>(rngs.size()) == observations.rows())
-      << "ActBatch needs one Rng slot per observation row ("
-      << rngs.size() << " vs " << observations.rows() << ")";
-  std::vector<PolicyStep> steps;
-  steps.reserve(static_cast<size_t>(observations.rows()));
-  std::vector<double> row(static_cast<size_t>(observations.cols()));
-  for (int r = 0; r < observations.rows(); ++r) {
-    const double* src = observations.RowPtr(r);
-    row.assign(src, src + observations.cols());
-    Rng* rng = rngs[static_cast<size_t>(r)];
-    steps.push_back(rng != nullptr ? Act(row, rng) : ActGreedy(row));
-    // Per the overload's contract, entropy is not part of the result.
-    steps.back().entropy = 0.0;
-  }
-  return steps;
+                                         Rng* rng) {
+  return ActBatch(observations,
+                  std::vector<Rng*>(static_cast<size_t>(observations.rows()),
+                                    rng));
 }
 
 int64_t Policy::NumParameters() {

@@ -25,7 +25,6 @@ struct ActionRecord {
 struct PolicyStep {
   ActionRecord action;
   double log_prob = 0.0;
-  double entropy = 0.0;
   double value = 0.0;
 };
 
@@ -53,38 +52,28 @@ class Policy {
  public:
   virtual ~Policy() = default;
 
-  /// Samples an action (Boltzmann exploration: directly from the softmax
-  /// distribution, paper §5).
-  virtual PolicyStep Act(const std::vector<double>& observation, Rng* rng) = 0;
+  /// The one acting method. Acts on a batch of observations, one per row,
+  /// from one batched forward pass: row i samples from `rngs[i]`
+  /// (Boltzmann exploration, directly from the softmax distribution, paper
+  /// §5), and a null entry takes that row's greedy action. Rows are
+  /// sampled in row order and no row touches another row's stream, so a
+  /// row's action, log_prob and value do not depend on the batch it shares
+  /// — a cross-session serving batch (src/serve/) acts exactly as each
+  /// session would alone. `rngs.size()` must equal `observations.rows()`.
+  virtual std::vector<PolicyStep> ActBatch(const Matrix& observations,
+                                           const std::vector<Rng*>& rngs) = 0;
 
-  /// Deterministic argmax action, used when extracting the final notebook.
-  virtual PolicyStep ActGreedy(const std::vector<double>& observation) = 0;
+  // The three entry points below forward to the method above. They are
+  // virtual only so that a decorator can wrap each one.
 
-  /// Acts on a batch of observations (one per row) at once. Row i consumes
-  /// `rng` exactly as a per-sample Act on row i would, in row order, so a
-  /// batched call is bit-identical to the per-sample loop over the same Rng
-  /// stream; a null `rng` selects the greedy action per row. Network-backed
-  /// policies override this with a single batched forward pass — the hot
-  /// path of multi-actor training; the base implementation just loops.
+  /// One observation, sampled from `rng` (null = greedy).
+  virtual PolicyStep Act(const std::vector<double>& observation, Rng* rng);
+  /// One observation's argmax action (notebook extraction).
+  virtual PolicyStep ActGreedy(const std::vector<double>& observation);
+  /// Every row samples from the one stream `rng` (null = greedy) in row
+  /// order, bit-identical to per-row Act calls on that stream.
   virtual std::vector<PolicyStep> ActBatch(const Matrix& observations,
                                            Rng* rng);
-
-  /// Acts on a batch of observations where every row owns its own Rng
-  /// stream: row i consumes `rngs[i]` exactly as a per-sample Act on row i
-  /// would (a null entry selects the greedy action for that row). Because
-  /// no row ever touches another row's stream, a row's action, log_prob
-  /// and value are independent of the batch composition — the same
-  /// observation + Rng state yields bit-identical results whether the row
-  /// is batched with thousands of others or evaluated alone. Entropy, a
-  /// training-only exploration diagnostic nothing on the serving path
-  /// consumes, is NOT computed by this overload and reported as 0. This is
-  /// the primitive behind cross-session batched serving (src/serve/): one
-  /// forward pass amortized over many concurrent sessions, each with a
-  /// private stream. `rngs.size()` must equal `observations.rows()`.
-  /// Network-backed policies override this with a single batched forward
-  /// pass; the base implementation loops per sample.
-  virtual std::vector<PolicyStep> ActBatch(const Matrix& observations,
-                                           const std::vector<Rng*>& rngs);
 
   /// Forward pass over a batch; caches activations for BackwardBatch.
   /// `actions[i]` must have been produced by this policy type.

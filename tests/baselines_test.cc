@@ -65,7 +65,7 @@ TEST(FlatPolicyTest, ActAndEvaluateAgree) {
   Matrix batch = Matrix::FromRow(obs);
   BatchEvaluation eval = policy.ForwardBatch(batch, {step.action});
   EXPECT_NEAR(eval.log_probs[0], step.log_prob, 1e-9);
-  EXPECT_NEAR(eval.entropies[0], step.entropy, 1e-9);
+  EXPECT_NEAR(eval.values[0], step.value, 1e-9);
 }
 
 TEST(FlatPolicyTest, GradientCheck) {

@@ -7,6 +7,7 @@
 #include "eval/ratings.h"
 #include "eval/traces.h"
 #include "eval/view_signature.h"
+#include "support/reference_metrics.h"
 
 namespace atena {
 namespace {

@@ -65,7 +65,18 @@ namespace {
 // with AVX-512, CMake RelWithDebInfo (-O2 -g), src/dataframe/kernels.cc at
 // -O3 -march=native -ffp-contract=off. A digest that differs only under
 // another compiler or target is a finding in its own right: the repo's
-// bit-determinism is meant to hold across hosts.
+// bit-determinism is meant to hold across hosts. Every library and test
+// now builds with -ffp-contract=off, so a target with FMA computes the
+// same bits, and scripts/check.sh also runs these fixtures from a
+// -DCMAKE_CXX_FLAGS=-march=native build. The digests still depend on the
+// toolchain through:
+//  - the iteration order of std::unordered_map, which the column entropy,
+//    the FILTER reward's KL and TokenFrequencies' tie path sum in;
+//  - where std::sort places equal elements (tied keys in the exact-key
+//    group-by and in TokenFrequencies);
+//  - the bits glibc's log, exp and log2 return.
+// This host has one compiler and one libm, so these are recorded, not
+// tested.
 constexpr const char* kRecordedCompiler = "12.2.0";
 
 struct GoldenFixture {

@@ -44,7 +44,8 @@ TEST(MatrixTest, MatMulKnownValues) {
   b(0, 1) = 6;
   b(1, 0) = 7;
   b(1, 1) = 8;
-  Matrix c = MatMul(a, b);
+  Matrix c;
+  MatMulInto(a, b, &c);
   EXPECT_DOUBLE_EQ(c(0, 0), 19);
   EXPECT_DOUBLE_EQ(c(0, 1), 22);
   EXPECT_DOUBLE_EQ(c(1, 0), 43);
@@ -63,8 +64,9 @@ TEST(MatrixTest, TransposedProductsAgreeWithPlainMatMul) {
   for (int i = 0; i < 5; ++i) {
     for (int j = 0; j < 4; ++j) bt(j, i) = b(i, j);
   }
-  Matrix expected = MatMul(a, bt);
-  Matrix got = MatMulTransposeB(a, b);
+  Matrix expected, got;
+  MatMulInto(a, bt, &expected);
+  MatMulTransposeBInto(a, b, &got);
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-12);
   }
@@ -74,41 +76,11 @@ TEST(MatrixTest, TransposedProductsAgreeWithPlainMatMul) {
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 4; ++j) at(j, i) = a(i, j);
   }
-  Matrix expected2 = MatMul(at, c);
-  Matrix got2 = MatMulTransposeA(a, c);
+  Matrix expected2, got2;
+  MatMulInto(at, c, &expected2);
+  MatMulTransposeAInto(a, c, &got2);
   for (size_t i = 0; i < expected2.size(); ++i) {
     EXPECT_NEAR(got2.data()[i], expected2.data()[i], 1e-12);
-  }
-}
-
-TEST(MatrixTest, IntoVariantsAreBitIdenticalAndReuseBuffers) {
-  // Odd row counts exercise both the blocked and the remainder kernels.
-  Rng rng(21);
-  Matrix a(7, 9), b(9, 5), bt(6, 9);
-  for (double& x : a.data()) x = rng.NextGaussian();
-  for (double& x : b.data()) x = rng.NextGaussian();
-  for (double& x : bt.data()) x = rng.NextGaussian();
-
-  Matrix out;
-  MatMulInto(a, b, &out);
-  Matrix expected = MatMul(a, b);
-  ASSERT_EQ(out.rows(), expected.rows());
-  ASSERT_EQ(out.cols(), expected.cols());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(out.data()[i], expected.data()[i]) << "element " << i;
-  }
-
-  // Re-run into the same (dirty) destination: same result.
-  MatMulInto(a, b, &out);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(out.data()[i], expected.data()[i]);
-  }
-
-  Matrix out2;
-  MatMulTransposeBInto(a, bt, &out2);
-  Matrix expected2 = MatMulTransposeB(a, bt);
-  for (size_t i = 0; i < expected2.size(); ++i) {
-    EXPECT_EQ(out2.data()[i], expected2.data()[i]) << "element " << i;
   }
 }
 
@@ -131,7 +103,8 @@ TEST(MatrixTest, RowVectorAndColumnSums) {
   AddRowVectorInPlace(&m, bias);
   EXPECT_DOUBLE_EQ(m(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(m(1, 2), 4.0);
-  Matrix sums = ColumnSums(m);
+  Matrix sums;
+  ColumnSumsInto(m, &sums);
   EXPECT_DOUBLE_EQ(sums(0, 0), 4.0);
   EXPECT_DOUBLE_EQ(sums(0, 2), 8.0);
 }
@@ -240,7 +213,6 @@ void ExpectKernelsMatchOracles(int rows, int cols, int inner, Rng* rng) {
     Matrix out = dirty;
     MatMulInto(a, b, &out);
     EXPECT_TRUE(SameBits(out, want)) << "MatMulInto " << shape;
-    EXPECT_TRUE(SameBits(MatMul(a, b), want)) << "MatMul " << shape;
   }
   {
     const Matrix a = TestFactor(rows, inner, rng);
@@ -249,8 +221,6 @@ void ExpectKernelsMatchOracles(int rows, int cols, int inner, Rng* rng) {
     Matrix out = dirty;
     MatMulTransposeBInto(a, b, &out);
     EXPECT_TRUE(SameBits(out, want)) << "MatMulTransposeBInto " << shape;
-    EXPECT_TRUE(SameBits(MatMulTransposeB(a, b), want))
-        << "MatMulTransposeB " << shape;
   }
   {
     const Matrix a = TestFactor(inner, rows, rng);
@@ -259,8 +229,6 @@ void ExpectKernelsMatchOracles(int rows, int cols, int inner, Rng* rng) {
     Matrix out = dirty;
     MatMulTransposeAInto(a, b, &out);
     EXPECT_TRUE(SameBits(out, want)) << "MatMulTransposeAInto " << shape;
-    EXPECT_TRUE(SameBits(MatMulTransposeA(a, b), want))
-        << "MatMulTransposeA " << shape;
   }
 }
 
@@ -445,6 +413,30 @@ TEST(WorkspaceTest, ParameterStoreNamesAndOrder) {
   EXPECT_EQ(net->Parameters(), all);
 }
 
+// Weight files and checkpoints store parameters positionally by name, so
+// the shared actor-critic network must create them in this order.
+TEST(ActorCriticNetTest, ParametersInWeightFileOrder) {
+  ActorCriticNet net(7, {5, 4}, 9, /*seed=*/3);
+  const std::vector<std::string> names = {
+      "trunk.0.weight",     "trunk.0.bias",
+      "trunk.1.weight",     "trunk.1.bias",
+      "policy_head.weight", "policy_head.bias",
+      "value_head.weight",  "value_head.bias"};
+  const std::vector<Parameter*> params = net.Parameters();
+  ASSERT_EQ(params.size(), names.size());
+  for (size_t k = 0; k < names.size(); ++k) {
+    EXPECT_EQ(params[k]->name, names[k]);
+  }
+  EXPECT_EQ(params[4]->value.rows(), 9);  // policy head: 9 × 4
+  EXPECT_EQ(params[6]->value.rows(), 1);  // value head: 1 × 4
+
+  const ActorCriticNet::Outputs out = net.Forward(Matrix(3, 7, 0.5));
+  EXPECT_EQ(out.logits.rows(), 3);
+  EXPECT_EQ(out.logits.cols(), 9);
+  EXPECT_EQ(out.values.cols(), 1);
+  EXPECT_EQ(net.forward_passes(), 1);
+}
+
 // ----------------------------------------------------- gradient checks
 //
 // Finite differences against the manual backprop, under the Workspace API.
@@ -499,18 +491,6 @@ TEST(GradientTest, MlpWithRelu) {
   Matrix input(3, 5);
   for (double& x : input.data()) x = rng.NextGaussian() + 0.5;
   CheckGradients(net.get(), &store, input, 1e-5);
-}
-
-TEST(GradientTest, TanhLayerChain) {
-  ParameterStore store;
-  Rng rng(7);
-  Sequential net;
-  net.Add(std::make_unique<Dense>(4, 6, &store, "a", &rng));
-  net.Add(std::make_unique<TanhLayer>());
-  net.Add(std::make_unique<Dense>(6, 2, &store, "b", &rng));
-  Matrix input(2, 4);
-  for (double& x : input.data()) x = rng.NextGaussian();
-  CheckGradients(&net, &store, input, 1e-6);
 }
 
 TEST(GradientTest, DenseInputGradient) {
@@ -718,9 +698,8 @@ TEST(OptimizerTest, AdamSetStateRoundTripContinuesBitIdentically) {
   }
 }
 
-/// Both optimizers should fit y = 2x - 1 with a single Dense unit.
-template <typename Optimizer>
-double FitLinear(Optimizer* optimizer, int steps) {
+/// Adam should fit y = 2x - 1 with a single Dense unit.
+double FitLinear(Adam* optimizer, int steps) {
   ParameterStore store;
   Rng rng(12);
   Dense dense(1, 1, &store, "d", &rng);
@@ -746,11 +725,6 @@ double FitLinear(Optimizer* optimizer, int steps) {
     optimizer->Step(store.All());
   }
   return final_loss;
-}
-
-TEST(OptimizerTest, SgdConvergesOnLinearFit) {
-  Sgd sgd(0.1);
-  EXPECT_LT(FitLinear(&sgd, 500), 1e-3);
 }
 
 TEST(OptimizerTest, AdamConvergesOnLinearFit) {

