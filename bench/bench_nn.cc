@@ -206,6 +206,36 @@ void BM_TwofoldBatchUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_TwofoldBatchUpdate);
 
+// The same PPO minibatch step on OTS-DRL's flat head (one softmax node per
+// flat action, ~1,800 on cyber2 with explicit tokens).
+void BM_FlatBatchUpdate(benchmark::State& state) {
+  auto dataset = MakeDataset("cyber2").value();
+  EnvConfig config;
+  EdaEnvironment env(dataset, config);
+  FlatPolicy::Options options;
+  options.term_mode = FlatPolicy::TermMode::kExplicitTokens;
+  FlatPolicy policy(env, options);
+  Rng rng(5);
+  auto obs = env.Reset();
+  const int batch = 64;
+  Matrix observations(batch, static_cast<int>(obs.size()));
+  std::vector<ActionRecord> actions;
+  std::vector<SampleGrad> grads(batch);
+  for (int b = 0; b < batch; ++b) {
+    PolicyStep step = policy.Act(obs, &rng);
+    actions.push_back(step.action);
+    std::copy(obs.begin(), obs.end(), observations.RowPtr(b));
+    grads[static_cast<size_t>(b)] = SampleGrad{0.01, -0.001, 0.02};
+  }
+  for (auto _ : state) {
+    ZeroGradients(policy.Parameters());
+    policy.ForwardBatch(observations, actions);
+    policy.BackwardBatch(grads);
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_FlatBatchUpdate);
+
 }  // namespace
 }  // namespace atena
 

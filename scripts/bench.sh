@@ -5,8 +5,8 @@
 # BENCH_<name>.json there through --bench_json. Each file opens with the
 # context it was measured under (filter and command line). The binaries
 # write no file without --bench_json, so a filtered or exploratory run never
-# replaces a committed result. Run from anywhere; a full run takes tens of
-# minutes, most of it in bench_serve and bench_trainer.
+# replaces a committed result. Run from anywhere; a full run took under
+# two minutes (plus the build) on the 4-core development host.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

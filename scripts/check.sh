@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep: the tier-1 build + test cycle, the golden
-# digests once more from a build for the host's full ISA
-# (-DCMAKE_CXX_FLAGS=-march=native), one short run of every bench binary
+# digests three more times — on the nn kernels' portable fallback, from a
+# build for the host's full ISA (-DCMAKE_CXX_FLAGS=-march=native) and from
+# one whose dataframe kernels skip -march=native
+# (-DATENA_HAS_MARCH_NATIVE=OFF) — one short run of every bench binary
 # (which must leave the committed BENCH_*.json files untouched) and the
 # product-path benchmark's smoke test, then the same suite again under
 # AddressSanitizer (ATENA_SANITIZE=address) and UndefinedBehaviorSanitizer
@@ -10,8 +12,8 @@
 # preconditions), and finally the concurrency-sensitive test binaries
 # under ThreadSanitizer (ATENA_SANITIZE=thread) — all in separate build
 # trees. Run from anywhere; builds land in <repo>/build,
-# <repo>/build-native, <repo>/build-asan, <repo>/build-ubsan and
-# <repo>/build-tsan. Every ctest invocation carries a per-test timeout so
+# <repo>/build-native, <repo>/build-generic, <repo>/build-asan,
+# <repo>/build-ubsan and <repo>/build-tsan. Every ctest invocation carries a per-test timeout so
 # a hung test fails the sweep instead of wedging it.
 set -euo pipefail
 
@@ -27,6 +29,11 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
   --timeout "$test_timeout"
 
+echo "== golden digests on the portable nn kernels =="
+# golden_test reads this switch and calls ForcePortableKernelsForTesting.
+ATENA_GOLDEN_PORTABLE_KERNELS=1 ctest --test-dir "$repo/build" \
+  --output-on-failure --timeout "$test_timeout" -R '^golden_test$'
+
 echo "== golden digests under -march=native =="
 # The digests hold across targets only if no compiler contracts a * b + c
 # into an FMA, which -march=native allows on a host with FMA unless every
@@ -34,6 +41,15 @@ echo "== golden digests under -march=native =="
 cmake -B "$repo/build-native" -S "$repo" -DCMAKE_CXX_FLAGS=-march=native
 cmake --build "$repo/build-native" -j "$jobs" --target golden_test
 ctest --test-dir "$repo/build-native" --output-on-failure \
+  --timeout "$test_timeout" -R '^golden_test$'
+
+echo "== golden digests with kernels.cc built without -march=native =="
+# src/dataframe/CMakeLists.txt builds kernels.cc with -O3 -march=native
+# when the compiler takes the flag; presetting the check's result to OFF
+# builds it with the default flags instead.
+cmake -B "$repo/build-generic" -S "$repo" -DATENA_HAS_MARCH_NATIVE=OFF
+cmake --build "$repo/build-generic" -j "$jobs" --target golden_test
+ctest --test-dir "$repo/build-generic" --output-on-failure \
   --timeout "$test_timeout" -R '^golden_test$'
 
 echo "== bench binaries: one short run each, committed results untouched =="

@@ -95,10 +95,11 @@ FlatPolicy::FlatPolicy(const EdaEnvironment& env, Options options)
       net_(env.observation_dim(), options.hidden, num_actions(),
            options.seed) {}
 
-const Matrix& FlatPolicy::ForwardGraph(const Matrix& observations) {
+const Matrix& FlatPolicy::ForwardGraph(const Matrix& observations,
+                                       Matrix* probs) {
   const ActorCriticNet::Outputs out = net_.Forward(observations);
-  probs_buf_ = out.logits;
-  SoftmaxRangeInPlace(&probs_buf_, 0, num_actions());
+  *probs = out.logits;
+  SoftmaxRangeInPlace(probs, 0, num_actions());
   return out.values;
 }
 
@@ -135,7 +136,7 @@ std::vector<PolicyStep> FlatPolicy::ActBatch(const Matrix& observations,
   ATENA_CHECK(static_cast<int>(rngs.size()) == observations.rows())
       << "ActBatch needs one Rng slot per observation row ("
       << rngs.size() << " vs " << observations.rows() << ")";
-  const Matrix& values = ForwardGraph(observations);
+  const Matrix& values = ForwardGraph(observations, &probs_buf_);
   std::vector<PolicyStep> steps;
   steps.reserve(rngs.size());
   for (int r = 0; r < observations.rows(); ++r) {
@@ -148,12 +149,12 @@ std::vector<PolicyStep> FlatPolicy::ActBatch(const Matrix& observations,
 BatchEvaluation FlatPolicy::ForwardBatch(
     const Matrix& observations, const std::vector<ActionRecord>& actions) {
   const int batch = observations.rows();
-  const Matrix& values = ForwardGraph(observations);
+  const int n = num_actions();
+  const Matrix& values = ForwardGraph(observations, &batch_probs_);
 
-  batch_probs_.clear();
-  batch_probs_.reserve(static_cast<size_t>(batch));
-  batch_indices_.clear();
-  batch_indices_.reserve(static_cast<size_t>(batch));
+  batch_logs_.Resize(batch, n);
+  batch_entropies_.resize(static_cast<size_t>(batch));
+  batch_indices_.resize(static_cast<size_t>(batch));
   batch_size_ = batch;
 
   BatchEvaluation eval;
@@ -161,19 +162,21 @@ BatchEvaluation FlatPolicy::ForwardBatch(
   eval.entropies.resize(static_cast<size_t>(batch));
   eval.values.resize(static_cast<size_t>(batch));
   for (int b = 0; b < batch; ++b) {
-    const double* probs = probs_buf_.RowPtr(b);
+    const double* probs = batch_probs_.RowPtr(b);
+    double* logs = batch_logs_.RowPtr(b);
     const int index = actions[static_cast<size_t>(b)].flat_index;
-    ATENA_CHECK(index >= 0 && index < num_actions())
+    ATENA_CHECK(index >= 0 && index < n)
         << "flat policy evaluated with a foreign action";
     double entropy = 0.0;
-    for (int i = 0; i < num_actions(); ++i) {
-      if (probs[i] > 0.0) entropy -= probs[i] * SafeLog(probs[i]);
+    for (int i = 0; i < n; ++i) {
+      logs[i] = SafeLog(probs[i]);
+      if (probs[i] > 0.0) entropy -= probs[i] * logs[i];
     }
-    eval.log_probs[static_cast<size_t>(b)] = SafeLog(probs[index]);
+    eval.log_probs[static_cast<size_t>(b)] = logs[index];
     eval.entropies[static_cast<size_t>(b)] = entropy;
     eval.values[static_cast<size_t>(b)] = values(b, 0);
-    batch_probs_.emplace_back(probs, probs + num_actions());
-    batch_indices_.push_back(index);
+    batch_entropies_[static_cast<size_t>(b)] = entropy;
+    batch_indices_[static_cast<size_t>(b)] = index;
   }
   return eval;
 }
@@ -181,31 +184,28 @@ BatchEvaluation FlatPolicy::ForwardBatch(
 void FlatPolicy::BackwardBatch(const std::vector<SampleGrad>& grads) {
   ATENA_CHECK(static_cast<int>(grads.size()) == batch_size_)
       << "BackwardBatch called with mismatched batch";
-  Matrix dlogits(batch_size_, num_actions());
-  Matrix dvalues(batch_size_, 1);
+  const int n = num_actions();
+  // Every element of both is assigned below.
+  dlogits_.Resize(batch_size_, n);
+  dvalues_.Resize(batch_size_, 1);
   for (int b = 0; b < batch_size_; ++b) {
     const SampleGrad& g = grads[static_cast<size_t>(b)];
-    const auto& probs = batch_probs_[static_cast<size_t>(b)];
+    const double* probs = batch_probs_.RowPtr(b);
+    const double* logs = batch_logs_.RowPtr(b);
+    const double entropy = batch_entropies_[static_cast<size_t>(b)];
     const int chosen = batch_indices_[static_cast<size_t>(b)];
-    double* drow = dlogits.RowPtr(b);
-    dvalues(b, 0) = g.d_value;
-
-    double entropy = 0.0;
-    if (g.d_entropy != 0.0) {
-      for (double p : probs) {
-        if (p > 0.0) entropy -= p * SafeLog(p);
-      }
-    }
-    for (int j = 0; j < num_actions(); ++j) {
-      const double p = probs[static_cast<size_t>(j)];
+    double* drow = dlogits_.RowPtr(b);
+    dvalues_(b, 0) = g.d_value;
+    for (int j = 0; j < n; ++j) {
+      const double p = probs[j];
       const double indicator = (j == chosen) ? 1.0 : 0.0;
       drow[j] = g.d_log_prob * (indicator - p);
       if (g.d_entropy != 0.0) {
-        drow[j] += g.d_entropy * (-p * (SafeLog(p) + entropy));
+        drow[j] += g.d_entropy * (-p * (logs[j] + entropy));
       }
     }
   }
-  net_.Backward(dlogits, dvalues);
+  net_.Backward(dlogits_, dvalues_);
 }
 
 }  // namespace atena

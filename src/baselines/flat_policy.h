@@ -49,10 +49,10 @@ class FlatPolicy final : public Policy {
   void PrepareForServing() override { net_.PrepareForServing(); }
 
  private:
-  /// Runs the network and softmaxes the logits into `probs_buf_`
-  /// (workspace outputs are read-only, so the softmax works on a copy).
-  /// Returns the critic values (aliasing workspace storage).
-  const Matrix& ForwardGraph(const Matrix& observations);
+  /// Runs the network and softmaxes the logits into `probs` (workspace
+  /// outputs are read-only, so the softmax works on a copy). Returns the
+  /// critic values (aliasing workspace storage).
+  const Matrix& ForwardGraph(const Matrix& observations, Matrix* probs);
 
   /// Samples (argmaxes when `rng` is null) one step from a probability row.
   PolicyStep StepFromRow(const double* probs, double value, Rng* rng) const;
@@ -61,10 +61,16 @@ class FlatPolicy final : public Policy {
   ActorCriticNet net_;
   Matrix probs_buf_;
 
-  // ForwardBatch caches for BackwardBatch.
-  std::vector<std::vector<double>> batch_probs_;
+  // ForwardBatch caches for BackwardBatch: per sample, the probability
+  // row, its SafeLog row and the entropy, reused across minibatches.
+  Matrix batch_probs_;
+  Matrix batch_logs_;
+  std::vector<double> batch_entropies_;
   std::vector<int> batch_indices_;
   int batch_size_ = 0;
+  // BackwardBatch buffers, reused across minibatches.
+  Matrix dlogits_;
+  Matrix dvalues_;
 };
 
 }  // namespace atena

@@ -131,12 +131,11 @@ double TwofoldPolicy::ActionLogProb(const HeadRow& head,
 }
 
 PolicyStep TwofoldPolicy::StepFromRow(const double* logits, double value,
-                                      Rng* rng) const {
+                                      Rng* rng, double* probs) const {
   // Only the op segment and the chosen op's segments are filled and read.
-  std::vector<double> probs(static_cast<size_t>(total_nodes_));
   auto pick = [&](int segment) {
-    SoftmaxSegment(logits, segment, probs.data());
-    const double* p = probs.data() + segment_offsets_[segment];
+    SoftmaxSegment(logits, segment, probs);
+    const double* p = probs + segment_offsets_[segment];
     const int n = segment_sizes_[segment];
     return rng == nullptr ? ArgmaxProbs(p, n) : SampleFromProbs(p, n, rng);
   };
@@ -185,15 +184,22 @@ PolicyStep TwofoldPolicy::StepFromRow(const double* logits, double value,
 
 std::vector<PolicyStep> TwofoldPolicy::ActBatch(const Matrix& observations,
                                                 const std::vector<Rng*>& rngs) {
+  return ActBatch(observations, rngs, &act_ws_);
+}
+
+std::vector<PolicyStep> TwofoldPolicy::ActBatch(const Matrix& observations,
+                                                const std::vector<Rng*>& rngs,
+                                                Workspace* ws) const {
   ATENA_CHECK(static_cast<int>(rngs.size()) == observations.rows())
       << "ActBatch needs one Rng slot per observation row ("
       << rngs.size() << " vs " << observations.rows() << ")";
-  const ActorCriticNet::Outputs out = net_.Forward(observations);
+  const ActorCriticNet::Outputs out = net_.Forward(observations, ws);
+  std::vector<double> probs(static_cast<size_t>(total_nodes_));
   std::vector<PolicyStep> steps;
   steps.reserve(rngs.size());
   for (int r = 0; r < observations.rows(); ++r) {
     steps.push_back(StepFromRow(out.logits.RowPtr(r), out.values(r, 0),
-                                rngs[static_cast<size_t>(r)]));
+                                rngs[static_cast<size_t>(r)], probs.data()));
   }
   return steps;
 }

@@ -44,8 +44,16 @@ class TwofoldPolicy final : public Policy {
                 Options options);
 
   using Policy::ActBatch;
+  /// Acts through the policy's own acting workspace (the overload below).
   std::vector<PolicyStep> ActBatch(const Matrix& observations,
                                    const std::vector<Rng*>& rngs) override;
+  /// The acting implementation: the same contract as Policy::ActBatch, run
+  /// as a const pass on the caller-owned `ws`. Threads may act at once on
+  /// one network, each through its own workspace — the serving tick acts
+  /// row blocks of one frozen snapshot this way (DESIGN.md §11).
+  std::vector<PolicyStep> ActBatch(const Matrix& observations,
+                                   const std::vector<Rng*>& rngs,
+                                   Workspace* ws) const;
   BatchEvaluation ForwardBatch(
       const Matrix& observations,
       const std::vector<ActionRecord>& actions) override;
@@ -98,16 +106,21 @@ class TwofoldPolicy final : public Policy {
 
   /// Samples (or argmaxes, when `rng` is null) one PolicyStep from a
   /// logits row and its critic value. Softmaxes only the op segment and the
-  /// chosen operation's parameter segments (segments are independent, so
-  /// their values equal ComputeHead's bit for bit) and takes the SafeLog of
-  /// the chosen entries alone.
-  PolicyStep StepFromRow(const double* logits, double value, Rng* rng) const;
+  /// chosen operation's parameter segments into `probs` (scratch laid out
+  /// like the logits row; segments are independent, so their values equal
+  /// ComputeHead's bit for bit) and takes the SafeLog of the chosen entries
+  /// alone.
+  PolicyStep StepFromRow(const double* logits, double value, Rng* rng,
+                         double* probs) const;
 
   std::vector<int> segment_sizes_;
   std::vector<int> segment_offsets_;
   int total_nodes_ = 0;
 
   ActorCriticNet net_;
+  /// Where the non-const ActBatch runs its passes (training's
+  /// ForwardBatch/BackwardBatch pair through the network's own).
+  Workspace act_ws_;
 
   // Caches from the last ForwardBatch for BackwardBatch: one row of head
   // statistics per sample (see HeadRow).

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/file_io.h"
+#include "common/hashing.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
 
@@ -52,23 +53,17 @@ NotebookStore::NotebookStore(Options options)
 
 uint64_t NotebookStore::SequenceHash(
     const std::vector<std::vector<double>>& sequence) {
-  // FNV-1a over the raw double bits plus per-vector length separators:
-  // bitwise-equal sequences (and only those, up to hash collisions that
-  // the verified lookup filters out) hash equal.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (byte * 8)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<uint64_t>(sequence.size()));
+  // Folds whole 64-bit words — the raw double bits plus per-vector length
+  // separators — so bitwise-equal sequences (and only those, up to hash
+  // collisions that the verified lookup filters out) hash equal. The hash
+  // keys only the in-memory by_hash_ table, which Load rebuilds.
+  uint64_t h = Mix64(static_cast<uint64_t>(sequence.size()));
   for (const auto& v : sequence) {
-    mix(static_cast<uint64_t>(v.size()));
+    h = HashCombine(h, static_cast<uint64_t>(v.size()));
     for (double x : v) {
       uint64_t bits;
       std::memcpy(&bits, &x, sizeof(bits));
-      mix(bits);
+      h = HashCombine(h, bits);
     }
   }
   return h;

@@ -165,10 +165,11 @@ ActorCriticNet::ActorCriticNet(int in_features, const std::vector<int>& hidden,
   value_head_ = std::make_unique<Dense>(prev, 1, &store_, "value_head", &rng);
 }
 
-ActorCriticNet::Outputs ActorCriticNet::Forward(const Matrix& observations) {
-  const Matrix& h = trunk_.Forward(observations, &ws_);
-  ++forward_passes_;
-  return {policy_head_->Forward(h, &ws_), value_head_->Forward(h, &ws_)};
+ActorCriticNet::Outputs ActorCriticNet::Forward(const Matrix& observations,
+                                                Workspace* ws) const {
+  const Matrix& h = trunk_.Forward(observations, ws);
+  forward_passes_.fetch_add(1, std::memory_order_relaxed);
+  return {policy_head_->Forward(h, ws), value_head_->Forward(h, ws)};
 }
 
 void ActorCriticNet::Backward(const Matrix& dlogits, const Matrix& dvalues) {

@@ -1,6 +1,7 @@
 #ifndef ATENA_NN_LAYERS_H_
 #define ATENA_NN_LAYERS_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -175,21 +176,29 @@ std::unique_ptr<Sequential> MakeMlp(int in_features,
 /// policy head `policy_width` wide and a one-wide value head. Parameters
 /// are created in one ParameterStore in the order trunk.0, trunk.1, ...,
 /// policy_head, value_head, He-initialized from one Rng seeded with `seed`;
-/// weight files and checkpoints depend on both. Passes run through an
-/// internal Workspace, so Backward pairs with the last Forward.
+/// weight files and checkpoints depend on both. Training passes run
+/// through an internal Workspace, so Backward pairs with the last
+/// Forward(observations); acting may instead run const passes on
+/// caller-owned workspaces, concurrently (see Workspace).
 class ActorCriticNet {
  public:
   ActorCriticNet(int in_features, const std::vector<int>& hidden,
                  int policy_width, uint64_t seed);
 
-  /// Both alias the workspace and stay valid until the next Forward.
+  /// Both alias the workspace and stay valid until the next Forward
+  /// through it.
   struct Outputs {
     const Matrix& logits;  // rows × policy_width
     const Matrix& values;  // rows × 1
   };
-  /// `observations` must stay alive and unmodified until a Backward that
-  /// consumes this pass.
-  Outputs Forward(const Matrix& observations);
+  /// A forward pass on the caller-owned `ws`. Any number may run at once
+  /// on one network, each through its own workspace.
+  Outputs Forward(const Matrix& observations, Workspace* ws) const;
+  /// A forward pass through the internal workspace. `observations` must
+  /// stay alive and unmodified until a Backward that consumes this pass.
+  Outputs Forward(const Matrix& observations) {
+    return Forward(observations, &ws_);
+  }
 
   /// Backpropagates the gradients w.r.t. the last Forward's logits and
   /// values, accumulating parameter gradients.
@@ -201,8 +210,10 @@ class ActorCriticNet {
   const ParameterStore& store() const { return store_; }
   std::vector<Parameter*> Parameters() const { return store_.All(); }
 
-  /// Forward passes so far, a batched pass counting once.
-  int64_t forward_passes() const { return forward_passes_; }
+  /// Forward passes so far, on any workspace, a batched pass counting once.
+  int64_t forward_passes() const {
+    return forward_passes_.load(std::memory_order_relaxed);
+  }
 
  private:
   ParameterStore store_;
@@ -211,7 +222,7 @@ class ActorCriticNet {
   std::unique_ptr<Dense> value_head_;
   Workspace ws_;
   Matrix grad_h_;  // Backward's trunk-output gradient, reused.
-  int64_t forward_passes_ = 0;
+  mutable std::atomic<int64_t> forward_passes_{0};
 };
 
 /// In-place row-wise numerically-stable softmax over columns [begin, end).

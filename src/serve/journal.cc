@@ -496,9 +496,10 @@ void JournalTickBuilder::AddQuarantine(uint64_t id) {
   ++entries_;
 }
 
-void JournalTickBuilder::AddStep(uint64_t id, int end, int stage_after,
-                                 const JournalRng& env, const JournalRng& act,
-                                 const ServedStep& step) {
+void JournalTickBuilder::EncodeStep(uint64_t id, int end, int stage_after,
+                                    const JournalRng& env,
+                                    const JournalRng& act,
+                                    const ServedStep& step, std::string* out) {
   // Everything up to the operation is fixed-bounded (at most 297 bytes even
   // with two full-state fallbacks); the operation can carry an arbitrary
   // dataset string, so it appends through the growing-string encoders.
@@ -518,10 +519,9 @@ void JournalTickBuilder::AddStep(uint64_t id, int end, int stage_after,
   p = PutJournalRng(p, limit, act);
   *p++ = ' ';
   p = PutStepHead(p, limit, step);
-  body_.append(buf, p);
-  EncodeOp(body_, step.op);
-  Nl(body_);
-  ++entries_;
+  out->assign(buf, p);
+  EncodeOp(*out, step.op);
+  Nl(*out);
 }
 
 std::string JournalSidecarPath(const std::string& journal_path, int64_t seq) {

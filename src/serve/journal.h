@@ -161,11 +161,13 @@ struct JournalTick {
   std::vector<JournalTickEntry> entries;
 };
 
-/// Writer for a tick record's payload: the serial commit loop encodes each
-/// entry straight into the payload string as it commits — no JournalTick
-/// materialization, no operation/term copies — and the result parses back
-/// through ReadJournal as a JournalTick. The buffer is reusable across
-/// ticks (Clear keeps its capacity).
+/// Writer for a tick record's payload: entries are encoded straight into
+/// strings — no JournalTick materialization, no operation/term copies —
+/// and the result parses back through ReadJournal as a JournalTick. A step
+/// entry is encoded apart by EncodeStep (the serving tick does that for
+/// every session at once, in its parallel step) and appended in admission
+/// order by the serial commit. The buffers are reusable across ticks
+/// (Clear keeps the capacity).
 class JournalTickBuilder {
  public:
   void Clear() {
@@ -175,8 +177,16 @@ class JournalTickBuilder {
   size_t entries() const { return entries_; }
 
   void AddQuarantine(uint64_t id);
-  void AddStep(uint64_t id, int end, int stage_after, const JournalRng& env,
-               const JournalRng& act, const ServedStep& step);
+  /// Encodes one step entry into `out`, replacing its contents. Touches
+  /// nothing else, so distinct strings may be encoded concurrently.
+  static void EncodeStep(uint64_t id, int end, int stage_after,
+                         const JournalRng& env, const JournalRng& act,
+                         const ServedStep& step, std::string* out);
+  /// Appends an entry EncodeStep produced.
+  void AddEncodedStep(const std::string& entry) {
+    body_ += entry;
+    ++entries_;
+  }
   /// The encoded entries. The full tick payload is the
   /// "<overloaded> <count>\n" header followed by these bytes;
   /// SessionJournal::AppendTick frames and appends it without ever

@@ -340,6 +340,135 @@ void SessionManager::LogSessionEvent(const char* type, const Session& session,
   health_log_.Append(type, body);
 }
 
+void SessionManager::ActGroup(const std::vector<int>& members) {
+  // Each block is a run of whole tiles of the forward pass's 4-row
+  // register tile: the last one is padded up to the tile width, so every
+  // block (and a draining runtime's 1–3 live sessions) keeps the tiled
+  // GEMM instead of falling back to per-row dot products. GEMM rows are
+  // independent and a padded row carries a null Rng, so live rows' results
+  // are bit-identical however the rows are cut into blocks; padded outputs
+  // are dropped.
+  constexpr int kTileRows = 4;
+  const PolicySnapshot& snapshot =
+      *sessions_[static_cast<size_t>(members.front())]->snapshot;
+  const TwofoldPolicy& policy = *snapshot.policy();
+  const int count = static_cast<int>(members.size());
+  const int tiles = (count + kTileRows - 1) / kTileRows;
+  const int blocks = std::min(pool_->num_threads(), tiles);
+  if (act_blocks_.size() < static_cast<size_t>(blocks)) {
+    act_blocks_.resize(static_cast<size_t>(blocks));
+  }
+  pool_->ParallelFor(blocks, [&](int b) {
+    const int begin = kTileRows * (tiles * b / blocks);
+    const int end = std::min(count, kTileRows * (tiles * (b + 1) / blocks));
+    const int rows = end - begin;
+    const int padded = (rows + kTileRows - 1) / kTileRows * kTileRows;
+    ActBlock& block = act_blocks_[static_cast<size_t>(b)];
+    block.observations.Resize(padded, snapshot.observation_dim());
+    block.rngs.assign(static_cast<size_t>(padded), nullptr);
+    for (int r = 0; r < rows; ++r) {
+      Session& s = *sessions_[static_cast<size_t>(
+          members[static_cast<size_t>(begin + r)])];
+      std::copy(s.observation.begin(), s.observation.end(),
+                block.observations.RowPtr(r));
+      if (!s.config.greedy && s.stage < DegradeStage::kGreedy) {
+        block.rngs[static_cast<size_t>(r)] = &s.act_rng;
+      }
+    }
+    for (int r = rows; r < padded; ++r) {
+      std::copy(block.observations.RowPtr(0),
+                block.observations.RowPtr(0) + block.observations.cols(),
+                block.observations.RowPtr(r));
+    }
+    std::vector<PolicyStep> steps =
+        policy.ActBatch(block.observations, block.rngs, &block.workspace);
+    for (int r = 0; r < rows; ++r) {
+      acts_[static_cast<size_t>(members[static_cast<size_t>(begin + r)])] =
+          std::move(steps[static_cast<size_t>(r)]);
+    }
+  });
+}
+
+void SessionManager::StepSession(int index, bool journaling) {
+  StepSlot& slot = slots_[static_cast<size_t>(index)];
+  Session& s = *sessions_[static_cast<size_t>(index)];
+  const PolicyStep& act = acts_[static_cast<size_t>(index)];
+  slot.status = Status::OK();
+  slot.duration_nanos = 0;
+  // Pre-step screening: a policy that produced non-finite outputs for a
+  // row must not drive that session's environment at all. The session is
+  // quarantined; its environment is never touched this tick.
+  if (!std::isfinite(act.log_prob) || !std::isfinite(act.value)) {
+    slot.status = Status::Internal(
+        "non-finite policy output: log_prob=" + std::to_string(act.log_prob) +
+        " value=" + std::to_string(act.value));
+    return;
+  }
+  if (options_.fault_injection.env_step) {
+    Status injected = options_.fault_injection.env_step(s.id, s.steps_done);
+    if (!injected.ok()) {
+      slot.status = std::move(injected);
+      return;
+    }
+  }
+  // Each step is timed against the monotonic deadline clock.
+  const int64_t start = MonotonicNanos();
+  Result<StepOutcome> stepped = TryApplyAction(s.env.get(), act.action);
+  slot.duration_nanos = MonotonicNanos() - start;
+  if (options_.fault_injection.step_duration_nanos) {
+    slot.duration_nanos =
+        options_.fault_injection.step_duration_nanos(s.id, s.steps_done);
+  }
+  if (!stepped.ok()) {
+    slot.status = stepped.status();
+    return;
+  }
+  slot.outcome = std::move(stepped).value();
+  // Screen the step's products: a non-finite reward or observation
+  // element is a poisoned session that must not reach the next batch.
+  if (!std::isfinite(slot.outcome.reward)) {
+    slot.status = Status::Internal("non-finite reward: " +
+                                   std::to_string(slot.outcome.reward));
+    return;
+  }
+  const int bad = FirstNonFinite(slot.outcome.observation);
+  if (bad >= 0) {
+    slot.status = Status::Internal("non-finite observation element " +
+                                   std::to_string(bad));
+    return;
+  }
+
+  // The per-session half of the commit. How it ends follows from the step
+  // budget and the deadline alone.
+  slot.step = RecordStep(slot.outcome, *s.env);
+  slot.end = JournalTickEntry::kLive;
+  slot.stage_after = s.stage;
+  if (s.steps_done + 1 >= s.effective_max_steps) {
+    slot.end = JournalTickEntry::kCompleted;
+  } else if (options_.step_deadline_nanos > 0 &&
+             slot.duration_nanos > options_.step_deadline_nanos) {
+    if (s.stage == DegradeStage::kGreedy) {
+      slot.end = JournalTickEntry::kDeadlineRetired;
+    } else {
+      slot.stage_after =
+          static_cast<DegradeStage>(static_cast<int>(s.stage) + 1);
+    }
+  }
+  if (journaling) {
+    // Post-step stream states, delta-encoded against the pre-step base —
+    // a few bytes per stream instead of four 20-digit words. The
+    // episode-boundary Reset in the commit consumes no randomness, so
+    // capturing before it is already exact.
+    JournalTickBuilder::EncodeStep(
+        s.id, slot.end, static_cast<int>(slot.stage_after),
+        MakeJournalRng(env_rng_before_[static_cast<size_t>(index)],
+                       s.env->rng_state()),
+        MakeJournalRng(act_rng_before_[static_cast<size_t>(index)],
+                       s.act_rng.state()),
+        slot.step, &slot.journal_entry);
+  }
+}
+
 int SessionManager::Tick() {
   const int live = static_cast<int>(sessions_.size());
   if (live == 0) return 0;
@@ -363,11 +492,11 @@ int SessionManager::Tick() {
     }
   }
 
-  // 1. Serial act: one batched forward per pinned-snapshot group (a single
-  // group except in the ticks spanning a hot reload), each row drawing
-  // from its session's private stream (or none when greedy — by config or
-  // by degradation stage).
-  std::vector<PolicyStep> acts(static_cast<size_t>(live));
+  // 1. Parallel act: one ParallelFor of row blocks per pinned-snapshot
+  // group (a single group except in the ticks spanning a hot reload), each
+  // row drawing from its session's private stream (or none when greedy —
+  // by config or by degradation stage).
+  acts_.resize(static_cast<size_t>(live));
   std::vector<const PolicySnapshot*> group_keys;
   std::vector<std::vector<int>> groups;
   for (int i = 0; i < live; ++i) {
@@ -380,98 +509,17 @@ int SessionManager::Tick() {
     }
     groups[g].push_back(i);
   }
-  for (const std::vector<int>& members : groups) {
-    Session& first = *sessions_[static_cast<size_t>(members.front())];
-    // Pad the batch up to the forward pass's 4-row register-tile width so
-    // a draining runtime (1–3 live sessions) keeps the tiled GEMM instead
-    // of falling back to per-row dot products. GEMM rows are independent,
-    // and a padded row carries a null Rng, so live rows' results are
-    // bit-identical with or without padding; padded outputs are dropped.
-    constexpr int kTileRows = 4;
-    const int count = static_cast<int>(members.size());
-    const int rows = std::max(count, kTileRows);
-    obs_batch_.Resize(rows, first.snapshot->observation_dim());
-    rngs_.assign(static_cast<size_t>(rows), nullptr);
-    for (int r = 0; r < count; ++r) {
-      Session& s =
-          *sessions_[static_cast<size_t>(members[static_cast<size_t>(r)])];
-      std::copy(s.observation.begin(), s.observation.end(),
-                obs_batch_.RowPtr(r));
-      if (!s.config.greedy && s.stage < DegradeStage::kGreedy) {
-        rngs_[static_cast<size_t>(r)] = &s.act_rng;
-      }
-    }
-    for (int r = count; r < rows; ++r) {
-      std::copy(obs_batch_.RowPtr(0), obs_batch_.RowPtr(0) + obs_batch_.cols(),
-                obs_batch_.RowPtr(r));
-    }
-    std::vector<PolicyStep> group_acts =
-        first.snapshot->policy()->ActBatch(obs_batch_, rngs_);
-    for (int r = 0; r < count; ++r) {
-      acts[static_cast<size_t>(members[static_cast<size_t>(r)])] =
-          std::move(group_acts[static_cast<size_t>(r)]);
-    }
-  }
+  for (const std::vector<int>& members : groups) ActGroup(members);
 
-  // Pre-step screening: a policy that produced non-finite outputs for a
-  // row must not drive that session's environment at all. The session is
-  // quarantined; its environment was never touched this tick.
-  slots_.assign(static_cast<size_t>(live), StepSlot{});
-  for (int i = 0; i < live; ++i) {
-    const PolicyStep& act = acts[static_cast<size_t>(i)];
-    if (!std::isfinite(act.log_prob) || !std::isfinite(act.value)) {
-      slots_[static_cast<size_t>(i)].status = Status::Internal(
-          "non-finite policy output: log_prob=" +
-          std::to_string(act.log_prob) +
-          " value=" + std::to_string(act.value));
-    }
-  }
+  // 2. Parallel step plus the per-session commit work: index-addressed
+  // slots; a worker touches only its session's environment plus the
+  // internally synchronized cache, and failures land in the slot's Status
+  // and never escape the session's fault domain.
+  slots_.resize(static_cast<size_t>(live));
+  pool_->ParallelFor(live, [&](int i) { StepSession(i, journaling); });
 
-  // 2. Parallel step: index-addressed slots; a worker touches only its
-  // session's environment plus the internally synchronized cache. Each
-  // step is timed against the monotonic deadline clock; failures land in
-  // the slot's Status and never escape the session's fault domain.
-  pool_->ParallelFor(live, [&](int i) {
-    StepSlot& slot = slots_[static_cast<size_t>(i)];
-    if (!slot.status.ok()) return;  // screened out before stepping
-    Session& s = *sessions_[static_cast<size_t>(i)];
-    if (options_.fault_injection.env_step) {
-      Status injected = options_.fault_injection.env_step(s.id, s.steps_done);
-      if (!injected.ok()) {
-        slot.status = std::move(injected);
-        return;
-      }
-    }
-    const int64_t start = MonotonicNanos();
-    Result<StepOutcome> stepped =
-        TryApplyAction(s.env.get(), acts[static_cast<size_t>(i)].action);
-    slot.duration_nanos = MonotonicNanos() - start;
-    if (options_.fault_injection.step_duration_nanos) {
-      slot.duration_nanos =
-          options_.fault_injection.step_duration_nanos(s.id, s.steps_done);
-    }
-    if (!stepped.ok()) {
-      slot.status = stepped.status();
-      return;
-    }
-    slot.outcome = std::move(stepped).value();
-    // Screen the step's products: a non-finite reward or observation
-    // element is a poisoned session that must not reach the next batch.
-    if (!std::isfinite(slot.outcome.reward)) {
-      slot.status = Status::Internal("non-finite reward: " +
-                                     std::to_string(slot.outcome.reward));
-      return;
-    }
-    const int bad = FirstNonFinite(slot.outcome.observation);
-    if (bad >= 0) {
-      slot.status = Status::Internal("non-finite observation element " +
-                                     std::to_string(bad));
-    }
-  });
-
-  // 3. Serial commit in admission order: quarantine, or decide how the
-  // step's commit ends — from the step budget and the deadline — journal
-  // exactly that, and commit it.
+  // 3. Serial commit in admission order: quarantine, or journal the step's
+  // pre-encoded entry and commit it as its slot decided.
   int executed_steps = 0;
   int64_t duration_sum = 0;
   for (int i = 0; i < live; ++i) {
@@ -489,34 +537,9 @@ int SessionManager::Tick() {
     }
     ++executed_steps;
     duration_sum += slot.duration_nanos;
-    ServedStep step = RecordStep(slot.outcome, *s.env);
-    int end = JournalTickEntry::kLive;
-    DegradeStage stage_after = s.stage;
-    if (s.steps_done + 1 >= s.effective_max_steps) {
-      end = JournalTickEntry::kCompleted;
-    } else if (options_.step_deadline_nanos > 0 &&
-               slot.duration_nanos > options_.step_deadline_nanos) {
-      if (s.stage == DegradeStage::kGreedy) {
-        end = JournalTickEntry::kDeadlineRetired;
-      } else {
-        stage_after = static_cast<DegradeStage>(static_cast<int>(s.stage) + 1);
-      }
-    }
-    if (journaling) {
-      // Post-step stream states, delta-encoded against the pre-step base —
-      // a few bytes per stream instead of four 20-digit words. The
-      // episode-boundary Reset in the commit consumes no randomness, so
-      // capturing before it is already exact.
-      tick_builder_.AddStep(
-          s.id, end, static_cast<int>(stage_after),
-          MakeJournalRng(env_rng_before_[static_cast<size_t>(i)],
-                         s.env->rng_state()),
-          MakeJournalRng(act_rng_before_[static_cast<size_t>(i)],
-                         s.act_rng.state()),
-          step);
-    }
-    CommitStep(static_cast<size_t>(i), std::move(step),
-               std::move(slot.outcome), end, stage_after);
+    if (journaling) tick_builder_.AddEncodedStep(slot.journal_entry);
+    CommitStep(static_cast<size_t>(i), std::move(slot.step),
+               std::move(slot.outcome), slot.end, slot.stage_after);
   }
   sessions_.erase(std::remove(sessions_.begin(), sessions_.end(), nullptr),
                   sessions_.end());
@@ -577,6 +600,9 @@ Status SessionManager::ReloadSnapshot(const std::string& path) {
       // then defines the new generation.
       EnsureJournalStarted();
       snapshot_ = std::move(loaded).value();
+      // A workspace keeps one slot per layer it has run; starting afresh
+      // bounds them by the networks in use since this reload.
+      act_blocks_.clear();
       generation_paths_.push_back(path);
       current_gen_ = static_cast<uint32_t>(generation_paths_.size() - 1);
       ++stats_.reload_successes;

@@ -14,7 +14,9 @@
 #include "eda/display_cache.h"
 #include "eda/environment.h"
 #include "index/notebook_store.h"
+#include "nn/layers.h"
 #include "nn/matrix.h"
+#include "rl/policy.h"
 #include "serve/journal.h"
 #include "serve/snapshot.h"
 
@@ -235,22 +237,30 @@ struct ServeStats {
 
 /// Multi-session policy-serving runtime: one immutable PolicySnapshot
 /// per session (normally shared by all), N concurrent EDA sessions, one
-/// batched forward per scheduler tick (DESIGN.md §11), wrapped in a fault
+/// batched act per scheduler tick (DESIGN.md §11), wrapped in a fault
 /// domain per session (DESIGN.md §13).
 ///
-/// Tick() runs the lockstep discipline proven out by ParallelPpoTrainer:
-///   1. serial act   — live sessions are grouped by their pinned snapshot
+/// Tick() runs the lockstep discipline proven out by ParallelPpoTrainer,
+/// with every per-session phase on the ThreadPool:
+///   1. parallel act  — live sessions are grouped by their pinned snapshot
 ///                     (admission order; one group in steady state) and
-///                     each group issues a single Policy::ActBatch with
-///                     the sessions' private Rng streams (row i consumes
-///                     only rngs[i], so a row's result is independent of
-///                     who else is in the batch);
-///   2. parallel step — fan the environment steps out on a ThreadPool,
-///                     each worker writing an index-addressed slot and
-///                     timing its step against the deadline clock;
-///   3. serial commit — record steps, quarantine faulted sessions, walk
-///                     the degradation ladder, retire finished sessions
-///                     and reset episode boundaries in admission order.
+///                     each group is cut into one block of whole 4-row
+///                     tiles per pool thread; each block is acted in one
+///                     const TwofoldPolicy::ActBatch on its own
+///                     manager-owned workspace over the one frozen network,
+///                     with the sessions' private Rng streams (row i
+///                     consumes only rngs[i], so a row's result is
+///                     independent of who else is in the batch or block);
+///   2. parallel step — fan the environment steps out, each worker writing
+///                     an index-addressed slot: it times its step against
+///                     the deadline clock, records the served step, decides
+///                     how the step's commit ends (budget, deadline ladder)
+///                     and encodes the session's journal entry;
+///   3. serial commit — in admission order: append the encoded entries,
+///                     quarantine faulted sessions, append traces, count,
+///                     walk the degradation ladder, retire finished
+///                     sessions, register notebooks and reset episode
+///                     boundaries.
 /// Sessions touch only their own environment plus the shared DisplayCache,
 /// whose hits are bit-identical to recomputes — so every session's trace
 /// equals the single-session serial reference (ServeSingleSessionSerial),
@@ -405,11 +415,28 @@ class SessionManager {
     SessionTrace trace;
   };
 
-  /// Index-addressed result slot of one session's parallel step.
+  /// Index-addressed result slot of one session's parallel step; every
+  /// field but `status` is valid only when `status.ok()`.
   struct StepSlot {
-    Status status;        // non-OK => quarantine
-    StepOutcome outcome;  // valid only when status.ok()
+    Status status;  // non-OK => quarantine
+    StepOutcome outcome;
     int64_t duration_nanos = 0;
+    ServedStep step;
+    /// How the commit ends (a JournalTickEntry::End) and the stage after.
+    int end = 0;
+    DegradeStage stage_after = DegradeStage::kNormal;
+    /// The session's encoded journal entry (journaling only); the string
+    /// keeps its capacity across ticks.
+    std::string journal_entry;
+  };
+
+  /// One pool thread's share of a snapshot group's acting: whole 4-row
+  /// tiles of observations, their streams, and the workspace the frozen
+  /// network runs them on.
+  struct ActBlock {
+    Matrix observations;
+    std::vector<Rng*> rngs;
+    Workspace workspace;
   };
 
   std::unique_ptr<EdaEnvironment> AcquireEnv(uint64_t seed);
@@ -417,6 +444,13 @@ class SessionManager {
   std::unique_ptr<Session> BuildSession(
       const SessionConfig& config, uint64_t id,
       std::shared_ptr<const PolicySnapshot> snapshot, uint32_t gen);
+  /// Acts the live sessions at `members` (indices into sessions_, all
+  /// pinned to one snapshot) into acts_, one ParallelFor over row blocks.
+  void ActGroup(const std::vector<int>& members);
+  /// The parallel step of sessions_[index] into slots_[index]: screen the
+  /// act, step the environment, then the per-session commit work (record
+  /// the step, decide its end, encode its journal entry).
+  void StepSession(int index, bool journaling);
   /// Retires sessions_[index] (serial commit only). The env returns to
   /// the pool when `env_healthy`; a quarantined env may be mid-mutation
   /// and is discarded.
@@ -510,17 +544,19 @@ class SessionManager {
   bool overloaded_ = false;
 
   // Tick scratch, reused across calls.
-  Matrix obs_batch_;
-  std::vector<Rng*> rngs_;
+  std::vector<PolicyStep> acts_;
+  /// One per pool thread at most. Cleared by a successful reload, so the
+  /// workspaces do not keep slots for networks no session uses any more.
+  std::vector<ActBlock> act_blocks_;
   std::vector<StepSlot> slots_;
   /// Pre-step stream states captured at the top of a journaled tick, the
   /// base MakeJournalRng delta-encodes each entry's post-step state
   /// against (reused across ticks to stay allocation-free).
   std::vector<RngState> env_rng_before_;
   std::vector<RngState> act_rng_before_;
-  /// Reusable tick-record payload writer: the serial commit loop encodes
-  /// entries straight into the payload (no JournalTick materialization,
-  /// no operation/term copies on the hot path).
+  /// Reusable tick-record payload writer: the serial commit appends the
+  /// entries the parallel step encoded into each slot (no JournalTick
+  /// materialization, no operation/term copies on the hot path).
   JournalTickBuilder tick_builder_;
 };
 

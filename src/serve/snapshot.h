@@ -25,12 +25,13 @@ struct SnapshotOptions {
 ///
 /// The snapshot owns one TwofoldPolicy whose weights are written exactly
 /// once — at construction or load — and never again: serving performs no
-/// updates, so the parameter store behaves as read-only shared state. The
-/// policy's *acting* is still stateful (it runs through the network's
-/// internal workspace), which is why policy() is documented as
-/// single-caller: the SessionManager performs all acting serially on its
-/// scheduler thread — one batched forward per tick — and fans only
-/// environment stepping out across workers.
+/// updates, so the parameter store behaves as read-only shared state.
+/// Acting through the const TwofoldPolicy::ActBatch overload touches only
+/// the caller's Workspace, so any number of threads may act on one
+/// snapshot at once, each through its own workspace — the SessionManager
+/// acts one row block per pool thread that way. The non-const entry points
+/// (Policy::ActBatch, Act, ActGreedy) run on the policy's own acting
+/// workspace and stay single-caller.
 ///
 /// The action space and observation dimension are derived from the dataset
 /// schema + env config exactly as EdaEnvironment derives them, so a
@@ -51,9 +52,10 @@ class PolicySnapshot {
   const ActionSpace& action_space() const { return action_space_; }
   int observation_dim() const { return observation_dim_; }
 
-  /// The shared network. Acting mutates the policy's internal workspace,
-  /// so only one thread may drive it at a time (the scheduler thread of a
-  /// SessionManager; concurrent SessionManagers need separate snapshots).
+  /// The shared network. Its const ActBatch overload may run on several
+  /// threads at once, each with its own Workspace (how SessionManager
+  /// acts); the non-const acting entry points use the policy's own
+  /// workspace, so only one thread may call them at a time.
   TwofoldPolicy* policy() const { return policy_.get(); }
 
  private:

@@ -29,6 +29,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -78,6 +79,22 @@ namespace {
 // This host has one compiler and one libm, so these are recorded, not
 // tested.
 constexpr const char* kRecordedCompiler = "12.2.0";
+
+// With ATENA_GOLDEN_PORTABLE_KERNELS=1 every fixture runs on the nn
+// kernels' portable fallback instead of the AVX2 path
+// (ForcePortableKernelsForTesting); scripts/check.sh runs the suite that
+// way too, since no SIMD dispatch path may move a digest.
+class PortableKernelsSwitch : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    const char* flag = std::getenv("ATENA_GOLDEN_PORTABLE_KERNELS");
+    if (flag == nullptr || std::string_view(flag) != "1") return;
+    ForcePortableKernelsForTesting(true);
+    std::fprintf(stderr, "golden_test: portable nn kernels forced\n");
+  }
+};
+::testing::Environment* const kPortableKernelsSwitch =
+    ::testing::AddGlobalTestEnvironment(new PortableKernelsSwitch);
 
 struct GoldenFixture {
   const char* dataset;

@@ -119,27 +119,56 @@ TEST(ServeDeterminismTest, BatchedTracesMatchSerialReference) {
   }
 }
 
+// The tick acts each snapshot group in row blocks of whole 4-row tiles,
+// one block per pool thread, and steps, records and journal-encodes every
+// session on the pool. Live-session counts that cross the block and tile
+// boundaries — 1 and 3 pad a single tile, 5 spans two tiles, 17 ends in a
+// one-row tile, 64 fills four blocks — must serve the same traces and
+// write the same journal bytes at every thread count.
 TEST(ServeDeterminismTest, ThreadCountDoesNotChangeTraces) {
   auto snapshot = SmallSnapshot();
-  const auto configs = MixedConfigs(5);
-  std::map<uint64_t, SessionTrace> reference;
   const Table& table = *snapshot->dataset().table;
-  for (int threads : {1, 2, 4}) {
-    ServeOptions options;
-    options.num_threads = threads;
-    SessionManager manager(snapshot, options);
-    for (const auto& config : configs) MustAdmit(manager, config);
-    manager.Drain();
-    auto by_seed = BySeed(manager.TakeCompleted());
-    ASSERT_EQ(by_seed.size(), configs.size()) << threads << " threads";
-    if (reference.empty()) {
-      reference = std::move(by_seed);
-      continue;
-    }
-    for (const auto& [seed, trace] : by_seed) {
-      ExpectTracesEqual(trace, reference.at(seed), table,
-                        std::to_string(threads) + " threads, seed " +
-                            std::to_string(seed));
+  for (int live : {1, 3, 5, 17, 64}) {
+    const auto configs = MixedConfigs(live);
+    std::map<uint64_t, SessionTrace> reference;
+    std::string reference_journal;
+    for (int threads : {1, 2, 4}) {
+      const std::string context = std::to_string(live) + " sessions, " +
+                                  std::to_string(threads) + " threads";
+      const std::string path = TempPath("thread_count_" +
+                                        std::to_string(live) + "_" +
+                                        std::to_string(threads) + ".sjl");
+      RemoveIfExists(path);
+      RemoveIfExists(path + ".prev");
+      ServeOptions options;
+      options.num_threads = threads;
+      options.journal_path = path;
+      std::map<uint64_t, SessionTrace> by_seed;
+      {
+        SessionManager manager(snapshot, options);
+        for (const auto& config : configs) MustAdmit(manager, config);
+        manager.Drain();
+        by_seed = BySeed(manager.TakeCompleted());
+        EXPECT_TRUE(manager.journal_healthy()) << context;
+      }
+      std::string journal;
+      ASSERT_TRUE(ReadFileToString(path, &journal).ok()) << context;
+      RemoveIfExists(path);
+      RemoveIfExists(path + ".prev");
+      ASSERT_EQ(by_seed.size(), configs.size()) << context;
+      if (reference.empty()) {
+        reference = std::move(by_seed);
+        reference_journal = std::move(journal);
+        continue;
+      }
+      for (const auto& [seed, trace] : by_seed) {
+        ExpectTracesEqual(trace, reference.at(seed), table,
+                          context + ", seed " + std::to_string(seed));
+      }
+      EXPECT_TRUE(journal == reference_journal)
+          << context << ": journal differs from the 1-thread journal ("
+          << journal.size() << " vs " << reference_journal.size()
+          << " bytes)";
     }
   }
 }
