@@ -1,48 +1,51 @@
-// Micro-benchmark of the display-vector index (src/index/, DESIGN.md §14):
-// exact min-distance queries (the diversity reward's inner loop) scalar vs
-// indexed at growing history lengths, and top-k notebook retrieval at
-// growing corpus sizes. Both paths return bit-identical results
-// (tests/index_test.cc); this bench measures only the cost.
+// Micro-benchmark of the exact nearest-neighbour scans (DESIGN.md §14): the
+// diversity reward's min-distance scan at growing display histories, and
+// NotebookStore registration and top-5 retrieval at growing corpus sizes.
+// Both scans are flat and linear in what they scan; these rows are what
+// that costs at the sizes the product serves (a 13-display episode, a few
+// hundred retired notebooks) and well past them.
 //
-// The diversity histories are real: each one is the display_vectors() of
-// an EdaEnvironment driven for N random-action steps over flights4 — the
-// duplicate-heavy, clustered distribution the index actually serves (BACK
-// and repeated operations reproduce earlier displays bit-for-bit), not a
-// synthetic uniform cloud. Queries replay the reward's access pattern:
-// display i against displays 0..i-1.
+// The histories are real: each is the display_vectors() of an
+// EdaEnvironment over flights4 driven by seeded random actions, so BACK and
+// repeated operations reproduce earlier displays bit for bit, as they do in
+// served sessions. BM_DiversityMinDistance times DiversityReward on the
+// last display of a `history`-display session against every display before
+// it, cycling over kSessions independently seeded sessions.
 //
-// The headline counter is `indexed_speedup` on the 10000-step history —
-// the scalar scan is linear in history length while the ball-bounded
-// descent re-checks a near-constant candidate set (`vectors_checked` is
-// emitted per config so the sub-linear claim is visible directly, not
-// just through wall-clock). Results go to the JSON summary named by
+// The notebooks are real too: 12-operation random-action episodes on cyber1
+// (13 display vectors each). `distinct:0` registers that many different
+// notebooks; `distinct:40` cycles through the first 40, the duplicate-heavy
+// corpus. BM_NotebookRegister times registering the whole corpus into a
+// fresh store (items = notebooks); BM_NotebookTopK queries a built store
+// with fresh notebooks. Results go to the JSON summary named by
 // --bench_json; scripts/bench.sh writes BENCH_index.json.
 //
-// Scale overrides: ATENA_BENCH_INDEX_MAX drops registered history/corpus
-// sizes above the given value (the smoke test pins 1000 so ctest stays
-// fast); ATENA_BENCH_HISTORY / ATENA_BENCH_CORPUS each add one extra
-// size; ATENA_BENCH_DIM sets the synthetic notebook-corpus dimension.
+// ATENA_BENCH_INDEX_MAX drops histories and corpora above the given size
+// (the smoke test pins 1000 so ctest stays fast).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "bench_json.h"
-#include "bench_util.h"
-#include "common/math_utils.h"
 #include "common/random.h"
 #include "data/registry.h"
 #include "eda/environment.h"
 #include "index/notebook_store.h"
-#include "index/vector_index.h"
+#include "reward/diversity.h"
 
 namespace atena {
 namespace {
+
+constexpr int kSessions = 8;
+constexpr int kQueryNotebooks = 16;
+constexpr size_t kDuplicateDistinct = 40;
+
+using Sequence = std::vector<std::vector<double>>;
 
 long EnvScale(const char* name, long fallback) {
   if (const char* env = std::getenv(name)) {
@@ -52,183 +55,147 @@ long EnvScale(const char* name, long fallback) {
   return fallback;
 }
 
-/// Display history of a real session: one EdaEnvironment stepped `count`
-/// times with seeded random actions. Cached — both the scalar and the
-/// indexed run (and every repetition) measure against the same vectors.
-const std::vector<std::vector<double>>& RealHistory(size_t count) {
+/// kSessions environments over flights4, each stepped until it holds
+/// `history` displays. Cached: every repetition scans the same histories.
+const std::vector<std::unique_ptr<EdaEnvironment>>& Sessions(size_t history) {
   static auto* cache =
-      new std::map<size_t, std::vector<std::vector<double>>>();
-  const auto it = cache->find(count);
-  if (it != cache->end()) return it->second;
-
+      new std::map<size_t, std::vector<std::unique_ptr<EdaEnvironment>>>();
+  auto& sessions = (*cache)[history];
+  if (!sessions.empty()) return sessions;
+  const Dataset dataset = MakeDataset("flights4").value();
   EnvConfig config;
-  config.episode_length = static_cast<int>(count);
+  config.episode_length = static_cast<int>(history) - 1;
   config.stats_row_cap = 256;
-  // The generator itself must not pay for (or depend on) the index.
-  config.diversity_index_threshold = INT_MAX;
-  EdaEnvironment env(MakeDataset("flights4").value(), config);
-  env.Reset();
-  Rng actions(count);
-  for (size_t i = 0; i < count; ++i) {
-    env.Step(SampleRandomAction(env.action_space(), &actions));
-  }
-  return (*cache)[count] = env.display_vectors();
-}
-
-/// Synthetic notebook corpus vectors: clustered around a few dozen
-/// operation neighborhoods with exact duplicates mixed in — the shape of
-/// display sequences across many retired sessions.
-std::vector<std::vector<double>> SyntheticSequence(size_t count, size_t dim,
-                                                   Rng* rng) {
-  constexpr size_t kClusters = 32;
-  constexpr double kNoise = 0.05;
-  static auto* centers = [] {
-    Rng center_rng(0xc0ffee);
-    auto* all = new std::vector<std::vector<double>>(kClusters);
-    for (auto& center : *all) {
-      center.resize(256);
-      for (double& x : center) x = center_rng.NextDouble(-1.0, 1.0);
+  for (int s = 0; s < kSessions; ++s) {
+    auto env = std::make_unique<EdaEnvironment>(dataset, config);
+    if (!sessions.empty()) {
+      env->SetDisplayCache(sessions.front()->display_cache());
     }
-    return all;
-  }();
-  std::vector<std::vector<double>> vectors;
-  vectors.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    std::vector<double> v(dim);
-    const auto& center = (*centers)[static_cast<size_t>(rng->NextBounded(kClusters))];
-    for (size_t d = 0; d < dim; ++d) {
-      v[d] = center[d % center.size()] + rng->NextDouble(-kNoise, kNoise);
+    env->Reset();
+    Rng actions(history * kSessions + static_cast<size_t>(s));
+    while (!env->done()) {
+      env->Step(SampleRandomAction(env->action_space(), &actions));
     }
-    vectors.push_back(std::move(v));
+    sessions.push_back(std::move(env));
   }
-  return vectors;
-}
-
-/// seconds/query of the scalar run per history length — the
-/// indexed_speedup baseline (benchmarks run in registration order, so the
-/// scalar run of each length lands first).
-std::map<int64_t, double>& ScalarSecondsPerQuery() {
-  static auto* baselines = new std::map<int64_t, double>();
-  return *baselines;
-}
-
-/// The flat scan DiversityReward's scalar path performs: running min over
-/// the bounded kernel in id order.
-double ScalarMinSquared(const std::vector<std::vector<double>>& vectors,
-                        const std::vector<double>& query, size_t id_limit) {
-  double best = std::numeric_limits<double>::infinity();
-  const size_t limit = std::min(id_limit, vectors.size());
-  for (size_t i = 0; i < limit; ++i) {
-    const double sq = SquaredEuclideanDistanceBounded(query, vectors[i], best);
-    if (sq < best) best = sq;
-  }
-  return best;
+  return sessions;
 }
 
 void BM_DiversityMinDistance(benchmark::State& state) {
   const size_t history = static_cast<size_t>(state.range(0));
-  const bool indexed = state.range(1) != 0;
-  const auto& vectors = RealHistory(history);
-  VectorIndex index;
-  if (indexed) {
-    // Incremental growth, exactly like the environment's per-session
-    // index (one Insert per step).
-    for (const auto& v : vectors) index.Insert(v);
+  const auto& sessions = Sessions(history);
+  std::vector<RewardContext> contexts(sessions.size());
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    contexts[s].env = sessions[s].get();
   }
-
-  VectorIndex::QueryStats stats;
   size_t cursor = 0;
-  int64_t queries = 0;
-  double total_seconds = 0.0;
   for (auto _ : state) {
-    cursor = cursor + 1 < vectors.size() ? cursor + 1 : 1;
-    const auto start = std::chrono::steady_clock::now();
-    const double min_sq =
-        indexed ? index.MinSquaredDistance(vectors[cursor], cursor, &stats)
-                : ScalarMinSquared(vectors, vectors[cursor], cursor);
-    const auto stop = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(min_sq);
-    const double seconds =
-        std::chrono::duration<double>(stop - start).count();
-    state.SetIterationTime(seconds);
-    total_seconds += seconds;
-    ++queries;
+    benchmark::DoNotOptimize(DiversityReward(contexts[cursor]));
+    cursor = cursor + 1 < contexts.size() ? cursor + 1 : 0;
   }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["history"] =
+      static_cast<double>(sessions.front()->display_vectors().size());
+}
 
-  state.SetItemsProcessed(queries);
-  state.counters["history"] = static_cast<double>(vectors.size());
-  const double seconds_per_query =
-      queries > 0 ? total_seconds / static_cast<double>(queries) : 0.0;
-  if (!indexed) {
-    // Benchmarks run in registration order, so the scalar run of each
-    // history length lands before its indexed twin.
-    ScalarSecondsPerQuery()[state.range(0)] = seconds_per_query;
-  } else if (seconds_per_query > 0.0) {
-    const auto baseline = ScalarSecondsPerQuery().find(state.range(0));
-    if (baseline != ScalarSecondsPerQuery().end()) {
-      state.counters["indexed_speedup"] =
-          baseline->second / seconds_per_query;
+/// The display sequences of `count` random-action 12-operation episodes on
+/// cyber1, from the action stream seeded with `seed`. Cached per seed and
+/// grown on demand, so smaller corpora are prefixes of larger ones.
+const std::vector<Sequence>& RealNotebooks(uint64_t seed, size_t count) {
+  struct Source {
+    std::unique_ptr<EdaEnvironment> env;
+    Rng actions{0};
+    std::vector<Sequence> notebooks;
+  };
+  static auto* sources = new std::map<uint64_t, Source>();
+  Source& source = (*sources)[seed];
+  if (!source.env) {
+    source.env = std::make_unique<EdaEnvironment>(
+        MakeDataset("cyber1").value(), EnvConfig());
+    source.actions = Rng(seed);
+  }
+  while (source.notebooks.size() < count) {
+    EdaEnvironment& env = *source.env;
+    env.Reset();
+    while (!env.done()) {
+      env.Step(SampleRandomAction(env.action_space(), &source.actions));
     }
+    source.notebooks.push_back(env.display_vectors());
   }
-  if (indexed && queries > 0) {
-    state.counters["vectors_checked_per_query"] =
-        static_cast<double>(stats.vectors_checked) /
-        static_cast<double>(queries);
-    state.counters["nodes_visited_per_query"] =
-        static_cast<double>(stats.nodes_visited) /
-        static_cast<double>(queries);
-    state.counters["nodes_pruned_per_query"] =
-        static_cast<double>(stats.nodes_pruned) /
-        static_cast<double>(queries);
+  return source.notebooks;
+}
+
+/// A `corpus`-notebook corpus: the first `corpus` real notebooks, or, for
+/// the duplicate-heavy corpus, the first `distinct` repeated in turn.
+std::vector<const Sequence*> Corpus(size_t corpus, size_t distinct) {
+  const auto& real = RealNotebooks(1, distinct > 0 ? distinct : corpus);
+  std::vector<const Sequence*> notebooks(corpus);
+  for (size_t i = 0; i < corpus; ++i) {
+    notebooks[i] = &real[distinct > 0 ? i % distinct : i];
   }
+  return notebooks;
+}
+
+void BM_NotebookRegister(benchmark::State& state) {
+  const auto corpus = Corpus(static_cast<size_t>(state.range(0)),
+                             static_cast<size_t>(state.range(1)));
+  for (auto _ : state) {
+    NotebookStore store;
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      store.Register(i, i, *corpus[i]);
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    benchmark::DoNotOptimize(store.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(corpus.size()));
+  state.counters["corpus"] = static_cast<double>(corpus.size());
 }
 
 void BM_NotebookTopK(benchmark::State& state) {
-  const size_t corpus = static_cast<size_t>(state.range(0));
-  const size_t dim = static_cast<size_t>(EnvScale("ATENA_BENCH_DIM", 48));
+  const auto corpus = Corpus(static_cast<size_t>(state.range(0)),
+                             static_cast<size_t>(state.range(1)));
   NotebookStore store;
-  Rng rng(corpus);
-  for (size_t i = 0; i < corpus; ++i) {
-    store.Register(i, i, SyntheticSequence(8, dim, &rng));
-  }
-  Rng query_rng(0xfeed);
-  const auto query = SyntheticSequence(8, dim, &query_rng);
-  int64_t queries = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) store.Register(i, i, *corpus[i]);
+  // Fresh notebooks from another action stream: none is in the corpus.
+  const auto& queries = RealNotebooks(2, kQueryNotebooks);
+  size_t cursor = 0;
   for (auto _ : state) {
-    const auto matches = store.TopK(query, 5);
-    benchmark::DoNotOptimize(matches);
-    ++queries;
+    benchmark::DoNotOptimize(store.TopK(queries[cursor], 5));
+    cursor = cursor + 1 < queries.size() ? cursor + 1 : 0;
   }
-  state.SetItemsProcessed(queries);
-  state.counters["corpus"] = static_cast<double>(corpus);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["corpus"] = static_cast<double>(corpus.size());
 }
 
 void RegisterBenchmarks() {
   const long max_size = EnvScale("ATENA_BENCH_INDEX_MAX",
                                  std::numeric_limits<long>::max());
-  std::vector<long> histories = {100, 1000, 10000};
-  const long extra_history = EnvScale("ATENA_BENCH_HISTORY", 0);
-  if (extra_history > 0) histories.push_back(extra_history);
   auto* diversity = benchmark::RegisterBenchmark("BM_DiversityMinDistance",
                                                  BM_DiversityMinDistance);
-  diversity->ArgNames({"history", "indexed"});
-  for (long history : histories) {
-    if (history > max_size) continue;
-    diversity->Args({history, 0})->Args({history, 1});
+  diversity->ArgNames({"history"});
+  for (const long history : {13L, 100L, 1000L}) {
+    if (history <= max_size) diversity->Args({history});
   }
-  diversity->UseManualTime()->Unit(benchmark::kMicrosecond);
+  diversity->Unit(benchmark::kMicrosecond);
 
-  std::vector<long> corpora = {100, 1000, 10000};
-  const long extra_corpus = EnvScale("ATENA_BENCH_CORPUS", 0);
-  if (extra_corpus > 0) corpora.push_back(extra_corpus);
+  auto* registration = benchmark::RegisterBenchmark("BM_NotebookRegister",
+                                                    BM_NotebookRegister);
   auto* retrieval =
       benchmark::RegisterBenchmark("BM_NotebookTopK", BM_NotebookTopK);
-  retrieval->ArgNames({"corpus"});
-  for (long corpus : corpora) {
-    if (corpus > max_size) continue;
-    retrieval->Args({corpus});
+  for (auto* bench : {registration, retrieval}) {
+    bench->ArgNames({"corpus", "distinct"});
+    for (const long distinct : {0L, static_cast<long>(kDuplicateDistinct)}) {
+      for (const long corpus : {100L, 1000L, 10000L}) {
+        if (corpus <= max_size) bench->Args({corpus, distinct});
+      }
+    }
+    bench->Unit(benchmark::kMicrosecond);
   }
-  retrieval->Unit(benchmark::kMicrosecond);
+  registration->UseManualTime();
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -397,22 +396,13 @@ int LongSessionSteps() {
   return 10000;
 }
 
-/// steps_per_sec of the indexed=0 long run — the indexed_speedup baseline.
-double& LongSessionBaseline() {
-  static double baseline = 0.0;
-  return baseline;
-}
-
-/// The regime the display-vector index exists for (DESIGN.md §14): few
-/// sessions, one very long episode each, with a diversity-scoring reward
-/// attached, so per-step cost is dominated by the min-distance query
-/// against the growing display history. indexed=0 serves with the scalar
-/// scan (per-step cost linear in history → per-step latency climbs as the
-/// session ages); indexed=1 uses the per-session index (flat). The
-/// p99_late_over_early counter compares the p99 tick latency of the second
-/// half of each session against the first half: ~1.0 means flat.
+/// Few sessions, one very long episode each, with a diversity-scoring
+/// reward attached, so per-step cost grows with the min-distance scan over
+/// the lengthening display history (DESIGN.md §14): per-step latency climbs
+/// as the session ages. The p50/p99_late_over_early counters compare the
+/// tick latency of the second half of each session against the first half
+/// (~1.0 means flat).
 void BM_ServeLongSessions(benchmark::State& state) {
-  const bool indexed = state.range(0) != 0;
   const int steps = LongSessionSteps();
   constexpr int kSessions = 2;
 
@@ -420,7 +410,6 @@ void BM_ServeLongSessions(benchmark::State& state) {
   snapshot_options.env.episode_length = steps;
   snapshot_options.env.num_term_bins = 8;
   snapshot_options.env.stats_row_cap = 256;
-  if (!indexed) snapshot_options.env.diversity_index_threshold = INT_MAX;
   const auto snapshot = std::make_shared<const PolicySnapshot>(
       MakeDataset("flights4").value(), snapshot_options);
 
@@ -443,9 +432,9 @@ void BM_ServeLongSessions(benchmark::State& state) {
       config.max_steps = steps;
       // Sampled acting, not greedy: a greedy demo policy settles into a
       // display cycle, the min distance hits zero, and the scalar scan
-      // early-breaks in one block — no history-length signal for either
-      // path. Sampling keeps the history duplicate-heavy but varied,
-      // the distribution the diversity scan actually faces.
+      // early-breaks in one block — no history-length signal at all.
+      // Sampling keeps the history duplicate-heavy but varied, the
+      // distribution the diversity scan actually faces.
       config.greedy = false;
       manager.Admit(config).value();
     }
@@ -478,9 +467,9 @@ void BM_ServeLongSessions(benchmark::State& state) {
   if (!early_ticks.empty() && !late_ticks.empty()) {
     // Second-half vs first-half tick latency growth. The median isolates
     // the diversity scan (the typical tick's only history-dependent
-    // cost): scalar grows ~linearly with history, indexed stays near
-    // flat. The p99 tail is dominated by expensive display recomputes,
-    // which deepen with session length identically under both paths.
+    // cost), which grows ~linearly with history. The p99 tail is
+    // dominated by expensive display recomputes, which deepen with
+    // session length independently of the scan.
     const double early_p50 = bench::Percentile(early_ticks, 50.0);
     if (early_p50 > 0.0) {
       state.counters["p50_late_over_early"] =
@@ -492,16 +481,8 @@ void BM_ServeLongSessions(benchmark::State& state) {
           bench::Percentile(late_ticks, 99.0) / early_p99;
     }
   }
-  if (!indexed) {
-    LongSessionBaseline() = steps_per_sec;
-  } else if (LongSessionBaseline() > 0.0) {
-    state.counters["indexed_speedup"] = steps_per_sec / LongSessionBaseline();
-  }
 }
 BENCHMARK(BM_ServeLongSessions)
-    ->ArgNames({"indexed"})
-    ->Args({0})
-    ->Args({1})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

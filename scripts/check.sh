@@ -106,8 +106,8 @@ echo "== tsan: configure + build + threaded tests (ATENA_SANITIZE=thread) =="
 # matrix with its multi-threaded rollback/recovery runs, the serving
 # runtime's parallel environment stepping plus its fault-injection
 # matrix — quarantine/deadline/shed/reload under worker threads — the
-# display-vector index exercised through the multi-threaded serve path
-# and the shared notebook store, concurrent FilterRows/GroupAggregate
+# notebook store one multi-threaded serving runtime shares across its
+# threads (registration and retrieval), concurrent FilterRows/GroupAggregate
 # calls on one shared table, the column-statistics pass's
 # thread-local scratch and histogram arena plus the cache's shared Stats
 # section under concurrent stepping, the golden fixtures' 4-thread

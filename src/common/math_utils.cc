@@ -49,15 +49,6 @@ double NormalizedEntropy(const std::vector<double>& counts) {
   return Entropy(counts) / std::log(static_cast<double>(support));
 }
 
-double SquaredEuclideanDistance(const std::vector<double>& a,
-                                const std::vector<double>& b) {
-  // Delegates with an infinite bound: one kernel, one accumulation order,
-  // so bounded and unbounded results are bit-identical by construction.
-  return SquaredEuclideanDistanceBounded(
-      a.data(), a.size(), b.data(), b.size(),
-      std::numeric_limits<double>::infinity());
-}
-
 double SquaredEuclideanDistanceBounded(const std::vector<double>& a,
                                        const std::vector<double>& b,
                                        double bound) {
@@ -77,8 +68,7 @@ double SquaredEuclideanDistanceBounded(const double* a, size_t a_size,
   // end), and every partial checkpoint value is a sum of a subset of the
   // non-negative terms, so checkpoints are non-decreasing and an early
   // break can never discard a candidate whose full sum is <= bound; any
-  // result <= bound is the exact full sum, bit-identical between the
-  // bounded and (delegating) unbounded entry points.
+  // result <= bound is the exact full sum.
   constexpr size_t kBlock = 8;
   size_t n = std::min(a_size, b_size);
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
@@ -123,11 +113,6 @@ double SquaredEuclideanDistanceBounded(const double* a, size_t a_size,
     if (sum > bound) return sum;
   }
   return sum;
-}
-
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  return std::sqrt(SquaredEuclideanDistance(a, b));
 }
 
 MeanVar ComputeMeanVar(const std::vector<double>& values) {

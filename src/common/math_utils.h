@@ -84,39 +84,29 @@ double KlDivergence(const Map& p, const Map& q, double epsilon = 1e-4) {
   return std::max(0.0, kl);
 }
 
-/// Squared Euclidean (L2) distance. Mismatched tails count as distance
-/// from zero — equivalent to zero-padding the shorter vector — so vectors
-/// of different lengths live in one well-defined metric space (the
-/// vector index's ball bounds rely on this; see tests/common_test.cc).
-/// The accumulation order is fixed (four striped lanes over the shared
-/// prefix, combined deterministically, then the a-tail then the b-tail):
-/// every caller that must agree bit-for-bit (the scalar diversity scan,
-/// the index's exact re-check) goes through this one kernel.
-double SquaredEuclideanDistance(const std::vector<double>& a,
-                                const std::vector<double>& b);
-
-/// Early-exit variant for running-min scans: returns the exact squared
-/// distance when it is <= `bound`, otherwise some partial sum > `bound`
-/// (the caller only compares against `bound`, so the exact value of a
-/// rejected candidate is irrelevant). Because every term is >= 0 the
-/// partial sums are non-decreasing, so the early exit can never discard
-/// a candidate whose full distance is <= `bound` — min results are
-/// bit-identical to the unbounded kernel.
+/// Squared Euclidean (L2) distance with an early exit, the one distance
+/// kernel of the diversity reward and the notebook store. Mismatched tails
+/// count as distance from zero — equivalent to zero-padding the shorter
+/// vector — so vectors of different lengths live in one well-defined
+/// metric space (pinned in tests/common_test.cc). The accumulation order
+/// is fixed (four striped lanes over the shared prefix, combined
+/// deterministically, then the a-tail then the b-tail). Returns the exact
+/// squared distance when it is <= `bound`, otherwise some partial sum >
+/// `bound` (the caller only compares against `bound`, so the exact value
+/// of a rejected candidate is irrelevant). Because every term is >= 0 the
+/// partial sums are non-decreasing, so the early exit can never discard a
+/// candidate whose full distance is <= `bound`; an infinite bound always
+/// yields the exact distance.
 double SquaredEuclideanDistanceBounded(const std::vector<double>& a,
                                        const std::vector<double>& b,
                                        double bound);
 
 /// Raw-buffer form of the bounded kernel, for callers that keep vectors in
-/// a packed arena (the vector index's leaf storage). Identical
-/// accumulation order and early-exit contract as the std::vector overload,
-/// which delegates here — one kernel, bit-identical results.
+/// a packed arena (the notebook store's centroids). The std::vector
+/// overload delegates here — one kernel, bit-identical results.
 double SquaredEuclideanDistanceBounded(const double* a, size_t a_size,
                                        const double* b, size_t b_size,
                                        double bound);
-
-/// Euclidean (L2) distance: sqrt(SquaredEuclideanDistance(a, b)).
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b);
 
 /// Numerically stable mean and (population) variance of `values`.
 /// Returns {0, 0} for an empty input.

@@ -89,8 +89,6 @@ std::vector<double> EdaEnvironment::Reset() {
   display_vectors_.clear();
   steps_.clear();
   step_count_ = 0;
-  display_index_.Clear();
-  indexed_upto_ = 0;
 
   Display root;
   root.rows = all_rows_;
@@ -240,11 +238,6 @@ StepOutcome EdaEnvironment::FinishStep(EdaOperation op, bool valid,
   // Pushes share the display's row storage (RowSet) — no row copies.
   history_.push_back(stack_.back());
   display_vectors_.push_back(EncodeDisplayCached(stack_.back()));
-  // The index always mirrors the full history (once active), including
-  // the display just pushed; diversity queries exclude it via id_limit.
-  // External callers (eval, tests) that compute rewards after the step
-  // completes therefore see the same index state the in-step reward saw.
-  SyncDisplayIndex();
 
   // The step is pushed before the reward is computed so that reward
   // functions and labeling rules see a consistent session log in which the
@@ -472,31 +465,6 @@ void EdaEnvironment::RestoreSnapshot(const Snapshot& snapshot) {
   display_vectors_ = snapshot.display_vectors;
   steps_ = snapshot.steps;
   step_count_ = snapshot.step_count;
-  // Snapshots do not carry the index; rebuild it from the restored
-  // history. Queries only depend on the indexed vector set, not the tree
-  // shape, so a rebuilt index answers identically (tests/index_test.cc).
-  display_index_.Clear();
-  indexed_upto_ = 0;
-  SyncDisplayIndex();
-}
-
-const VectorIndex* EdaEnvironment::display_index() const {
-  if (indexed_upto_ == 0) return nullptr;  // below the threshold
-  ATENA_CHECK(indexed_upto_ == display_vectors_.size())
-      << "display index out of sync with history";
-  return &display_index_;
-}
-
-void EdaEnvironment::SyncDisplayIndex() {
-  if (indexed_upto_ == 0 &&
-      display_vectors_.size() <
-          static_cast<size_t>(config_.diversity_index_threshold)) {
-    return;  // dormant: short (training-length) episodes stay scalar
-  }
-  while (indexed_upto_ < display_vectors_.size()) {
-    display_index_.Insert(display_vectors_[indexed_upto_]);
-    ++indexed_upto_;
-  }
 }
 
 EnvAction SampleRandomAction(const ActionSpace& space, Rng* rng) {

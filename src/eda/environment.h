@@ -12,7 +12,6 @@
 #include "eda/observation.h"
 #include "eda/operation.h"
 #include "eda/reward_interface.h"
-#include "index/vector_index.h"
 
 namespace atena {
 
@@ -46,14 +45,6 @@ struct EnvConfig {
   /// megabytes and the entry cap alone would admit gigabytes.
   size_t display_cache_max_bytes = size_t{256} << 20;
   int display_cache_shards = 8;
-  /// History length at which the incremental vector index over
-  /// display_vectors() (DESIGN.md §14), which the diversity reward routes
-  /// its min-distance query through, activates. Below it the scalar scan
-  /// is used — training episodes (~12 steps) never pay index maintenance;
-  /// long serving sessions cross it once and stay indexed. INT_MAX never
-  /// indexes. Results are bit-identical at any threshold; only the cost of
-  /// long sessions changes (sub-linear vs linear per step).
-  int diversity_index_threshold = 64;
 };
 
 /// Sizes of the parameterized action space. Segment order is the canonical
@@ -174,11 +165,6 @@ class EdaEnvironment {
   const std::vector<std::vector<double>>& display_vectors() const {
     return display_vectors_;
   }
-  /// The incremental index over display_vectors() (ids = positions), or
-  /// null when it is not active: disabled by config, or the history is
-  /// still below diversity_index_threshold. When non-null it covers the
-  /// history exactly — callers may query without further sync checks.
-  const VectorIndex* display_index() const;
   const std::vector<EdaStep>& steps() const { return steps_; }
   const Display& current_display() const { return stack_.back(); }
   /// The display the current one was derived from (d_{t-1}); the root
@@ -257,10 +243,6 @@ class EdaEnvironment {
       uint64_t rows_signature, const RowSet& rows, const GroupSpec& spec);
   /// Encoded observation vector of `display`, memoized by display key.
   std::vector<double> EncodeDisplayCached(const Display& display);
-  /// Catches display_index_ up to display_vectors_ (no-op until the
-  /// history reaches diversity_index_threshold; then inserts the backlog
-  /// and stays incremental, one insert per step).
-  void SyncDisplayIndex();
 
   Dataset dataset_;
   EnvConfig config_;
@@ -278,12 +260,6 @@ class EdaEnvironment {
   std::vector<std::vector<double>> display_vectors_;
   std::vector<EdaStep> steps_;
   int step_count_ = 0;
-  /// Incremental index mirroring display_vectors_[0, indexed_upto_).
-  /// indexed_upto_ stays 0 (index dormant) until the activation
-  /// threshold; snapshots do not capture the index — RestoreSnapshot
-  /// rebuilds it from the restored history.
-  VectorIndex display_index_;
-  size_t indexed_upto_ = 0;
 };
 
 /// Uniformly random structured action over `space` (used for warmup

@@ -20,12 +20,19 @@ std::vector<std::string> Keys(const std::vector<ViewSignature>& views) {
   return keys;
 }
 
-/// Modified n-gram precision of `candidate` against the references, with
-/// reference-clipped counts (standard BLEU ingredient).
-double ClippedNgramPrecision(const std::vector<std::string>& candidate,
-                             const std::vector<std::vector<std::string>>& refs,
-                             size_t n) {
-  if (candidate.size() < n) return 0.0;
+/// Clipped n-gram matches of `candidate` against the references: each
+/// candidate n-gram counts at most as often as it occurs in one reference
+/// (standard BLEU ingredient), over the candidate's n-gram total.
+struct NgramMatches {
+  int matched = 0;
+  int total = 0;
+};
+
+NgramMatches ClippedNgramMatches(
+    const std::vector<std::string>& candidate,
+    const std::vector<std::vector<std::string>>& refs, size_t n) {
+  NgramMatches m;
+  if (candidate.size() < n) return m;
   std::map<std::vector<std::string>, int> cand_counts;
   for (size_t i = 0; i + n <= candidate.size(); ++i) {
     std::vector<std::string> gram(candidate.begin() + static_cast<long>(i),
@@ -49,15 +56,12 @@ double ClippedNgramPrecision(const std::vector<std::string>& candidate,
       }
     }
   }
-  int matched = 0, total = 0;
   for (const auto& [gram, c] : cand_counts) {
-    total += c;
+    m.total += c;
     auto it = max_ref_counts.find(gram);
-    if (it != max_ref_counts.end()) matched += std::min(c, it->second);
+    if (it != max_ref_counts.end()) m.matched += std::min(c, it->second);
   }
-  return total == 0 ? 0.0
-                    : static_cast<double>(matched) /
-                          static_cast<double>(total);
+  return m;
 }
 
 }  // namespace
@@ -90,13 +94,21 @@ double TBleu(const std::vector<ViewSignature>& candidate,
   refs.reserve(gold.size());
   for (const auto& notebook : gold) refs.push_back(Keys(notebook));
 
-  // Geometric mean of smoothed clipped precisions (add-epsilon smoothing so
-  // a single missing order does not zero the whole score, as is standard
-  // for sentence-level BLEU).
+  // Geometric mean of the clipped precisions, smoothed by Chen & Cherry
+  // (2014) method 1 as NLTK's SmoothingFunction().method1 computes it: an
+  // order with no clipped match counts kNoMatchEpsilon matches over
+  // max(1, candidate n-grams). As in NLTK's sentence BLEU, a candidate
+  // without a single matching unigram scores 0.
+  constexpr double kNoMatchEpsilon = 0.1;
   double log_sum = 0.0;
   for (int n = 1; n <= max_n; ++n) {
-    double p = ClippedNgramPrecision(cand, refs, static_cast<size_t>(n));
-    log_sum += std::log(std::max(p, 1e-9));
+    const NgramMatches m =
+        ClippedNgramMatches(cand, refs, static_cast<size_t>(n));
+    if (n == 1 && m.matched == 0) return 0.0;
+    const double total = static_cast<double>(std::max(1, m.total));
+    const double p = m.matched > 0 ? static_cast<double>(m.matched) / total
+                                   : kNoMatchEpsilon / total;
+    log_sum += std::log(p);
   }
   const double geo = std::exp(log_sum / max_n);
 
@@ -173,73 +185,15 @@ double AlignedSim(const std::vector<int>& candidate,
   return dp[n][m] / static_cast<double>(std::max(n, m));
 }
 
-/// Margin the upper-bound comparison concedes to floating point: the
-/// bound's sum and the DP's matched sum accumulate in different orders,
-/// so their rounding can differ by ~1e-13 at these magnitudes (scores
-/// live in [0, 1]); 1e-9 dominates that comfortably while pruning
-/// essentially everything a tight bound would.
-constexpr double kEdaSimBoundSlack = 1e-9;
-
 }  // namespace
 
 double MaxEdaSim(const std::vector<ViewSignature>& candidate,
                  const std::vector<std::vector<ViewSignature>>& gold) {
-  return MaxEdaSim(candidate, gold, nullptr);
-}
-
-double MaxEdaSim(const std::vector<ViewSignature>& candidate,
-                 const std::vector<std::vector<ViewSignature>>& gold,
-                 EdaSimPruningStats* stats) {
-  if (stats != nullptr) *stats = EdaSimPruningStats();
-  if (gold.empty()) return 0.0;
-  if (stats != nullptr) stats->references_total = static_cast<int>(gold.size());
-
   ViewSimTable sims;
   const std::vector<int> cand = sims.Intern(candidate);
-  std::vector<std::vector<int>> refs;
-  refs.reserve(gold.size());
-  for (const auto& reference : gold) refs.push_back(sims.Intern(reference));
-
-  // Upper bound per reference: in any monotone alignment each candidate
-  // view matches at most one reference view, so the matched-sim sum is at
-  // most Σ_i max_j sim(c_i, r_j); divide by the same max(n, m) as the DP.
-  // Empty sequences take AlignedSim's exact special-case value as their
-  // bound.
-  std::vector<double> bounds(refs.size(), 0.0);
-  for (size_t r = 0; r < refs.size(); ++r) {
-    const std::vector<int>& ref = refs[r];
-    if (cand.empty() || ref.empty()) {
-      bounds[r] = (cand.size() == ref.size()) ? 1.0 : 0.0;
-      continue;
-    }
-    double sum = 0.0;
-    for (const int c : cand) {
-      double best_sim = 0.0;
-      for (const int v : ref) best_sim = std::max(best_sim, sims.Sim(c, v));
-      sum += best_sim;
-    }
-    bounds[r] = sum / static_cast<double>(std::max(cand.size(), ref.size()));
-  }
-
-  // Best-bound-first: the strongest candidate reference is aligned first,
-  // so the running best rises fast and prunes the tail. Ties keep input
-  // order — evaluation order never affects the returned max anyway.
-  std::vector<size_t> order(refs.size());
-  for (size_t r = 0; r < refs.size(); ++r) order[r] = r;
-  std::stable_sort(order.begin(), order.end(), [&bounds](size_t a, size_t b) {
-    return bounds[a] > bounds[b];
-  });
-
   double best = 0.0;
-  for (const size_t r : order) {
-    // A reference whose bound (plus the FP slack) cannot beat the running
-    // best cannot change the max: AlignedSim(c, r) <= bound < best.
-    if (bounds[r] + kEdaSimBoundSlack <= best) {
-      if (stats != nullptr) ++stats->references_pruned;
-      continue;
-    }
-    if (stats != nullptr) ++stats->references_evaluated;
-    best = std::max(best, AlignedSim(cand, refs[r], &sims));
+  for (const auto& reference : gold) {
+    best = std::max(best, AlignedSim(cand, sims.Intern(reference), &sims));
   }
   return best;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/file_io.h"
@@ -14,7 +15,7 @@ namespace atena {
 
 namespace {
 
-const std::string_view kStoreMagic = "ATENA-NBSTORE v1";
+const std::string_view kStoreMagic = "ATENA-NBSTORE v2";
 
 void AppendU32(std::string* out, uint32_t v) {
   char buf[sizeof(v)];
@@ -44,12 +45,7 @@ bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
 
 }  // namespace
 
-NotebookStore::NotebookStore() : NotebookStore(Options()) {}
-
-NotebookStore::NotebookStore(Options options)
-    : options_(options),
-      mutex_(std::make_unique<std::mutex>()),
-      centroids_(options.index) {}
+NotebookStore::NotebookStore() : mutex_(std::make_unique<std::mutex>()) {}
 
 uint64_t NotebookStore::SequenceHash(
     const std::vector<std::vector<double>>& sequence) {
@@ -86,7 +82,7 @@ std::vector<double> NotebookStore::Centroid(
 int64_t NotebookStore::RegisterLocked(
     uint64_t session_id, uint64_t session_seed,
     std::vector<std::vector<double>> display_vectors) {
-  if (display_vectors.size() < options_.min_sequence_length) {
+  if (display_vectors.size() < kMinSequenceLength) {
     ++skipped_;
     return -1;
   }
@@ -96,9 +92,9 @@ int64_t NotebookStore::RegisterLocked(
   entry.session_id = session_id;
   entry.session_seed = session_seed;
   entry.length = static_cast<uint32_t>(display_vectors.size());
-  const int32_t index_id = centroids_.Insert(Centroid(display_vectors));
-  ATENA_CHECK(static_cast<uint64_t>(index_id) == id)
-      << "centroid index out of sync with the entry table";
+  const std::vector<double> centroid = Centroid(display_vectors);
+  centroids_.insert(centroids_.end(), centroid.begin(), centroid.end());
+  centroid_dims_.push_back(static_cast<uint32_t>(centroid.size()));
   by_hash_[SequenceHash(display_vectors)].push_back(id);
   entries_.push_back(entry);
   sequences_.push_back(std::move(display_vectors));
@@ -118,13 +114,36 @@ std::vector<NotebookStore::Match> NotebookStore::TopK(
   std::vector<Match> matches;
   if (k <= 0 || entries_.empty()) return matches;
   const std::vector<double> query = Centroid(display_vectors);
-  const std::vector<VectorIndex::Neighbor> neighbors =
-      centroids_.TopK(query, k);
-  matches.reserve(neighbors.size());
-  for (const VectorIndex::Neighbor& n : neighbors) {
+  const size_t want = std::min(static_cast<size_t>(k), entries_.size());
+  // The nearest so far as (squared distance, id), ascending. Ids arrive in
+  // ascending order, so a candidate that only ties the worst kept distance
+  // never displaces it: among equal distances the lowest ids win. Once
+  // `want` are kept, the worst of them bounds the kernel, which returns
+  // the exact squared distance whenever it is at or below the bound.
+  std::vector<std::pair<double, size_t>> kept;
+  kept.reserve(want + 1);
+  double bound = std::numeric_limits<double>::infinity();
+  const double* centroid = centroids_.data();
+  for (size_t id = 0; id < entries_.size(); ++id) {
+    const size_t dim = centroid_dims_[id];
+    const double sq = SquaredEuclideanDistanceBounded(
+        query.data(), query.size(), centroid, dim, bound);
+    centroid += dim;
+    if (kept.size() == want && !(sq < bound)) continue;
+    const auto at = std::upper_bound(
+        kept.begin(), kept.end(), sq,
+        [](double value, const std::pair<double, size_t>& kept_entry) {
+          return value < kept_entry.first;
+        });
+    kept.insert(at, {sq, id});
+    if (kept.size() > want) kept.pop_back();
+    if (kept.size() == want) bound = kept.back().first;
+  }
+  matches.reserve(kept.size());
+  for (const auto& [squared_distance, id] : kept) {
     Match match;
-    match.entry = entries_[static_cast<size_t>(n.id)];
-    match.distance = std::sqrt(n.squared_distance);
+    match.entry = entries_[id];
+    match.distance = std::sqrt(squared_distance);
     matches.push_back(match);
   }
   return matches;
@@ -169,11 +188,6 @@ std::vector<std::vector<double>> NotebookStore::sequence(
 Status NotebookStore::Save(const std::string& path) const {
   std::lock_guard<std::mutex> lock(*mutex_);
   std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(options_.index.branching));
-  AppendU32(&payload, static_cast<uint32_t>(options_.index.leaf_capacity));
-  AppendU32(&payload,
-            static_cast<uint32_t>(options_.index.kmeans_iterations));
-  AppendU64(&payload, static_cast<uint64_t>(options_.min_sequence_length));
   AppendU64(&payload, static_cast<uint64_t>(entries_.size()));
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Entry& entry = entries_[i];
@@ -196,32 +210,20 @@ Result<NotebookStore> NotebookStore::Load(const std::string& path) {
   std::string payload;
   ATENA_RETURN_IF_ERROR(ReadChecksummedFile(path, kStoreMagic, &payload));
   size_t pos = 0;
-  uint32_t branching = 0, leaf_capacity = 0, kmeans_iterations = 0;
-  uint64_t min_len = 0, count = 0;
-  if (!ReadU32(payload, &pos, &branching) ||
-      !ReadU32(payload, &pos, &leaf_capacity) ||
-      !ReadU32(payload, &pos, &kmeans_iterations) ||
-      !ReadU64(payload, &pos, &min_len) || !ReadU64(payload, &pos, &count)) {
+  uint64_t count = 0;
+  if (!ReadU64(payload, &pos, &count)) {
     return Status::IOError("notebook store " + path + ": truncated header");
   }
-  if (branching < 2 || leaf_capacity < 1 || kmeans_iterations < 1) {
-    return Status::InvalidArgument("notebook store " + path +
-                                   ": implausible options");
-  }
-  Options options;
-  options.index.branching = static_cast<int>(branching);
-  options.index.leaf_capacity = static_cast<int>(leaf_capacity);
-  options.index.kmeans_iterations = static_cast<int>(kmeans_iterations);
-  // Registrations below the threshold were never stored, so the loaded
-  // store replays only admissible sequences whatever the saved threshold.
-  options.min_sequence_length = static_cast<size_t>(min_len);
-  NotebookStore store(options);
+  NotebookStore store;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t session_id = 0, session_seed = 0;
     uint32_t length = 0;
     if (!ReadU64(payload, &pos, &session_id) ||
         !ReadU64(payload, &pos, &session_seed) ||
-        !ReadU32(payload, &pos, &length)) {
+        !ReadU32(payload, &pos, &length) ||
+        // Each display takes at least its 4-byte dimension, so a length
+        // the remaining bytes cannot hold is truncation, not a reserve.
+        length > (payload.size() - pos) / sizeof(uint32_t)) {
       return Status::IOError("notebook store " + path +
                              ": truncated notebook " + std::to_string(i));
     }
@@ -247,7 +249,8 @@ Result<NotebookStore> NotebookStore::Load(const std::string& path) {
                              std::move(sequence)) < 0) {
       return Status::InvalidArgument(
           "notebook store " + path + ": notebook " + std::to_string(i) +
-          " shorter than the store's min_sequence_length");
+          " is shorter than " + std::to_string(kMinSequenceLength) +
+          " displays");
     }
   }
   if (pos != payload.size()) {

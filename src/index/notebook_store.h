@@ -1,6 +1,7 @@
 #ifndef ATENA_INDEX_NOTEBOOK_STORE_H_
 #define ATENA_INDEX_NOTEBOOK_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/vector_index.h"
 
 namespace atena {
 
@@ -20,24 +20,21 @@ namespace atena {
 /// sessions, and the corpus the ILAEDA pretraining track will consume.
 ///
 /// Each notebook is summarized by its display-vector centroid (the mean
-/// over the zero-padded union space) and indexed in a VectorIndex, so
-/// top-k similarity queries are sub-linear in corpus size while staying
-/// exact for the centroid metric. Exact-duplicate detection is separate
-/// and bitwise: sequences are hashed over their raw double bits, so
-/// FindDuplicate never false-positives on merely-close notebooks.
+/// over the zero-padded union space). The centroids live in one packed
+/// arena, and TopK is an exact flat scan over it with the bounded
+/// squared-distance kernel under the (squared distance, id) total order.
+/// Exact-duplicate detection is separate and bitwise: sequences are hashed
+/// over their raw double bits, so FindDuplicate never false-positives on
+/// merely-close notebooks.
 ///
 /// Thread-safe: all public methods take an internal mutex, so one store
 /// can be shared across SessionManagers (or a manager and an offline
-/// reader). Queries under the lock are short — sub-linear index descent
-/// plus a handful of exact re-checks.
+/// reader).
 class NotebookStore {
  public:
-  struct Options {
-    VectorIndex::Options index;
-    /// Sequences shorter than this are not registered (a root display
-    /// alone is not a notebook). Counted in skipped_registrations.
-    size_t min_sequence_length = 2;
-  };
+  /// Sequences shorter than this are not registered (a root display alone
+  /// is not a notebook). Counted in skipped_registrations.
+  static constexpr size_t kMinSequenceLength = 2;
 
   /// Provenance of one registered notebook.
   struct Entry {
@@ -56,15 +53,15 @@ class NotebookStore {
   };
 
   NotebookStore();
-  explicit NotebookStore(Options options);
 
   /// Registers a display-vector sequence; returns its notebook id, or -1
-  /// (as int64) when the sequence is below min_sequence_length.
+  /// (as int64) when the sequence is shorter than kMinSequenceLength.
   int64_t Register(uint64_t session_id, uint64_t session_seed,
                    const std::vector<std::vector<double>>& display_vectors);
 
   /// The k registered notebooks whose centroids are nearest to the
-  /// query sequence's centroid, nearest first.
+  /// query sequence's centroid, nearest first (fewer when the store holds
+  /// fewer; none for k <= 0).
   std::vector<Match> TopK(
       const std::vector<std::vector<double>>& display_vectors, int k) const;
 
@@ -79,9 +76,11 @@ class NotebookStore {
   Entry entry(uint64_t notebook_id) const;
   std::vector<std::vector<double>> sequence(uint64_t notebook_id) const;
 
-  /// Persists the corpus (entries + sequences) as a CRC-framed container;
-  /// Load rebuilds the centroid index and duplicate table by replaying
-  /// registrations, so a loaded store answers queries identically.
+  /// Persists the corpus (entries + sequences) as a CRC-framed
+  /// `ATENA-NBSTORE v2` container; Load rebuilds the centroids and the
+  /// duplicate table by replaying registrations, so a loaded store answers
+  /// queries identically. Load refuses any other version by name, and a
+  /// truncated or too-short sequence.
   Status Save(const std::string& path) const;
   static Result<NotebookStore> Load(const std::string& path);
 
@@ -93,10 +92,13 @@ class NotebookStore {
   int64_t RegisterLocked(uint64_t session_id, uint64_t session_seed,
                          std::vector<std::vector<double>> display_vectors);
 
-  Options options_;
   /// Held by pointer so the store stays movable (Result<NotebookStore>).
   mutable std::unique_ptr<std::mutex> mutex_;
-  VectorIndex centroids_;                       // id i = notebook i
+  /// Centroid of notebook i, packed in id order: its coordinates follow
+  /// those of notebooks 0..i-1 in `centroids_`, and `centroid_dims_[i]`
+  /// is its length.
+  std::vector<double> centroids_;
+  std::vector<uint32_t> centroid_dims_;
   std::vector<Entry> entries_;
   std::vector<std::vector<std::vector<double>>> sequences_;
   /// Raw-bits sequence hash -> notebook ids (verified element-wise on

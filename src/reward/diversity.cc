@@ -4,69 +4,28 @@
 #include <limits>
 
 #include "common/math_utils.h"
+#include "eda/environment.h"
 
 namespace atena {
 
-namespace {
-
-/// Shared final step of both paths: one sqrt of the minimal squared
-/// distance, then the sqrt(dim) normalization. sqrt is monotone and IEEE
-/// correctly rounded, so min_i sqrt(x_i) == sqrt(min_i x_i) — taking the
-/// min in squared space first is bit-identical to the pre-index code that
-/// rooted every candidate.
-double NormalizeMinSquared(double min_squared, size_t dim) {
-  if (dim == 0) return 0.0;
-  const double min_distance = std::sqrt(min_squared);
-  return Clamp(min_distance / std::sqrt(static_cast<double>(dim)), 0.0, 1.0);
-}
-
-}  // namespace
-
-IndexedRewardContext MakeIndexedRewardContext(const RewardContext& context) {
-  IndexedRewardContext indexed;
-  indexed.vectors = &context.env->display_vectors();
-  const VectorIndex* index = context.env->display_index();
-  // Only route through the index when it covers the history exactly; any
-  // mismatch (index below its activation threshold, disabled, mid-rebuild)
-  // falls back to the scalar scan.
-  if (index != nullptr && index->size() == indexed.vectors->size()) {
-    indexed.index = index;
-  }
-  return indexed;
-}
-
-double ScalarDiversityReward(const IndexedRewardContext& context) {
-  const auto& vectors = *context.vectors;
+double DiversityReward(const RewardContext& context) {
+  const auto& vectors = context.env->display_vectors();
   if (vectors.size() < 2) return 0.0;
   const auto& current = vectors.back();
-  // Running min over squared distances with per-element early exit: the
-  // partial sum is non-decreasing, so a candidate abandoned above the
-  // running min can never be the minimum. One sqrt at the end instead of
-  // one per candidate.
+  if (current.empty()) return 0.0;
+  // Running min over squared distances with early exit: the kernel's
+  // partial sums are non-decreasing, so a candidate abandoned above the
+  // running min can never be the minimum. sqrt is monotone and correctly
+  // rounded, so one sqrt of the min equals the min of the roots.
   double min_squared = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i + 1 < vectors.size(); ++i) {
     const double sq =
         SquaredEuclideanDistanceBounded(current, vectors[i], min_squared);
     if (sq < min_squared) min_squared = sq;
   }
-  return NormalizeMinSquared(min_squared, current.size());
-}
-
-double DiversityReward(const IndexedRewardContext& context) {
-  const auto& vectors = *context.vectors;
-  if (vectors.size() < 2) return 0.0;
-  if (context.index == nullptr) return ScalarDiversityReward(context);
-  const auto& current = vectors.back();
-  // id_limit excludes the current display (the most recent insert) from
-  // its own history. Ball-bound pruning plus the exact squared-distance
-  // re-check make this bit-identical to the scalar scan (DESIGN.md §14).
-  const double min_squared =
-      context.index->MinSquaredDistance(current, vectors.size() - 1);
-  return NormalizeMinSquared(min_squared, current.size());
-}
-
-double DiversityReward(const RewardContext& context) {
-  return DiversityReward(MakeIndexedRewardContext(context));
+  return Clamp(std::sqrt(min_squared) /
+                   std::sqrt(static_cast<double>(current.size())),
+               0.0, 1.0);
 }
 
 }  // namespace atena

@@ -56,11 +56,8 @@ ParallelPpoTrainer::ParallelPpoTrainer(std::vector<EdaEnvironment*> envs,
   if (const auto& shared_cache = envs_[0]->display_cache()) {
     for (EdaEnvironment* env : envs_) env->SetDisplayCache(shared_cache);
   }
-  num_threads_ = ResolveThreads(options_.num_threads,
-                                static_cast<int>(envs_.size()));
-  if (num_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
-  }
+  pool_ = std::make_unique<ThreadPool>(
+      ResolveThreads(options_.num_threads, static_cast<int>(envs_.size())));
   if (options_.guardrails.enabled) {
     guard_ = std::make_unique<TrainingGuard>(options_.guardrails);
   }
@@ -144,11 +141,7 @@ TrainingResult ParallelPpoTrainer::Train() {
         outcomes[static_cast<size_t>(e)] = ApplyAction(
             envs_[static_cast<size_t>(e)], steps[static_cast<size_t>(e)].action);
       };
-      if (pool_) {
-        pool_->ParallelFor(m, step_actor);
-      } else {
-        for (int e = 0; e < m; ++e) step_actor(e);
-      }
+      pool_->ParallelFor(m, step_actor);
 
       // Ordered commit: transitions enter the buffer and every
       // floating-point reduction (episode rewards, best-episode record,

@@ -51,7 +51,7 @@ class ParallelPpoTrainer {
 
   /// The resolved stepping concurrency (options.num_threads with 0 = auto,
   /// clamped to the actor count).
-  int num_threads() const { return num_threads_; }
+  int num_threads() const { return pool_->num_threads(); }
 
   TrainingResult Train();
 
@@ -111,8 +111,8 @@ class ParallelPpoTrainer {
   std::unique_ptr<TrainingGuard> guard_;
   std::function<void(const CurvePoint&)> progress_;
 
-  /// Resolved stepping concurrency; the pool exists only when > 1.
-  int num_threads_ = 1;
+  /// Steps the actors' environments. A one-thread pool has no workers and
+  /// runs them inline in actor order.
   std::unique_ptr<ThreadPool> pool_;
 
   TrainingResult result_;

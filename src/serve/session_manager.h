@@ -63,14 +63,11 @@ const char* RetireReasonName(RetireReason reason);
 /// budget (each additional overrun escalates one stage):
 ///   kNormal      → full reward, sampled acting;
 ///   kNoDiversity → the reward signal's degraded mode skips the diversity
-///                  min-distance scan (RewardSignal::SetDegradedMode).
-///                  Since the display index made that scan sub-linear in
-///                  history (DESIGN.md §14) this stage rarely fires — the
-///                  scan it skips is no longer the dominant per-step cost
-///                  on long sessions — but it stays in the ladder as the
-///                  cheap first response for sessions whose history is
-///                  still below EnvConfig::diversity_index_threshold, where
-///                  the scan is linear;
+///                  min-distance scan (RewardSignal::SetDegradedMode). That
+///                  scan is linear in the session's display history
+///                  (DESIGN.md §14), so skipping it is the cheap first
+///                  response: a long episode sheds its one per-step cost
+///                  that grows with age, and the acting stream is kept;
 ///   kGreedy      → argmax acting: the session stops consuming its acting
 ///                  stream entirely. One more overrun retires the session
 ///                  with kDeadlineExceeded.

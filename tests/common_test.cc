@@ -233,53 +233,57 @@ TEST(MathTest, KlDivergenceGrowsWithShift) {
   EXPECT_LT(KlDivergence(mild, base), KlDivergence(strong, base));
 }
 
-TEST(MathTest, EuclideanDistanceBasics) {
-  EXPECT_DOUBLE_EQ(EuclideanDistance({0, 0}, {3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(EuclideanDistance({1, 2}, {1, 2}), 0.0);
+/// The kernel with an infinite bound: the exact squared distance.
+double SquaredDistance(const std::vector<double>& a,
+                       const std::vector<double>& b) {
+  return SquaredEuclideanDistanceBounded(
+      a, b, std::numeric_limits<double>::infinity());
+}
+
+TEST(MathTest, SquaredEuclideanDistanceBasics) {
+  EXPECT_DOUBLE_EQ(SquaredDistance({0, 0}, {3, 4}), 25.0);
+  EXPECT_DOUBLE_EQ(SquaredDistance({1, 2}, {1, 2}), 0.0);
   // Length mismatch: extra tail measured from zero.
-  EXPECT_DOUBLE_EQ(EuclideanDistance({0.0}, {0.0, 3.0}), 3.0);
+  EXPECT_DOUBLE_EQ(SquaredDistance({0.0}, {0.0, 3.0}), 9.0);
 }
 
 // Pins the documented mismatched-tail semantics: a shorter vector behaves
 // exactly as if zero-padded to the longer length, on either side, in any
-// combination. The vector index's ball bounds (src/index/) assume these
-// distances form a true metric over the zero-padded union space — a
-// violation here would silently break its exactness guarantee.
-TEST(MathTest, EuclideanDistanceTailSemantics) {
+// combination, so ragged display vectors and notebook centroids live in
+// one metric space.
+TEST(MathTest, SquaredEuclideanDistanceTailSemantics) {
   // a longer, b longer, both directions, multiple tail elements.
-  EXPECT_DOUBLE_EQ(EuclideanDistance({3.0, 4.0}, {}), 5.0);
-  EXPECT_DOUBLE_EQ(EuclideanDistance({}, {3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(EuclideanDistance({1.0, 2.0, 2.0}, {1.0}),
-                   EuclideanDistance({1.0, 2.0, 2.0}, {1.0, 0.0, 0.0}));
-  EXPECT_DOUBLE_EQ(EuclideanDistance({1.0}, {1.0, 2.0, 2.0}),
-                   EuclideanDistance({1.0, 0.0, 0.0}, {1.0, 2.0, 2.0}));
+  EXPECT_DOUBLE_EQ(SquaredDistance({3.0, 4.0}, {}), 25.0);
+  EXPECT_DOUBLE_EQ(SquaredDistance({}, {3.0, 4.0}), 25.0);
+  EXPECT_DOUBLE_EQ(SquaredDistance({1.0, 2.0, 2.0}, {1.0}),
+                   SquaredDistance({1.0, 2.0, 2.0}, {1.0, 0.0, 0.0}));
+  EXPECT_DOUBLE_EQ(SquaredDistance({1.0}, {1.0, 2.0, 2.0}),
+                   SquaredDistance({1.0, 0.0, 0.0}, {1.0, 2.0, 2.0}));
   // Two empties are at distance zero.
-  EXPECT_DOUBLE_EQ(EuclideanDistance({}, {}), 0.0);
-  // Squared form agrees with the rooted form bit-for-bit.
+  EXPECT_DOUBLE_EQ(SquaredDistance({}, {}), 0.0);
+  // Symmetric bit for bit, through both entry points.
   const std::vector<double> a = {1.5, -2.25, 0.0, 7.0};
   const std::vector<double> b = {0.5, 3.0};
-  EXPECT_EQ(EuclideanDistance(a, b),
-            std::sqrt(SquaredEuclideanDistance(a, b)));
-  EXPECT_EQ(SquaredEuclideanDistance(a, b), SquaredEuclideanDistance(b, a));
+  EXPECT_EQ(SquaredDistance(a, b), SquaredDistance(b, a));
+  EXPECT_EQ(SquaredEuclideanDistanceBounded(
+                a.data(), a.size(), b.data(), b.size(),
+                std::numeric_limits<double>::infinity()),
+            SquaredDistance(a, b));
 }
 
 TEST(MathTest, SquaredEuclideanDistanceBoundedExactUnderBound) {
   const std::vector<double> a = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> b = {0.0, 2.5, -1.0, 4.0};
-  const double exact = SquaredEuclideanDistance(a, b);
+  const double exact = SquaredDistance(a, b);
   // Any bound >= the exact value returns the exact value, bit for bit.
   EXPECT_EQ(SquaredEuclideanDistanceBounded(a, b, exact), exact);
-  EXPECT_EQ(SquaredEuclideanDistanceBounded(
-                a, b, std::numeric_limits<double>::infinity()),
-            exact);
   // A tighter bound early-exits with some partial sum above the bound.
   EXPECT_GT(SquaredEuclideanDistanceBounded(a, b, exact * 0.5), exact * 0.5);
   // Tails participate in the early exit too.
   const std::vector<double> tail = {0.0, 0.0, 0.0, 0.0, 100.0};
   EXPECT_GT(SquaredEuclideanDistanceBounded(a, tail, 1.0), 1.0);
-  EXPECT_EQ(SquaredEuclideanDistanceBounded(
-                a, tail, std::numeric_limits<double>::infinity()),
-            SquaredEuclideanDistance(a, tail));
+  EXPECT_EQ(SquaredEuclideanDistanceBounded(a, tail, SquaredDistance(a, tail)),
+            SquaredDistance(a, tail));
 }
 
 TEST(MathTest, MeanVarMatchesClosedForm) {

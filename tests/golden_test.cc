@@ -731,8 +731,8 @@ struct Table2Fixture {
 };
 
 constexpr Table2Fixture kTable2Fixtures[] = {
-    {"cyber1", 0x174694ECu},
-    {"flights1", 0x3A80BACEu},
+    {"cyber1", 0xEE50F56Au},
+    {"flights1", 0xB736DFBAu},
 };
 
 void PrintTo(const Table2Fixture& fixture, std::ostream* os) {

@@ -1,18 +1,17 @@
-// Exactness and determinism tests for the display-vector index
-// (src/index/, DESIGN.md §14). The contract under test: every query is
-// bit-identical to the flat scalar scan it accelerates — over random
-// histories of any size, with duplicates, zero vectors and ragged
-// dimensions, however the index was grown (batch build, incremental
-// insert, serialization round-trip), and end to end through the
-// environment, the diversity reward and the multi-threaded serving
-// runtime.
+// Exactness and determinism tests for the exact nearest-neighbour scans
+// (DESIGN.md §14): NotebookStore::TopK and the diversity reward must
+// return exactly what a brute-force reference returns — over random
+// ragged corpora of any size, with duplicates, zero vectors and ragged
+// dimensions, across a save/load round trip, and end to end through the
+// environment and the multi-threaded serving runtime, which shares one
+// store across its threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -25,7 +24,6 @@
 #include "data/registry.h"
 #include "eda/environment.h"
 #include "index/notebook_store.h"
-#include "index/vector_index.h"
 #include "reward/diversity.h"
 #include "serve/session_manager.h"
 #include "serve/snapshot.h"
@@ -36,6 +34,8 @@ namespace {
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ------------------------------------------------------------ generators
 
@@ -68,11 +68,11 @@ std::vector<std::vector<double>> RandomHistory(Rng* rng, size_t count,
   return vectors;
 }
 
-/// The flat reference scan the index must match bit for bit: running min
-/// over the same bounded squared-distance kernel, in id order.
+/// The flat running-min reference: the bounded squared-distance kernel
+/// over ids < id_limit, in id order.
 double ScalarMinSquared(const std::vector<std::vector<double>>& vectors,
                         const std::vector<double>& query, size_t id_limit) {
-  double best = std::numeric_limits<double>::infinity();
+  double best = kInf;
   const size_t limit = std::min(id_limit, vectors.size());
   for (size_t i = 0; i < limit; ++i) {
     const double sq = SquaredEuclideanDistanceBounded(query, vectors[i], best);
@@ -81,173 +81,173 @@ double ScalarMinSquared(const std::vector<std::vector<double>>& vectors,
   return best;
 }
 
-/// Brute-force top-k under the (squared_distance, id) total order.
-std::vector<VectorIndex::Neighbor> ScalarTopK(
-    const std::vector<std::vector<double>>& vectors,
-    const std::vector<double>& query, int k, size_t id_limit) {
-  std::vector<VectorIndex::Neighbor> all;
-  const size_t limit = std::min(id_limit, vectors.size());
-  for (size_t i = 0; i < limit; ++i) {
-    all.push_back(VectorIndex::Neighbor{
-        static_cast<int32_t>(i), SquaredEuclideanDistance(query, vectors[i])});
+struct Neighbor {
+  int32_t id = 0;
+  double squared_distance = 0.0;
+};
+
+/// Brute-force top-k under the (squared_distance, id) total order: every
+/// exact distance, sorted.
+std::vector<Neighbor> ScalarTopK(const std::vector<std::vector<double>>& vectors,
+                                 const std::vector<double>& query, int k) {
+  std::vector<Neighbor> all;
+  if (k <= 0) return all;
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    all.push_back(Neighbor{static_cast<int32_t>(i),
+                           SquaredEuclideanDistanceBounded(query, vectors[i],
+                                                           kInf)});
   }
-  std::sort(all.begin(), all.end(),
-            [](const VectorIndex::Neighbor& a, const VectorIndex::Neighbor& b) {
-              return a.squared_distance != b.squared_distance
-                         ? a.squared_distance < b.squared_distance
-                         : a.id < b.id;
-            });
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    return a.squared_distance != b.squared_distance
+               ? a.squared_distance < b.squared_distance
+               : a.id < b.id;
+  });
   if (all.size() > static_cast<size_t>(k)) {
     all.resize(static_cast<size_t>(k));
   }
   return all;
 }
 
-void ExpectSameNeighbors(const std::vector<VectorIndex::Neighbor>& got,
-                         const std::vector<VectorIndex::Neighbor>& want,
-                         const std::string& context) {
+/// A notebook's centroid as the store defines it: the mean over the
+/// zero-padded union space, summed in sequence order, then scaled by 1/n.
+std::vector<double> ReferenceCentroid(
+    const std::vector<std::vector<double>>& sequence) {
+  size_t dim = 0;
+  for (const auto& v : sequence) dim = std::max(dim, v.size());
+  std::vector<double> centroid(dim, 0.0);
+  for (const auto& v : sequence) {
+    for (size_t i = 0; i < v.size(); ++i) centroid[i] += v[i];
+  }
+  const double inv = 1.0 / static_cast<double>(sequence.size());
+  for (double& c : centroid) c *= inv;
+  return centroid;
+}
+
+/// The store's matches against the reference: same ids, same distances
+/// bit for bit (the store reports the root of the squared distance).
+void ExpectSameMatches(const std::vector<NotebookStore::Match>& got,
+                       const std::vector<Neighbor>& want,
+                       const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << context << " rank " << i;
-    EXPECT_EQ(got[i].squared_distance, want[i].squared_distance)
+    EXPECT_EQ(got[i].entry.notebook_id, static_cast<uint64_t>(want[i].id))
+        << context << " rank " << i;
+    EXPECT_EQ(got[i].distance, std::sqrt(want[i].squared_distance))
         << context << " rank " << i;
   }
 }
 
-// ------------------------------------------------- index-vs-scalar exact
+/// Registers `count` random ragged notebooks of 2..13 displays (about one
+/// in eight a bit-for-bit copy of an earlier one) and returns their
+/// reference centroids.
+std::vector<std::vector<double>> FillRandomCorpus(NotebookStore* store,
+                                                  Rng* rng, size_t count,
+                                                  size_t dim) {
+  std::vector<std::vector<double>> centroids;
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<std::vector<double>> sequence =
+        (i > 0 && rng->NextBounded(8) == 0)
+            ? store->sequence(rng->NextBounded(i))
+            : RandomHistory(rng, 2 + rng->NextBounded(12), dim);
+    EXPECT_EQ(store->Register(i, i, sequence), static_cast<int64_t>(i));
+    centroids.push_back(ReferenceCentroid(sequence));
+  }
+  return centroids;
+}
 
-TEST(VectorIndexTest, MinDistanceBitIdenticalToScalarScanRandomHistories) {
+// ---------------------------------------------- store-vs-brute-force exact
+
+TEST(NotebookStoreTest, TopKBitIdenticalToScalarTopKOnRandomCorpora) {
   Rng rng(2024);
-  // Sizes straddle every structural regime: single vector, one unsplit
-  // leaf, one split, deep trees; small leaves force many splits.
   const size_t sizes[] = {1, 2, 5, 33, 200, 1500};
   const size_t dims[] = {1, 3, 8, 17};
-  VectorIndex::Options options;
-  options.branching = 4;
-  options.leaf_capacity = 8;
   for (const size_t size : sizes) {
     for (const size_t dim : dims) {
-      const auto vectors = RandomHistory(&rng, size, dim);
-      VectorIndex index(options);
-      for (const auto& v : vectors) index.Insert(v);
-      ASSERT_EQ(index.size(), vectors.size());
-      for (int q = 0; q < 25; ++q) {
-        // Mix of member vectors (distance 0 exists) and fresh queries.
-        const std::vector<double> query =
-            (q % 2 == 0)
-                ? vectors[static_cast<size_t>(rng.NextBounded(vectors.size()))]
-                : RandomHistory(&rng, 1, dim)[0];
-        const size_t id_limit =
-            (q % 3 == 0) ? vectors.size()
-                         : 1 + rng.NextBounded(vectors.size());
-        const std::string context = "size=" + std::to_string(size) +
-                                    " dim=" + std::to_string(dim) +
-                                    " query=" + std::to_string(q);
-        EXPECT_EQ(index.MinSquaredDistance(query, id_limit),
-                  ScalarMinSquared(vectors, query, id_limit))
-            << context;
+      NotebookStore store;
+      const auto centroids = FillRandomCorpus(&store, &rng, size, dim);
+      ASSERT_EQ(store.size(), size);
+      for (int q = 0; q < 12; ++q) {
+        // Mix of registered notebooks (distance 0 exists) and fresh ones.
+        const std::vector<std::vector<double>> query =
+            (q % 2 == 0) ? store.sequence(rng.NextBounded(size))
+                         : RandomHistory(&rng, 2 + rng.NextBounded(12), dim);
+        const int k = q % 3 == 0 ? 1
+                                 : q % 3 == 1 ? 5
+                                              : static_cast<int>(size) + 3;
+        ExpectSameMatches(
+            store.TopK(query, k),
+            ScalarTopK(centroids, ReferenceCentroid(query), k),
+            "size=" + std::to_string(size) + " dim=" + std::to_string(dim) +
+                " query=" + std::to_string(q) + " k=" + std::to_string(k));
       }
     }
   }
 }
 
-TEST(VectorIndexTest, MinDistanceBitIdenticalAtTenThousandVectors) {
+TEST(NotebookStoreTest, TopKBitIdenticalAtTenThousandNotebooks) {
   Rng rng(7);
-  const auto vectors = RandomHistory(&rng, 10000, 6);
-  VectorIndex index;
-  for (const auto& v : vectors) index.Insert(v);
-  VectorIndex::QueryStats stats;
+  NotebookStore store;
+  const auto centroids = FillRandomCorpus(&store, &rng, 10000, 6);
   for (int q = 0; q < 10; ++q) {
-    const std::vector<double> query =
-        vectors[static_cast<size_t>(rng.NextBounded(vectors.size()))];
-    EXPECT_EQ(index.MinSquaredDistance(query, vectors.size(), &stats),
-              ScalarMinSquared(vectors, query, vectors.size()));
-  }
-  // The accelerator must actually accelerate: over 10 queries at 10k
-  // vectors the ball bounds have to prune the overwhelming majority of
-  // candidates (this is a structural property of the tree, not a timing
-  // assertion, so it is stable under sanitizers).
-  EXPECT_LT(stats.vectors_checked, 10 * 10000 / 5)
-      << "pruning is not effective: " << stats.vectors_checked
-      << " of 100000 candidates scanned";
-}
-
-TEST(VectorIndexTest, TopKMatchesBruteForceUnderTotalOrder) {
-  Rng rng(99);
-  const auto vectors = RandomHistory(&rng, 700, 5);
-  VectorIndex::Options options;
-  options.branching = 4;
-  options.leaf_capacity = 8;
-  VectorIndex incremental(options);
-  for (const auto& v : vectors) incremental.Insert(v);
-  for (const int k : {1, 3, 10, 699, 700, 900}) {
-    for (int q = 0; q < 10; ++q) {
-      const std::vector<double> query =
-          (q % 2 == 0)
-              ? vectors[static_cast<size_t>(rng.NextBounded(vectors.size()))]
-              : RandomHistory(&rng, 1, 5)[0];
-      const size_t id_limit =
-          (q % 3 == 0) ? vectors.size() : 1 + rng.NextBounded(vectors.size());
-      ExpectSameNeighbors(incremental.TopK(query, k, id_limit),
-                          ScalarTopK(vectors, query, k, id_limit),
-                          "k=" + std::to_string(k) +
-                              " limit=" + std::to_string(id_limit));
+    const auto query = store.sequence(rng.NextBounded(store.size()));
+    for (const int k : {1, 5, 50}) {
+      ExpectSameMatches(store.TopK(query, k),
+                        ScalarTopK(centroids, ReferenceCentroid(query), k),
+                        "query=" + std::to_string(q) +
+                            " k=" + std::to_string(k));
     }
   }
 }
 
-TEST(VectorIndexTest, DegenerateCases) {
-  VectorIndex index;
-  // Empty index: no neighbor exists.
-  EXPECT_EQ(index.MinSquaredDistance({1.0, 2.0}),
-            std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(index.TopK({1.0, 2.0}, 3).empty());
-
-  EXPECT_EQ(index.Insert({1.0, 2.0}), 0);
-  // id_limit 0 excludes everything; k <= 0 returns nothing.
-  EXPECT_EQ(index.MinSquaredDistance({1.0, 2.0}, 0),
-            std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(index.TopK({1.0, 2.0}, 0).empty());
-  // Exact self-match.
-  EXPECT_EQ(index.MinSquaredDistance({1.0, 2.0}), 0.0);
-
-  index.Clear();
-  EXPECT_TRUE(index.empty());
-  EXPECT_EQ(index.MinSquaredDistance({1.0}),
-            std::numeric_limits<double>::infinity());
+TEST(NotebookStoreTest, AllDuplicateCorpusResolvesTiesToLowestIds) {
+  NotebookStore store;
+  const std::vector<std::vector<double>> notebook = {{0.5, -1.5, 3.0},
+                                                     {1.0, 0.0, -2.0}};
+  std::vector<std::vector<double>> centroids;
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_EQ(store.Register(i, i, notebook), static_cast<int64_t>(i));
+    centroids.push_back(ReferenceCentroid(notebook));
+  }
+  const auto top = store.TopK(notebook, 3);
+  ASSERT_EQ(top.size(), 3u);
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].entry.notebook_id, i);
+    EXPECT_EQ(top[i].distance, 0.0);
+  }
+  Rng rng(5);
+  const auto other = RandomHistory(&rng, 4, 3);
+  for (const int k : {1, 7, 100, 150}) {
+    ExpectSameMatches(store.TopK(notebook, k),
+                      ScalarTopK(centroids, ReferenceCentroid(notebook), k),
+                      "self k=" + std::to_string(k));
+    ExpectSameMatches(store.TopK(other, k),
+                      ScalarTopK(centroids, ReferenceCentroid(other), k),
+                      "other k=" + std::to_string(k));
+  }
 }
 
-TEST(VectorIndexTest, AllDuplicateVectorsStayCorrectPastLeafCapacity) {
-  // An unseparable member set can never split; the leaf must stay flat
-  // (retry doubling) and keep answering exactly.
-  VectorIndex::Options options;
-  options.branching = 4;
-  options.leaf_capacity = 4;
-  VectorIndex index(options);
-  const std::vector<double> v = {0.5, -1.5, 3.0};
-  for (int i = 0; i < 100; ++i) index.Insert(v);
-  EXPECT_EQ(index.MinSquaredDistance(v), 0.0);
-  EXPECT_EQ(index.node_count(), 1) << "unseparable leaf must not split";
-  const auto top = index.TopK(v, 3);
-  ASSERT_EQ(top.size(), 3u);
-  // Ties resolve to the lowest ids under the total order.
-  EXPECT_EQ(top[0].id, 0);
-  EXPECT_EQ(top[1].id, 1);
-  EXPECT_EQ(top[2].id, 2);
-
-  // A separable tail arriving later still splits the leaf eventually.
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    index.Insert({rng.NextDouble(), rng.NextDouble(), rng.NextDouble()});
-  }
-  EXPECT_GT(index.node_count(), 1);
-  EXPECT_EQ(index.MinSquaredDistance(v), 0.0);
+TEST(NotebookStoreTest, DegenerateQueries) {
+  NotebookStore store;
+  const std::vector<std::vector<double>> notebook = {{1.0, 2.0}, {3.0, 4.0}};
+  // Empty store: no neighbour exists.
+  EXPECT_TRUE(store.TopK(notebook, 3).empty());
+  ASSERT_EQ(store.Register(1, 1, notebook), 0);
+  // k <= 0 returns nothing; k past the corpus returns the whole corpus.
+  EXPECT_TRUE(store.TopK(notebook, 0).empty());
+  EXPECT_TRUE(store.TopK(notebook, -2).empty());
+  const auto all = store.TopK(notebook, 10);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].distance, 0.0);
+  // Too-short sequences are refused and counted.
+  EXPECT_EQ(store.Register(2, 2, {{1.0, 1.0}}), -1);
+  EXPECT_EQ(store.skipped_registrations(), 1);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 // -------------------------------------------------- reward / environment
 
-/// Reward signal scoring only diversity — the component the index
-/// accelerates — so per-step rewards compare the two paths directly.
+/// Reward signal scoring only diversity, so per-step rewards compare
+/// directly against the reference scan.
 class DiversityOnlyReward final : public RewardSignal {
  public:
   double Compute(const RewardContext& context) override {
@@ -255,50 +255,49 @@ class DiversityOnlyReward final : public RewardSignal {
   }
 };
 
-EnvConfig IndexedEnvConfig(int episode_length, int threshold) {
+/// The diversity reward by its definition: the flat min over every earlier
+/// display, rooted and normalized by sqrt(dim).
+double ReferenceDiversity(const std::vector<std::vector<double>>& vectors) {
+  if (vectors.size() < 2 || vectors.back().empty()) return 0.0;
+  const std::vector<double>& current = vectors.back();
+  const double min_squared =
+      ScalarMinSquared(vectors, current, vectors.size() - 1);
+  return Clamp(std::sqrt(min_squared) /
+                   std::sqrt(static_cast<double>(current.size())),
+               0.0, 1.0);
+}
+
+TEST(DiversityScanTest, ThousandDisplayEpisodeMatchesScalarReference) {
   EnvConfig config;
-  config.episode_length = episode_length;
+  config.episode_length = 1000;
   config.num_term_bins = 4;
-  config.diversity_index_threshold = threshold < 0 ? INT_MAX : threshold;
-  return config;
-}
-
-TEST(IndexedDiversityTest, RewardBitIdenticalWithIndexOnAndOff) {
-  Dataset dataset = MakeDataset("cyber2").value();
-  const int episode_length = 120;
-  // Threshold 8 activates the index mid-episode, covering the dormant →
-  // catch-up → incremental transition; -1 disables it entirely.
-  EdaEnvironment indexed(dataset, IndexedEnvConfig(episode_length, 8));
-  EdaEnvironment scalar(dataset, IndexedEnvConfig(episode_length, -1));
-  DiversityOnlyReward reward_a, reward_b;
-  indexed.SetRewardSignal(&reward_a);
-  scalar.SetRewardSignal(&reward_b);
-  indexed.Reset();
-  scalar.Reset();
-
+  EdaEnvironment env(MakeDataset("cyber2").value(), config);
+  DiversityOnlyReward reward;
+  env.SetRewardSignal(&reward);
+  env.Reset();
   Rng actions(123);
-  for (int step = 0; step < episode_length; ++step) {
-    const EnvAction action = SampleRandomAction(indexed.action_space(), &actions);
-    const StepOutcome a = indexed.Step(action);
-    const StepOutcome b = scalar.Step(action);
-    EXPECT_EQ(a.reward, b.reward) << "step " << step;
-    EXPECT_EQ(a.valid, b.valid) << "step " << step;
+  int scored = 0;
+  for (int step = 0; step < config.episode_length; ++step) {
+    const StepOutcome outcome =
+        env.Step(SampleRandomAction(env.action_space(), &actions));
+    if (!outcome.valid) continue;  // invalid steps take the fixed penalty
+    ++scored;
+    ASSERT_EQ(outcome.reward, ReferenceDiversity(env.display_vectors()))
+        << "step " << step;
   }
-  EXPECT_NE(indexed.display_index(), nullptr)
-      << "index never activated: the test lost its point";
-  EXPECT_EQ(scalar.display_index(), nullptr);
-
-  // The public entry point agrees with the in-TU scalar reference on the
-  // final state too.
+  EXPECT_EQ(env.display_vectors().size(), 1001u);
+  EXPECT_GT(scored, 100) << "too few valid steps to mean anything";
   RewardContext context;
-  context.env = &indexed;
+  context.env = &env;
   EXPECT_EQ(DiversityReward(context),
-            ScalarDiversityReward(MakeIndexedRewardContext(context)));
+            ReferenceDiversity(env.display_vectors()));
 }
 
-TEST(IndexedDiversityTest, RestoreSnapshotRebuildsTheIndex) {
-  Dataset dataset = MakeDataset("cyber2").value();
-  EdaEnvironment env(dataset, IndexedEnvConfig(60, 4));
+TEST(DiversityScanTest, RestoreSnapshotReplaysRewards) {
+  EnvConfig config;
+  config.episode_length = 60;
+  config.num_term_bins = 4;
+  EdaEnvironment env(MakeDataset("cyber2").value(), config);
   DiversityOnlyReward reward;
   env.SetRewardSignal(&reward);
   env.Reset();
@@ -312,20 +311,17 @@ TEST(IndexedDiversityTest, RestoreSnapshotRebuildsTheIndex) {
     suffix.push_back(SampleRandomAction(env.action_space(), &actions));
   }
   for (const auto& action : prefix) env.Step(action);
-  ASSERT_NE(env.display_index(), nullptr);
 
   // Speculative evaluation à la greedy baselines: snapshot, take the
   // suffix, roll back, take it again — rewards must replay bit-for-bit
-  // (term sampling consumes the env Rng, so pin it alongside).
+  // against the restored history (term sampling consumes the env Rng, so
+  // pin it alongside).
   const EdaEnvironment::Snapshot snapshot = env.SaveSnapshot();
   const RngState rng_state = env.rng_state();
   std::vector<double> first;
   for (const auto& action : suffix) first.push_back(env.Step(action).reward);
   env.RestoreSnapshot(snapshot);
   env.set_rng_state(rng_state);
-  ASSERT_NE(env.display_index(), nullptr)
-      << "RestoreSnapshot must rebuild the index";
-  ASSERT_EQ(env.display_index()->size(), env.display_vectors().size());
   std::vector<double> second;
   for (const auto& action : suffix) second.push_back(env.Step(action).reward);
   ASSERT_EQ(first.size(), second.size());
@@ -410,20 +406,103 @@ TEST(NotebookStoreTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Raw sidecar payloads for the refusal cases: the v2 layout is a u64
+/// notebook count, then per notebook u64 session id, u64 seed, u32 length
+/// and per display a u32 dimension and its doubles.
+void PutU32(std::string* out, uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+void PutU64(std::string* out, uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+std::string NotebookPayload(
+    const std::vector<std::vector<std::vector<double>>>& notebooks) {
+  std::string payload;
+  PutU64(&payload, notebooks.size());
+  for (size_t i = 0; i < notebooks.size(); ++i) {
+    PutU64(&payload, i);
+    PutU64(&payload, i * 10);
+    PutU32(&payload, static_cast<uint32_t>(notebooks[i].size()));
+    for (const auto& v : notebooks[i]) {
+      PutU32(&payload, static_cast<uint32_t>(v.size()));
+      payload.append(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(double));
+    }
+  }
+  return payload;
+}
+
+TEST(NotebookStoreTest, RefusesVersionOneShortAndTruncatedSidecars) {
+  const std::string path = TempPath("notebook_store_refusals.bin");
+  const auto good = Notebook({0.5, 0.25}, 3);
+
+  // A v2 file written by hand loads: the layout above is the format.
+  ASSERT_TRUE(
+      WriteChecksummedFile(path, "ATENA-NBSTORE v2", NotebookPayload({good}))
+          .ok());
+  Result<NotebookStore> loaded = NotebookStore::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().sequence(0), good);
+
+  // A v1 file (index-option header before the count) is refused by name.
+  std::string v1;
+  PutU32(&v1, 8);
+  PutU32(&v1, 32);
+  PutU32(&v1, 6);
+  PutU64(&v1, 2);
+  v1 += NotebookPayload({good});
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-NBSTORE v1", v1).ok());
+  loaded = NotebookStore::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("'v1'"), std::string::npos)
+      << loaded.status().ToString();
+
+  // A one-display notebook is below the minimum length.
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-NBSTORE v2",
+                                   NotebookPayload({good, Notebook({1.0}, 1)}))
+                  .ok());
+  loaded = NotebookStore::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  // A payload cut inside a notebook (CRC-valid, so only the parser sees
+  // it) is truncated, as is one that declares more notebooks than it has.
+  std::string cut = NotebookPayload({good});
+  cut.resize(cut.size() - 4);
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-NBSTORE v2", cut).ok());
+  loaded = NotebookStore::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  // A declared length the payload cannot hold is truncation too, refused
+  // before anything is reserved for it.
+  std::string huge_length = NotebookPayload({good});
+  huge_length[8 + 8 + 8] = '\xff';
+  huge_length[8 + 8 + 8 + 3] = '\x7f';
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-NBSTORE v2", huge_length).ok());
+  loaded = NotebookStore::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  std::string short_count = NotebookPayload({good});
+  short_count[0] = 2;
+  ASSERT_TRUE(WriteChecksummedFile(path, "ATENA-NBSTORE v2", short_count).ok());
+  loaded = NotebookStore::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------------- serve path
 
-SnapshotOptions ServeIndexedOptions(bool index_enabled) {
+SnapshotOptions ServeDiversityOptions() {
   SnapshotOptions options;
   options.env.episode_length = 6;
   options.env.num_term_bins = 4;
-  // Activate almost immediately so even 6-step serving episodes exercise
-  // the indexed path.
-  options.env.diversity_index_threshold = index_enabled ? 2 : INT_MAX;
   options.policy.hidden = {24, 24};
   return options;
 }
 
-std::vector<SessionConfig> IndexedConfigs(int count) {
+std::vector<SessionConfig> DiversityConfigs(int count) {
   std::vector<SessionConfig> configs;
   for (int i = 0; i < count; ++i) {
     SessionConfig config;
@@ -458,27 +537,28 @@ void ExpectServeTracesEqual(const SessionTrace& got, const SessionTrace& want,
   EXPECT_EQ(got.total_reward, want.total_reward) << context;
 }
 
-TEST(ServeIndexedDiversityTest, TracesIdenticalAcrossThreadsAndIndexOnOff) {
+TEST(ServeDiversityTest, TracesIdenticalAcrossThreadsWithSharedStore) {
   auto reward_factory = []() { return std::make_shared<DiversityOnlyReward>(); };
-  const auto configs = IndexedConfigs(5);
+  const auto configs = DiversityConfigs(5);
 
-  // Scalar-diversity reference traces (index disabled).
-  auto scalar_snapshot = std::make_shared<PolicySnapshot>(
-      MakeDataset("cyber2").value(), ServeIndexedOptions(false));
-  ServeOptions scalar_options;
-  scalar_options.num_threads = 1;
-  scalar_options.reward_factory = reward_factory;
-  SessionManager scalar_manager(scalar_snapshot, scalar_options);
+  // Reference traces: one thread, no notebook store.
+  auto reference_snapshot = std::make_shared<PolicySnapshot>(
+      MakeDataset("cyber2").value(), ServeDiversityOptions());
+  ServeOptions reference_options;
+  reference_options.num_threads = 1;
+  reference_options.reward_factory = reward_factory;
+  SessionManager reference_manager(reference_snapshot, reference_options);
   for (const auto& config : configs) {
-    ASSERT_TRUE(scalar_manager.Admit(config).ok());
+    ASSERT_TRUE(reference_manager.Admit(config).ok());
   }
-  const auto reference = DrainBySeed(scalar_manager);
+  const auto reference = DrainBySeed(reference_manager);
   ASSERT_EQ(reference.size(), configs.size());
 
-  // Indexed traces must match bit for bit at every thread count.
+  // With one store shared by the serving threads, traces must match bit
+  // for bit at every thread count.
   for (const int threads : {1, 2, 4}) {
     auto snapshot = std::make_shared<PolicySnapshot>(
-        MakeDataset("cyber2").value(), ServeIndexedOptions(true));
+        MakeDataset("cyber2").value(), ServeDiversityOptions());
     ServeOptions options;
     options.num_threads = threads;
     options.reward_factory = reward_factory;
@@ -510,9 +590,9 @@ TEST(ServeIndexedDiversityTest, TracesIdenticalAcrossThreadsAndIndexOnOff) {
   }
 }
 
-TEST(ServeIndexedDiversityTest, QuerySimilarNotebooksFindsRegisteredSessions) {
+TEST(ServeDiversityTest, QuerySimilarNotebooksFindsRegisteredSessions) {
   auto snapshot = std::make_shared<PolicySnapshot>(
-      MakeDataset("cyber2").value(), ServeIndexedOptions(true));
+      MakeDataset("cyber2").value(), ServeDiversityOptions());
   ServeOptions options;
   options.reward_factory = []() {
     return std::make_shared<DiversityOnlyReward>();

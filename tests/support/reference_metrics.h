@@ -8,7 +8,7 @@
 namespace atena {
 
 /// EDA-Sim of one candidate against one reference notebook, the plain
-/// alignment MaxEdaSim's pruned, memoized search must reproduce: the best
+/// alignment MaxEdaSim's memoized search must reproduce: the best
 /// monotone alignment (Needleman-Wunsch with zero gap penalty) of the two
 /// view sequences under ViewSimilarity, normalized by the longer sequence.
 /// Two empty sequences score 1, one empty sequence 0. MaxEdaSim equals the
